@@ -34,10 +34,6 @@ def mat_mul(a, b):
     return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
 
 
-def mat_vec(a, x):
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
-
-
 def vec_mat(x, a):
     if len(x) != len(a):
         raise AbelianError("vector/matrix shape mismatch")
@@ -45,12 +41,6 @@ def vec_mat(x, a):
         return []
     cols = len(a[0])
     return [sum(x[i] * a[i][j] for i in range(len(x))) for j in range(cols)]
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
 def _swap_rows(s, u, i, j):

@@ -111,8 +111,7 @@ def cmd_realize(args):
     if vrep.status == INCONCLUSIVE:
         print("warning: validation inconclusive within bounds", file=sys.stderr)
     try:
-        result = realize(sysm, seed=args.seed or 0,
-                         budget=max(20, args.budget // 500), validate=False)
+        result = realize(sysm, budget=max(20, args.budget // 500), validate=False)
     except ConstructionInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
@@ -245,6 +244,22 @@ def cmd_random(args):
 # ------------------------------------------------------------------ parser
 
 
+def _int_at_least(lo):
+    """argparse type: an integer >= lo; anything else is a usage error (exit 2)."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+    return parse
+
+
+_COUNT = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sepmonoid",
@@ -254,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, depth=True, budget=True, seed=False, fmt=True):
         if depth:
-            p.add_argument("--depth", type=int, default=10,
+            p.add_argument("--depth", type=_COUNT, default=10,
                            help="search depth bound (default 10)")
         if budget:
-            p.add_argument("--budget", type=int, default=100000,
+            p.add_argument("--budget", type=_COUNT, default=100000,
                            help="search node budget (default 100000)")
         if seed:
             p.add_argument("--seed", type=int, default=None,
@@ -282,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None, help="output .sg file (default stdout)")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the extract-and-compare round trip")
-    common(p, depth=False, seed=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="ignored: realization is deterministic")
+    common(p, depth=False)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("eq", help="decide equality of two elements")
@@ -317,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("props", help="run the property suites")
     p.add_argument("paths", nargs="*", help=".sg files (default: packaged fixtures)")
-    p.add_argument("--random", type=int, default=0, metavar="N",
+    p.add_argument("--random", type=_COUNT, default=0, metavar="N",
                    help="also run on N random graphs (needs --seed)")
-    p.add_argument("--samples", type=int, default=200,
+    p.add_argument("--samples", type=_COUNT, default=200,
                    help="instances per suite (default 200)")
-    p.add_argument("--pairs", type=int, default=None,
+    p.add_argument("--pairs", type=_COUNT, default=None,
                    help="pairs for the oracle agreement suite (default: --samples)")
     common(p, budget=False, seed=True)
     p.set_defaults(func=cmd_props)
@@ -333,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_dot)
 
     p = sub.add_parser("random", help="generate random adaptable graphs")
-    p.add_argument("--classes", type=int, default=4,
+    p.add_argument("--classes", type=_int_at_least(1), default=4,
                    help="upper bound on condensation classes (default 4)")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_COUNT, default=1)
     p.add_argument("-o", "--out", default=None)
     common(p, depth=False, budget=False, seed=True, fmt=False)
     p.set_defaults(func=cmd_random)

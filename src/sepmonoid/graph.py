@@ -92,9 +92,6 @@ class SepGraph:
     def out_edges(self, v):
         return [e for e, (s, _) in self.edges.items() if s == v]
 
-    def in_edges(self, v):
-        return [e for e, (_, d) in self.edges.items() if d == v]
-
     def is_sink(self, v) -> bool:
         return not self.blocks_of[v]
 

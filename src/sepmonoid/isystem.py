@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .abelian import (
-    FGAbelianGroup, GroupElement, GroupHom, zero_hom,
+    FGAbelianGroup, GroupElement, GroupHom, identity, zero_hom,
 )
 from .graph import SepGraph, require_adaptable
 from .posets import Poset
@@ -459,7 +459,11 @@ def serialize_element_expr(x: GroupElement) -> str:
 
 
 def canonicalized(sys: ISystem) -> ISystem:
-    """Equivalent system whose groups are in canonical diagonal form."""
+    """Equivalent system whose groups are in canonical diagonal form.
+
+    A group already in that form keeps its generators, so canonicalizing
+    a canonical system changes nothing.
+    """
     canon = {}
     fwd = {}
     back = {}
@@ -470,6 +474,10 @@ def canonicalized(sys: ISystem) -> ISystem:
              for j in range(g.free_rank + len(g.invariant_factors))]
             for k, d in enumerate(g.invariant_factors)
         ])
+        if g.same_presentation(c):
+            eye = identity(g.ngens)
+            fwd[p], back[p], canon[p] = GroupHom(g, c, eye), GroupHom(c, g, eye), c
+            continue
         rows = []
         for i in range(g.ngens):
             free, tors = g.canonical_coords([1 if j == i else 0 for j in range(g.ngens)])

@@ -108,12 +108,6 @@ class Poset:
         pool = set(self.elements if subset is None else subset)
         return sorted(p for p in pool if not any(self.lt(q, p) for q in pool))
 
-    def is_minimal(self, p) -> bool:
-        return not self.strict_down(p)
-
-    def is_maximal(self, p) -> bool:
-        return not self.strict_up(p)
-
     def is_antichain(self, subset) -> bool:
         items = list(subset)
         for i, a in enumerate(items):

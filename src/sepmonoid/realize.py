@@ -5,11 +5,11 @@ prime becomes a single vertex whose blocks (one loop plus connectors)
 impose exactly the kernel of the evaluation map from the already-built
 lower part onto the target group.  A regular prime becomes a small
 strongly connected gadget: one vertex per torsion factor, a mutually
-looped pair per free generator, plus connector payloads chosen so that
-the new rows together with the lower rows span exactly the kernel of the
-value assignment.  Every prime is verified on the spot by presenting the
-extracted group and checking the induced evaluation map is an
-isomorphism pinning the lower generators.
+looped pair per free generator.  One deterministic depth-first search
+chooses the gadget rows so that, together with the lower rows, they span
+exactly the kernel of the value assignment.  Every prime is verified on
+the spot by presenting the extracted group and checking the induced
+evaluation map is an isomorphism pinning the lower generators.
 
 Not every valid system is realizable.  A provable rank obstruction
 raises ConstructionInfeasible; an exhausted search raises
@@ -18,12 +18,11 @@ ConstructionFailed.  Both carry the offending prime in the message.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from math import comb
 
 from .abelian import (
-    FGAbelianGroup, GroupHom, kernel_generators, left_kernel, solve_left,
+    FGAbelianGroup, GroupHom, kernel_generators, left_kernel,
     subgroup_membership, iter_isomorphisms,
 )
 from .graph import SepGraph, check_adaptable
@@ -56,9 +55,7 @@ class _Builder:
         self.used_names = set()
         self.class_vertices = {}
         self.prime_of = {}
-        self.free_blocks = {}     # free vertex -> list of {target: mult}
-        self.regular_out = {}     # regular vertex -> {target: mult}, single block
-        self.relations = {}       # vertex -> list of {vertex: coeff} meaning sum == 0
+        self.out_blocks = {}      # vertex -> list of {target: mult}, loops included
         self.val = {}             # vertex in a regular class -> element of G_prime
 
     def name(self, base):
@@ -82,61 +79,45 @@ class _Builder:
         return cm.hom(self.val[u])
 
     def ambient_rows(self, L):
+        """One row per block below: its targets minus its source, summing to 0."""
         index = {u: i for i, u in enumerate(L)}
         rows = []
         for u in L:
-            for rel in self.relations[u]:
+            for out in self.out_blocks[u]:
                 row = [0] * len(L)
-                for t, c in rel.items():
+                for t, c in out.items():
                     row[index[t]] += c
+                row[index[u]] -= 1
                 rows.append(row)
         return rows
 
     def add_free(self, p, blocks):
         v = self.name(p)
-        self.class_vertices[p] = (v,)
-        self.prime_of[v] = p
-        self.free_blocks[v] = [dict(b) for b in blocks]
-        self.relations[v] = [dict(b) for b in blocks]
+        self.add_class(p, {v: [_merge({v: 1}, b) for b in blocks]})
         return v
 
-    def add_regular(self, p, vert_names, out_maps, values):
-        self.class_vertices[p] = tuple(vert_names)
-        for w in vert_names:
-            self.prime_of[w] = p
-            self.regular_out[w] = dict(out_maps[w])
-            rel = dict(out_maps[w])
-            rel[w] = rel.get(w, 0) - 1
-            self.relations[w] = [rel]
-            self.val[w] = values[w]
+    def add_class(self, p, out_blocks, values=()):
+        """Record the class of p: its vertices in order, each with its blocks."""
+        self.class_vertices[p] = tuple(out_blocks)
+        for v, outs in out_blocks.items():
+            self.prime_of[v] = p
+            self.out_blocks[v] = outs
+        self.val.update(values)
 
     def to_graph(self) -> SepGraph:
+        """Edges numbered in vertex order; a free block lists its loop first."""
         verts = sorted(self.prime_of)
         edges = []
         blocks = []
-        n = 0
         for v in verts:
-            if v in self.free_blocks:
-                for blk in self.free_blocks[v]:
-                    ids = []
-                    n += 1
-                    ids.append(f"e{n}")
-                    edges.append((f"e{n}", v, v))
-                    for t in sorted(blk):
-                        for _ in range(blk[t]):
-                            n += 1
-                            ids.append(f"e{n}")
-                            edges.append((f"e{n}", v, t))
-                    blocks.append(tuple(ids))
-            else:
+            free = self.sysm.kind[self.prime_of[v]] == "free"
+            for out in self.out_blocks[v]:
                 ids = []
-                for t in sorted(self.regular_out[v]):
-                    for _ in range(self.regular_out[v][t]):
-                        n += 1
-                        ids.append(f"e{n}")
-                        edges.append((f"e{n}", v, t))
-                if ids:
-                    blocks.append(tuple(ids))
+                for t in sorted(out, key=lambda t: (not free or t != v, t)):
+                    for _ in range(out[t]):
+                        ids.append(f"e{len(edges) + 1}")
+                        edges.append((ids[-1], v, t))
+                blocks.append(tuple(ids))
         return SepGraph(verts, edges, blocks)
 
 
@@ -237,6 +218,15 @@ def _nonneg_preimage(group, target, gens, max_total=16, state_cap=40000):
     return None
 
 
+def _reached(builder, targets):
+    """Primes at or below the class of some built vertex among targets."""
+    hit = set()
+    for t in targets:
+        if t in builder.prime_of:
+            hit |= set(builder.sysm.poset.downset(builder.prime_of[t]))
+    return hit
+
+
 def _merge(a, b):
     out = dict(a)
     for k, v in b.items():
@@ -305,16 +295,8 @@ def _realize_free(builder: _Builder, p, log):
         push(_merge(pos, z))
         push(_merge(neg, z))
     # make sure the new vertex sees every lower cover class
-    def reached():
-        hit = set()
-        for b in blocks:
-            for u in b:
-                q = builder.prime_of[u]
-                hit |= set(sysm.poset.downset(q))
-        return hit
-
     for q in sysm.poset.lower_covers(p):
-        if q in reached():
+        if q in _reached(builder, [u for b in blocks for u in b]):
             continue
         u = builder.class_vertices[q][0]
         z = _nonneg_preimage(G, -required[L.index(u)], cone)
@@ -341,149 +323,57 @@ def _realize_free(builder: _Builder, p, log):
 # ----------------------------------------------------------- regular primes
 
 
-def _general_search(builder, p, G, L, required, W, pieces, R_L, budget):
-    """Direct search over small out-map rows, one per gadget vertex.
+def _kernel_hnf(coords, mods):
+    """HNF of the lattice of integer rows r with sum(r[i] * coords[i]) == 0,
+    coordinate k taken modulo mods[k] (0 for a free coordinate)."""
+    killers = [[m if j == k else 0 for j in range(len(mods))] for k, m in enumerate(mods) if m]
+    return _row_hnf([r[:len(coords)] for r in left_kernel(coords + killers)])
 
-    The staged construction fixes each row to core + padding + pinning
-    vectors, which misses class shapes whose generators arrive from the
-    lower part.  Here every candidate row is just a small nonnegative
-    vector in the value kernel, so any shape within the size bound is
-    reachable.  Returns (out_maps, vertex values) or None.
+
+def _small_kernel_rows(coords, mods, nW, limit=500):
+    """Nonnegative kernel rows of small total, smallest first.
+
+    Each row has a gadget coordinate (one of the first nW), which keeps the
+    internal out-degree of its vertex at 2 or more.  The total bound starts
+    at 4 (3 on more than 10 coordinates) and grows while the number of rows
+    within it stays below `limit`.
     """
-    sysm = builder.sysm
-    cg = G.canonical_generators()
-    f = G.free_rank
-    facs = G.invariant_factors
-    covers = list(sysm.poset.lower_covers(p))
-    order = W + L
-    n = len(order)
-    nW = len(W)
-    if n > 16:
-        return None
-    tors_ix = [i for i, piece in enumerate(pieces) if piece[0] == "tors"]
+    n = len(coords)
+    cap = 4 if n <= 10 else 3
+    while comb(n + cap + 1, n) < limit:
+        cap += 1
+    out = []
+    row = [0] * n
 
-    for mask in range(1 << len(tors_ix)):
-        # torsion gadget vertices carry their generator, or zero when the
-        # mask says the generator is expected to arrive from below
-        tval = {}
-        ti = 0
-        for i, piece in enumerate(pieces):
-            if piece[0] == "pair":
-                _, a, b = piece
-                k = sum(1 for pc in pieces[:i] if pc[0] == "pair")
-                tval[a] = cg[k]
-                tval[b] = -cg[k]
-            elif piece[0] == "tors":
-                _, w, _ = piece
-                k = sum(1 for pc in pieces[:i] if pc[0] == "tors")
-                tval[w] = G.zero() if mask & (1 << ti) else cg[f + k]
-                ti += 1
-            else:
-                tval[piece[1]] = G.zero()
-        gens = list(required) + [tval[w] for w in W]
-        if not all(subgroup_membership(gens, c) for c in cg):
-            continue
-        values = [tval[w] for w in W] + list(required)
+    def walk(i, left, acc):
+        if i == n:
+            if any(row[:nW]) and all(a % m == 0 if m else a == 0 for a, m in zip(acc, mods)):
+                out.append(tuple(row))
+            return
+        for c in range(left + 1):
+            row[i] = c
+            walk(i + 1, left - c, [a + c * x for a, x in zip(acc, coords[i])])
+        row[i] = 0
 
-        t = len(facs)
-        val_rows = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]
-        killers = []
-        for j, d in enumerate(facs):
-            row = [0] * (f + t)
-            row[f + j] = d
-            killers.append(row)
-        if f + t:
-            kern = left_kernel(val_rows + killers)
-            K_rows = [r[:n] for r in kern]
-            K_rows = [r for r in K_rows if any(r)]
-        else:
-            K_rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        target = _row_hnf(K_rows)
-        if not target:
-            continue
-
-        # all nonnegative kernel vectors within the size bound; each needs
-        # a gadget coordinate so the internal out-degree stays >= 2
-        cap = 4 if n <= 10 else 3
-        atoms = []
-        row = [0] * n
-
-        def walk(i, left, acc):
-            if i == n:
-                if any(row[:nW]) and acc.is_zero():
-                    atoms.append(tuple(row))
-                return
-            for c in range(left + 1):
-                row[i] = c
-                walk(i + 1, left - c, acc + c * values[i] if c else acc)
-            row[i] = 0
-
-        walk(0, cap, G.zero())
-        atoms.sort(key=lambda r: (sum(r), r))
-        if len(atoms) > 120:
-            atoms = atoms[:120]
-        if _row_hnf(list(R_L) + [list(a) for a in atoms]) != target:
-            continue
-
-        assign = [None] * nW
-        visits = [0]
-        cap_visits = 100 * budget
-
-        def finalize():
-            out_maps = {}
-            for j, w in enumerate(W):
-                om = {}
-                for k, c in enumerate(assign[j]):
-                    if c:
-                        om[order[k]] = c
-                om[w] = om.get(w, 0) + 1
-                out_maps[w] = om
-            hit = set()
-            for w in W:
-                for tgt in out_maps[w]:
-                    q0 = builder.prime_of.get(tgt)
-                    if q0 is not None:
-                        hit |= set(sysm.poset.downset(q0))
-            if any(q not in hit for q in covers):
-                return None
-            if not _strongly_connected(W, out_maps):
-                return None
-            rows = [list(r) for r in R_L] + [list(a) for a in assign]
-            G2 = FGAbelianGroup(n, rows)
-            theta = _check_theta(G2, G, [v.coeffs for v in values], p)
-            if theta is None:
-                return None
-            return out_maps, tval
-
-        def rec(i, span_hnf):
-            visits[0] += 1
-            if visits[0] > cap_visits:
-                return None
-            if len(target) - len(span_hnf) > nW - i:
-                return None
-            if i == nW:
-                if span_hnf != target:
-                    return None
-                return finalize()
-            for a in atoms:
-                assign[i] = a
-                got = rec(i + 1, _row_hnf(list(span_hnf) + [list(a)]))
-                if got is not None:
-                    return got
-            assign[i] = None
-            return None
-
-        got = rec(0, _row_hnf(R_L))
-        if got is not None:
-            return got
-    return None
+    walk(0, cap, [0] * len(mods))
+    return sorted(out, key=lambda r: (sum(r), r))
 
 
-def _realize_regular(builder: _Builder, p, rng, budget, log):
+def _realize_regular(builder: _Builder, p, budget, log):
+    """Gadget rows (out-maps minus one loop) by a depth-first search.
+
+    The search runs once per torsion mask; a set bit means that torsion
+    generator arrives from below, so its gadget vertex carries zero.  Each
+    vertex draws its row from one ordered pool:
+      1. core plus ring, with the coverage pinning vectors on the first row;
+      2. that row plus one or two pinning vectors;
+      3. small nonnegative kernel rows, enumerated only when reached.
+    Rows that cannot raise the span to the lattice rank are pruned, and
+    one visit counter bounds the whole search at 100 * budget.
+    """
     sysm = builder.sysm
     G = sysm.group[p]
     f = G.free_rank
-    facs = G.invariant_factors
     L = builder.lower_verts(p)
     amb = FGAbelianGroup(len(L), builder.ambient_rows(L))
     if amb.free_rank > f:
@@ -491,206 +381,108 @@ def _realize_regular(builder: _Builder, p, rng, budget, log):
             f"regular prime {p}: the built lower part has free rank {amb.free_rank}, "
             f"but the target group only has free rank {f}; no row set can cancel the difference")
     required = [builder.required_image(p, u) for u in L]
-    if L:
-        eps = GroupHom(amb, G, [r.coeffs for r in required])
-        if not eps.is_well_defined():
-            raise ConstructionFailed(
-                f"regular prime {p}: lower evaluation is not a homomorphism, connecting data incoherent")
+    if not GroupHom(amb, G, [r.coeffs for r in required]).is_well_defined():
+        raise ConstructionFailed(
+            f"regular prime {p}: lower evaluation is not a homomorphism, connecting data incoherent")
     cg = G.canonical_generators()
+    facs = G.invariant_factors
     # gadget vertices: pairs for free generators, one vertex per torsion factor,
     # a doubly looped vertex if the group is trivial
-    W = []
-    tval = {}
-    pieces = []
-    for i in range(f):
-        a = builder.name(f"{p}.{len(W) + 1}")
-        b = builder.name(f"{p}.{len(W) + 2}")
-        W.extend([a, b])
-        tval[a] = cg[i]
-        tval[b] = -cg[i]
-        pieces.append(("pair", a, b))
-    for k, d in enumerate(facs):
-        w = builder.name(f"{p}.{len(W) + 1}")
-        W.append(w)
-        tval[w] = cg[f + k]
-        pieces.append(("tors", w, d))
-    if not W:
-        w = builder.name(f"{p}.1")
-        W.append(w)
-        tval[w] = G.zero()
-        pieces.append(("triv", w))
-    order = W + L
-    index = {v: i for i, v in enumerate(order)}
-    values = [tval[w] for w in W] + list(required)
-
-    def vec(ms):
-        row = [0] * len(order)
-        for v, m in ms.items():
-            row[index[v]] += m
-        return row
-
-    # integer kernel of the value assignment
-    t = len(facs)
-    val_rows = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]
-    killers = []
-    for j, d in enumerate(facs):
-        row = [0] * (f + t)
-        row[f + j] = d
-        killers.append(row)
-    if f + t:
-        kern = left_kernel(val_rows + killers)
-        K_rows = [r[:len(order)] for r in kern]
-        K_rows = [r for r in K_rows if any(r)]
-    else:
-        K_rows = [[1 if i == j else 0 for j in range(len(order))] for i in range(len(order))]
-    R_L = []
-    for row in builder.ambient_rows(L):
-        R_L.append([0] * len(W) + row)
-
-    # core relation carried by each gadget row
-    core = {}
-    for piece in pieces:
-        if piece[0] == "pair":
-            _, a, b = piece
-            atom = {a: 1, b: 1}
-            core[a] = atom
-            core[b] = atom
-        elif piece[0] == "tors":
-            _, w, d = piece
-            core[w] = {w: d}
-        else:
-            w0 = piece[1]
-            core[w0] = {w0: 1}
-    # ring padding for strong connectivity between pieces
+    pairs = [(builder.name(f"{p}.{2 * i + 1}"), builder.name(f"{p}.{2 * i + 2}"))
+             for i in range(f)]
+    tors = [builder.name(f"{p}.{2 * f + k + 1}") for k in range(len(facs))]
+    W = [v for pair in pairs for v in pair] + tors or [builder.name(f"{p}.1")]
+    # the relation each row always carries, and a ring through the pieces'
+    # first vertices for strong connectivity
+    core = {w: {w: 1} for w in W}
+    core.update({w: {w: d} for w, d in zip(tors, facs)})
+    core.update({v: {a: 1, b: 1} for a, b in pairs for v in (a, b)})
+    heads = [a for a, _ in pairs] + tors or W
     ring = {w: {} for w in W}
-    if len(pieces) > 1:
-        for j, piece in enumerate(pieces):
-            nxt = pieces[(j + 1) % len(pieces)]
-            src = piece[1]
-            ring[src] = _merge(ring[src], core[nxt[1]])
-    # payload atoms: pinning vectors for the lower vertices
-    zetas = []
-    tcone = [(w, tval[w]) for w in W]
-    for i, u in enumerate(L):
-        m = _nonneg_preimage(G, -required[i], tcone)
-        if m is None:
-            raise ConstructionFailed(
-                f"regular prime {p}: no gadget expression for the value of {u} within bounds")
-        zetas.append(_merge({u: 1}, m))
-    atom_pool = list(zetas)
-    for piece in pieces:
-        atom_pool.append(core[piece[1]])
+    if len(heads) > 1:
+        ring.update(zip(heads, (core[h] for h in heads[1:] + heads[:1])))
+    spare = [b for _, b in pairs]
+    row_order = spare + [w for w in W if w not in spare]
+    order = W + L
+    nW = len(W)
 
-    spare_rows = [piece[2] for piece in pieces if piece[0] == "pair"]
-    row_order = spare_rows + [w for w in W if w not in spare_rows]
+    def vec(*dicts):
+        total = {}
+        for ms in dicts:
+            total = _merge(total, ms)
+        return tuple(total.get(v, 0) for v in order)
 
-    def coverage_payload(payloads):
-        hit = set()
-        for w in W:
-            for tgt in list(core[w]) + list(ring[w]) + list(payloads.get(w, {})):
-                if tgt in builder.prime_of:
-                    hit |= set(sysm.poset.downset(builder.prime_of[tgt]))
-        extra = {}
-        for q in sysm.poset.lower_covers(p):
-            if q not in hit:
-                u = builder.class_vertices[q][0]
-                zi = L.index(u)
-                extra = _merge(extra, zetas[zi])
-                hit |= set(sysm.poset.downset(q))
-        return extra
+    R_L = [[0] * nW + row for row in builder.ambient_rows(L)]
+    mods = [0] * f + list(facs)
+    covers = sysm.poset.lower_covers(p)
+    visits = 0
 
-    def try_candidate(payloads):
-        payloads = dict(payloads)
-        cov = coverage_payload(payloads)
-        if cov:
-            w0 = row_order[0]
-            payloads[w0] = _merge(payloads.get(w0, {}), cov)
-        carried = {}
-        for w in W:
-            carried[w] = _merge(_merge(core[w], ring[w]), payloads.get(w, {}))
-        new_rows = [vec(carried[w]) for w in W]
-        N_rows = R_L + new_rows
-        # exactness: the rows must span the whole kernel lattice
-        if K_rows:
-            syz = left_kernel(K_rows)
-            rels = list(syz)
-            for nrow in N_rows:
-                c = solve_left(K_rows, nrow)
-                if c is None:
-                    return None
-                rels.append(c)
-            Q = FGAbelianGroup(len(K_rows), rels)
-            if not Q.is_trivial():
-                return None
-        elif any(any(r) for r in N_rows):
+    def accept(rows, values):
+        out_maps = {w: _merge({order[k]: c for k, c in enumerate(row) if c}, {w: 1})
+                    for w, row in zip(row_order, rows)}
+        hit = _reached(builder, [t for om in out_maps.values() for t in om])
+        if any(q not in hit for q in covers) or not _strongly_connected(W, out_maps):
             return None
-        # materialize and verify the presented group
-        out_maps = {}
-        for w in W:
-            om = dict(carried[w])
-            om[w] = om.get(w, 0) + 1
-            out_maps[w] = om
-        rows = list(R_L)
-        for w in W:
-            rel = dict(out_maps[w])
-            rel[w] = rel.get(w, 0) - 1
-            rows.append(vec(rel))
-        G2 = FGAbelianGroup(len(order), rows)
-        theta = _check_theta(G2, G, [v.coeffs for v in values], p)
-        if theta is None:
+        G2 = FGAbelianGroup(len(order), R_L + [list(r) for r in rows])
+        if _check_theta(G2, G, [v.coeffs for v in values], p) is None:
             return None
         return out_maps
 
-    # deterministic attempts: subsets of the pinning vectors, round-robin
-    attempts = 0
-    subset_cap = 6
-    idxs = list(range(len(zetas)))
-    max_size = min(len(idxs), subset_cap)
-    for size in range(0, max_size + 1):
-        for combo in combinations(idxs, size):
-            attempts += 1
-            payloads = {}
-            for j, zi in enumerate(combo):
-                w = row_order[j % len(row_order)]
-                payloads[w] = _merge(payloads.get(w, {}), zetas[zi])
-            out_maps = try_candidate(payloads)
-            if out_maps is not None:
-                builder.add_regular(p, W, out_maps, tval)
-                log.append(f"regular {p}: vertices {', '.join(W)}, "
-                           f"{size} pinned connector group(s), attempt {attempts}")
-                return
-            if attempts > 3 * budget:
-                break
-        if attempts > 3 * budget:
-            break
-    # fallback: direct enumeration of small kernel rows, one per vertex
-    got = _general_search(builder, p, G, L, required, W, pieces, R_L, budget)
-    if got is not None:
-        out_maps, tv2 = got
-        builder.add_regular(p, W, out_maps, tv2)
-        log.append(f"regular {p}: vertices {', '.join(W)}, direct kernel row search")
-        return
-    # randomized attempts
-    for _ in range(budget):
-        attempts += 1
-        payloads = {}
-        for w in row_order:
-            if rng.random() < 0.4:
-                continue
-            npick = 1 + (rng.random() < 0.3)
-            acc = {}
-            for _ in range(int(npick)):
-                atom = rng.choice(atom_pool)
-                mult = rng.randint(1, 2)
-                acc = _merge(acc, {k: v * mult for k, v in atom.items()})
-            payloads[w] = acc
-        out_maps = try_candidate(payloads)
+    for mask in range(1 << len(tors)):
+        # gadget values; a masked torsion vertex carries zero
+        tval = {w: G.zero() for w in W}
+        for i, (a, b) in enumerate(pairs):
+            tval[a], tval[b] = cg[i], -cg[i]
+        tval.update((w, cg[f + k]) for k, w in enumerate(tors) if not mask >> k & 1)
+        if mask and not all(subgroup_membership(required + [tval[w] for w in W], c)
+                            for c in cg):
+            continue
+        values = [tval[w] for w in W] + required
+        coords = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]
+        target = _kernel_hnf(coords, mods)
+        # pinning vectors: a lower vertex plus gadget vertices cancelling its value
+        tcone = [(w, tval[w]) for w in W]
+        pre = {u: _nonneg_preimage(G, -val, tcone) for u, val in zip(L, required)}
+        pin = {u: _merge({u: 1}, m) for u, m in pre.items() if m is not None}
+        cover_pins = [pin[u] for u in (builder.class_vertices[q][0] for q in covers) if u in pin]
+        singles = list(pin.values())
+        extras = [{}] + singles + [_merge(z, y) for i, z in enumerate(singles) for y in singles[i:]]
+        small = None
+
+        def candidates(j):
+            nonlocal small
+            w = row_order[j]
+            fixed = [core[w], ring[w]] + (cover_pins if j == 0 else [])
+            seen = set()
+            for extra in extras:
+                row = vec(*fixed, extra)
+                if row not in seen:
+                    seen.add(row)
+                    yield row
+            if small is None:
+                small = _small_kernel_rows(coords, mods, nW)
+            yield from (row for row in small if row not in seen)
+
+        def rec(rows, span):
+            nonlocal visits
+            visits += 1
+            if visits > 100 * budget or len(target) - len(span) > nW - len(rows):
+                return None
+            if len(rows) == nW:
+                return accept(rows, values) if span == target else None
+            for row in candidates(len(rows)):
+                got = rec(rows + (row,), _row_hnf(list(span) + [list(row)]))
+                if got is not None:
+                    return got
+            return None
+
+        out_maps = rec((), _row_hnf(R_L))
         if out_maps is not None:
-            builder.add_regular(p, W, out_maps, tval)
-            log.append(f"regular {p}: vertices {', '.join(W)}, randomized attempt {attempts}")
+            builder.add_class(p, {w: [out_maps[w]] for w in W}, tval)
+            log.append(f"regular {p}: vertices {', '.join(W)}, attempt {visits}")
             return
     raise ConstructionFailed(
-        f"regular prime {p}: no row set matched the kernel lattice after {attempts} attempts")
+        f"regular prime {p}: no row set matched the kernel lattice after {visits} visits")
 
 
 # --------------------------------------------------------------------- api
@@ -698,7 +490,12 @@ def _realize_regular(builder: _Builder, p, rng, budget, log):
 
 def realize(system: ISystem, *, seed: int = 0, budget: int = 200,
             validate: bool = True) -> RealizeResult:
-    """Construct a graph whose extracted system is isomorphic to `system`."""
+    """Construct a graph whose extracted system is isomorphic to `system`.
+
+    The search is deterministic: `seed` is accepted for compatibility and
+    ignored.  `budget` bounds each regular prime's search at 100 * budget
+    visits.
+    """
     log = []
     if validate:
         rep = validate_isystem(system)
@@ -707,13 +504,12 @@ def realize(system: ISystem, *, seed: int = 0, budget: int = 200,
             raise ValueError(f"system fails validation: {msgs}")
         if rep.status == INCONCLUSIVE:
             log.append("warning: validation inconclusive within bounds, proceeding")
-    rng = random.Random(seed)
     builder = _Builder(system)
     for p in system.poset.linear_extension():
         if system.kind[p] == "free":
             _realize_free(builder, p, log)
         else:
-            _realize_regular(builder, p, rng, budget, log)
+            _realize_regular(builder, p, budget, log)
     graph = builder.to_graph()
     report = check_adaptable(graph)
     if not report.ok:

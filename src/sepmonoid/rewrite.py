@@ -358,11 +358,6 @@ def antisym_nf(g: SepGraph, x: FreeElement) -> AntisymNF:
     return AntisymNF(tuple(entries))
 
 
-def archimedean_classes(g: SepGraph, x: FreeElement):
-    """The antichain of maximal condensation classes meeting x's support."""
-    return [cls for cls, _, _ in antisym_nf(g, x).entries]
-
-
 def monoid_nf(g: SepGraph, x: FreeElement) -> MonoidNF:
     ctx = monoid_context(g)
     sysm = ctx.system

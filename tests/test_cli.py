@@ -175,3 +175,31 @@ def test_random_generates_adaptable(tmp_path, capsys):
     assert main(["random", "--seed", "5", "-o", str(out_path)]) == 0
     from sepmonoid.graph import check_adaptable
     assert check_adaptable(parse_graph(out_path.read_text())).ok
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--seed", "1", "--classes", "0"],
+    ["random", "--seed", "1", "--count", "-1"],
+    ["props", "--samples", "-5"],
+    ["props", "--pairs", "-1"],
+    ["props", "--random", "-2", "--seed", "1"],
+    ["eq", "g.sg", "a", "a", "--depth", "-1"],
+    ["le", "g.sg", "a", "a", "--budget", "-3"],
+    ["realize", "s.is", "--budget", "-1"],
+])
+def test_out_of_range_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err
+    assert "Traceback" not in err
+
+
+def test_realize_accepts_and_ignores_seed(s1, tmp_path):
+    outs = []
+    for seed in ("1", "9"):
+        out_path = tmp_path / f"s1-{seed}.sg"
+        assert main(["realize", s1, "--seed", seed, "-o", str(out_path)]) == 0
+        outs.append(out_path.read_text())
+    assert outs[0] == outs[1]

@@ -196,6 +196,18 @@ def test_canonicalized_uses_canonical_groups():
     assert validate_isystem(canon).status == VERIFIED
 
 
+def test_canonical_text_roundtrips_with_two_free_generators():
+    # a group read back from "Z^2 + Z/2" is already canonical; its free
+    # generators must keep their order, or the map images get permuted
+    txt = ("prime v1 reg\nprime v3 reg\nprime v5 reg\nprime v6 reg\n"
+           "cover v1 < v6\ncover v3 < v6\n"
+           "group v1 : Z\ngroup v3 : Z\ngroup v5 : Z/3\ngroup v6 : Z^2 + Z/2\n"
+           "map v6 <- v1 : g1 -> -g1 + g3\nmap v6 <- v3 : g1 -> g1\n")
+    assert serialize_isystem(parse_isystem(txt)) == txt
+    g = parse_group_name("Z^2 + Z/2")
+    assert canonicalized(parse_isystem(txt)).group["v6"].same_presentation(g)
+
+
 def test_serialized_form_is_canonical_names():
     sysm = extract_isystem(fixture_graph("g2"))
     text = serialize_isystem(sysm)

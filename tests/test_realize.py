@@ -1,8 +1,13 @@
+import random
+import re
+
 import pytest
 
 from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names
 from sepmonoid.graph import check_adaptable, serialize_graph
-from sepmonoid.isystem import extract_isystem, parse_isystem, validate_isystem
+from sepmonoid.isystem import (canonicalized, extract_isystem, parse_isystem,
+                               serialize_isystem, validate_isystem)
+from sepmonoid.randgen import random_adaptable, relabel_system
 from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible,
                                realize, roundtrip_check)
 from sepmonoid.rewrite import eq_exact, parse_element
@@ -151,3 +156,196 @@ def test_realize_reports_steps():
     assert res.log
     assert any("regular" in line for line in res.log)
     assert set(res.class_map) == {"b", "w"}
+
+
+# Systems extracted from random witness graphs whose regular primes need
+# connector rows beyond the core-plus-pinning shape: seed 1 #24 needs the
+# row 3*w + 2*u of total 5.  Named by generator seed and position in the
+# stress corpus below.
+HARD_SYSTEMS = {
+    "seed1-24": """\
+prime p1 reg
+prime p2 free
+prime p3 reg
+prime p4 reg
+prime p5 reg
+cover p1 < p2
+cover p1 < p5
+cover p2 < p4
+group p1 : Z/3
+group p2 : 0
+group p3 : Z/2
+group p4 : Z + Z/2
+group p5 : Z/9
+map p2 <- p1 : g1 -> 0
+map p4 <- p1 : g1 -> 0
+map p4 <- p2 : unit -> -2*g1 + g2
+map p5 <- p1 : g1 -> 3*g1
+""",
+    "seed1-98": """\
+prime p1 reg
+prime p2 reg
+prime p3 reg
+prime p4 reg
+cover p1 < p2
+cover p1 < p3
+cover p2 < p4
+group p1 : Z/3
+group p2 : Z/3
+group p3 : Z/12
+group p4 : Z
+map p2 <- p1 : g1 -> 2*g1
+map p3 <- p1 : g1 -> 8*g1
+map p4 <- p1 : g1 -> 0
+map p4 <- p2 : g1 -> 0
+""",
+    "seed1-227": """\
+prime p1 reg
+prime p2 reg
+prime p3 reg
+prime p4 reg
+prime p5 free
+cover p1 < p3
+cover p2 < p3
+cover p2 < p5
+cover p3 < p4
+group p1 : Z/4
+group p2 : 0
+group p3 : Z/12
+group p4 : Z/48
+group p5 : 0
+map p3 <- p1 : g1 -> 9*g1
+map p4 <- p1 : g1 -> 12*g1
+map p4 <- p3 : g1 -> 44*g1
+""",
+    "seed2-181": """\
+prime p1 reg
+prime p2 reg
+prime p3 reg
+prime p4 reg
+prime p5 reg
+prime p6 free
+cover p1 < p2
+cover p2 < p3
+cover p3 < p6
+group p1 : Z/3
+group p2 : Z/3
+group p3 : Z/9
+group p4 : 0
+group p5 : 0
+group p6 : 0
+map p2 <- p1 : g1 -> g1
+map p3 <- p1 : g1 -> 3*g1
+map p3 <- p2 : g1 -> 3*g1
+map p6 <- p1 : g1 -> 0
+map p6 <- p2 : g1 -> 0
+map p6 <- p3 : g1 -> 0
+""",
+    "seed3-191": """\
+prime p1 free
+prime p2 reg
+prime p3 free
+prime p4 reg
+prime p5 free
+cover p1 < p3
+cover p2 < p4
+cover p3 < p5
+cover p4 < p5
+group p1 : 0
+group p2 : Z/4
+group p3 : Z/2
+group p4 : Z/12
+group p5 : Z/2 + Z/2
+map p3 <- p1 : unit -> g1
+map p4 <- p2 : g1 -> 3*g1
+map p5 <- p1 : unit -> g2
+map p5 <- p2 : g1 -> g1
+map p5 <- p3 : unit -> 0 ; g1 -> g2
+map p5 <- p4 : g1 -> g1
+""",
+    "seed3-237": """\
+prime p1 reg
+prime p2 free
+prime p3 reg
+prime p4 reg
+prime p5 reg
+prime p6 reg
+cover p1 < p2
+cover p1 < p3
+cover p3 < p5
+cover p3 < p6
+group p1 : Z/4
+group p2 : 0
+group p3 : Z/4
+group p4 : 0
+group p5 : Z/2 + Z/4
+group p6 : Z/16
+map p2 <- p1 : g1 -> 0
+map p3 <- p1 : g1 -> 3*g1
+map p5 <- p1 : g1 -> g1 + g2
+map p5 <- p3 : g1 -> g1 + 3*g2
+map p6 <- p1 : g1 -> 4*g1
+map p6 <- p3 : g1 -> 12*g1
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_SYSTEMS))
+def test_hard_systems_realize_and_verify(name):
+    s = parse_isystem(HARD_SYSTEMS[name])
+    res = realize(s)
+    assert roundtrip_check(s, res.graph).status == "Verified"
+
+
+def _stress_corpus(seed, count=300, max_classes=6, free_rank=2):
+    """The first `count` distinct systems extracted from random adaptable
+    graphs with at most max_classes classes and free rank <= free_rank,
+    with no group-type filter.  Each has its source graph as a witness."""
+    rng = random.Random(seed)
+    out, seen = [], set()
+    while len(out) < count:
+        sysm = extract_isystem(random_adaptable(rng, max_classes))
+        primes = list(sysm.poset)
+        if len(primes) > max_classes or any(sysm.group[p].free_rank > free_rank
+                                            for p in primes):
+            continue
+        canon = relabel_system(canonicalized(sysm))
+        key = serialize_isystem(canon)
+        if key not in seen:
+            seen.add(key)
+            out.append(canon)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_realize_stress_corpus(seed):
+    # every system realizes; round trips with a Z^2 part can take seconds,
+    # so only systems of free rank <= 1 are compared
+    bad = []
+    for i, s in enumerate(_stress_corpus(seed)):
+        try:
+            g = realize(s).graph
+        except (ConstructionFailed, ConstructionInfeasible) as exc:
+            bad.append((i, f"{type(exc).__name__}: {exc}"))
+            continue
+        if all(s.group[p].free_rank <= 1 for p in s.poset):
+            status = roundtrip_check(s, g).status
+            if status != "Verified":
+                bad.append((i, status))
+    assert not bad
+
+
+def test_realize_ignores_seed():
+    # this system once needed a randomized fallback whose result hung on
+    # the seed; the search is deterministic now
+    s = parse_isystem("prime p1 reg\nprime p2 free\nprime p3 free\nprime p4 reg\n"
+                      "prime p5 reg\ncover p1 < p5\ncover p2 < p3\ncover p4 < p5\n"
+                      "group p1 : Z/3\ngroup p2 : 0\ngroup p3 : 0\ngroup p4 : Z\n"
+                      "group p5 : Z + Z/3\nmap p3 <- p2 : unit -> 0\n"
+                      "map p5 <- p1 : g1 -> 2*g2\nmap p5 <- p4 : g1 -> -4*g1 + g2\n")
+    results = [realize(s, seed=seed) for seed in (0, 1, 5)]
+    assert len({serialize_graph(r.graph) for r in results}) == 1
+    assert roundtrip_check(s, results[0].graph).status == "Verified"
+    regular = [line for line in results[0].log if line.startswith("regular")]
+    assert len(regular) == 3
+    assert all(re.search(r"attempt \d+$", line) for line in regular)
