@@ -88,6 +88,8 @@ class SepGraph:
             tuple(sorted(self.edges.items())),
             tuple((v, self.blocks_of[v]) for v in self.vertices),
         )
+        # graphs key the normal-form and compiled-graph caches
+        self._hash = hash(self._key)
 
     def out_edges(self, v):
         return [e for e, (s, _) in self.edges.items() if s == v]
@@ -101,7 +103,12 @@ class SepGraph:
         return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: the stored hash holds only in this process
+        blocks = [blk for v in self.vertices for blk in self.blocks_of[v]]
+        return type(self), (self.vertices, self.edges, blocks)
 
     def __repr__(self):
         return f"SepGraph(|V|={len(self.vertices)}, |E|={len(self.edges)})"

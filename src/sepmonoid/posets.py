@@ -76,9 +76,6 @@ class Poset:
         """All q with q <= p, including p."""
         return self._down[p]
 
-    def strict_up(self, p) -> frozenset:
-        return self._up[p] - {p}
-
     def strict_down(self, p) -> frozenset:
         return self._down[p] - {p}
 

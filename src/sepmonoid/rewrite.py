@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, ge, sub
 
 from .abelian import direct_sum, subgroup_membership
 from .graph import SepGraph, require_adaptable
@@ -144,14 +145,8 @@ def block_targets(g: SepGraph, block) -> FreeElement:
 
 def step_targets(g: SepGraph, x: FreeElement):
     """All one-step rewrites of x as (vertex, block index, result)."""
-    out = []
-    for v in x.support():
-        if v not in g.blocks_of:
-            raise RewriteError(f"unknown vertex '{v}' in element")
-        for bi, blk in enumerate(g.blocks_of[v]):
-            y = x.minus(FreeElement({v: 1})) + block_targets(g, blk)
-            out.append((v, bi, y))
-    return out
+    cg = _compiled(g)
+    return [(v, bi, cg.unpack(r)) for (v, bi), r in cg.steps(cg.pack(x))]
 
 
 def apply_step(g: SepGraph, x: FreeElement, v: str, bi: int) -> FreeElement:
@@ -169,21 +164,73 @@ def apply_trace(g: SepGraph, x: FreeElement, trace) -> FreeElement:
     return x
 
 
-def _sort_key(x: FreeElement):
-    return (x.total(), serialize_element(x))
+class _CompiledGraph:
+    """The rewrite steps of a graph on dense int tuples indexed like `vertices`.
+
+    moves[i] holds one ((v, bi), delta) pair per block bi of the i-th vertex
+    v; delta is -1 at v plus one for each edge target of the block, so a
+    step is one tuple addition.  The search runs on these tuples, and
+    FreeElement appears only at its boundary.
+    """
+
+    __slots__ = ("vertices", "index", "moves")
+
+    def __init__(self, g: SepGraph):
+        self.vertices = g.vertices
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        moves = []
+        for i, v in enumerate(self.vertices):
+            mine = []
+            for bi, blk in enumerate(g.blocks_of[v]):
+                delta = [0] * len(self.vertices)
+                delta[i] -= 1
+                for e in blk:
+                    delta[self.index[g.edges[e][1]]] += 1
+                mine.append(((v, bi), tuple(delta)))
+            moves.append(tuple(mine))
+        self.moves = tuple(moves)
+
+    def pack(self, x: FreeElement) -> tuple:
+        t = [0] * len(self.vertices)
+        for v, n in x.items():
+            i = self.index.get(v)
+            if i is None:
+                raise RewriteError(f"unknown vertex '{v}' in element")
+            t[i] = n
+        return tuple(t)
+
+    def unpack(self, t) -> FreeElement:
+        return FreeElement({v: n for v, n in zip(self.vertices, t) if n})
+
+    def steps(self, t):
+        """All ((v, bi), result) one-step rewrites of t, in step_targets order."""
+        return [(step, tuple(map(add, t, delta)))
+                for i, n in enumerate(t) if n for step, delta in self.moves[i]]
+
+    def sort_key(self, t):
+        """(total, serialize_element) of unpack(t): the search's tie-break."""
+        terms = [v if n == 1 else f"{n}*{v}" for v, n in zip(self.vertices, t) if n]
+        return (sum(t), "+".join(terms) or "0")
+
+
+@lru_cache(maxsize=32)
+def _compiled(g: SepGraph) -> _CompiledGraph:
+    return _CompiledGraph(g)
 
 
 class _Side:
-    def __init__(self, root):
+    def __init__(self, cg: _CompiledGraph, root: tuple):
+        self.cg = cg
         self.parent = {root: None}
         self.frontier = [root]
 
-    def expand(self, g):
+    def expand(self):
         new = []
-        for e in sorted(self.frontier, key=_sort_key):
-            for v, bi, r in step_targets(g, e):
-                if r not in self.parent:
-                    self.parent[r] = (e, (v, bi))
+        parent = self.parent
+        for e in sorted(self.frontier, key=self.cg.sort_key):
+            for step, r in self.cg.steps(e):
+                if r not in parent:
+                    parent[r] = (e, step)
                     new.append(r)
         self.frontier = new
         return new
@@ -215,18 +262,22 @@ def confluence_equal(g: SepGraph, x: FreeElement, y: FreeElement,
     "equal" comes with a replay-checked pair of traces; "unknown" means the
     depth ran out, "exhausted" that the node budget did.
     """
+    cg = _compiled(g)
+    root_x, root_y = cg.pack(x), cg.pack(y)      # rejects vertices outside g
     if x == y:
         return ConfluenceResult("equal", x, (), (), explored=1)
-    sx, sy = _Side(x), _Side(y)
+    sx, sy = _Side(cg, root_x), _Side(cg, root_y)
     explored = 2
 
-    def meet_from(added, mine, other):
+    def meet_from(added, other):
         common = [e for e in added if e in other.parent]
         if not common:
             return None
-        gamma = min(common, key=_sort_key)
+        gamma = min(common, key=cg.sort_key)
         tx = sx.trace_to(gamma)
         ty = sy.trace_to(gamma)
+        # replayed on FreeElement, independently of the compiled graph
+        gamma = cg.unpack(gamma)
         if apply_trace(g, x, tx) != gamma or apply_trace(g, y, ty) != gamma:
             raise RewriteError("trace replay failed, search bookkeeping is broken")
         return ConfluenceResult("equal", gamma, tx, ty, explored)
@@ -234,11 +285,11 @@ def confluence_equal(g: SepGraph, x: FreeElement, y: FreeElement,
     for _ in range(depth):
         progressed = False
         for side, other in ((sx, sy), (sy, sx)):
-            added = side.expand(g)
+            added = side.expand()
             explored += len(added)
             if added:
                 progressed = True
-            hit = meet_from(added, side, other)
+            hit = meet_from(added, other)
             if hit:
                 hit.explored = explored
                 return hit
@@ -490,6 +541,8 @@ class LeResult:
 def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
                   depth: int = 8, node_budget: int = 50000) -> LeResult:
     """Semi-decision of the algebraic order: is there z with x + z == y?"""
+    cg = _compiled(g)
+    root_x, root_y = cg.pack(x), cg.pack(y)      # rejects vertices outside g
     if x == y:
         return LeResult("yes", FreeElement())
     if x.is_zero():
@@ -512,11 +565,11 @@ def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
             return LeResult("no")
     if y.contains(x):
         return LeResult("yes", y.minus(x))
-    sx, sy = _Side(x), _Side(y)
+    sx, sy = _Side(cg, root_x), _Side(cg, root_y)
     seen = 2
 
     def witness(x2, w):
-        z = w.minus(x2)
+        z = cg.unpack(tuple(map(sub, w, x2)))
         lhs = apply_trace(g, x + z, sx.trace_to(x2))
         rhs = apply_trace(g, y, sy.trace_to(w))
         if lhs != rhs:
@@ -524,18 +577,19 @@ def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
         return LeResult("yes", z)
 
     for _ in range(depth):
-        new_x = sx.expand(g)
-        new_y = sy.expand(g)
+        new_x = sx.expand()
+        new_y = sy.expand()
         seen += len(new_x) + len(new_y)
-        for w in sorted(new_y, key=_sort_key):
-            for x2 in sorted(sx.parent, key=_sort_key):
-                if w.contains(x2):
+        reached_x = sorted(sx.parent, key=cg.sort_key)
+        for w in sorted(new_y, key=cg.sort_key):
+            for x2 in reached_x:
+                if all(map(ge, w, x2)):
                     return witness(x2, w)
         fresh = set(new_y)
-        old_y = [w for w in sy.parent if w not in fresh]
-        for x2 in sorted(new_x, key=_sort_key):
-            for w in sorted(old_y, key=_sort_key):
-                if w.contains(x2):
+        old_y = sorted((w for w in sy.parent if w not in fresh), key=cg.sort_key)
+        for x2 in sorted(new_x, key=cg.sort_key):
+            for w in old_y:
+                if all(map(ge, w, x2)):
                     return witness(x2, w)
         if seen > node_budget:
             return LeResult("unknown")

@@ -1,5 +1,11 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import sepmonoid
 from sepmonoid.fixtures import fixture_graph, fixture_text, graph_names
 from sepmonoid.graph import (GraphError, GraphParseError, NotAdaptableError,
                              SepGraph, check_adaptable, condensation,
@@ -145,3 +151,18 @@ def test_export_dot_mentions_blocks():
     assert "digraph" in dot
     for e in g.edges:
         assert e in dot
+
+
+def test_graph_unpickles_with_this_process_hash():
+    # SepGraph stores its hash, and string hashes differ between processes
+    code = ("import pickle, sys; from sepmonoid.fixtures import fixture_graph; "
+            "sys.stdout.buffer.write(pickle.dumps(fixture_graph('g5')))")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = os.path.dirname(os.path.dirname(sepmonoid.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+    data = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          env=env).stdout
+    g = pickle.loads(data)
+    assert g == fixture_graph("g5")
+    assert hash(g) == hash(fixture_graph("g5"))

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepmonoid.fixtures import fixture_graph
+from sepmonoid.graph import parse_graph
+from sepmonoid.randgen import random_trace, random_walk
 from sepmonoid.rewrite import (FreeElement, RewriteError, antisym_nf,
                                apply_step, apply_trace, confluence_equal,
                                eq_exact, grothendieck_of_restriction,
@@ -200,6 +202,156 @@ def test_grothendieck_of_restriction():
     g5 = fixture_graph("g5")
     _, grp5 = grothendieck_of_restriction(g5, "a")
     assert grp5.canonical_name() == "Z + Z/2"
+
+
+# golden search results: confluence_equal's tie-break fixes gamma, the
+# traces and the explored count, and random walks fix benchmark inputs
+
+# rand-11 and rand-13 of the acceptance corpus (CORPUS_SEED 20260819)
+RAND_11 = """\
+vertex v1
+vertex v2
+vertex v3
+vertex v4
+vertex v5
+vertex v6
+vertex v7
+edge e1 v1 v1
+edge e2 v1 v1
+edge e3 v2 v2
+edge e4 v2 v2
+edge e5 v2 v2
+edge e6 v3 v3
+edge e7 v3 v1
+edge e8 v4 v4
+edge e9 v4 v4
+edge e10 v4 v5
+edge e11 v4 v2
+edge e12 v4 v2
+edge e13 v5 v5
+edge e14 v5 v5
+edge e15 v5 v4
+edge e16 v5 v2
+edge e17 v6 v6
+edge e18 v6 v2
+edge e19 v6 v6
+edge e20 v6 v1
+edge e21 v6 v2
+edge e22 v7 v7
+edge e23 v7 v5
+edge e24 v7 v3
+block e1 e2
+block e3 e4 e5
+block e6 e7
+block e10 e11 e12 e8 e9
+block e13 e14 e15 e16
+block e17 e18
+block e19 e20 e21
+block e22 e23 e24
+"""
+
+RAND_13 = """\
+vertex v1
+vertex v2
+vertex v3
+vertex v4
+vertex v5
+vertex v6
+vertex v7
+edge e1 v1 v1
+edge e2 v1 v1
+edge e3 v2 v2
+edge e4 v2 v2
+edge e5 v2 v2
+edge e6 v2 v2
+edge e7 v2 v2
+edge e8 v2 v1
+edge e9 v3 v3
+edge e10 v3 v3
+edge e11 v3 v4
+edge e12 v4 v4
+edge e13 v4 v4
+edge e14 v4 v3
+edge e15 v4 v2
+edge e16 v4 v2
+edge e17 v5 v5
+edge e18 v5 v5
+edge e19 v5 v5
+edge e20 v6 v6
+edge e21 v6 v3
+edge e22 v7 v7
+edge e23 v7 v7
+edge e24 v7 v7
+edge e25 v7 v7
+edge e26 v7 v7
+block e1 e2
+block e3 e4 e5 e6 e7 e8
+block e10 e11 e9
+block e12 e13 e14 e15 e16
+block e17 e18 e19
+block e20 e21
+block e22 e23 e24 e25 e26
+"""
+
+GOLDEN_GRAPHS = {"g5": fixture_graph("g5"), "rand-11": parse_graph(RAND_11),
+                 "rand-13": parse_graph(RAND_13)}
+
+# (graph, x, y, depth, budget, status, explored, gamma, trace_x, trace_y)
+GOLDEN_SEARCHES = [
+    ("g5", "a'", "a'+6*b", 12, 300, "equal", 5, "a'+6*b",
+     (("a'", 0), ("a'", 0)), ()),
+    ("g5", "a+a'", "a+a'+2*b", 12, 300, "equal", 4, "a+a'+2*b",
+     (("a", 0),), ()),
+    ("g5", "a+a'+b", "a", 6, 2000, "unknown", 25, None, (), ()),
+    ("g5", "a+2*a'", "b", 4, 5000, "unknown", 13, None, (), ()),
+    ("g5", "a+a'+b", "a", 12, 10, "exhausted", 12, None, (), ()),
+    ("rand-11", "v1+7*v2+v4+v6", "3*v2+2*v4+v5+v6", 12, 2000, "equal", 170,
+     "v1+9*v2+2*v4+v5+v6",
+     (("v4", 0),), (("v6", 0), ("v2", 0), ("v2", 0), ("v6", 1))),
+    ("rand-11", "v2+v3+v5+v7", "7*v2+v7", 12, 2000, "equal", 49, "7*v2+v3+v5+v7",
+     (("v2", 0), ("v2", 0), ("v2", 0)), (("v7", 0),)),
+    ("rand-11", "v5", "v3", 12, 300, "unknown", 213, None, (), ()),
+    ("rand-11", "v2", "v4+v5+v6", 12, 300, "exhausted", 351, None, (), ()),
+    ("rand-13", "v1+v6+9*v7", "2*v1+2*v2+3*v3+2*v4+v6+v7", 12, 2000, "equal", 140,
+     "2*v1+2*v2+3*v3+2*v4+v6+9*v7",
+     (("v1", 0), ("v6", 0), ("v3", 0), ("v4", 0)), (("v7", 0), ("v7", 0))),
+    ("rand-13", "v2+3*v3+2*v4+v6", "7*v2+3*v3+4*v4+v6", 12, 2000, "equal", 82,
+     "7*v2+6*v3+5*v4+v6",
+     (("v4", 0), ("v4", 0), ("v4", 0)), (("v6", 0), ("v6", 0), ("v3", 0))),
+    ("rand-13", "v3+v6", "v7", 4, 5000, "unknown", 36, None, (), ()),
+    ("rand-13", "3*v2+v3", "v4+v6+v7", 12, 300, "exhausted", 302, None, (), ()),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_SEARCHES, ids=lambda c: f"{c[0]}:{c[1]}~{c[2]}")
+def test_confluence_golden(case):
+    name, xs, ys, depth, budget, status, explored, gamma, tx, ty = case
+    g = GOLDEN_GRAPHS[name]
+    res = confluence_equal(g, fe(g, xs), fe(g, ys), depth, budget)
+    got_gamma = serialize_element(res.gamma) if res.gamma is not None else None
+    assert (res.status, res.explored, got_gamma, res.trace_x, res.trace_y) == \
+        (status, explored, gamma, tx, ty)
+
+
+def test_random_walk_golden():
+    g = GOLDEN_GRAPHS["rand-13"]
+    x = fe(g, "v1+v4+v7")
+    y, trace = random_trace(random.Random(3), g, x, 8)
+    assert serialize_element(y) == "3*v1+4*v2+2*v3+3*v4+17*v7"
+    assert trace == (("v1", 0), ("v7", 0), ("v7", 0), ("v1", 0),
+                     ("v4", 0), ("v7", 0), ("v4", 0), ("v7", 0))
+    assert random_walk(random.Random(3), g, x, 8) == y
+
+
+def test_searches_reject_unknown_vertices():
+    g = fixture_graph("g5")
+    bad = FreeElement({"a": 1, "zz": 1})
+    good = fe(g, "2*a")
+    for x, y in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(RewriteError):
+            confluence_equal(g, x, y)
+        with pytest.raises(RewriteError):
+            le_semidecide(g, x, y)
 
 
 # law tests over a couple of fixed graphs, with random elements
