@@ -460,6 +460,22 @@ class GroupHom:
                 return False
         return True
 
+    def is_isomorphism(self) -> bool:
+        """Same invariants, well defined and onto.
+
+        Onto is enough: a finitely generated abelian group is Hopfian, so
+        an onto map between isomorphic ones is injective.  The image rows
+        stacked on the codomain relations span every coordinate exactly
+        when their Smith form is all ones.
+        """
+        dom, cod = self.domain, self.codomain
+        if dom.invariant_factors != cod.invariant_factors or dom.free_rank != cod.free_rank:
+            return False
+        if not self.is_well_defined():
+            return False
+        diag = snf_diagonal(self.matrix + cod.relations)
+        return len(diag) == cod.ngens and all(d == 1 for d in diag)
+
     def __eq__(self, other):
         if not isinstance(other, GroupHom):
             return NotImplemented
@@ -483,10 +499,6 @@ def identity_hom(g: FGAbelianGroup) -> GroupHom:
 
 def zero_hom(domain: FGAbelianGroup, codomain: FGAbelianGroup) -> GroupHom:
     return GroupHom(domain, codomain, [[0] * codomain.ngens for _ in range(domain.ngens)])
-
-
-def hom_well_defined(f: GroupHom) -> bool:
-    return f.is_well_defined()
 
 
 def kernel_generators(f: GroupHom):
@@ -518,6 +530,37 @@ def subgroup_membership(gens, x: GroupElement) -> bool:
     if not rows:
         return x.is_zero()
     return solve_left(rows, list(x.coeffs)) is not None
+
+
+def cone_walk(group: FGAbelianGroup, gens, prune=None):
+    """Breadth-first walk over the sums of gens, a list of (key, GroupElement).
+
+    Yields (layer, element, canonical coords, multiset) once per element,
+    starting with zero at layer 0.  The multiset over the keys is a
+    smallest one summing to the element, the first found in gens order.
+    An element whose canonical coords satisfy prune is neither yielded nor
+    extended.  The walk ends when a layer adds nothing; callers that need a
+    bound stop it themselves.
+    """
+    zero = group.zero()
+    seen = {zero.canonical()}
+    yield 0, zero, zero.canonical(), {}
+    frontier, layer = [(zero, {})], 0
+    while frontier:
+        layer += 1
+        nxt = []
+        for x, ms in frontier:
+            for key, gv in gens:
+                y = x + gv
+                c = y.canonical()
+                if c in seen or (prune is not None and prune(c)):
+                    continue
+                seen.add(c)
+                nms = dict(ms)
+                nms[key] = nms.get(key, 0) + 1
+                yield layer, y, c, nms
+                nxt.append((y, nms))
+        frontier = nxt
 
 
 # --------------------------------------------------------- direct sums, iso
@@ -555,24 +598,24 @@ class IsoResult:
 
 
 def _torsion_candidates(h: FGAbelianGroup, d: int):
-    """Elements of h of order exactly d."""
+    """Coefficients of the elements of h of order exactly d."""
     orders = h.torsion_orders()
     out = []
     for tors in product(*[range(o) for o in orders]):
         x = h.from_canonical((0,) * h.free_rank, tors)
         if element_order(x) == d:
-            out.append(x)
+            out.append(x.coeffs)
     return out
 
 
 def _free_candidates(h: FGAbelianGroup, box: int):
+    """Coefficients of the elements of h of infinite order within the box."""
     orders = h.torsion_orders()
     out = []
     for free in product(*[range(-box, box + 1) for _ in range(h.free_rank)]):
-        for tors in product(*[range(o) for o in orders]):
-            x = h.from_canonical(free, tors)
-            if any(free):
-                out.append(x)
+        if any(free):
+            for tors in product(*[range(o) for o in orders]):
+                out.append(h.from_canonical(free, tors).coeffs)
     return out
 
 
@@ -584,46 +627,18 @@ def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints=(), box=
     """
     if g.invariant_factors != h.invariant_factors or g.free_rank != h.free_rank:
         return
-    gens = g.canonical_generators()
-    n_free = g.free_rank
-    tors_orders = g.torsion_orders()
-    cand = []
-    for i in range(len(gens)):
-        if i < n_free:
-            cand.append(_free_candidates(h, box))
-        else:
-            cand.append(_torsion_candidates(h, tors_orders[i - n_free]))
-    h_gens = h.canonical_generators()
-
-    def build(images):
-        # image of domain generator e_i: expand via canonical coords of e_i
-        rows = []
-        for i in range(g.ngens):
-            free, tors = g.canonical_coords([1 if j == i else 0 for j in range(g.ngens)])
-            acc = h.zero()
-            for k in range(n_free):
-                acc = acc + free[k] * images[k]
-            for k in range(len(tors_orders)):
-                acc = acc + tors[k] * images[n_free + k]
-            rows.append(acc)
-        return GroupHom(g, h, rows)
-
-    def assign(i, images):
-        if i == len(gens):
-            f = build(images)
-            if not f.is_well_defined():
-                return
-            for a, b in constraints:
-                if f(a) != b:
-                    return
-            imgs = [f(e) for e in gens]
-            if all(subgroup_membership(imgs, hg) for hg in h_gens):
-                yield f
-            return
-        for x in cand[i]:
-            yield from assign(i + 1, images + [x])
-
-    yield from assign(0, [])
+    cand = [_free_candidates(h, box)] * g.free_rank
+    cand += [_torsion_candidates(h, d) for d in g.torsion_orders()]
+    # a candidate's matrix is these canonical coordinates of the domain
+    # generators times the images of the canonical generators
+    coords = []
+    for i in range(g.ngens):
+        free, tors = g.canonical_coords([1 if j == i else 0 for j in range(g.ngens)])
+        coords.append(list(free) + list(tors))
+    for images in product(*cand):
+        f = GroupHom(g, h, mat_mul(coords, images)) if images else zero_hom(g, h)
+        if all(f(a) == b for a, b in constraints) and f.is_isomorphism():
+            yield f
 
 
 def find_isomorphism(g: FGAbelianGroup, h: FGAbelianGroup, constraints=(), box=4) -> IsoResult:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .abelian import (
-    FGAbelianGroup, GroupElement, GroupHom, identity, zero_hom,
+    FGAbelianGroup, GroupElement, GroupHom, cone_walk, identity, zero_hom,
 )
 from .graph import SepGraph, require_adaptable
 from .posets import Poset
@@ -54,6 +54,12 @@ class ISystem:
                 raise ISystemError(f"prime '{p}' needs kind free or regular")
             if p not in self.group:
                 raise ISystemError(f"prime '{p}' has no group")
+        # the only map out of a trivial regular source is the zero map
+        for hi in poset:
+            for lo in poset.strict_down(hi):
+                if ((hi, lo) not in self.maps and self.kind[lo] == "regular"
+                        and self.group[lo].is_trivial()):
+                    self.maps[(hi, lo)] = ConnectingMap(zero_hom(self.group[lo], self.group[hi]))
 
     def primes(self):
         return list(self.poset.elements)
@@ -62,9 +68,6 @@ class ISystem:
         try:
             return self.maps[(hi, lo)]
         except KeyError:
-            # the only map out of a trivial regular source is the zero map
-            if self.kind.get(lo) == "regular" and self.group[lo].is_trivial():
-                return ConnectingMap(zero_hom(self.group[lo], self.group[hi]))
             raise ISystemError(f"no connecting map for {lo} < {hi}") from None
 
     def hat_apply(self, hi, lo, n: int, g: GroupElement) -> GroupElement:
@@ -105,23 +108,13 @@ class ValidationReport:
 
 
 def _cone_covers_finite(q_group: FGAbelianGroup, units) -> GroupElement | None:
-    """BFS the additive closure of the unit classes inside a finite group.
+    """Walk the additive closure of the unit classes inside a finite group.
 
     Returns a missing element if the closure is proper, else None.
     """
-    seen = {q_group.zero()}
-    frontier = [q_group.zero()]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for u in units:
-                y = x + u
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    seen = {c for _, _, c, _ in cone_walk(q_group, list(enumerate(units)))}
     for g in q_group.all_elements():
-        if g not in seen:
+        if g.canonical() not in seen:
             return g
     return None
 
@@ -145,21 +138,14 @@ def _cone_covers_infinite(q_group: FGAbelianGroup, units, box=3, cap=20000):
     for j in range(len(orders)):
         tors = tuple(1 if k == j else 0 for k in range(len(orders)))
         targets.add((tuple([0] * r), tors))
-    seen = {q_group.zero().canonical()}
-    frontier = [q_group.zero()]
-    steps = 0
-    while frontier and steps < cap:
-        nxt = []
-        for x in frontier:
-            for u in units:
-                y = x + u
-                cy = y.canonical()
-                if cy in seen or any(abs(c) > box for c in cy[0]):
-                    continue
-                seen.add(cy)
-                nxt.append(y)
-                steps += 1
-        frontier = nxt
+    # the step cap is checked only when a layer is complete
+    seen, last = set(), 0
+    for layer, _, c, _ in cone_walk(q_group, list(enumerate(units)),
+                                    lambda c: any(abs(x) > box for x in c[0])):
+        if layer != last and len(seen) > cap:
+            break
+        seen.add(c)
+        last = layer
     missing = targets - seen
     if not missing:
         return VERIFIED, ""
@@ -170,22 +156,14 @@ def validate_isystem(sys: ISystem, box=3) -> ValidationReport:
     failures = []
     inconclusive = []
     poset = sys.poset
-    maps = dict(sys.maps)
-
-    def map_for(hi, lo):
-        return maps[(hi, lo)]
-
     # map presence and shape
     for hi in poset:
         for lo in poset.strict_down(hi):
-            if (hi, lo) not in maps:
-                if sys.kind[lo] == "regular" and sys.group[lo].is_trivial():
-                    maps[(hi, lo)] = ConnectingMap(zero_hom(sys.group[lo], sys.group[hi]))
-                    continue
+            if (hi, lo) not in sys.maps:
                 failures.append(ValidationFailure(
                     "map-presence", (hi, lo), f"no connecting map for {lo} < {hi}"))
                 continue
-            cm = maps[(hi, lo)]
+            cm = sys.maps[(hi, lo)]
             if cm.hom.domain is not sys.group[lo] and not cm.hom.domain.same_presentation(sys.group[lo]):
                 failures.append(ValidationFailure(
                     "map-shape", (hi, lo), "hom domain is not the source group"))
@@ -209,9 +187,9 @@ def validate_isystem(sys: ISystem, box=3) -> ValidationReport:
     for hi in poset:
         for mid in poset.strict_down(hi):
             for lo in poset.strict_down(mid):
-                a = map_for(hi, lo)
-                b = map_for(hi, mid)
-                c = map_for(mid, lo)
+                a = sys.map_for(hi, lo)
+                b = sys.map_for(hi, mid)
+                c = sys.map_for(mid, lo)
                 if not b.hom.compose(c.hom) == a.hom:
                     failures.append(ValidationFailure(
                         "functoriality", (hi, mid, lo),
@@ -236,7 +214,7 @@ def validate_isystem(sys: ISystem, box=3) -> ValidationReport:
         units = []
         hom_rows = []
         for q in lowers:
-            cm = map_for(p, q)
+            cm = sys.map_for(p, q)
             if sys.kind[q] == "free" and cm.unit is not None:
                 units.append(cm.unit)
             for i in range(sys.group[q].ngens):
@@ -283,9 +261,8 @@ def presented_group(g: SepGraph, cond, kinds, verts, extra_free=()):
     """
     index = {w: i for i, w in enumerate(verts)}
     rows = []
-    for w in verts:
-        kind = kinds[cond.class_of[w]]
-        if kind == "regular":
+    for w in (*verts, *extra_free):
+        if kinds[cond.class_of[w]] == "regular":
             row = [0] * len(verts)
             row[index[w]] += 1
             for e in g.out_edges(w):
@@ -299,14 +276,6 @@ def presented_group(g: SepGraph, cond, kinds, verts, extra_free=()):
                     if tgt != w:
                         row[index[tgt]] += 1
                 rows.append(row)
-    for w in extra_free:
-        for blk in g.blocks_of[w]:
-            row = [0] * len(verts)
-            for e in blk:
-                tgt = g.edges[e][1]
-                if tgt != w:
-                    row[index[tgt]] += 1
-            rows.append(row)
     return FGAbelianGroup(len(verts), rows)
 
 
@@ -355,9 +324,12 @@ def parse_group_name(s: str) -> FGAbelianGroup:
             free += 1
         elif part.startswith("Z^"):
             try:
-                free += int(part[2:])
+                n = int(part[2:])
             except ValueError:
                 raise ISystemError(f"bad group term '{part}'") from None
+            if n < 0:
+                raise ISystemError(f"free rank must be nonnegative, got {n}")
+            free += n
         elif part.startswith("Z/"):
             try:
                 d = int(part[2:])
@@ -622,10 +594,6 @@ def parse_isystem(text: str) -> ISystem:
         maps[(hi, lo)] = ConnectingMap(GroupHom(group[lo], group[hi], rows), unit)
     for hi in poset:
         for lo in poset.strict_down(hi):
-            if (hi, lo) in maps:
-                continue
-            if kind[lo] == "regular" and group[lo].is_trivial():
-                maps[(hi, lo)] = ConnectingMap(zero_hom(group[lo], group[hi]))
-            else:
+            if (hi, lo) not in maps and not (kind[lo] == "regular" and group[lo].is_trivial()):
                 raise ISystemError(f"missing map line for {lo} < {hi}")
     return ISystem(poset, kind, group, maps)

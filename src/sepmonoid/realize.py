@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .abelian import (
-    FGAbelianGroup, GroupHom, kernel_generators, left_kernel,
+    FGAbelianGroup, GroupHom, cone_walk, kernel_generators, left_kernel,
     subgroup_membership, iter_isomorphisms,
 )
 from .graph import SepGraph, check_adaptable
@@ -193,28 +193,13 @@ def _nonneg_preimage(group, target, gens, max_total=16, state_cap=40000):
     gens: list of (key, GroupElement); breadth-first, so the result is a
     smallest such multiset and deterministic for a fixed gens order.
     """
-    zero = group.zero()
-    if target == zero:
-        return {}
-    visited = {zero.canonical()}
-    frontier = [(zero, {})]
-    for _ in range(max_total):
-        nxt = []
-        for val, ms in frontier:
-            for key, gv in gens:
-                nv = val + gv
-                c = nv.canonical()
-                if c in visited:
-                    continue
-                visited.add(c)
-                nms = dict(ms)
-                nms[key] = nms.get(key, 0) + 1
-                if nv == target:
-                    return nms
-                nxt.append((nv, nms))
-                if len(visited) > state_cap:
-                    return None
-        frontier = nxt
+    for n, (layer, x, _, ms) in enumerate(cone_walk(group, gens)):
+        if layer > max_total:
+            return None
+        if x == target:
+            return ms
+        if n >= state_cap:
+            return None
     return None
 
 
@@ -232,20 +217,6 @@ def _merge(a, b):
     for k, v in b.items():
         out[k] = out.get(k, 0) + v
     return out
-
-
-def _check_theta(G2, G, rows, label):
-    """The induced evaluation G2 -> G must be an isomorphism."""
-    theta = GroupHom(G2, G, rows)
-    if not theta.is_well_defined():
-        return None
-    if G2.invariant_factors != G.invariant_factors or G2.free_rank != G.free_rank:
-        return None
-    images = [theta(G2.gen(i)) for i in range(G2.ngens)]
-    for cg in G.canonical_generators():
-        if not subgroup_membership(images, cg):
-            return None
-    return theta
 
 
 # -------------------------------------------------------------- free primes
@@ -314,8 +285,7 @@ def _realize_free(builder: _Builder, p, log):
             row[index[u]] += m
         rows.append(row)
     G2 = FGAbelianGroup(len(L), rows)
-    theta = _check_theta(G2, G, [r.coeffs for r in required], p)
-    if theta is None:
+    if not GroupHom(G2, G, [r.coeffs for r in required]).is_isomorphism():
         raise ConstructionFailed(f"free prime {p}: verification of the presented group failed")
     log.append(f"free {p}: vertex {v}, {len(blocks)} block(s)")
 
@@ -424,7 +394,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
         if any(q not in hit for q in covers) or not _strongly_connected(W, out_maps):
             return None
         G2 = FGAbelianGroup(len(order), R_L + [list(r) for r in rows])
-        if _check_theta(G2, G, [v.coeffs for v in values], p) is None:
+        if not GroupHom(G2, G, [v.coeffs for v in values]).is_isomorphism():
             return None
         return out_maps
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from sepmonoid.abelian import (AbelianError, FGAbelianGroup, GroupHom,
                                direct_sum, element_order, find_isomorphism,
-                               hom_well_defined, identity_hom,
-                               iter_isomorphisms, kernel_generators,
-                               left_kernel, mat_mul, smith_normal_form,
-                               solve_left, subgroup_membership, zero_hom)
+                               identity_hom, iter_isomorphisms,
+                               kernel_generators, left_kernel, mat_mul,
+                               smith_normal_form, snf_diagonal, solve_left,
+                               subgroup_membership, zero_hom)
 
 
 def det_bareiss(a):
@@ -181,7 +181,7 @@ def test_hom_composition_and_kernel():
     z = FGAbelianGroup(1, [])
     z2 = FGAbelianGroup(1, [[2]])
     f = GroupHom(z, z2, [[1]])
-    assert hom_well_defined(f)
+    assert f.is_well_defined()
     kern = kernel_generators(f)
     # kernel of Z -> Z/2 is 2Z
     assert any(g.coeffs == (2,) or g.coeffs == (-2,) for g in kern)
@@ -193,7 +193,7 @@ def test_hom_rejects_ill_defined():
     z2 = FGAbelianGroup(1, [[2]])
     z3 = FGAbelianGroup(1, [[3]])
     f = GroupHom(z2, z3, [[1]])
-    assert not hom_well_defined(f)
+    assert not f.is_well_defined()
 
 
 def test_zero_hom_from_trivial_group():
@@ -212,12 +212,33 @@ def test_direct_sum():
     assert element_order(x) == 2
 
 
+def test_is_isomorphism_cases():
+    z = FGAbelianGroup(1, [])
+    z2 = FGAbelianGroup(1, [[2]])
+    # doubling on Z: well defined, same invariants, but not onto
+    double = GroupHom(z, z, [[2]])
+    assert double.is_well_defined() and not double.is_isomorphism()
+    assert GroupHom(z, z, [[-1]]).is_isomorphism()
+    # Z/2 -> Z with g -> 1 is ill defined
+    assert not GroupHom(z2, z, [[1]]).is_isomorphism()
+    # Z/6 presented as Z/2 + Z/3, onto a cyclic Z/6
+    z2z3 = FGAbelianGroup(2, [[2, 0], [0, 3]])
+    z6 = FGAbelianGroup(1, [[6]])
+    assert GroupHom(z2z3, z6, [[3], [2]]).is_isomorphism()
+    assert not GroupHom(z2z3, z6, [[3], [0]]).is_isomorphism()
+    assert not GroupHom(z2z3, z, [[0], [0]]).is_isomorphism()
+    # the 0-generator groups
+    triv = FGAbelianGroup(0, [])
+    assert GroupHom(triv, triv, []).is_isomorphism()
+    assert zero_hom(triv, FGAbelianGroup(1, [[1]])).is_isomorphism()
+
+
 def test_find_isomorphism():
     g = FGAbelianGroup(2, [[2, 0], [0, 3]])
     h = FGAbelianGroup(1, [[6]])
     res = find_isomorphism(g, h)
     assert res.status == "found"
-    assert hom_well_defined(res.hom)
+    assert res.hom.is_well_defined()
     # an iso must carry generators to a generating set
     imgs = [res.hom(g.gen(i)) for i in range(g.ngens)]
     for j in range(h.ngens):
@@ -250,3 +271,16 @@ def test_cyclic_sum_invariants(a, b):
         assert g.invariant_factors == (a * b,)
     else:
         assert g.invariant_factors == (d, a * b // d)
+
+
+def test_snf_agrees_with_sympy_invariant_factors():
+    # an independent oracle; products through a narrow middle give rank
+    # deficient matrices and nontrivial factors
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(11)
+    for _ in range(200):
+        rows, mid, cols = rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 6)
+        a = mat_mul(random_matrix(rng, rows, mid, -4, 4), random_matrix(rng, mid, cols, -4, 4))
+        theirs = [abs(int(d)) for d in invariant_factors(sympy.Matrix(a))]
+        assert snf_diagonal(a) == theirs, a

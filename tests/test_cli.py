@@ -146,6 +146,13 @@ def test_realize_infeasible_exit_1(tmp_path, capsys):
     assert "free rank" in capsys.readouterr().err
 
 
+def test_realize_negative_free_rank_exit_2(tmp_path, capsys):
+    p = tmp_path / "negative.is"
+    p.write_text("prime p reg\ngroup p : Z^-1\n")
+    assert main(["realize", str(p)]) == 2
+    assert "free rank must be nonnegative" in capsys.readouterr().err
+
+
 def test_props_small_run(g2, capsys):
     assert main(["props", g2, "--samples", "20", "--pairs", "20",
                  "--seed", "1"]) == 0

@@ -1,5 +1,6 @@
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,9 @@ from sepmonoid.graph import (GraphError, GraphParseError, NotAdaptableError,
                              SepGraph, check_adaptable, condensation,
                              export_dot, parse_graph, remove_edge,
                              require_adaptable, restrict_lower,
-                             serialize_graph, split_block)
+                             serialize_graph, split_block,
+                             strongly_connected_components)
+from sepmonoid.randgen import random_adaptable
 
 
 def clause_set(g):
@@ -166,3 +169,21 @@ def test_graph_unpickles_with_this_process_hash():
     g = pickle.loads(data)
     assert g == fixture_graph("g5")
     assert hash(g) == hash(fixture_graph("g5"))
+
+
+def test_scc_agrees_with_networkx():
+    # an independent oracle, on random adaptable graphs and on copies with
+    # one edge removed, which can split a class
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for _ in range(100):
+        g = random_adaptable(rng, 6)
+        cut = [remove_edge(g, rng.choice(sorted(g.edges)))] if g.edges else []
+        for h in [g] + cut:
+            d = nx.MultiDiGraph()
+            d.add_nodes_from(h.vertices)
+            d.add_edges_from(h.edges.values())
+            theirs = {frozenset(c) for c in nx.strongly_connected_components(d)}
+            ours = strongly_connected_components(h)
+            assert {frozenset(c) for c in ours} == theirs
+            assert len(ours) == len(theirs)

@@ -2,12 +2,13 @@ import pytest
 
 from sepmonoid.abelian import FGAbelianGroup, GroupHom
 from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names
-from sepmonoid.isystem import (COUNTEREXAMPLE, VERIFIED, ConnectingMap,
-                               ISystem, ISystemError, ISystemParseError,
-                               canonicalized, extract_isystem,
-                               parse_group_name, parse_group_presentation,
-                               parse_isystem, serialize_element_expr,
-                               serialize_isystem, validate_isystem)
+from sepmonoid.isystem import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED,
+                               ConnectingMap, ISystem, ISystemError,
+                               ISystemParseError, canonicalized,
+                               extract_isystem, parse_group_name,
+                               parse_group_presentation, parse_isystem,
+                               serialize_element_expr, serialize_isystem,
+                               validate_isystem)
 from sepmonoid.posets import Poset
 
 
@@ -99,6 +100,14 @@ def test_parse_group_name_forms():
         parse_group_name("Q")
 
 
+def test_parse_group_name_rejects_negative_free_rank():
+    with pytest.raises(ISystemError):
+        parse_group_name("Z^-1")
+    with pytest.raises(ISystemParseError) as exc:
+        parse_isystem("prime p reg\ngroup p : Z^-1\n")
+    assert "line 2" in str(exc.value)
+
+
 def test_parse_group_presentation_requires_ordered_names():
     with pytest.raises(ISystemError):
         parse_group_presentation("g2 g1")
@@ -129,6 +138,26 @@ def test_trivial_regular_source_gets_zero_map():
     cm = s.map_for("p", "q")
     assert cm.unit is None
     assert cm.hom(s.group["q"].zero()).is_zero()
+    # built directly, the system gets the same map
+    direct = ISystem(s.poset, s.kind, s.group, {})
+    assert direct.map_for("p", "q").hom.matrix == []
+    assert validate_isystem(direct).status == VERIFIED
+
+
+@pytest.mark.parametrize("first, second, status, detail", [
+    ("g1", "-g1", VERIFIED, []),
+    ("g1", "2*g1", COUNTEREXAMPLE, ["no generator has a negative coordinate 0"]),
+    ("7*g1", "-5*g1", INCONCLUSIVE, ["2 basis targets not reached within box 3"]),
+])
+def test_validate_cone_in_free_quotient(first, second, status, detail):
+    # a free prime with group Z over two trivial free primes
+    txt = ("prime p free\nprime q1 free\nprime q2 free\n"
+           "cover q1 < p\ncover q2 < p\n"
+           "group p : Z\ngroup q1 : 0\ngroup q2 : 0\n"
+           f"map p <- q1 : unit -> {first}\nmap p <- q2 : unit -> {second}\n")
+    rep = validate_isystem(parse_isystem(txt))
+    assert rep.status == status
+    assert [f.detail for f in rep.failures] == detail
 
 
 def test_validate_flags_missing_map():

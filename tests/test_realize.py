@@ -3,13 +3,14 @@ import re
 
 import pytest
 
+from sepmonoid.abelian import mat_mul
 from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names
 from sepmonoid.graph import check_adaptable, serialize_graph
 from sepmonoid.isystem import (canonicalized, extract_isystem, parse_isystem,
                                serialize_isystem, validate_isystem)
 from sepmonoid.randgen import random_adaptable, relabel_system
 from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible,
-                               realize, roundtrip_check)
+                               _row_hnf, realize, roundtrip_check)
 from sepmonoid.rewrite import eq_exact, parse_element
 
 
@@ -335,6 +336,15 @@ def test_realize_stress_corpus(seed):
     assert not bad
 
 
+def test_free_rank_two_stress_systems_roundtrip():
+    # the stress test skips these round trips for time
+    corpus = _stress_corpus(1)
+    for i in (1, 25, 30, 43, 54):
+        s = corpus[i]
+        assert max(s.group[p].free_rank for p in s.poset) == 2
+        assert roundtrip_check(s, realize(s).graph).status == "Verified", i
+
+
 def test_realize_ignores_seed():
     # this system once needed a randomized fallback whose result hung on
     # the seed; the search is deterministic now
@@ -349,3 +359,19 @@ def test_realize_ignores_seed():
     regular = [line for line in results[0].log if line.startswith("regular")]
     assert len(regular) == 3
     assert all(re.search(r"attempt \d+$", line) for line in regular)
+
+
+def test_row_hnf_agrees_with_sympy():
+    # an independent oracle: sympy puts the column span of a matrix in
+    # Hermite form with pivots from the last row up, so reversing the
+    # coordinates and transposing gives _row_hnf's row convention
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+    rng = random.Random(2)
+    for _ in range(200):
+        rows, mid, cols = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 5)
+        a = mat_mul([[rng.randint(-4, 4) for _ in range(mid)] for _ in range(rows)],
+                    [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(mid)])
+        h = hermite_normal_form(sympy.Matrix([r[::-1] for r in a]).T).T
+        theirs = [tuple(int(x) for x in h.row(i))[::-1] for i in range(h.rows)]
+        assert _row_hnf(a) == tuple(r for r in reversed(theirs) if any(r)), a
