@@ -248,12 +248,13 @@ class FGAbelianGroup:
         if self.relations:
             _, s, v = smith_normal_form(self.relations)
             self._v = v
+            self._vinv = unimodular_inverse(v)
             k = min(len(self.relations), ngens)
             self._diag = [s[i][i] for i in range(k) if s[i][i]]
         else:
-            self._v = identity(ngens)
+            # no relations: the identity is its own inverse, no Smith form needed
+            self._v = self._vinv = identity(ngens)
             self._diag = []
-        self._vinv = unimodular_inverse(self._v)
         self.rank = len(self._diag)
         self.free_rank = ngens - self.rank
         self.invariant_factors = tuple(d for d in self._diag if d > 1)
@@ -280,6 +281,15 @@ class FGAbelianGroup:
         free = tuple(c[i] for i in self._free_idx)
         tors = tuple(c[i] % self._diag[i] for i in self._tors_idx)
         return free, tors
+
+    def coordinate_columns(self):
+        """(column, modulus) per canonical coordinate, free ones first.
+
+        The dot product of coeffs with a column, reduced mod its modulus
+        when that is nonzero, is one entry of canonical_coords(coeffs).
+        """
+        cols = [(i, 0) for i in self._free_idx] + [(i, self._diag[i]) for i in self._tors_idx]
+        return [(tuple(row[i] for row in self._v), m) for i, m in cols]
 
     def from_canonical(self, free, tors) -> "GroupElement":
         c = [0] * self.ngens

@@ -148,6 +148,9 @@ def cmd_eq(args):
             print(f"  left trace: {_fmt_trace(res.trace_x)}")
             print(f"  right trace: {_fmt_trace(res.trace_y)}")
         return 0
+    if res.status == "unequal":
+        print(f"unequal ({res.invariant})")
+        return 1
     print(res.status)
     return 3
 
@@ -182,7 +185,7 @@ def cmd_refine(args):
     w = refinement_witness(g, a, b, c, d, depth=args.depth, node_budget=args.budget)
     if w.status != "ok":
         print(w.status)
-        return 3
+        return 1 if w.status == "unequal" else 3
     (x11, x12), (x21, x22) = w.pieces
     print(f"refined gamma={serialize_element(w.gamma)}")
     print(f"  a = {serialize_element(x11)} + {serialize_element(x12)}")

@@ -80,14 +80,15 @@ def refinement_suite(g: SepGraph, rng: random.Random, instances: int = 200,
 def oracle_agreement_suite(g: SepGraph, rng: random.Random, pairs: int = 1000,
                            depth: int = 12, node_budget: int = 4000,
                            max_total: int = 4, walk: int = 4) -> SuiteResult:
-    """Confluence search vs the exact normal-form decision.
+    """Confluence search vs the exact normal-form decision, both ways.
 
-    Search-equal with exact-false is a failure outright.  Exact-true pairs
-    the search cannot confirm are logged, not failed; the caller applies
-    whatever confirmation ratio it needs from the notes.
+    Search-equal with exact-false is a failure outright, and so is a
+    certified search-unequal with exact-true.  Exact-true pairs the search
+    cannot confirm are logged, not failed; the caller applies whatever
+    confirmation ratio it needs from the notes.
     """
     res = SuiteResult("oracle-agreement")
-    eq_true = confirmed = search_equal = 0
+    eq_true = confirmed = search_equal = search_unequal = 0
     for _ in range(pairs):
         if rng.random() < 0.5:
             seed = random_element(rng, g, max_total)
@@ -105,6 +106,12 @@ def oracle_agreement_suite(g: SepGraph, rng: random.Random, pairs: int = 1000,
                 res.failures.append(("search-equal-exact-false",
                                      serialize_element(x), serialize_element(y)))
                 continue
+        elif found.status == "unequal":
+            search_unequal += 1
+            if eq:
+                res.failures.append(("search-unequal-exact-true", found.invariant,
+                                     serialize_element(x), serialize_element(y)))
+                continue
         res.checked += 1
         if eq:
             eq_true += 1
@@ -113,8 +120,9 @@ def oracle_agreement_suite(g: SepGraph, rng: random.Random, pairs: int = 1000,
             else:
                 res.log.append((found.status,
                                 serialize_element(x), serialize_element(y)))
-    res.notes = {"search_equal": search_equal, "eq_true": eq_true,
-                 "confirmed": confirmed, "unconfirmed": eq_true - confirmed}
+    res.notes = {"search_equal": search_equal, "search_unequal": search_unequal,
+                 "eq_true": eq_true, "confirmed": confirmed,
+                 "unconfirmed": eq_true - confirmed}
     return res
 
 

@@ -4,7 +4,9 @@ Monoid elements are finite multisets of vertices.  A rewrite step picks
 one occurrence of a vertex v and one block of v, and replaces the
 occurrence by the multiset of that block's edge targets.  On adaptable
 graphs any two equivalent elements have a common rewriting descendant,
-which gives the search-based equality oracle `confluence_equal`.
+which gives the search-based equality oracle `confluence_equal`.  Two
+invariants that no rewrite step changes let it answer "unequal" on most
+pairs without searching.
 
 The exact decision procedure `eq_exact` goes through normal forms: the
 support is pushed to an antichain of maximal classes, residual content
@@ -17,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
 
-from .abelian import direct_sum, subgroup_membership
-from .graph import SepGraph, require_adaptable
+from .abelian import FGAbelianGroup, direct_sum, subgroup_membership
+from .graph import SepGraph, check_adaptable, require_adaptable
 from .isystem import extract_isystem
 
 
@@ -224,7 +226,8 @@ class _Side:
         self.parent = {root: None}
         self.frontier = [root]
 
-    def expand(self):
+    def expand(self, limit=None):
+        """Add the next layer and return its new nodes, at most `limit` of them."""
         new = []
         parent = self.parent
         for e in sorted(self.frontier, key=self.cg.sort_key):
@@ -232,6 +235,9 @@ class _Side:
                 if r not in parent:
                     parent[r] = (e, step)
                     new.append(r)
+                    if len(new) == limit:
+                        self.frontier = new
+                        return new
         self.frontier = new
         return new
 
@@ -246,21 +252,97 @@ class _Side:
         return tuple(steps)
 
 
+class _Certificates:
+    """Two images of a packed element that no rewrite step changes.
+
+    group: the image in the Grothendieck group Z^V / <v - r(X)>, one
+    relation per block.  A step adds a block's delta, which is a relation,
+    so the image holds on any graph.
+
+    support: the set of maximal condensation classes of the support, as a
+    bitmask.  It holds only on adaptable graphs: there every free block has
+    exactly one loop (`graph._free_defects`), and a regular vertex's only
+    block has internal out-degree >= 2 (`graph._regular_defects`), so a
+    step on v keeps the class of v in the support and adds only classes
+    below it.  On a graph that is not adaptable, a step v -> w can drop the
+    class of v, so `adaptable` switches this invariant off.
+
+    Elements that differ in either image are unequal in the monoid.
+    """
+
+    __slots__ = ("columns", "adaptable", "class_bits", "below")
+
+    def __init__(self, g: SepGraph):
+        cg = _compiled(g)
+        grp = FGAbelianGroup(len(cg.vertices),
+                             [delta for mine in cg.moves for _, delta in mine])
+        self.columns = grp.coordinate_columns()
+        report = check_adaptable(g)
+        self.adaptable = report.ok
+        cond = report.condensation
+        bit = {c: 1 << k for k, c in enumerate(sorted(cond.members))}
+        below = {c: sum(bit[q] for q in cond.poset.strict_down(c)) for c in bit}
+        self.class_bits = tuple(bit[cond.class_of[v]] for v in cg.vertices)
+        self.below = tuple(below[cond.class_of[v]] for v in cg.vertices)
+
+    def top_classes(self, t):
+        support = lower = 0
+        for n, bit, below in zip(t, self.class_bits, self.below):
+            if n:
+                support |= bit
+                lower |= below
+        return support & ~lower
+
+    def separating(self, tx, ty):
+        """The name of an invariant on which tx and ty differ, or None."""
+        diff = tuple(map(sub, tx, ty))
+        for col, m in self.columns:            # canonical coordinates of tx - ty
+            c = sum(map(mul, diff, col))
+            if c and (not m or c % m):
+                return "group"
+        if self.adaptable and self.top_classes(tx) != self.top_classes(ty):
+            return "support"
+        return None
+
+
+@lru_cache(maxsize=32)
+def _certificates(g: SepGraph) -> _Certificates:
+    return _Certificates(g)
+
+
 @dataclass
 class ConfluenceResult:
-    status: str                    # "equal" | "unknown" | "exhausted"
+    status: str                    # "equal" | "unequal" | "unknown" | "exhausted"
     gamma: FreeElement | None = None
     trace_x: tuple = ()
     trace_y: tuple = ()
     explored: int = 0
+    invariant: str | None = None   # "group" | "support" when unequal
 
 
 def confluence_equal(g: SepGraph, x: FreeElement, y: FreeElement,
                      depth: int = 10, node_budget: int = 100000) -> ConfluenceResult:
+    """Decide x == y by a rewriting invariant, else search for a common descendant.
+
+    "unequal" means x and y differ in an invariant that every rewrite step
+    preserves; `invariant` names it and nothing is explored.  Otherwise the
+    answer is that of `confluence_search`.
+    """
+    cg = _compiled(g)
+    if x != y:
+        invariant = _certificates(g).separating(cg.pack(x), cg.pack(y))
+        if invariant:
+            return ConfluenceResult("unequal", invariant=invariant)
+    return confluence_search(g, x, y, depth, node_budget)
+
+
+def confluence_search(g: SepGraph, x: FreeElement, y: FreeElement,
+                      depth: int = 10, node_budget: int = 100000) -> ConfluenceResult:
     """Search for a common rewriting descendant of x and y.
 
     "equal" comes with a replay-checked pair of traces; "unknown" means the
-    depth ran out, "exhausted" that the node budget did.
+    depth ran out, "exhausted" that more than node_budget nodes were
+    explored.  The search stops at the first node past the budget.
     """
     cg = _compiled(g)
     root_x, root_y = cg.pack(x), cg.pack(y)      # rejects vertices outside g
@@ -285,7 +367,7 @@ def confluence_equal(g: SepGraph, x: FreeElement, y: FreeElement,
     for _ in range(depth):
         progressed = False
         for side, other in ((sx, sy), (sy, sx)):
-            added = side.expand()
+            added = side.expand(max(1, node_budget + 1 - explored))
             explored += len(added)
             if added:
                 progressed = True
@@ -319,7 +401,7 @@ def split_trace(g: SepGraph, part_a: FreeElement, part_b: FreeElement, trace):
 
 @dataclass
 class RefinementWitness:
-    status: str                      # "ok" | "unknown" | "exhausted"
+    status: str                      # "ok" | "unequal" | "unknown" | "exhausted"
     pieces: tuple = ()               # ((x11, x12), (x21, x22)) when ok
     gamma: FreeElement | None = None
 
@@ -346,7 +428,8 @@ def refinement_witness(g: SepGraph, a, b, c, d,
     assert x21 + x22 == gb and x12 + x22 == gd
     vdepth = max(len(res.trace_x), len(res.trace_y)) + 1
     for orig, split in ((a, ga), (b, gb), (c, gc), (d, gd)):
-        check = confluence_equal(g, orig, split, vdepth, node_budget)
+        # equal by construction, so no disequality certificate is tried
+        check = confluence_search(g, orig, split, vdepth, node_budget)
         if check.status != "equal":
             raise RewriteError("refinement split failed its replay check")
     return RefinementWitness("ok", ((x11, x12), (x21, x22)), res.gamma)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepmonoid import abelian
 from sepmonoid.abelian import (AbelianError, FGAbelianGroup, GroupHom,
                                direct_sum, element_order, find_isomorphism,
                                identity_hom, iter_isomorphisms,
@@ -153,10 +154,26 @@ def test_group_element_identities():
 
 def test_canonical_coords_roundtrip():
     g = FGAbelianGroup(3, [[2, 2, 0], [0, 4, 0]])
+    cols = g.coordinate_columns()
     for coeffs in ([1, 0, 0], [0, 1, 2], [5, -3, 7]):
         x = g.element(coeffs)
         free, tors = x.canonical()
         assert g.eq(x, g.from_canonical(free, tors))
+        dots = [sum(c * k for c, k in zip(coeffs, col)) for col, _ in cols]
+        assert tuple(d % m if m else d for d, (_, m) in zip(dots, cols)) == free + tors
+
+
+def test_relation_free_group_needs_no_smith_form(monkeypatch):
+    calls = []
+    real = abelian.smith_normal_form
+    monkeypatch.setattr(abelian, "smith_normal_form",
+                        lambda a: calls.append(len(a)) or real(a))
+    g = FGAbelianGroup(200)
+    assert g.canonical_name() == "Z^200"
+    assert g.canonical_coords([1] * 200) == ((1,) * 200, ())
+    assert calls == []
+    FGAbelianGroup(2, [[2, 0]])
+    assert calls                    # the counter does see a presented group
 
 
 def test_canonical_generators_are_a_basis():

@@ -75,12 +75,20 @@ def test_eq_confluence_equal(g2, capsys):
     assert "gamma=" in out
 
 
-def test_eq_confluence_exhausts_on_unequal(g2, capsys):
+def test_eq_confluence_exhausts_on_unequal(g1, g2, capsys):
     assert main(["eq", g2, "b := w", "2*w", "--method", "confluence",
                  "--depth", "4", "--budget", "500"]) == 2
-    # bad element text is a parse error; retry with a clean one
-    assert main(["eq", g2, "w", "2*w", "--method", "confluence",
+    # bad element text is a parse error; retry with a clean one.  On g1 no
+    # invariant separates b from 2*b (both are 0 in G = Z), so the search
+    # runs out without an answer
+    capsys.readouterr()
+    assert main(["eq", g1, "b", "2*b", "--method", "confluence",
                  "--depth", "4", "--budget", "500"]) == 3
+    assert capsys.readouterr().out == "unknown\n"
+    # w and 2*w differ in G = Z/2: a certified disequality exits 1
+    assert main(["eq", g2, "w", "2*w", "--method", "confluence",
+                 "--depth", "4", "--budget", "500"]) == 1
+    assert capsys.readouterr().out == "unequal (group)\n"
 
 
 def test_eq_unknown_vertex_exit_2(g1, capsys):

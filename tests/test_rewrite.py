@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepmonoid.fixtures import fixture_graph
-from sepmonoid.graph import parse_graph
-from sepmonoid.randgen import random_trace, random_walk
+from sepmonoid.graph import condensation, parse_graph
+from sepmonoid.randgen import (random_adaptable, random_element, random_trace,
+                               random_walk)
 from sepmonoid.rewrite import (FreeElement, RewriteError, antisym_nf,
                                apply_step, apply_trace, confluence_equal,
-                               eq_exact, grothendieck_of_restriction,
+                               confluence_search, eq_exact,
+                               grothendieck_of_restriction,
                                le_semidecide, monoid_nf, nf_add, nf_equal,
                                parse_element, refinement_witness,
                                serialize_element, split_trace, step_targets)
@@ -81,7 +83,17 @@ def test_g2_confluence_finds_common_reduct():
 def test_g2_confluence_unequal_is_not_equal():
     g = fixture_graph("g2")
     res = confluence_equal(g, fe(g, "w"), fe(g, "2*w"), depth=5, node_budget=2000)
+    assert (res.status, res.invariant, res.explored) == ("unequal", "group", 0)
+    res = confluence_search(g, fe(g, "w"), fe(g, "2*w"), depth=5, node_budget=2000)
     assert res.status in ("exhausted", "unknown")
+
+
+def test_support_certificate_needs_adaptable_graph():
+    # v's only block is the single edge v -> w: not adaptable, and the step
+    # v -> w drops v's class from the support, so only "group" may fire
+    g = parse_graph("vertex v\nvertex w\nedge e v w\nblock e\n")
+    res = confluence_equal(g, fe(g, "v"), fe(g, "w"), depth=4, node_budget=100)
+    assert (res.status, res.gamma, res.trace_x) == ("equal", fe(g, "w"), (("v", 0),))
 
 
 def test_g1_absorption():
@@ -204,7 +216,7 @@ def test_grothendieck_of_restriction():
     assert grp5.canonical_name() == "Z + Z/2"
 
 
-# golden search results: confluence_equal's tie-break fixes gamma, the
+# golden search results: confluence_search's tie-break fixes gamma, the
 # traces and the explored count, and random walks fix benchmark inputs
 
 # rand-11 and rand-13 of the acceptance corpus (CORPUS_SEED 20260819)
@@ -304,14 +316,14 @@ GOLDEN_SEARCHES = [
      (("a", 0),), ()),
     ("g5", "a+a'+b", "a", 6, 2000, "unknown", 25, None, (), ()),
     ("g5", "a+2*a'", "b", 4, 5000, "unknown", 13, None, (), ()),
-    ("g5", "a+a'+b", "a", 12, 10, "exhausted", 12, None, (), ()),
+    ("g5", "a+a'+b", "a", 12, 10, "exhausted", 11, None, (), ()),
     ("rand-11", "v1+7*v2+v4+v6", "3*v2+2*v4+v5+v6", 12, 2000, "equal", 170,
      "v1+9*v2+2*v4+v5+v6",
      (("v4", 0),), (("v6", 0), ("v2", 0), ("v2", 0), ("v6", 1))),
     ("rand-11", "v2+v3+v5+v7", "7*v2+v7", 12, 2000, "equal", 49, "7*v2+v3+v5+v7",
      (("v2", 0), ("v2", 0), ("v2", 0)), (("v7", 0),)),
     ("rand-11", "v5", "v3", 12, 300, "unknown", 213, None, (), ()),
-    ("rand-11", "v2", "v4+v5+v6", 12, 300, "exhausted", 351, None, (), ()),
+    ("rand-11", "v2", "v4+v5+v6", 12, 300, "exhausted", 301, None, (), ()),
     ("rand-13", "v1+v6+9*v7", "2*v1+2*v2+3*v3+2*v4+v6+v7", 12, 2000, "equal", 140,
      "2*v1+2*v2+3*v3+2*v4+v6+9*v7",
      (("v1", 0), ("v6", 0), ("v3", 0), ("v4", 0)), (("v7", 0), ("v7", 0))),
@@ -319,18 +331,77 @@ GOLDEN_SEARCHES = [
      "7*v2+6*v3+5*v4+v6",
      (("v4", 0), ("v4", 0), ("v4", 0)), (("v6", 0), ("v6", 0), ("v3", 0))),
     ("rand-13", "v3+v6", "v7", 4, 5000, "unknown", 36, None, (), ()),
-    ("rand-13", "3*v2+v3", "v4+v6+v7", 12, 300, "exhausted", 302, None, (), ()),
+    ("rand-13", "3*v2+v3", "v4+v6+v7", 12, 300, "exhausted", 301, None, (), ()),
 ]
+
+
+def _pins(res):
+    gamma = serialize_element(res.gamma) if res.gamma is not None else None
+    return (res.status, res.explored, gamma, res.trace_x, res.trace_y)
 
 
 @pytest.mark.parametrize("case", GOLDEN_SEARCHES, ids=lambda c: f"{c[0]}:{c[1]}~{c[2]}")
 def test_confluence_golden(case):
     name, xs, ys, depth, budget, status, explored, gamma, tx, ty = case
     g = GOLDEN_GRAPHS[name]
-    res = confluence_equal(g, fe(g, xs), fe(g, ys), depth, budget)
-    got_gamma = serialize_element(res.gamma) if res.gamma is not None else None
-    assert (res.status, res.explored, got_gamma, res.trace_x, res.trace_y) == \
-        (status, explored, gamma, tx, ty)
+    x, y = fe(g, xs), fe(g, ys)
+    pins = (status, explored, gamma, tx, ty)
+    assert _pins(confluence_search(g, x, y, depth, budget)) == pins
+    res = confluence_equal(g, x, y, depth, budget)
+    if status == "equal":
+        assert (_pins(res), res.invariant) == (pins, None)
+    else:
+        assert (res.status, res.invariant, res.explored) == ("unequal", "group", 0)
+
+
+# rand-6 of the same corpus
+RAND_6 = """\
+vertex v1
+vertex v2
+vertex v3
+vertex v4
+edge e1 v1 v1
+edge e2 v1 v1
+edge e3 v1 v2
+edge e4 v2 v2
+edge e5 v2 v2
+edge e6 v2 v1
+edge e7 v4 v4
+edge e8 v4 v2
+edge e9 v4 v1
+edge e10 v4 v4
+edge e11 v4 v1
+edge e12 v4 v1
+block e1 e2 e3
+block e4 e5 e6
+block e10 e11 e12
+block e7 e8 e9
+"""
+
+# exact-unequal pairs no invariant separates, so confluence_equal searches
+UNCERTIFIED_SEARCHES = [
+    ("g1", fixture_graph("g1"), "b", "2*b", 12, 2000, "unknown", 2),
+    ("rand-6", parse_graph(RAND_6), "2*v1+v3", "v1+v2+v3", 12, 2000, "unknown", 26),
+]
+
+
+@pytest.mark.parametrize("case", UNCERTIFIED_SEARCHES, ids=lambda c: f"{c[0]}:{c[2]}~{c[3]}")
+def test_confluence_uncertified_golden(case):
+    _, g, xs, ys, depth, budget, status, explored = case
+    x, y = fe(g, xs), fe(g, ys)
+    assert not eq_exact(g, x, y)
+    res = confluence_equal(g, x, y, depth, budget)
+    assert (_pins(res), res.invariant) == ((status, explored, None, (), ()), None)
+
+
+def test_support_certificate_on_adaptable_graph():
+    # v1 and v2 are regular classes, both 0 in the Grothendieck group, and
+    # neither lies below the other
+    g = GOLDEN_GRAPHS["rand-11"]
+    x, y = fe(g, "v1"), fe(g, "v2")
+    assert not eq_exact(g, x, y)
+    res = confluence_equal(g, x, y, 12, 300)
+    assert (res.status, res.invariant, res.explored) == ("unequal", "support", 0)
 
 
 def test_random_walk_golden():
@@ -365,6 +436,25 @@ def elements(g, max_total=5):
 
 G5 = fixture_graph("g5")
 G3 = fixture_graph("g3")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 5))
+def test_steps_keep_support_classes_on_adaptable_graphs(seed, nsteps):
+    # the argument behind the "support" certificate: a step on v keeps the
+    # class of v in the support, so no class ever leaves it
+    rng = random.Random(seed)
+    g = random_adaptable(rng, max_classes=5)
+    class_of = condensation(g).class_of
+    cur = random_element(rng, g, 4)
+    for _ in range(nsteps):
+        before = {class_of[v] for v in cur.support()}
+        steps = step_targets(g, cur)
+        if not steps:
+            break
+        for _, _, r in steps:
+            assert before <= {class_of[v] for v in r.support()}
+        cur = steps[rng.randrange(len(steps))][2]
 
 
 @settings(max_examples=60, deadline=None)
