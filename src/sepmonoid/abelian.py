@@ -8,6 +8,7 @@ homomorphisms act on the right (x maps to x @ M).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 
@@ -248,7 +249,6 @@ class FGAbelianGroup:
         if self.relations:
             _, s, v = smith_normal_form(self.relations)
             self._v = v
-            self._vinv = unimodular_inverse(v)
             k = min(len(self.relations), ngens)
             self._diag = [s[i][i] for i in range(k) if s[i][i]]
         else:
@@ -260,6 +260,12 @@ class FGAbelianGroup:
         self.invariant_factors = tuple(d for d in self._diag if d > 1)
         self._free_idx = list(range(self.rank, ngens))
         self._tors_idx = [i for i, d in enumerate(self._diag) if d > 1]
+
+    @cached_property
+    def _vinv(self):
+        # the inverse transform, built on first use by from_canonical or
+        # canonical_generators; a relation-free group sets it in __init__
+        return unimodular_inverse(self._v)
 
     # -- structure
 
@@ -301,12 +307,12 @@ class FGAbelianGroup:
 
     def canonical_generators(self):
         """Elements mapping to the canonical basis: free gens, then torsion gens."""
-        out = []
-        for i in self._free_idx:
-            out.append(self.element(list(self._vinv[i])))
-        for i in self._tors_idx:
-            out.append(self.element(list(self._vinv[i])))
-        return out
+        return [self.element(self._vinv[i]) for i in self._free_idx + self._tors_idx]
+
+    def generator_coords(self):
+        """Canonical coordinates of each generator, free then torsion, as rows."""
+        return [list(free) + list(tors)
+                for free, tors in map(self.canonical_coords, identity(self.ngens))]
 
     def torsion_orders(self):
         return tuple(self._diag[i] for i in self._tors_idx)
@@ -342,6 +348,12 @@ class FGAbelianGroup:
         for d in self.invariant_factors:
             n *= d
         return n
+
+    def generated_by(self, rows) -> bool:
+        """Do these coefficient rows generate the group?  Exactly when,
+        stacked on the relations, their Smith form is all ones."""
+        diag = snf_diagonal([list(r) for r in rows] + self.relations)
+        return len(diag) == self.ngens and all(d == 1 for d in diag)
 
     def same_presentation(self, other) -> bool:
         return self.ngens == other.ngens and self.relations == other.relations
@@ -474,17 +486,12 @@ class GroupHom:
         """Same invariants, well defined and onto.
 
         Onto is enough: a finitely generated abelian group is Hopfian, so
-        an onto map between isomorphic ones is injective.  The image rows
-        stacked on the codomain relations span every coordinate exactly
-        when their Smith form is all ones.
+        an onto map between isomorphic ones is injective.
         """
         dom, cod = self.domain, self.codomain
         if dom.invariant_factors != cod.invariant_factors or dom.free_rank != cod.free_rank:
             return False
-        if not self.is_well_defined():
-            return False
-        diag = snf_diagonal(self.matrix + cod.relations)
-        return len(diag) == cod.ngens and all(d == 1 for d in diag)
+        return self.is_well_defined() and cod.generated_by(self.matrix)
 
     def __eq__(self, other):
         if not isinstance(other, GroupHom):
@@ -641,10 +648,7 @@ def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints=(), box=
     cand += [_torsion_candidates(h, d) for d in g.torsion_orders()]
     # a candidate's matrix is these canonical coordinates of the domain
     # generators times the images of the canonical generators
-    coords = []
-    for i in range(g.ngens):
-        free, tors = g.canonical_coords([1 if j == i else 0 for j in range(g.ngens)])
-        coords.append(list(free) + list(tors))
+    coords = g.generator_coords()
     for images in product(*cand):
         f = GroupHom(g, h, mat_mul(coords, images)) if images else zero_hom(g, h)
         if all(f(a) == b for a, b in constraints) and f.is_isomorphism():

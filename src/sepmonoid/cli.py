@@ -25,7 +25,7 @@ from .randgen import random_adaptable
 from .realize import (ConstructionFailed, ConstructionInfeasible, realize,
                       roundtrip_check)
 from .rewrite import (RewriteError, antisym_nf, confluence_equal, eq_exact,
-                      le_semidecide, monoid_context, monoid_nf, parse_element,
+                      le_semidecide, monoid_nf, parse_element,
                       refinement_witness, serialize_element)
 
 
@@ -61,7 +61,7 @@ def _fmt_trace(trace):
 
 
 def _nf_lines(g, e):
-    sysm = monoid_context(g).system
+    sysm = extract_isystem(g)
     ents = monoid_nf(g, e).entries
     if not ents:
         return ["nf 0"]

@@ -88,8 +88,15 @@ class SepGraph:
             tuple(sorted(self.edges.items())),
             tuple((v, self.blocks_of[v]) for v in self.vertices),
         )
-        # graphs key the normal-form and compiled-graph caches
-        self._hash = hash(self._key)
+        self._derived = {}
+
+    def derived(self, build):
+        """build(self), built once per graph object and shared: do not mutate it."""
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
     def out_edges(self, v):
         return [e for e, (s, _) in self.edges.items() if s == v]
@@ -103,10 +110,10 @@ class SepGraph:
         return self._key == other._key
 
     def __hash__(self):
-        return self._hash
+        return hash(self._key)
 
     def __reduce__(self):
-        # rebuild on unpickling: the stored hash holds only in this process
+        # rebuild on unpickling, which starts an empty memo of derived results
         blocks = [blk for v in self.vertices for blk in self.blocks_of[v]]
         return type(self), (self.vertices, self.edges, blocks)
 
@@ -345,6 +352,12 @@ def _regular_defects(g, cid, members):
 
 
 def check_adaptable(g: SepGraph) -> AdaptabilityReport:
+    """The report of g, built once per graph object and shared: callers
+    must not mutate it or its condensation."""
+    return g.derived(_adaptability_report)
+
+
+def _adaptability_report(g: SepGraph) -> AdaptabilityReport:
     cond = condensation(g)
     kinds = {}
     free_shapes = {}
@@ -389,7 +402,7 @@ def require_adaptable(g: SepGraph) -> AdaptabilityReport:
 
 def restrict_lower(g: SepGraph, at) -> SepGraph:
     """Induced subgraph on everything reachable from the class of `at`."""
-    cond = condensation(g)
+    cond = check_adaptable(g).condensation
     if at in cond.members:
         cid = at
     elif at in cond.class_of:

@@ -280,6 +280,12 @@ def presented_group(g: SepGraph, cond, kinds, verts, extra_free=()):
 
 
 def extract_isystem(g: SepGraph) -> ISystem:
+    """The system of adaptable g, built once per graph object and shared:
+    callers must not mutate it.  NotAdaptableError when g is not adaptable."""
+    return g.derived(_extract)
+
+
+def _extract(g: SepGraph) -> ISystem:
     report = require_adaptable(g)
     cond = report.condensation
     kinds = report.kinds
@@ -450,11 +456,7 @@ def canonicalized(sys: ISystem) -> ISystem:
             eye = identity(g.ngens)
             fwd[p], back[p], canon[p] = GroupHom(g, c, eye), GroupHom(c, g, eye), c
             continue
-        rows = []
-        for i in range(g.ngens):
-            free, tors = g.canonical_coords([1 if j == i else 0 for j in range(g.ngens)])
-            rows.append(list(free) + list(tors))
-        fwd[p] = GroupHom(g, c, rows)
+        fwd[p] = GroupHom(g, c, g.generator_coords())
         back[p] = GroupHom(c, g, [e.coeffs for e in g.canonical_generators()])
         canon[p] = c
     maps = {}

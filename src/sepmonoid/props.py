@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graph import SepGraph
+from .graph import SepGraph, require_adaptable
 from .isystem import COUNTEREXAMPLE, extract_isystem, validate_isystem
 from .randgen import random_element, random_trace, random_walk
 from .rewrite import (FreeElement, RewriteError, antisym_nf, confluence_equal,
-                      eq_exact, monoid_context, refinement_witness,
+                      eq_exact, refinement_witness,
                       serialize_element, split_trace)
 
 
@@ -132,7 +132,7 @@ def antisym_le(g: SepGraph, x: FreeElement, y: FreeElement) -> bool:
         return True
     if y.is_zero():
         return False
-    pos = monoid_context(g).cond.poset
+    pos = require_adaptable(g).condensation.poset
     cy = antisym_nf(g, y).entries
     return all(any(pos.le(cx, cls) for cls, _, _ in cy)
                for cx, _, _ in antisym_nf(g, x).entries)

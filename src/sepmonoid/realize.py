@@ -23,7 +23,7 @@ from math import comb
 
 from .abelian import (
     FGAbelianGroup, GroupHom, cone_walk, kernel_generators, left_kernel,
-    subgroup_membership, iter_isomorphisms,
+    iter_isomorphisms,
 )
 from .graph import SepGraph, check_adaptable
 from .isystem import (ISystem, extract_isystem, validate_isystem,
@@ -404,8 +404,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
         for i, (a, b) in enumerate(pairs):
             tval[a], tval[b] = cg[i], -cg[i]
         tval.update((w, cg[f + k]) for k, w in enumerate(tors) if not mask >> k & 1)
-        if mask and not all(subgroup_membership(required + [tval[w] for w in W], c)
-                            for c in cg):
+        if mask and not G.generated_by([v.coeffs for v in required + [tval[w] for w in W]]):
             continue
         values = [tval[w] for w in W] + required
         coords = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]

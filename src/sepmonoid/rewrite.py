@@ -18,7 +18,6 @@ test in the direct sum of the component groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add, ge, mul, sub
 
 from .abelian import FGAbelianGroup, direct_sum, subgroup_membership
@@ -147,7 +146,7 @@ def block_targets(g: SepGraph, block) -> FreeElement:
 
 def step_targets(g: SepGraph, x: FreeElement):
     """All one-step rewrites of x as (vertex, block index, result)."""
-    cg = _compiled(g)
+    cg = g.derived(_CompiledGraph)
     return [(v, bi, cg.unpack(r)) for (v, bi), r in cg.steps(cg.pack(x))]
 
 
@@ -215,11 +214,6 @@ class _CompiledGraph:
         return (sum(t), "+".join(terms) or "0")
 
 
-@lru_cache(maxsize=32)
-def _compiled(g: SepGraph) -> _CompiledGraph:
-    return _CompiledGraph(g)
-
-
 class _Side:
     def __init__(self, cg: _CompiledGraph, root: tuple):
         self.cg = cg
@@ -273,7 +267,7 @@ class _Certificates:
     __slots__ = ("columns", "adaptable", "class_bits", "below")
 
     def __init__(self, g: SepGraph):
-        cg = _compiled(g)
+        cg = g.derived(_CompiledGraph)
         grp = FGAbelianGroup(len(cg.vertices),
                              [delta for mine in cg.moves for _, delta in mine])
         self.columns = grp.coordinate_columns()
@@ -305,11 +299,6 @@ class _Certificates:
         return None
 
 
-@lru_cache(maxsize=32)
-def _certificates(g: SepGraph) -> _Certificates:
-    return _Certificates(g)
-
-
 @dataclass
 class ConfluenceResult:
     status: str                    # "equal" | "unequal" | "unknown" | "exhausted"
@@ -328,9 +317,9 @@ def confluence_equal(g: SepGraph, x: FreeElement, y: FreeElement,
     preserves; `invariant` names it and nothing is explored.  Otherwise the
     answer is that of `confluence_search`.
     """
-    cg = _compiled(g)
+    cg = g.derived(_CompiledGraph)
     if x != y:
-        invariant = _certificates(g).separating(cg.pack(x), cg.pack(y))
+        invariant = g.derived(_Certificates).separating(cg.pack(x), cg.pack(y))
         if invariant:
             return ConfluenceResult("unequal", invariant=invariant)
     return confluence_search(g, x, y, depth, node_budget)
@@ -344,7 +333,7 @@ def confluence_search(g: SepGraph, x: FreeElement, y: FreeElement,
     depth ran out, "exhausted" that more than node_budget nodes were
     explored.  The search stops at the first node past the budget.
     """
-    cg = _compiled(g)
+    cg = g.derived(_CompiledGraph)
     root_x, root_y = cg.pack(x), cg.pack(y)      # rejects vertices outside g
     if x == y:
         return ConfluenceResult("equal", x, (), (), explored=1)
@@ -438,25 +427,6 @@ def refinement_witness(g: SepGraph, a, b, c, d,
 # ---------------------------------------------------- normal form machinery
 
 
-class MonoidContext:
-    def __init__(self, g: SepGraph):
-        self.graph = g
-        self.report = require_adaptable(g)
-        self.cond = self.report.condensation
-        self.system = extract_isystem(g)
-
-    def class_of(self, v):
-        return self.cond.class_of[v]
-
-    def kind(self, cls):
-        return self.report.kinds[cls]
-
-
-@lru_cache(maxsize=32)
-def monoid_context(g: SepGraph) -> MonoidContext:
-    return MonoidContext(g)
-
-
 @dataclass(frozen=True)
 class NFEntry:
     cls: str
@@ -480,12 +450,12 @@ class MonoidNF:
 
 def antisym_nf(g: SepGraph, x: FreeElement) -> AntisymNF:
     """Normal form in the order-antisymmetrized monoid."""
-    ctx = monoid_context(g)
-    classes = {ctx.class_of(v) for v in x.support()}
-    top = ctx.cond.poset.maximals(classes)
+    report = require_adaptable(g)
+    cond = report.condensation
+    top = cond.poset.maximals({cond.class_of[v] for v in x.support()})
     entries = []
     for p in sorted(top):
-        if ctx.kind(p) == "free":
+        if report.kinds[p] == "free":
             entries.append((p, "free", x.get(p)))
         else:
             entries.append((p, "regular", 1))
@@ -493,13 +463,14 @@ def antisym_nf(g: SepGraph, x: FreeElement) -> AntisymNF:
 
 
 def monoid_nf(g: SepGraph, x: FreeElement) -> MonoidNF:
-    ctx = monoid_context(g)
-    sysm = ctx.system
-    classes = sorted({ctx.class_of(v) for v in x.support()})
-    top = ctx.cond.poset.maximals(classes)
+    report = require_adaptable(g)
+    cond, kinds = report.condensation, report.kinds
+    sysm = extract_isystem(g)
+    classes = sorted({cond.class_of[v] for v in x.support()})
+    top = cond.poset.maximals(classes)
     assign = {}
     for q in classes:
-        assign[q] = q if q in top else min(p for p in top if ctx.cond.poset.lt(q, p))
+        assign[q] = q if q in top else min(p for p in top if cond.poset.lt(q, p))
     entries = []
     for p in sorted(top):
         labels = sysm.generator_labels[p]
@@ -509,31 +480,29 @@ def monoid_nf(g: SepGraph, x: FreeElement) -> MonoidNF:
         for q in classes:
             if assign[q] != p:
                 continue
-            for w in ctx.cond.members[q]:
+            for w in cond.members[q]:
                 c = x.get(w)
                 if not c:
                     continue
-                if q == p and ctx.kind(p) == "free":
+                if q == p and kinds[p] == "free":
                     n += c
                 else:
                     coeffs[index[w]] += c
-        if ctx.kind(p) == "regular":
+        if kinds[p] == "regular":
             n = 1
-        entries.append(NFEntry(p, ctx.kind(p), n, tuple(coeffs)))
+        entries.append(NFEntry(p, kinds[p], n, tuple(coeffs)))
     return MonoidNF(tuple(entries))
 
 
 def nf_add(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> MonoidNF:
     """Sum of two normal forms, renormalized."""
-    ctx = monoid_context(g)
-    sysm = ctx.system
-    poset = ctx.cond.poset
+    sysm = extract_isystem(g)
+    poset = sysm.poset
     all_classes = sorted({e.cls for e in nf1.entries} | {e.cls for e in nf2.entries})
     top = poset.maximals(all_classes)
     out = {}
     for p in sorted(top):
-        kind = ctx.kind(p)
-        out[p] = [kind, 0, sysm.group[p].zero()]
+        out[p] = [sysm.kind[p], 0, sysm.group[p].zero()]
     for nf in (nf1, nf2):
         for e in nf.entries:
             p = e.cls if e.cls in top else min(q for q in top if poset.lt(e.cls, q))
@@ -554,17 +523,24 @@ def nf_add(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> MonoidNF:
     return MonoidNF(tuple(entries))
 
 
-@lru_cache(maxsize=256)
+def _ambiguity_tables(g: SepGraph) -> dict:
+    return {}     # antichain -> _ambiguity_subgroup(g, antichain)
+
+
 def _ambiguity_subgroup(g: SepGraph, antichain: tuple):
-    """(direct sum group, embeddings, generators of the ambiguity subgroup)."""
-    ctx = monoid_context(g)
-    sysm = ctx.system
-    poset = ctx.cond.poset
+    """(direct sum group, embeddings, generators of the ambiguity subgroup),
+    built once per antichain and graph object."""
+    table = g.derived(_ambiguity_tables)
+    if antichain in table:
+        return table[antichain]
+    cond = require_adaptable(g).condensation
+    sysm = extract_isystem(g)
+    poset = cond.poset
     groups = [sysm.group[p] for p in antichain]
     total, embeds = direct_sum(groups)
     pos = {p: i for i, p in enumerate(antichain)}
     gens = []
-    for q in sorted(ctx.cond.members):
+    for q in sorted(cond.members):
         above = [p for p in antichain if poset.lt(q, p)]
         if len(above) < 2:
             continue
@@ -572,11 +548,12 @@ def _ambiguity_subgroup(g: SepGraph, antichain: tuple):
         for p1 in above:
             if p1 == p0:
                 continue
-            for w in ctx.cond.members[q]:
+            for w in cond.members[q]:
                 x0 = _vertex_gen(sysm, p0, w)
                 x1 = _vertex_gen(sysm, p1, w)
                 gens.append(embeds[pos[p0]](x0) - embeds[pos[p1]](x1))
-    return total, embeds, tuple(gens)
+    table[antichain] = found = (total, embeds, tuple(gens))
+    return found
 
 
 def _vertex_gen(sysm, p, w):
@@ -588,8 +565,7 @@ def _vertex_gen(sysm, p, w):
 def nf_equal(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> bool:
     if nf1.antichain() != nf2.antichain():
         return False
-    ctx = monoid_context(g)
-    sysm = ctx.system
+    sysm = extract_isystem(g)
     deltas = []
     for e1, e2 in zip(nf1.entries, nf2.entries):
         if e1.kind != e2.kind or e1.n != e2.n:
@@ -624,23 +600,23 @@ class LeResult:
 def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
                   depth: int = 8, node_budget: int = 50000) -> LeResult:
     """Semi-decision of the algebraic order: is there z with x + z == y?"""
-    cg = _compiled(g)
+    cg = g.derived(_CompiledGraph)
     root_x, root_y = cg.pack(x), cg.pack(y)      # rejects vertices outside g
     if x == y:
         return LeResult("yes", FreeElement())
     if x.is_zero():
         return LeResult("yes", y)
-    ctx = monoid_context(g)
-    poset = ctx.cond.poset
-    ycls = {ctx.class_of(v) for v in y.support()}
+    report = require_adaptable(g)
+    class_of, poset = report.condensation.class_of, report.condensation.poset
+    ycls = {class_of[v] for v in y.support()}
     for v in x.support():
-        q = ctx.class_of(v)
+        q = class_of[v]
         if not any(poset.le(q, p) for p in ycls):
             return LeResult("no")
     # free multiplicity bound: a free class nothing in y can feed from above
     for v in x.support():
-        q = ctx.class_of(v)
-        if ctx.kind(q) != "free":
+        q = class_of[v]
+        if report.kinds[q] != "free":
             continue
         if any(poset.lt(q, p) for p in ycls):
             continue

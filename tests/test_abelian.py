@@ -176,6 +176,51 @@ def test_relation_free_group_needs_no_smith_form(monkeypatch):
     assert calls                    # the counter does see a presented group
 
 
+def test_inverse_transform_is_built_on_first_use(monkeypatch):
+    calls = []
+    real = abelian.smith_normal_form
+    monkeypatch.setattr(abelian, "smith_normal_form",
+                        lambda a: calls.append(len(a)) or real(a))
+    g = FGAbelianGroup(2, [[2, 4]])
+    free, tors = g.canonical_coords([1, 1])
+    assert len(calls) == 1          # the presentation's Smith form only
+    assert g.canonical_name() == "Z + Z/2" and tors == (1,)
+    x = g.from_canonical(free, tors)
+    assert len(calls) == 2          # the inverse transform, once
+    assert g.eq(x, g.element([1, 1]))
+    g.canonical_generators()
+    assert len(calls) == 2
+
+
+def test_generated_by():
+    z = FGAbelianGroup(1)
+    assert z.generated_by([[1]])
+    assert z.generated_by([[2], [3]])
+    assert not z.generated_by([[2], [4]])
+    assert not z.generated_by([])
+    z6 = FGAbelianGroup(1, [[6]])
+    assert z6.generated_by([[5]])
+    assert not z6.generated_by([[2]])
+    assert z6.generated_by([[2], [3]])
+    g = FGAbelianGroup(2, [[2, 0]])          # Z/2 + Z
+    assert g.generated_by([[1, 0], [0, 1]])
+    assert g.generated_by([[1, 1], [0, 1]])
+    assert not g.generated_by([[0, 1]])
+    assert not g.generated_by([[1, 0], [0, 2]])
+    assert FGAbelianGroup(0).generated_by([])
+    assert FGAbelianGroup(2, [[1, 0], [0, 1]]).generated_by([])
+    # agrees with one membership test per canonical generator
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        grp = FGAbelianGroup(n, [[rng.randint(-4, 4) for _ in range(n)]
+                                 for _ in range(rng.randint(0, 2))])
+        elems = [grp.element([rng.randint(-3, 3) for _ in range(n)])
+                 for _ in range(rng.randint(0, 3))]
+        want = all(subgroup_membership(elems, c) for c in grp.canonical_generators())
+        assert grp.generated_by([e.coeffs for e in elems]) == want
+
+
 def test_canonical_generators_are_a_basis():
     g = FGAbelianGroup(3, [[2, 2, 0], [0, 4, 0]])
     gens = g.canonical_generators()

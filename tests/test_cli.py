@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from sepmonoid.cli import main
-from sepmonoid.fixtures import fixture_text
+from sepmonoid.fixtures import fixture_text, graph_names
 from sepmonoid.graph import parse_graph
 from sepmonoid.isystem import parse_isystem
 
@@ -218,3 +220,119 @@ def test_realize_accepts_and_ignores_seed(s1, tmp_path):
         assert main(["realize", s1, "--seed", seed, "-o", str(out_path)]) == 0
         outs.append(out_path.read_text())
     assert outs[0] == outs[1]
+
+
+# ------------------------------------------------------------------- fuzz
+
+# a large number is only put into .is text: as an .sg edge multiplicity it
+# would expand into that many edges
+_ODD_TOKENS = ("-1", "0", "-7", "40", "1e9", "x", "zz", "*", "<", ":", "->", ";",
+               "Z^-2", "Z/0", "Z/1", "g9")
+_HUGE = str(10 ** 30)
+
+
+def _mutate(rng, text, odd=_ODD_TOKENS):
+    """Token deletions, duplications and swaps, line drops and copies, and
+    odd tokens (negative or malformed numbers, unknown names)."""
+    lines = [line.split() for line in text.splitlines() if line.split()]
+    for _ in range(rng.randint(1, 3)):
+        tokens = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+        if not tokens:
+            break
+        i, j = rng.choice(tokens)
+        kind = rng.randrange(6)
+        if kind == 0:
+            del lines[i][j]
+        elif kind == 1:
+            lines[i].insert(j, lines[i][j])
+        elif kind == 2:
+            k, m = rng.choice(tokens)
+            lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
+        elif kind == 3:
+            del lines[i]
+        elif kind == 4:
+            lines.insert(rng.randrange(len(lines) + 1), list(lines[i]))
+        else:
+            lines[i][j] = rng.choice(odd)
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def _element_text(rng, vertices):
+    names = list(vertices) + ["zz", "0"]
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.choice(("", "2*", "-1*", "0*", "x*", "123456789012*"))
+        terms.append(n + rng.choice(names))
+    return rng.choice((" + ", "+", " ++ ")).join(terms)
+
+
+def test_cli_fuzz_exit_codes(tmp_path, capsys):
+    # mutated fixture text and edge-case flags: every run ends in an exit
+    # code of the contract, never in an uncaught exception
+    rng = random.Random(20261018)
+    codes, bad = [], []
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:           # argparse usage errors
+            code = exc.code
+        except Exception as exc:            # reported below
+            bad.append((argv, repr(exc)))
+            return
+        err = capsys.readouterr().err
+        codes.append(code)
+        if code not in (0, 1, 2, 3) or "Traceback" in err:
+            bad.append((argv, code, err))
+
+    small = ["--depth", "3", "--budget", "300"]
+    for n in range(80):
+        name = graph_names()[n % 5]
+        text = fixture_text(f"{name}.sg")
+        path = tmp_path / f"m{n}.sg"
+        path.write_text(_mutate(rng, text) if n >= 5 else text)
+        verts = parse_graph(text).vertices
+        p = str(path)
+        x, y = _element_text(rng, verts), _element_text(rng, verts)
+        run(["validate", p, "--format", rng.choice(("human", "lines"))])
+        run(["extract", p])
+        run(["export-dot", p])
+        run(["nf", p, x])
+        run(["eq", p, x, y])
+        run(["eq", p, x, y, "--method", "confluence"] + small)
+        run(["le", p, x, y] + small)
+        run(["refine", p, x, y, y, x] + small)
+    systems = [fixture_text("s1.is")]
+    for n in range(5):                      # m0.sg ... m4.sg are the fixtures as they are
+        assert main(["extract", str(tmp_path / f"m{n}.sg")]) == 0
+        systems.append(capsys.readouterr().out)
+    for n in range(80):
+        path = tmp_path / f"m{n}.is"
+        path.write_text(_mutate(rng, systems[n % len(systems)], _ODD_TOKENS + (_HUGE,)))
+        run(["realize", str(path), "--budget", "0"] + (["--no-verify"] if n % 2 else []))
+    g1 = str(tmp_path / "m0.sg")
+    for argv in (
+        ["eq", g1, "b", "2*b", "--method", "confluence", "--depth", _HUGE, "--budget", "50"],
+        ["eq", g1, "a", "b", "--method", "confluence", "--depth", "2", "--budget", _HUGE],
+        ["eq", g1, "a", "b", "--method", "confluence", "--depth", "0", "--budget", "0"],
+        ["le", g1, "b", "a", "--depth", "0", "--budget", "0"],
+        ["le", g1, "a", "b", "--depth", _HUGE, "--budget", "20"],
+        ["refine", g1, "a", "b", "b", "a", "--depth", "0"],
+        ["props", g1, "--samples", "0", "--pairs", "0", "--seed", "1"],
+        ["props", g1, "--samples", "1", "--seed", _HUGE, "--format", "lines"],
+        ["random", "--seed", "-3", "--count", "0"],
+        ["random", "--seed", "1", "--classes", "1", "--count", "2"],
+        ["random", "--seed", "1", "--count", "2", "-o", str(tmp_path / "r.sg")],
+        ["eq", g1, "a", "a", "--depth", "1.5"],
+        ["eq", g1, "a", "a", "--method", "magic"],
+        ["nf", g1],
+        ["nf", str(tmp_path / "missing.sg"), "a"],
+        ["extract", g1, "-o", str(tmp_path / "no-such-dir" / "out.is")],
+        ["realize", str(tmp_path / "m1.is"), "--seed", "x"],
+        ["validate", str(tmp_path)],
+        [],
+        ["frobnicate"],
+    ):
+        run(argv)
+    assert not bad, bad[:5]
+    assert len(codes) == 740 and {0, 1, 2, 3} <= set(codes)

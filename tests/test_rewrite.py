@@ -1,11 +1,18 @@
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepmonoid.fixtures import fixture_graph
-from sepmonoid.graph import condensation, parse_graph
+from sepmonoid import graph as graph_mod
+from sepmonoid import isystem as isystem_mod
+from sepmonoid.fixtures import fixture_graph, fixture_text
+from sepmonoid.graph import (check_adaptable, condensation, parse_graph,
+                             require_adaptable)
+from sepmonoid.isystem import (canonicalized, extract_isystem,
+                               serialize_isystem, validate_isystem)
+from sepmonoid.realize import realize, roundtrip_check
 from sepmonoid.randgen import (random_adaptable, random_element, random_trace,
                                random_walk)
 from sepmonoid.rewrite import (FreeElement, RewriteError, antisym_nf,
@@ -488,3 +495,84 @@ def test_eq_exact_reflexive(x):
 @given(elements(G5), elements(G5))
 def test_eq_exact_symmetric(x, y):
     assert eq_exact(G5, x, y) == eq_exact(G5, y, x)
+
+
+# ------------------------------------------------- one analysis per graph
+
+
+def _count_builds(monkeypatch):
+    """Counters of condensations (one per adaptability report) and of
+    presented groups (one per prime of an extracted system)."""
+    built = {"report": 0, "group": 0}
+    cond, present = graph_mod.condensation, isystem_mod.presented_group
+
+    def counting_cond(g):
+        built["report"] += 1
+        return cond(g)
+
+    def counting_present(*args, **kwargs):
+        built["group"] += 1
+        return present(*args, **kwargs)
+
+    monkeypatch.setattr(graph_mod, "condensation", counting_cond)
+    monkeypatch.setattr(isystem_mod, "presented_group", counting_present)
+    return built
+
+
+def test_one_analysis_per_graph(monkeypatch):
+    built = _count_builds(monkeypatch)
+    g = parse_graph(fixture_text("g5.sg"))
+    x, y = fe(g, "a + a' + b"), fe(g, "a + a' + 2*b")
+    assert check_adaptable(g).ok
+    require_adaptable(g)
+    sysm = extract_isystem(g)
+    serialize_isystem(sysm)
+    assert eq_exact(g, x, y)
+    assert not eq_exact(g, fe(g, "a"), fe(g, "a'"))
+    monoid_nf(g, y)
+    assert le_semidecide(g, fe(g, "a + b"), y).status == "yes"
+    assert confluence_equal(g, x, y, depth=6).status == "equal"
+    assert refinement_witness(g, fe(g, "a"), fe(g, "a' + b"),
+                              fe(g, "a + a'"), fe(g, "b")).status == "ok"
+    assert built["report"] == 1
+    assert built["group"] == len(sysm.poset)     # one extraction
+
+
+def _snapshot(sysm):
+    """Everything a caller could mutate in a system, as plain data."""
+    return (serialize_isystem(sysm), sysm.poset.elements, sorted(sysm.kind.items()),
+            sorted((p, grp.ngens, grp.relations) for p, grp in sysm.group.items()),
+            sorted(sysm.generator_labels.items()),
+            sorted((k, cm.hom.matrix, cm.unit and cm.unit.coeffs)
+                   for k, cm in sysm.maps.items()))
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
+def test_shared_analysis_is_not_mutated_by_callers(name):
+    g = fixture_graph(name)
+    report = check_adaptable(g)
+    assert require_adaptable(g) is report and check_adaptable(g) is report
+    sysm = extract_isystem(g)
+    assert extract_isystem(g) is sysm
+    before = _snapshot(sysm)
+    kinds, classes = dict(report.kinds), dict(report.condensation.class_of)
+    canonicalized(sysm)
+    assert validate_isystem(sysm).ok
+    res = realize(sysm)
+    assert roundtrip_check(sysm, res.graph).status == "Verified"
+    rng = random.Random(name)
+    for _ in range(10):
+        x, y = random_element(rng, g, 4), random_element(rng, g, 4)
+        nf_add(g, monoid_nf(g, x), monoid_nf(g, y))
+        antisym_nf(g, x)
+        eq_exact(g, x, y)
+        le_semidecide(g, x, y, depth=3, node_budget=500)
+    assert _snapshot(sysm) == before
+    assert report.kinds == kinds and report.condensation.class_of == classes
+    # an unpickled graph is a new object and builds its own analysis
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g
+    assert check_adaptable(copy) is not report
+    assert check_adaptable(copy).kinds == report.kinds
+    assert extract_isystem(copy) is not sysm
+    assert _snapshot(extract_isystem(copy)) == before
