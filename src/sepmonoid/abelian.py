@@ -615,44 +615,81 @@ class IsoResult:
 
 
 def _torsion_candidates(h: FGAbelianGroup, d: int):
-    """Coefficients of the elements of h of order exactly d."""
+    """(coefficients, canonical coords) of the elements of h of order exactly d."""
     orders = h.torsion_orders()
+    zero = (0,) * h.free_rank
     out = []
     for tors in product(*[range(o) for o in orders]):
-        x = h.from_canonical((0,) * h.free_rank, tors)
+        x = h.from_canonical(zero, tors)
         if element_order(x) == d:
-            out.append(x.coeffs)
+            out.append((x.coeffs, zero + tors))
     return out
 
 
 def _free_candidates(h: FGAbelianGroup, box: int):
-    """Coefficients of the elements of h of infinite order within the box."""
+    """(coefficients, canonical coords) of the elements of h of infinite
+    order within the box."""
     orders = h.torsion_orders()
     out = []
     for free in product(*[range(-box, box + 1) for _ in range(h.free_rank)]):
         if any(free):
             for tors in product(*[range(o) for o in orders]):
-                out.append(h.from_canonical(free, tors).coeffs)
+                out.append((h.from_canonical(free, tors).coeffs, free + tors))
     return out
+
+
+def _holds(terms, target, vecs, mods):
+    """Is sum(c * vecs[k] for k, c in terms) == target in canonical coords?"""
+    for i, (t, m) in enumerate(zip(target, mods)):
+        x = sum(c * vecs[k][i] for k, c in terms)
+        if (x % m if m else x) != t:
+            return False
+    return True
 
 
 def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints=(), box=4):
     """Yield isos g -> h with f(a) == b for each (a, b) in constraints.
 
     The free part of the search is restricted to canonical coordinates in
-    [-box, box]; torsion is searched exhaustively.
+    [-box, box]; torsion is searched exhaustively.  The images of g's
+    canonical generators are assigned depth first, in the order of
+    itertools.product over their candidate lists, and each constraint is
+    checked as soon as the last image it depends on is assigned.
     """
     if g.invariant_factors != h.invariant_factors or g.free_rank != h.free_rank:
         return
     cand = [_free_candidates(h, box)] * g.free_rank
     cand += [_torsion_candidates(h, d) for d in g.torsion_orders()]
     # a candidate's matrix is these canonical coordinates of the domain
-    # generators times the images of the canonical generators
+    # generators times the images of the canonical generators, so f(a) is
+    # the sum of c_k * image_k with c = a @ coords
     coords = g.generator_coords()
-    for images in product(*cand):
-        f = GroupHom(g, h, mat_mul(coords, images)) if images else zero_hom(g, h)
-        if all(f(a) == b for a, b in constraints) and f.is_isomorphism():
-            yield f
+    mods = (0,) * h.free_rank + h.torsion_orders()
+    checks = [[] for _ in cand]     # per image: the constraints decided there
+    for a, b in constraints:
+        if not (isinstance(b, GroupElement) and h.same_presentation(b.group)):
+            return                  # no f(a) equals b, as in GroupElement.__eq__
+        c = vec_mat(list(a.coeffs if isinstance(a, GroupElement) else a), coords)
+        terms = [(k, ck) for k, ck in enumerate(c) if ck]
+        free, tors = h.canonical_coords(b.coeffs)
+        if terms:
+            checks[terms[-1][0]].append((terms, free + tors))
+        elif any(free) or any(tors):
+            return                  # f(a) == 0 for every f
+    images, vecs = [None] * len(cand), [None] * len(cand)
+
+    def walk(k):
+        if k == len(cand):
+            f = GroupHom(g, h, mat_mul(coords, images)) if images else zero_hom(g, h)
+            if f.is_isomorphism():
+                yield f
+            return
+        for image, vec in cand[k]:
+            images[k], vecs[k] = image, vec
+            if all(_holds(terms, target, vecs, mods) for terms, target in checks[k]):
+                yield from walk(k + 1)
+
+    yield from walk(0)
 
 
 def find_isomorphism(g: FGAbelianGroup, h: FGAbelianGroup, constraints=(), box=4) -> IsoResult:

@@ -6,7 +6,7 @@ from ..graph import SepGraph, parse_graph
 from ..isystem import ISystem, parse_isystem
 
 _GRAPHS = ("g1", "g2", "g3", "g4", "g5")
-_SYSTEMS = ("s1",)
+_SYSTEMS = ("s1", "s2")
 
 
 def graph_names():

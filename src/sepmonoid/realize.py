@@ -502,6 +502,7 @@ class RoundtripReport:
     status: str               # Verified | FailedAt | InconclusiveWithinBound
     poset_map: dict | None = None
     detail: str = ""
+    theta: dict | None = None      # Verified: prime -> iso ext group -> system group
 
 
 def roundtrip_check(system: ISystem, graph: SepGraph, box: int = 4,
@@ -509,7 +510,10 @@ def roundtrip_check(system: ISystem, graph: SepGraph, box: int = 4,
     """Compare a system against the extraction of a (realized) graph.
 
     Searches for a kind-preserving poset isomorphism together with a
-    family of group isomorphisms commuting with all connecting maps.
+    family of group isomorphisms commuting with all connecting maps.  A
+    Verified report carries both: `poset_map` (prime -> class of the
+    extraction) and `theta` (prime p -> GroupHom from the extracted group
+    at poset_map[p] onto the system's group at p).
     """
     ext = extract_isystem(graph)
 
@@ -558,7 +562,7 @@ def roundtrip_check(system: ISystem, graph: SepGraph, box: int = 4,
             return False
 
         if assign(0):
-            return RoundtripReport("Verified", psi)
+            return RoundtripReport("Verified", psi, theta=dict(theta))
     if not saw_any_psi:
         return RoundtripReport("FailedAt", None,
                                "no kind- and group-compatible poset isomorphism")

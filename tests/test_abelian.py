@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +322,111 @@ def test_iter_isomorphisms_constraint():
     # force it onto an element of wrong order: nothing comes back
     isos = list(iter_isomorphisms(z4, z4, constraints=[(z4.gen(0), 2 * z4.gen(0))]))
     assert isos == []
+
+
+def test_iter_isomorphisms_golden_order():
+    # the full yield sequences of the product-then-filter search, which the
+    # pruned walk must keep: roundtrip_check takes the first `branch` of them
+    G = FGAbelianGroup
+    cases = [
+        # Z^2 -> Z^2, f(g0 + g1) = h0: decided only at the second image
+        (G(2), G(2), lambda g, h: [(g.gen(0) + g.gen(1), h.gen(0))], 2,
+         [[[-1, -1], [2, 1]], [[-1, 1], [2, -1]], [[0, -1], [1, 1]], [[0, 1], [1, -1]],
+          [[1, -1], [0, 1]], [[1, 1], [0, -1]], [[2, -1], [-1, 1]], [[2, 1], [-1, -1]]]),
+        # Z + Z/2 onto another presentation of it
+        (G(2, [[0, 2]]), G(2, [[2, 2]]), lambda g, h: [], 2,
+         [[[0, -1], [1, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 1]], [[1, 2], [1, 1]]]),
+        (G(2, [[2, 0], [0, 2]]), G(2, [[2, 0], [0, 2]]), lambda g, h: [], 4,
+         [[[0, 1], [1, 0]], [[0, 1], [1, 1]], [[1, 0], [0, 1]], [[1, 0], [1, 1]],
+          [[1, 1], [0, 1]], [[1, 1], [1, 0]]]),
+        (G(1, [[6]]), G(2, [[2, 0], [0, 3]]), lambda g, h: [], 4, [[[-1, 1]], [[-5, 5]]]),
+        # c(a) = 0 but b != 0: decided before the walk
+        (G(1), G(1), lambda g, h: [(g.zero(), h.gen(0))], 4, []),
+        # b of a different presentation never equals f(a)
+        (G(1, [[4]]), G(1, [[4]]), lambda g, h: [(g.gen(0), G(2, [[4, 0]]).gen(0))], 4, []),
+        # ... but a separate group object with the same presentation is h
+        (G(1, [[4]]), G(1, [[4]]), lambda g, h: [(g.gen(0), G(1, [[4]]).gen(0))], 4, [[[1]]]),
+    ]
+    for g, h, constraints, box, want in cases:
+        got = [f.matrix for f in iter_isomorphisms(g, h, constraints(g, h), box)]
+        assert got == want, (g, h)
+
+
+def _reference_isomorphisms(g, h, constraints, box):
+    """The product-then-filter search, restated: every complete candidate
+    hom is built, then tested against the constraints and for being an
+    isomorphism."""
+    if g.invariant_factors != h.invariant_factors or g.free_rank != h.free_rank:
+        return []
+    tors_ranges = [range(o) for o in h.torsion_orders()]
+    free_cand = [h.from_canonical(free, tors).coeffs
+                 for free in product(range(-box, box + 1), repeat=h.free_rank) if any(free)
+                 for tors in product(*tors_ranges)]
+    zero = (0,) * h.free_rank
+    finite = [h.from_canonical(zero, tors) for tors in product(*tors_ranges)]
+    cand = [free_cand] * g.free_rank
+    cand += [[x.coeffs for x in finite if element_order(x) == d] for d in g.torsion_orders()]
+    coords = g.generator_coords()
+    out = []
+    for images in product(*cand):
+        f = GroupHom(g, h, mat_mul(coords, images)) if images else zero_hom(g, h)
+        if all(f(a) == b for a, b in constraints) and f.is_isomorphism():
+            out.append(f.matrix)
+    return out
+
+
+def _presented(rng, free_rank, torsion):
+    """Z^free_rank + the torsion, on a random presentation: the diagonal
+    relations under a random unimodular change of generators, sometimes
+    with one redundant generator more."""
+    n = free_rank + len(torsion)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-1, 1, 2])
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    # Z^n / (R U) is Z^n / R through x -> x U, and row k of R U is t_k * u[k]
+    rels = [[t * x for x in u[k]] for k, t in enumerate(torsion)]
+    if rng.random() < 0.5:
+        # g_n = x . (g_0, ..., g_{n-1})
+        x = [rng.randint(-1, 1) for _ in range(n)]
+        rels = [r + [0] for r in rels] + [x + [-1]]
+        n += 1
+    return FGAbelianGroup(n, rels)
+
+
+SMALL_TORSION = [(), (2,), (3,), (2, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_iter_isomorphisms_matches_reference(rng):
+    free_rank = rng.randint(0, 2)
+    # with Z^2 the reference builds (24 * |T|)^2 candidates: 576 without torsion
+    torsion = rng.choice(SMALL_TORSION) if free_rank < 2 else ()
+    g = _presented(rng, free_rank, torsion)
+    if rng.random() < 0.8:
+        h = _presented(rng, free_rank, torsion)
+    else:
+        h = _presented(rng, rng.randint(0, 2), rng.choice(SMALL_TORSION))
+    # constraints read off a random hom: half the time an isomorphism that
+    # sends g's canonical generators to h's, up to sign on the free ones, so
+    # that some are satisfiable; else any matrix
+    same = g.invariant_factors == h.invariant_factors and g.free_rank == h.free_rank
+    if same and rng.random() < 0.5:
+        signs = [rng.choice([-1, 1]) for _ in range(h.free_rank)] + [1] * len(torsion)
+        images = [(s * x).coeffs for s, x in zip(signs, h.canonical_generators())]
+        f0 = GroupHom(g, h, mat_mul(g.generator_coords(), images)) if images else zero_hom(g, h)
+        assert f0.is_isomorphism()
+    else:
+        f0 = GroupHom(g, h, [[rng.randint(-2, 2) for _ in range(h.ngens)]
+                             for _ in range(g.ngens)])
+    constraints = []
+    for _ in range(rng.randint(0, 2)):
+        a = g.element([rng.randint(-2, 2) for _ in range(g.ngens)])
+        constraints.append((a, f0(a)))
+    want = _reference_isomorphisms(g, h, constraints, 2)
+    assert [f.matrix for f in iter_isomorphisms(g, h, constraints, box=2)] == want
 
 
 @settings(max_examples=40, deadline=None)

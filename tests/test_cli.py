@@ -138,6 +138,16 @@ def test_realize_roundtrip_exit_0(s1, tmp_path, capsys):
     assert "Verified" in capsys.readouterr().err
 
 
+def test_realize_z2_chain_roundtrip_exit_0(tmp_path, capsys):
+    # s2's round trip searches Z^2 -> Z^2 under a constraint
+    src = tmp_path / "s2.is"
+    src.write_text(fixture_text("s2.is"))
+    out_path = tmp_path / "out.sg"
+    assert main(["realize", str(src), "-o", str(out_path)]) == 0
+    assert parse_graph(out_path.read_text()).vertices
+    assert "roundtrip Verified" in capsys.readouterr().err
+
+
 def test_realize_invalid_system_exit_1(tmp_path, capsys):
     p = tmp_path / "bad.is"
     p.write_text("prime p free\nprime q free\ncover q < p\n"

@@ -1,10 +1,12 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
-from sepmonoid.abelian import mat_mul
-from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names
+from sepmonoid.abelian import GroupHom, mat_mul
+from sepmonoid.fixtures import (fixture_graph, fixture_system, graph_names,
+                                system_names)
 from sepmonoid.graph import check_adaptable, serialize_graph
 from sepmonoid.isystem import (canonicalized, extract_isystem, parse_isystem,
                                serialize_isystem, validate_isystem)
@@ -134,7 +136,7 @@ def test_roundtrip_rejects_mismatched_pair():
     s = fixture_system("s1")
     g1 = fixture_graph("g1")
     rep = roundtrip_check(s, g1)
-    assert rep.status == "FailedAt"
+    assert rep.status == "FailedAt" and rep.theta is None
 
 
 def test_roundtrip_rejects_wrong_group():
@@ -320,8 +322,7 @@ def _stress_corpus(seed, count=300, max_classes=6, free_rank=2):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_realize_stress_corpus(seed):
-    # every system realizes; round trips with a Z^2 part can take seconds,
-    # so only systems of free rank <= 1 are compared
+    # every system realizes and round-trips
     bad = []
     for i, s in enumerate(_stress_corpus(seed)):
         try:
@@ -329,20 +330,73 @@ def test_realize_stress_corpus(seed):
         except (ConstructionFailed, ConstructionInfeasible) as exc:
             bad.append((i, f"{type(exc).__name__}: {exc}"))
             continue
-        if all(s.group[p].free_rank <= 1 for p in s.poset):
-            status = roundtrip_check(s, g).status
-            if status != "Verified":
-                bad.append((i, status))
+        status = roundtrip_check(s, g).status
+        if status != "Verified":
+            bad.append((i, status))
     assert not bad
 
 
 def test_free_rank_two_stress_systems_roundtrip():
-    # the stress test skips these round trips for time
+    # positions of systems with a Z^2 prime
     corpus = _stress_corpus(1)
     for i in (1, 25, 30, 43, 54):
         s = corpus[i]
         assert max(s.group[p].free_rank for p in s.poset) == 2
         assert roundtrip_check(s, realize(s).graph).status == "Verified", i
+
+
+def _replay_certificate(system, graph, rep):
+    """Check a Verified report's certificate without any search: psi is a
+    kind-preserving poset isomorphism, each theta_p is an isomorphism from
+    the extracted group at psi[p] onto the system's group at p, commutes
+    with every connecting map on generators, and sends each unit of the
+    extraction to the system's unit."""
+    ext = extract_isystem(graph)
+    psi, theta = rep.poset_map, rep.theta
+    primes = list(system.poset)
+    if (sorted(psi) != sorted(primes) or sorted(psi.values()) != sorted(ext.poset)
+            or set(theta) != set(psi)):
+        return False
+    if any(system.kind[p] != ext.kind[psi[p]] for p in primes):
+        return False
+    if any(system.poset.le(p, q) != ext.poset.le(psi[p], psi[q]) for p in primes for q in primes):
+        return False
+    for p in system.poset:
+        f = theta[p]
+        if not (f.domain.same_presentation(ext.group[psi[p]])
+                and f.codomain.same_presentation(system.group[p]) and f.is_isomorphism()):
+            return False
+        for q in system.poset.strict_down(p):
+            cm_e, cm_o = ext.map_for(psi[p], psi[q]), system.map_for(p, q)
+            gq = ext.group[psi[q]]
+            for i in range(gq.ngens):
+                if f(cm_e.hom(gq.gen(i))) != cm_o.hom(theta[q](gq.gen(i))):
+                    return False
+            if (cm_e.unit is None) != (cm_o.unit is None):
+                return False
+            if cm_e.unit is not None and f(cm_e.unit) != cm_o.unit:
+                return False
+    return True
+
+
+def test_verified_roundtrip_carries_a_replayable_certificate():
+    systems = [fixture_system(n) for n in system_names()]
+    systems += [extract_isystem(fixture_graph(n)) for n in graph_names()]
+    systems += [parse_isystem(HARD_SYSTEMS[n]) for n in sorted(HARD_SYSTEMS)]
+    for s in systems:
+        g = realize(s).graph
+        rep = roundtrip_check(s, g)
+        assert rep.status == "Verified"
+        assert _replay_certificate(s, g, rep)
+    # a copy that doubles theta on a Z prime fails the replay
+    s = fixture_system("s2")
+    g = realize(s).graph
+    rep = roundtrip_check(s, g)
+    p = next(p for p in s.poset if s.group[p].canonical_name() == "Z")
+    f = rep.theta[p]
+    doubled = GroupHom(f.domain, f.codomain, [[2 * x for x in row] for row in f.matrix])
+    bad = replace(rep, theta={**rep.theta, p: doubled})
+    assert _replay_certificate(s, g, rep) and not _replay_certificate(s, g, bad)
 
 
 def test_realize_ignores_seed():
