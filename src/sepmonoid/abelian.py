@@ -510,10 +510,6 @@ class GroupHom:
         return f"GroupHom({self.domain.canonical_name()} -> {self.codomain.canonical_name()})"
 
 
-def identity_hom(g: FGAbelianGroup) -> GroupHom:
-    return GroupHom(g, g, identity(g.ngens))
-
-
 def zero_hom(domain: FGAbelianGroup, codomain: FGAbelianGroup) -> GroupHom:
     return GroupHom(domain, codomain, [[0] * codomain.ngens for _ in range(domain.ngens)])
 

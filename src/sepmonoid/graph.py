@@ -19,6 +19,10 @@ from dataclasses import dataclass, field
 from .posets import Poset
 
 
+# edges that "* N" multiplicities may add to one .sg text, all lines together
+MAX_EXPANDED_EDGES = 10_000
+
+
 class GraphError(ValueError):
     pass
 
@@ -129,6 +133,7 @@ def parse_graph(text: str) -> SepGraph:
     edges = []
     blocks = []
     multi = {}  # base id -> expanded ids
+    expanded = 0
     seen_v = set()
     seen_e = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -153,6 +158,10 @@ def parse_graph(text: str) -> SepGraph:
                     raise GraphParseError(line_no, f"bad multiplicity '{args[4]}'") from None
                 if count < 1:
                     raise GraphParseError(line_no, f"multiplicity must be positive, got {count}")
+                expanded += count
+                if expanded > MAX_EXPANDED_EDGES:
+                    raise GraphParseError(
+                        line_no, f"multiplicities add more than {MAX_EXPANDED_EDGES} edges")
             elif len(args) == 3:
                 eid, src, dst = args
                 count = 1
@@ -221,14 +230,20 @@ class Condensation:
 
 
 def strongly_connected_components(g: SepGraph):
-    adj = {v: sorted(g.edges[e][1] for e in g.out_edges(v)) for v in g.vertices}
+    return components_of({v: sorted(g.edges[e][1] for e in g.out_edges(v))
+                          for v in g.vertices})
+
+
+def components_of(adj):
+    """Strongly connected components of the digraph adj (vertex -> targets,
+    all of them keys of adj), each sorted, by Tarjan's algorithm."""
     index = {}
     low = {}
     onstack = set()
     stack = []
     counter = [0]
     comps = []
-    for root in g.vertices:
+    for root in adj:
         if root in index:
             continue
         work = [(root, 0)]
@@ -263,7 +278,6 @@ def strongly_connected_components(g: SepGraph):
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
-        # loop continues with next root
     return comps
 
 

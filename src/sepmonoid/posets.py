@@ -65,9 +65,6 @@ class Poset:
     def lt(self, a, b) -> bool:
         return a != b and b in self._up[a]
 
-    def comparable(self, a, b) -> bool:
-        return self.le(a, b) or self.le(b, a)
-
     def upset(self, p) -> frozenset:
         """All q with p <= q, including p."""
         return self._up[p]
@@ -94,24 +91,9 @@ class Poset:
     def lower_covers(self, p) -> list:
         return sorted(a for a, b in self.covers() if b == p)
 
-    def upper_covers(self, p) -> list:
-        return sorted(b for a, b in self.covers() if a == p)
-
     def maximals(self, subset=None) -> list:
         pool = set(self.elements if subset is None else subset)
         return sorted(p for p in pool if not any(self.lt(p, q) for q in pool))
-
-    def minimals(self, subset=None) -> list:
-        pool = set(self.elements if subset is None else subset)
-        return sorted(p for p in pool if not any(self.lt(q, p) for q in pool))
-
-    def is_antichain(self, subset) -> bool:
-        items = list(subset)
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                if self.comparable(a, b):
-                    return False
-        return True
 
     def linear_extension(self) -> list:
         """Deterministic linear extension: always emit the least ready element."""
@@ -125,13 +107,6 @@ class Poset:
             emitted.add(p)
             remaining.discard(p)
         return out
-
-    def restrict(self, subset) -> "Poset":
-        keep = set(subset)
-        if not keep <= set(self.elements):
-            raise PosetError("restriction to elements outside the poset")
-        rel = [(a, b) for a in keep for b in keep if self.lt(a, b)]
-        return Poset(keep, rel)
 
     def isomorphisms(self, other, color=None, other_color=None):
         """Yield all order isomorphisms onto `other` as dicts.

@@ -25,7 +25,7 @@ from .abelian import (
     FGAbelianGroup, GroupHom, cone_walk, kernel_generators, left_kernel,
     iter_isomorphisms,
 )
-from .graph import SepGraph, check_adaptable
+from .graph import SepGraph, check_adaptable, components_of
 from .isystem import (ISystem, extract_isystem, validate_isystem,
                       COUNTEREXAMPLE, INCONCLUSIVE)
 
@@ -163,28 +163,6 @@ def _row_hnf(rows):
                     mat[j] = [x - q * y for x, y in zip(mat[j], mat[pr])]
             pr += 1
     return tuple(tuple(r) for r in mat[:pr] if any(r))
-
-
-def _strongly_connected(W, out_maps):
-    if len(W) <= 1:
-        return True
-    wset = set(W)
-    fwd = {w: [v for v in out_maps[w] if v in wset and v != w] for w in W}
-    back = {w: [] for w in W}
-    for w, outs in fwd.items():
-        for v in outs:
-            back[v].append(w)
-    for adj in (fwd, back):
-        seen = {W[0]}
-        stack = [W[0]]
-        while stack:
-            for v in adj[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(W):
-            return False
-    return True
 
 
 def _nonneg_preimage(group, target, gens, max_total=16, state_cap=40000):
@@ -391,7 +369,10 @@ def _realize_regular(builder: _Builder, p, budget, log):
         out_maps = {w: _merge({order[k]: c for k, c in enumerate(row) if c}, {w: 1})
                     for w, row in zip(row_order, rows)}
         hit = _reached(builder, [t for om in out_maps.values() for t in om])
-        if any(q not in hit for q in covers) or not _strongly_connected(W, out_maps):
+        if any(q not in hit for q in covers):
+            return None
+        wset = set(W)
+        if len(components_of({w: [v for v in out_maps[w] if v in wset] for w in W})) > 1:
             return None
         G2 = FGAbelianGroup(len(order), R_L + [list(r) for r in rows])
         if not GroupHom(G2, G, [v.coeffs for v in values]).is_isomorphism():

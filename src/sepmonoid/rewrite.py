@@ -220,7 +220,7 @@ class _Side:
         self.parent = {root: None}
         self.frontier = [root]
 
-    def expand(self, limit=None):
+    def expand(self, limit):
         """Add the next layer and return its new nodes, at most `limit` of them."""
         new = []
         parent = self.parent
@@ -337,38 +337,48 @@ def confluence_search(g: SepGraph, x: FreeElement, y: FreeElement,
     root_x, root_y = cg.pack(x), cg.pack(y)      # rejects vertices outside g
     if x == y:
         return ConfluenceResult("equal", x, (), (), explored=1)
+
+    def meet(added, from_x, other):
+        common = [e for e in added if e in other.parent]
+        return (min(common, key=cg.sort_key),) * 2 if common else None
+
+    status, explored, hit = _two_sided(cg, root_x, root_y, depth, node_budget, meet)
+    if not hit:
+        return ConfluenceResult(status, explored=explored)
+    (gamma, tx), (_, ty) = hit
+    # replayed on FreeElement, independently of the compiled graph
+    gamma = cg.unpack(gamma)
+    if apply_trace(g, x, tx) != gamma or apply_trace(g, y, ty) != gamma:
+        raise RewriteError("trace replay failed, search bookkeeping is broken")
+    return ConfluenceResult("equal", gamma, tx, ty, explored)
+
+
+def _two_sided(cg: _CompiledGraph, root_x, root_y, depth, node_budget, meet):
+    """Grow a rewriting search from each root, one side's layer at a time.
+
+    After each side grows, meet(added, from_x, other) sees its new nodes
+    and the other side, and returns the (x-side, y-side) pair of nodes that
+    ends the search, or None.  Returns (status, explored, hit): status
+    "met" with hit = ((node_x, trace_x), (node_y, trace_y)), "unknown" when
+    the depth ran out, "exhausted" at the first node past node_budget.
+    """
     sx, sy = _Side(cg, root_x), _Side(cg, root_y)
     explored = 2
-
-    def meet_from(added, other):
-        common = [e for e in added if e in other.parent]
-        if not common:
-            return None
-        gamma = min(common, key=cg.sort_key)
-        tx = sx.trace_to(gamma)
-        ty = sy.trace_to(gamma)
-        # replayed on FreeElement, independently of the compiled graph
-        gamma = cg.unpack(gamma)
-        if apply_trace(g, x, tx) != gamma or apply_trace(g, y, ty) != gamma:
-            raise RewriteError("trace replay failed, search bookkeeping is broken")
-        return ConfluenceResult("equal", gamma, tx, ty, explored)
-
     for _ in range(depth):
         progressed = False
-        for side, other in ((sx, sy), (sy, sx)):
+        for side, other, from_x in ((sx, sy, True), (sy, sx, False)):
             added = side.expand(max(1, node_budget + 1 - explored))
             explored += len(added)
-            if added:
-                progressed = True
-            hit = meet_from(added, other)
-            if hit:
-                hit.explored = explored
-                return hit
+            progressed = progressed or bool(added)
+            pair = meet(added, from_x, other)
+            if pair:
+                ex, ey = pair
+                return "met", explored, ((ex, sx.trace_to(ex)), (ey, sy.trace_to(ey)))
             if explored > node_budget:
-                return ConfluenceResult("exhausted", explored=explored)
+                return "exhausted", explored, None
         if not progressed:
             break
-    return ConfluenceResult("unknown", explored=explored)
+    return "unknown", explored, None
 
 
 def split_trace(g: SepGraph, part_a: FreeElement, part_b: FreeElement, trace):
@@ -624,35 +634,25 @@ def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
             return LeResult("no")
     if y.contains(x):
         return LeResult("yes", y.minus(x))
-    sx, sy = _Side(cg, root_x), _Side(cg, root_y)
-    seen = 2
 
-    def witness(x2, w):
+    def meet(added, from_x, other):
+        reached = sorted(other.parent, key=cg.sort_key)
+        for a in sorted(added, key=cg.sort_key):
+            for b in reached:
+                x2, w = (a, b) if from_x else (b, a)
+                if all(map(ge, w, x2)):
+                    return x2, w
+
+    status, _, hit = _two_sided(cg, root_x, root_y, depth, node_budget, meet)
+    if hit:
+        (x2, tx), (w, ty) = hit
         z = cg.unpack(tuple(map(sub, w, x2)))
-        lhs = apply_trace(g, x + z, sx.trace_to(x2))
-        rhs = apply_trace(g, y, sy.trace_to(w))
-        if lhs != rhs:
+        if apply_trace(g, x + z, tx) != apply_trace(g, y, ty):
             raise RewriteError("order witness replay failed")
         return LeResult("yes", z)
-
-    for _ in range(depth):
-        new_x = sx.expand()
-        new_y = sy.expand()
-        seen += len(new_x) + len(new_y)
-        reached_x = sorted(sx.parent, key=cg.sort_key)
-        for w in sorted(new_y, key=cg.sort_key):
-            for x2 in reached_x:
-                if all(map(ge, w, x2)):
-                    return witness(x2, w)
-        fresh = set(new_y)
-        old_y = sorted((w for w in sy.parent if w not in fresh), key=cg.sort_key)
-        for x2 in sorted(new_x, key=cg.sort_key):
-            for w in old_y:
-                if all(map(ge, w, x2)):
-                    return witness(x2, w)
-        if seen > node_budget:
-            return LeResult("unknown")
-    for v in sorted(set(g.vertices)):
+    if status == "exhausted":
+        return LeResult("unknown")
+    for v in g.vertices:
         for n in (1, 2):
             z = FreeElement({v: n})
             if eq_exact(g, x + z, y):

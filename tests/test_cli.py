@@ -57,6 +57,13 @@ def test_validate_parse_error_exit_2(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_validate_huge_multiplicity_exit_2(tmp_path, capsys):
+    p = tmp_path / "huge.sg"
+    p.write_text("vertex w\nedge l w w * 10001\nblock l\n")
+    assert main(["validate", str(p)]) == 2
+    assert "multiplicities add more than 10000 edges" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["validate", "/no/such/file.sg"]) == 2
 
@@ -234,8 +241,6 @@ def test_realize_accepts_and_ignores_seed(s1, tmp_path):
 
 # ------------------------------------------------------------------- fuzz
 
-# a large number is only put into .is text: as an .sg edge multiplicity it
-# would expand into that many edges
 _ODD_TOKENS = ("-1", "0", "-7", "40", "1e9", "x", "zz", "*", "<", ":", "->", ";",
                "Z^-2", "Z/0", "Z/1", "g9")
 _HUGE = str(10 ** 30)
@@ -300,7 +305,7 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys):
         name = graph_names()[n % 5]
         text = fixture_text(f"{name}.sg")
         path = tmp_path / f"m{n}.sg"
-        path.write_text(_mutate(rng, text) if n >= 5 else text)
+        path.write_text(_mutate(rng, text, _ODD_TOKENS + (_HUGE,)) if n >= 5 else text)
         verts = parse_graph(text).vertices
         p = str(path)
         x, y = _element_text(rng, verts), _element_text(rng, verts)
@@ -321,6 +326,8 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys):
         path.write_text(_mutate(rng, systems[n % len(systems)], _ODD_TOKENS + (_HUGE,)))
         run(["realize", str(path), "--budget", "0"] + (["--no-verify"] if n % 2 else []))
     g1 = str(tmp_path / "m0.sg")
+    huge = tmp_path / "huge.sg"
+    huge.write_text(fixture_text("g5.sg").replace("* 2", "* " + _HUGE))
     for argv in (
         ["eq", g1, "b", "2*b", "--method", "confluence", "--depth", _HUGE, "--budget", "50"],
         ["eq", g1, "a", "b", "--method", "confluence", "--depth", "2", "--budget", _HUGE],
@@ -340,9 +347,10 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys):
         ["extract", g1, "-o", str(tmp_path / "no-such-dir" / "out.is")],
         ["realize", str(tmp_path / "m1.is"), "--seed", "x"],
         ["validate", str(tmp_path)],
+        ["validate", str(huge)],
         [],
         ["frobnicate"],
     ):
         run(argv)
     assert not bad, bad[:5]
-    assert len(codes) == 740 and {0, 1, 2, 3} <= set(codes)
+    assert len(codes) == 741 and {0, 1, 2, 3} <= set(codes)

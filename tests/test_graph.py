@@ -8,7 +8,8 @@ import pytest
 
 import sepmonoid
 from sepmonoid.fixtures import fixture_graph, fixture_text, graph_names
-from sepmonoid.graph import (GraphError, GraphParseError, NotAdaptableError,
+from sepmonoid.graph import (MAX_EXPANDED_EDGES, GraphError, GraphParseError,
+                             NotAdaptableError,
                              SepGraph, check_adaptable, condensation,
                              export_dot, parse_graph, remove_edge,
                              require_adaptable, restrict_lower,
@@ -33,6 +34,17 @@ def test_parse_multiplicity_sugar():
     g = parse_graph("vertex w\nedge l w w * 3\nblock l\n")
     assert sorted(g.edges) == ["l.1", "l.2", "l.3"]
     assert g.blocks_of["w"] == (("l.1", "l.2", "l.3"),)
+
+
+def test_parse_caps_multiplicity_edges():
+    head = "vertex w\nedge l w w * 3\n"
+    assert len(parse_graph(f"vertex v\nedge e v v * {MAX_EXPANDED_EDGES}\n").edges) \
+        == MAX_EXPANDED_EDGES
+    with pytest.raises(GraphParseError, match="line 3: multiplicities add more"):
+        parse_graph(head + "edge e w w * 10001\n")
+    # the cap counts the edges of all lines together
+    with pytest.raises(GraphParseError, match="line 4: multiplicities add more"):
+        parse_graph(head + "edge e w w * 6000\nedge f w w * 6000\n")
 
 
 def test_parse_errors():

@@ -411,6 +411,77 @@ def test_support_certificate_on_adaptable_graph():
     assert (res.status, res.invariant, res.explored) == ("unequal", "support", 0)
 
 
+# (graph, x, y, depth, status, z) of le_semidecide at the default budget
+GOLDEN_ORDER = [
+    ("g5", "b", "a+a'+b", 8, "yes", "a+a'"),      # y contains x
+    ("g5", "a", "b", 6, "no", None),               # support precheck
+    ("g5", "2*a", "a", 8, "no", None),             # free multiplicity precheck
+    ("g5", "b", "a", 1, "yes", "a+b"),
+    ("g3", "2*u", "w", 1, "unknown", None),
+    ("g3", "2*u", "w", 2, "yes", "3*w"),
+    ("g1", "3*b", "2*a", 2, "yes", "2*a"),          # eq_exact fallback
+    ("g3", "3*u", "u", 1, "yes", "2*w"),            # eq_exact fallback
+    ("g4", "3*w", "b+2*w", 5, "yes", "2*b"),
+    ("rand-11", "v1", "v7", 1, "yes", "v7"),        # eq_exact fallback
+    ("rand-11", "v1", "v7", 2, "yes", "v3+v5+v7"),
+    ("rand-11", "2*v1", "v7", 2, "yes", "v7"),      # eq_exact fallback
+    ("rand-11", "v5+v7", "v6+v7", 1, "yes", "v3+v6"),
+    ("rand-13", "v1", "v4", 2, "yes", "6*v2+v3+2*v4"),
+    ("rand-13", "v1", "v3", 3, "yes", "6*v2+3*v3+2*v4"),
+    ("rand-13", "v1", "v5+v6", 3, "unknown", None),
+    ("rand-13", "v1", "v5+v6", 8, "yes", "6*v2+3*v3+2*v4+v5+v6"),
+    ("rand-13", "2*v7", "v6+v7", 8, "yes", "v6+3*v7"),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_ORDER, ids=lambda c: f"{c[0]}:{c[1]}<={c[2]}@{c[3]}")
+def test_le_semidecide_golden(case):
+    name, xs, ys, depth, status, z = case
+    g = GOLDEN_GRAPHS[name] if name in GOLDEN_GRAPHS else fixture_graph(name)
+    x, y = fe(g, xs), fe(g, ys)
+    res = le_semidecide(g, x, y, depth)
+    found = serialize_element(res.z) if res.z is not None else None
+    assert (res.status, found) == (status, z)
+    if status == "yes":
+        assert eq_exact(g, x + res.z, y)
+
+
+# rand-16 of the same corpus
+RAND_16 = """\
+vertex v1
+vertex v2
+vertex v3
+vertex v4
+vertex v5
+vertex v6
+edge e1 v1 v1
+edge e10 v5 v5
+edge e11 v5 v2
+edge e2 v1 v1
+edge e3 v3 v3
+edge e4 v3 v3
+edge e5 v3 v1
+edge e6 v3 v1
+edge e7 v4 v4
+edge e8 v4 v4
+edge e9 v4 v4
+block e1 e2
+block e3 e4 e5 e6
+block e7 e8 e9
+block e10 e11
+"""
+
+
+def test_le_semidecide_stops_at_the_first_node_past_the_budget():
+    # the witness lies in a layer that crosses 50 nodes: a search that
+    # finished the layer before checking the budget would answer yes
+    g = parse_graph(RAND_16)
+    x, y = fe(g, "5*v1+3*v3+3*v4"), fe(g, "v2+v3+2*v4")
+    assert le_semidecide(g, x, y, 8, node_budget=50).status == "unknown"
+    res = le_semidecide(g, x, y, 8, node_budget=60)
+    assert (res.status, serialize_element(res.z)) == ("yes", "v2+v4")
+
+
 def test_random_walk_golden():
     g = GOLDEN_GRAPHS["rand-13"]
     x = fe(g, "v1+v4+v7")
