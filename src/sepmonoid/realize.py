@@ -19,7 +19,7 @@ ConstructionFailed.  Both carry the offending prime in the message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd
 
 from .abelian import (
     FGAbelianGroup, GroupHom, cone_walk, kernel_generators, left_kernel,
@@ -486,6 +486,12 @@ class RoundtripReport:
     theta: dict | None = None      # Verified: prime -> iso ext group -> system group
 
 
+def _content(x) -> int:
+    """The gcd of the free canonical coordinates of x.  Every isomorphism
+    keeps it, so f(a) == b fails for all f when a and b differ in it."""
+    return gcd(*x.canonical()[0])
+
+
 def roundtrip_check(system: ISystem, graph: SepGraph, box: int = 4,
                     branch: int = 64) -> RoundtripReport:
     """Compare a system against the extraction of a (realized) graph.
@@ -538,7 +544,8 @@ def roundtrip_check(system: ISystem, graph: SepGraph, box: int = 4,
                 if tried >= branch:
                     break
             theta.pop(p, None)
-            if tried == 0 and system.group[p].free_rank > 0:
+            if (tried == 0 and system.group[p].free_rank > 0
+                    and all(_content(a) == _content(b) for a, b in constraints)):
                 saw_inconclusive = True
             return False
 

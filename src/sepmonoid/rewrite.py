@@ -18,9 +18,10 @@ test in the direct sum of the component groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, ge, mul, sub
 
-from .abelian import FGAbelianGroup, direct_sum, subgroup_membership
+from .abelian import FGAbelianGroup
 from .graph import SepGraph, check_adaptable, require_adaptable
 from .isystem import extract_isystem
 
@@ -261,25 +262,31 @@ class _Certificates:
     below it.  On a graph that is not adaptable, a step v -> w can drop the
     class of v, so `adaptable` switches this invariant off.
 
-    Elements that differ in either image are unequal in the monoid.
+    Elements that differ in either image are unequal in the monoid.  Bit k
+    of a class mask stands for classes[k], the k-th class id in sorted order.
     """
 
-    __slots__ = ("columns", "adaptable", "class_bits", "below")
-
     def __init__(self, g: SepGraph):
-        cg = g.derived(_CompiledGraph)
-        grp = FGAbelianGroup(len(cg.vertices),
-                             [delta for mine in cg.moves for _, delta in mine])
-        self.columns = grp.coordinate_columns()
+        self._cg = cg = g.derived(_CompiledGraph)
         report = check_adaptable(g)
         self.adaptable = report.ok
         cond = report.condensation
-        bit = {c: 1 << k for k, c in enumerate(sorted(cond.members))}
+        self.classes = tuple(sorted(cond.members))
+        bit = {c: 1 << k for k, c in enumerate(self.classes)}
         below = {c: sum(bit[q] for q in cond.poset.strict_down(c)) for c in bit}
         self.class_bits = tuple(bit[cond.class_of[v]] for v in cg.vertices)
         self.below = tuple(below[cond.class_of[v]] for v in cg.vertices)
 
+    @cached_property
+    def columns(self):
+        # built on the first group test: the normal forms only need the masks
+        cg = self._cg
+        grp = FGAbelianGroup(len(cg.vertices),
+                             [delta for mine in cg.moves for _, delta in mine])
+        return grp.coordinate_columns()
+
     def top_classes(self, t):
+        """The mask of the maximal classes of t's support, an antichain."""
         support = lower = 0
         for n, bit, below in zip(t, self.class_bits, self.below):
             if n:
@@ -289,14 +296,29 @@ class _Certificates:
 
     def separating(self, tx, ty):
         """The name of an invariant on which tx and ty differ, or None."""
-        diff = tuple(map(sub, tx, ty))
-        for col, m in self.columns:            # canonical coordinates of tx - ty
-            c = sum(map(mul, diff, col))
-            if c and (not m or c % m):
-                return "group"
+        if not _vanishes(tuple(map(sub, tx, ty)), self.columns):
+            return "group"
         if self.adaptable and self.top_classes(tx) != self.top_classes(ty):
             return "support"
         return None
+
+
+def _vanishes(v, columns) -> bool:
+    """Is v zero in the group with these `coordinate_columns()`?  Each
+    column's dot product with v is one canonical coordinate of v."""
+    for col, m in columns:
+        c = sum(map(mul, v, col))
+        if c and (not m or c % m):
+            return False
+    return True
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass
@@ -458,13 +480,130 @@ class MonoidNF:
         return tuple(e.cls for e in self.entries)
 
 
+class _NormalForms:
+    """The normal-form kernel of an adaptable graph, on packed tuples.
+
+    The normal form of x has one entry per class of its antichain of
+    maximal support classes, `_Certificates.top_classes`.  Each vertex w of
+    the support is folded into one entry: its own class's if that class is
+    in the antichain, else that of the least (by class id) antichain class
+    above it.  A free entry counts its own vertex in its multiplicity n;
+    any other w adds its count at w's label among the generators of the
+    entry's extracted group.
+
+    Tables, by vertex index as in `_CompiledGraph` and by class bit as in
+    `_Certificates`: cls[i] is the class bit of vertex i, up[i] the mask of
+    the classes strictly above it, and label[i][k] its generator index in
+    the group of class k (None where it is no generator).
+    """
+
+    def __init__(self, g: SepGraph):
+        sysm = extract_isystem(g)             # NotAdaptableError if g is not
+        self.cg = cg = g.derived(_CompiledGraph)
+        self.cert = cert = g.derived(_Certificates)
+        classes = cert.classes
+        self.bit = {p: k for k, p in enumerate(classes)}
+        self.kinds = tuple(sysm.kind[p] for p in classes)
+        self.groups = tuple(sysm.group[p] for p in classes)
+        self.columns = tuple(grp.coordinate_columns() for grp in self.groups)
+        self.cls = tuple(b.bit_length() - 1 for b in cert.class_bits)
+        strict_up = [0] * len(classes)
+        for k, below in zip(self.cls, cert.below):
+            for q in _bits(below):
+                strict_up[q] |= 1 << k
+        self.up = tuple(strict_up[k] for k in self.cls)
+        self.label = [[None] * len(classes) for _ in cg.vertices]
+        for k, p in enumerate(classes):
+            for j, w in enumerate(sysm.generator_labels[p]):
+                self.label[cg.index[w]][k] = j
+        self._layouts = {}
+
+    def layout(self, top) -> "_Layout":
+        """The layout of the normal forms with antichain mask top, built once."""
+        found = self._layouts.get(top)
+        if found is None:
+            found = self._layouts[top] = _Layout(self, top)
+        return found
+
+
+class _Layout:
+    """One integer vector per element whose antichain mask is top.
+
+    Each antichain class k owns a block of the vector: its coefficients,
+    then, if k is free, its multiplicity n, a Z summand of its own.  The
+    blocks sit side by side as in the direct sum of their groups, and
+    slot[i] is the place of vertex i.  Two elements with this antichain are
+    equal in the monoid exactly when the delta of their vectors lies in the
+    ambiguity subgroup of that sum: a vertex below two antichain classes
+    p0 < p1 (by class id) is folded into p0 but would count the same in p1,
+    so the subgroup is generated by the differences of the two placements.
+    """
+
+    def __init__(self, nf: _NormalForms, top: int):
+        self.entries = []              # (class bit, offset, ngens, free)
+        offset, size = {}, 0
+        for k in _bits(top):
+            free, ngens = nf.kinds[k] == "free", nf.groups[k].ngens
+            self.entries.append((k, size, ngens, free))
+            offset[k], size = size, size + ngens + free
+        self.size = size
+        self.slot = []
+        self._gens = []
+        for q, up, label in zip(nf.cls, nf.up, nf.label):
+            if top >> q & 1:
+                own = nf.groups[q].ngens if nf.kinds[q] == "free" else label[q]
+                self.slot.append(offset[q] + own)
+                continue
+            above = list(_bits(top & up))
+            if not above:
+                self.slot.append(None)        # no support vertex lies here
+                continue
+            p0 = above[0]
+            self.slot.append(offset[p0] + label[p0])
+            for p1 in above[1:]:
+                row = [0] * size
+                row[offset[p0] + label[p0]] = 1
+                row[offset[p1] + label[p1]] = -1
+                self._gens.append(row)
+        self.columns = []              # the direct sum's coordinate columns
+        for k, off, ngens, free in self.entries:
+            self.columns += [(self._embed(col, off), m) for col, m in nf.columns[k]]
+            if free:
+                self.columns.append((self._embed((1,), off + ngens), 0))
+        self._relations = [self._embed(r, off) for k, off, _, _ in self.entries
+                           for r in nf.groups[k].relations]
+
+    def _embed(self, row, off):
+        return (0,) * off + tuple(row) + (0,) * (self.size - off - len(row))
+
+    @cached_property
+    def _ambiguity_columns(self):
+        # the direct sum modulo the ambiguity subgroup, one Smith form
+        return FGAbelianGroup(self.size, self._relations + self._gens).coordinate_columns()
+
+    def fold(self, t) -> list:
+        """The vector of packed t, whose antichain mask must be this one's."""
+        v = [0] * self.size
+        slot = self.slot
+        for i, c in enumerate(t):
+            if c:
+                v[slot[i]] += c
+        return v
+
+    def is_zero(self, delta) -> bool:
+        """Is this difference of two vectors zero in the monoid?"""
+        if _vanishes(delta, self.columns):
+            return True
+        return bool(self._gens) and _vanishes(delta, self._ambiguity_columns)
+
+
 def antisym_nf(g: SepGraph, x: FreeElement) -> AntisymNF:
     """Normal form in the order-antisymmetrized monoid."""
     report = require_adaptable(g)
-    cond = report.condensation
-    top = cond.poset.maximals({cond.class_of[v] for v in x.support()})
+    cert = g.derived(_Certificates)
+    top = cert.top_classes(g.derived(_CompiledGraph).pack(x))
     entries = []
-    for p in sorted(top):
+    for p in (cert.classes[k] for k in _bits(top)):
         if report.kinds[p] == "free":
             entries.append((p, "free", x.get(p)))
         else:
@@ -473,35 +612,14 @@ def antisym_nf(g: SepGraph, x: FreeElement) -> AntisymNF:
 
 
 def monoid_nf(g: SepGraph, x: FreeElement) -> MonoidNF:
-    report = require_adaptable(g)
-    cond, kinds = report.condensation, report.kinds
-    sysm = extract_isystem(g)
-    classes = sorted({cond.class_of[v] for v in x.support()})
-    top = cond.poset.maximals(classes)
-    assign = {}
-    for q in classes:
-        assign[q] = q if q in top else min(p for p in top if cond.poset.lt(q, p))
-    entries = []
-    for p in sorted(top):
-        labels = sysm.generator_labels[p]
-        index = {w: i for i, w in enumerate(labels)}
-        coeffs = [0] * len(labels)
-        n = 0
-        for q in classes:
-            if assign[q] != p:
-                continue
-            for w in cond.members[q]:
-                c = x.get(w)
-                if not c:
-                    continue
-                if q == p and kinds[p] == "free":
-                    n += c
-                else:
-                    coeffs[index[w]] += c
-        if kinds[p] == "regular":
-            n = 1
-        entries.append(NFEntry(p, kinds[p], n, tuple(coeffs)))
-    return MonoidNF(tuple(entries))
+    nf = g.derived(_NormalForms)
+    t = nf.cg.pack(x)
+    layout = nf.layout(nf.cert.top_classes(t))
+    v = layout.fold(t)
+    return MonoidNF(tuple(
+        NFEntry(nf.cert.classes[k], nf.kinds[k], v[off + n] if free else 1,
+                tuple(v[off:off + n]))
+        for k, off, n, free in layout.entries))
 
 
 def nf_add(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> MonoidNF:
@@ -533,69 +651,29 @@ def nf_add(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> MonoidNF:
     return MonoidNF(tuple(entries))
 
 
-def _ambiguity_tables(g: SepGraph) -> dict:
-    return {}     # antichain -> _ambiguity_subgroup(g, antichain)
-
-
-def _ambiguity_subgroup(g: SepGraph, antichain: tuple):
-    """(direct sum group, embeddings, generators of the ambiguity subgroup),
-    built once per antichain and graph object."""
-    table = g.derived(_ambiguity_tables)
-    if antichain in table:
-        return table[antichain]
-    cond = require_adaptable(g).condensation
-    sysm = extract_isystem(g)
-    poset = cond.poset
-    groups = [sysm.group[p] for p in antichain]
-    total, embeds = direct_sum(groups)
-    pos = {p: i for i, p in enumerate(antichain)}
-    gens = []
-    for q in sorted(cond.members):
-        above = [p for p in antichain if poset.lt(q, p)]
-        if len(above) < 2:
-            continue
-        p0 = min(above)
-        for p1 in above:
-            if p1 == p0:
-                continue
-            for w in cond.members[q]:
-                x0 = _vertex_gen(sysm, p0, w)
-                x1 = _vertex_gen(sysm, p1, w)
-                gens.append(embeds[pos[p0]](x0) - embeds[pos[p1]](x1))
-    table[antichain] = found = (total, embeds, tuple(gens))
-    return found
-
-
-def _vertex_gen(sysm, p, w):
-    labels = sysm.generator_labels[p]
-    idx = labels.index(w)
-    return sysm.group[p].gen(idx)
-
-
 def nf_equal(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> bool:
     if nf1.antichain() != nf2.antichain():
         return False
-    sysm = extract_isystem(g)
-    deltas = []
-    for e1, e2 in zip(nf1.entries, nf2.entries):
-        if e1.kind != e2.kind or e1.n != e2.n:
-            return False
-        grp = sysm.group[e1.cls]
-        deltas.append(grp.element(e1.gcoeffs) - grp.element(e2.gcoeffs))
-    if all(d.is_zero() for d in deltas):
-        return True
-    total, embeds, gens = _ambiguity_subgroup(g, nf1.antichain())
-    delta = total.zero()
-    for emb, d in zip(embeds, deltas):
-        delta = delta + emb(d)
-    if not gens:
-        return delta.is_zero()
-    return subgroup_membership(list(gens), delta)
+    nf = g.derived(_NormalForms)
+    layout = nf.layout(sum(1 << nf.bit[e.cls] for e in nf1.entries))
+    delta = []
+    for e1, e2, (_, _, _, free) in zip(nf1.entries, nf2.entries, layout.entries):
+        delta += map(sub, e1.gcoeffs, e2.gcoeffs)
+        if free:
+            delta.append(e1.n - e2.n)
+    return layout.is_zero(delta)
 
 
 def eq_exact(g: SepGraph, x: FreeElement, y: FreeElement) -> bool:
-    """Total equality decision for monoid elements of an adaptable graph."""
-    return nf_equal(g, monoid_nf(g, x), monoid_nf(g, y))
+    """Total equality decision for monoid elements of an adaptable graph:
+    nf_equal of their normal forms, without building them."""
+    nf = g.derived(_NormalForms)
+    tx, ty = nf.cg.pack(x), nf.cg.pack(y)
+    top = nf.cert.top_classes(tx)
+    if top != nf.cert.top_classes(ty):
+        return False
+    layout = nf.layout(top)
+    return layout.is_zero(list(map(sub, layout.fold(tx), layout.fold(ty))))
 
 
 # ----------------------------------------------------------- order relation

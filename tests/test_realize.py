@@ -146,6 +146,35 @@ def test_roundtrip_rejects_wrong_group():
     assert rep.status == "FailedAt"
 
 
+# a Z prime over a trivial free prime, with the unit image left open
+UNIT_SYSTEM = """\
+prime p1 free
+prime p2 reg
+prime p3 reg
+cover p1 < p2
+group p1 : 0
+group p2 : Z
+group p3 : 0
+map p2 <- p1 : unit -> {}
+"""
+
+
+def test_roundtrip_certifies_a_doubled_free_unit():
+    s = parse_isystem(UNIT_SYSTEM.format("-g1"))
+    g = realize(s).graph
+    assert roundtrip_check(s, g).status == "Verified"
+    # the extracted unit has free content 1; an isomorphism keeps the gcd
+    # of the free coordinates, so no theta sends it to a multiple of 2 or 3
+    for unit in ("2*g1", "-2*g1", "3*g1"):
+        rep = roundtrip_check(parse_isystem(UNIT_SYSTEM.format(unit)), g)
+        assert (rep.status, rep.detail) == (
+            "FailedAt", "no compatible family of group isomorphisms"), unit
+        assert roundtrip_check(parse_isystem(UNIT_SYSTEM.format(unit)), g,
+                               box=0).status == "FailedAt"
+    # with the contents equal, an empty box is still only a bound
+    assert roundtrip_check(s, g, box=0).status == "InconclusiveWithinBound"
+
+
 def test_realize_is_deterministic():
     s = extract_isystem(fixture_graph("g5"))
     g_a = realize(s, seed=7).graph

@@ -1,5 +1,6 @@
 import pickle
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from sepmonoid import graph as graph_mod
 from sepmonoid import isystem as isystem_mod
-from sepmonoid.fixtures import fixture_graph, fixture_text
+from sepmonoid.abelian import direct_sum, subgroup_membership
+from sepmonoid.fixtures import fixture_graph, fixture_text, graph_names
 from sepmonoid.graph import (check_adaptable, condensation, parse_graph,
                              require_adaptable)
 from sepmonoid.isystem import (canonicalized, extract_isystem,
@@ -15,9 +17,9 @@ from sepmonoid.isystem import (canonicalized, extract_isystem,
 from sepmonoid.realize import realize, roundtrip_check
 from sepmonoid.randgen import (random_adaptable, random_element, random_trace,
                                random_walk)
-from sepmonoid.rewrite import (FreeElement, RewriteError, antisym_nf,
-                               apply_step, apply_trace, confluence_equal,
-                               confluence_search, eq_exact,
+from sepmonoid.rewrite import (FreeElement, MonoidNF, NFEntry, RewriteError,
+                               antisym_nf, apply_step, apply_trace,
+                               confluence_equal, confluence_search, eq_exact,
                                grothendieck_of_restriction,
                                le_semidecide, monoid_nf, nf_add, nf_equal,
                                parse_element, refinement_witness,
@@ -202,6 +204,32 @@ def test_monoid_nf_equal_matches_eq():
         n1 = monoid_nf(g, fe(g, lt))
         n2 = monoid_nf(g, fe(g, rt))
         assert nf_equal(g, n1, n2) is want
+
+
+# (graph, element, entries as (cls, kind, n, gcoeffs))
+GOLDEN_NF = [
+    ("g1", "0", []),
+    ("g1", "3*b", [("b", "free", 3, ())]),
+    ("g1", "a", [("a", "free", 1, (0,))]),
+    ("g1", "2*a+5*b", [("a", "free", 2, (5,))]),
+    ("g2", "w", [("w", "regular", 1, (1,))]),
+    ("g2", "5*w", [("w", "regular", 1, (5,))]),
+    ("g5", "b", [("b", "free", 1, ())]),
+    ("g5", "a+2*b", [("a", "free", 1, (2,))]),
+    ("g5", "a'+b", [("a'", "free", 1, (1,))]),
+    # b lies below both a and a': the least class id, a, absorbs it
+    ("g5", "a+a'+b", [("a", "free", 1, (1,)), ("a'", "free", 1, (0,))]),
+    ("g5", "2*a+a'+3*b", [("a", "free", 2, (3,)), ("a'", "free", 1, (0,))]),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_NF, ids=lambda c: f"{c[0]}:{c[1]}")
+def test_monoid_nf_golden(case):
+    name, text, entries = case
+    g = fixture_graph(name)
+    nf = monoid_nf(g, fe(g, text))
+    assert [(e.cls, e.kind, e.n, e.gcoeffs) for e in nf.entries] == entries
+    assert nf == _reference_monoid_nf(g, fe(g, text))
 
 
 def test_nf_add_consistent_with_sum():
@@ -492,6 +520,18 @@ def test_random_walk_golden():
     assert random_walk(random.Random(3), g, x, 8) == y
 
 
+def test_normal_forms_reject_unknown_vertices():
+    g = fixture_graph("g5")
+    bad, good = FreeElement({"zz": 1}), fe(g, "2*a")
+    calls = [lambda: eq_exact(g, bad, good), lambda: eq_exact(g, good, bad),
+             lambda: monoid_nf(g, bad), lambda: antisym_nf(g, bad),
+             lambda: confluence_equal(g, bad, good),
+             lambda: le_semidecide(g, bad, good)]
+    for call in calls:
+        with pytest.raises(RewriteError, match="unknown vertex 'zz'"):
+            call()
+
+
 def test_searches_reject_unknown_vertices():
     g = fixture_graph("g5")
     bad = FreeElement({"a": 1, "zz": 1})
@@ -566,6 +606,118 @@ def test_eq_exact_reflexive(x):
 @given(elements(G5), elements(G5))
 def test_eq_exact_symmetric(x, y):
     assert eq_exact(G5, x, y) == eq_exact(G5, y, x)
+
+
+# ------------------------------------- the normal-form kernel against the
+# route it replaced: Poset.maximals and per-class assignment for monoid_nf,
+# and GroupElement deltas with subgroup_membership in the direct sum for
+# nf_equal, restated here
+
+
+def _reference_monoid_nf(g, x):
+    report = require_adaptable(g)
+    cond, kinds = report.condensation, report.kinds
+    sysm = extract_isystem(g)
+    classes = sorted({cond.class_of[v] for v in x.support()})
+    top = cond.poset.maximals(classes)
+    entries = []
+    for p in top:
+        index = {w: i for i, w in enumerate(sysm.generator_labels[p])}
+        coeffs = [0] * len(index)
+        n = 0
+        for q in classes:
+            owner = q if q in top else min(r for r in top if cond.poset.lt(q, r))
+            if owner != p:
+                continue
+            for w in cond.members[q]:
+                if q == p and kinds[p] == "free":
+                    n += x.get(w)
+                elif x.get(w):
+                    coeffs[index[w]] += x.get(w)
+        entries.append(NFEntry(p, kinds[p], 1 if kinds[p] == "regular" else n,
+                               tuple(coeffs)))
+    return MonoidNF(tuple(entries))
+
+
+def _reference_nf_equal(g, nf1, nf2):
+    """(answer, how): how is "membership" when the per-class deltas were
+    not all zero and the ambiguity subgroup had generators."""
+    if nf1.antichain() != nf2.antichain():
+        return False, "antichain"
+    sysm = extract_isystem(g)
+    deltas = []
+    for e1, e2 in zip(nf1.entries, nf2.entries):
+        if e1.kind != e2.kind or e1.n != e2.n:
+            return False, "multiplicity"
+        grp = sysm.group[e1.cls]
+        deltas.append(grp.element(e1.gcoeffs) - grp.element(e2.gcoeffs))
+    if all(d.is_zero() for d in deltas):
+        return True, "zero"
+    antichain = nf1.antichain()
+    total, embeds = direct_sum([sysm.group[p] for p in antichain])
+    delta = total.zero()
+    for emb, d in zip(embeds, deltas):
+        delta = delta + emb(d)
+    cond = require_adaptable(g).condensation
+    gens = []
+    for q in sorted(cond.members):
+        above = [i for i, p in enumerate(antichain) if sysm.poset.lt(q, p)]
+        for i1 in above[1:]:
+            for w in cond.members[q]:
+                x0, x1 = (sysm.group[antichain[i]].gen(
+                    sysm.generator_labels[antichain[i]].index(w)) for i in (above[0], i1))
+                gens.append(embeds[above[0]](x0) - embeds[i1](x1))
+    if not gens:
+        return delta.is_zero(), "no generators"
+    return subgroup_membership(gens, delta), "membership"
+
+
+CORPUS = [(name, fixture_graph(name)) for name in graph_names()]
+_corpus_rng = random.Random(20260819)       # the acceptance corpus
+CORPUS += [(f"rand-{i + 1}", random_adaptable(_corpus_rng, max_classes=6))
+           for i in range(20)]
+
+
+def _lower_content_pair(rng, g):
+    """x, and x plus a few vertices, rewritten half the time: the two often
+    share an antichain and multiplicities but not their coefficients."""
+    x = random_element(rng, g, 4)
+    y = x
+    for _ in range(rng.randint(1, 3)):
+        y = y + FreeElement({rng.choice(g.vertices): rng.randint(1, 3)})
+    if rng.random() < 0.5:
+        y = random_walk(rng, g, y, rng.randint(0, 3))
+    return x, y
+
+
+def _check_against_reference(g, x, y):
+    nx, ny = monoid_nf(g, x), monoid_nf(g, y)
+    assert nx == _reference_monoid_nf(g, x) and ny == _reference_monoid_nf(g, y)
+    want, how = _reference_nf_equal(g, nx, ny)
+    assert eq_exact(g, x, y) is want
+    assert nf_equal(g, nx, ny) is want
+    return want, how
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CORPUS), st.integers(0, 2**32))
+def test_normal_form_kernel_matches_reference(named, seed):
+    _, g = named
+    x, y = _lower_content_pair(random.Random(seed), g)
+    _check_against_reference(g, x, y)
+
+
+def test_normal_form_kernel_reaches_the_ambiguity_subgroup():
+    # the same pairs, drawn with fixed seeds: the kernel agrees with the
+    # reference on pairs that the ambiguity subgroup decides both ways
+    seen = set()
+    for name, g in CORPUS:
+        rng = random.Random(zlib.crc32(name.encode()))
+        for _ in range(40):
+            want, how = _check_against_reference(g, *_lower_content_pair(rng, g))
+            seen.add((how, want))
+    assert {("membership", True), ("membership", False), ("zero", True),
+            ("no generators", False), ("multiplicity", False)} <= seen
 
 
 # ------------------------------------------------- one analysis per graph
