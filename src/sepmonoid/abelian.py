@@ -311,8 +311,8 @@ class FGAbelianGroup:
 
     def generator_coords(self):
         """Canonical coordinates of each generator, free then torsion, as rows."""
-        return [list(free) + list(tors)
-                for free, tors in map(self.canonical_coords, identity(self.ngens))]
+        cols = self.coordinate_columns()
+        return [[col[j] % m if m else col[j] for col, m in cols] for j in range(self.ngens)]
 
     def torsion_orders(self):
         return tuple(self._diag[i] for i in self._tors_idx)

@@ -16,9 +16,8 @@ from .fixtures import fixture_graph, graph_names
 from .graph import (GraphError, GraphParseError, NotAdaptableError,
                     check_adaptable, export_dot, parse_graph, serialize_graph)
 from .isystem import (COUNTEREXAMPLE, INCONCLUSIVE, ISystemError,
-                      ISystemParseError, extract_isystem, parse_group_name,
-                      parse_isystem, serialize_element_expr,
-                      serialize_isystem, validate_isystem)
+                      ISystemParseError, extract_isystem, parse_isystem,
+                      serialize_coords, serialize_isystem, validate_isystem)
 from .posets import PosetError
 from .props import run_suites
 from .randgen import random_adaptable
@@ -67,11 +66,8 @@ def _nf_lines(g, e):
         return ["nf 0"]
     out = []
     for ent in ents:
-        grp = sysm.group[ent.cls]
-        fr, tc = grp.element(ent.gcoeffs).canonical()
-        canon = parse_group_name(grp.canonical_name())
-        gtxt = serialize_element_expr(canon.element(list(fr) + list(tc)))
-        out.append(f"nf {ent.cls} {ent.kind} n={ent.n} group={gtxt}")
+        fr, tc = sysm.group[ent.cls].canonical_coords(ent.gcoeffs)
+        out.append(f"nf {ent.cls} {ent.kind} n={ent.n} group={serialize_coords(fr + tc)}")
     return out
 
 
@@ -111,7 +107,7 @@ def cmd_realize(args):
     if vrep.status == INCONCLUSIVE:
         print("warning: validation inconclusive within bounds", file=sys.stderr)
     try:
-        result = realize(sysm, budget=max(20, args.budget // 500), validate=False)
+        result = realize(sysm, budget=args.budget, validate=False)
     except ConstructionInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
@@ -302,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the extract-and-compare round trip")
     p.add_argument("--seed", type=int, default=None,
                    help="ignored: realization is deterministic")
-    common(p, depth=False)
+    p.add_argument("--budget", type=_COUNT, default=200,
+                   help="search budget per regular prime, in units of 100 "
+                        "visits (default 200)")
+    common(p, depth=False, budget=False)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("eq", help="decide equality of two elements")

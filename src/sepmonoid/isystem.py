@@ -12,11 +12,9 @@ against the axioms, and round-tripped through a text format (.is).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
-from .abelian import (
-    FGAbelianGroup, GroupElement, GroupHom, cone_walk, identity, zero_hom,
-)
+from .abelian import (FGAbelianGroup, GroupElement, GroupHom, cone_walk, identity,
+                      vec_mat, zero_hom)
 from .graph import SepGraph, require_adaptable
 from .posets import Poset
 
@@ -410,65 +408,67 @@ def parse_element_expr(s: str, group: FGAbelianGroup) -> GroupElement:
     return group.element(coeffs)
 
 
-def serialize_element_expr(x: GroupElement) -> str:
-    g = x.group
-    coeffs = list(x.coeffs)
-    free = g.free_rank
-    for k, d in enumerate(g.invariant_factors):
-        coeffs[free + k] %= d
-    terms = []
-    for i, c in enumerate(coeffs):
+def serialize_coords(coords) -> str:
+    """`.is` text of a coefficient row, such as g1 - 2*g3, or 0."""
+    out = ""
+    for i, c in enumerate(coords, 1):
         if not c:
             continue
-        name = f"g{i + 1}"
-        if c == 1:
-            term = name
-        elif c == -1:
-            term = f"-{name}"
+        term = f"g{i}" if abs(c) == 1 else f"{abs(c)}*g{i}"
+        if out:
+            out += f" + {term}" if c > 0 else f" - {term}"
         else:
-            term = f"{c}*{name}"
-        terms.append(term)
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+            out = term if c > 0 else f"-{term}"
+    return out or "0"
+
+
+def _torsion_reduced(row, g: FGAbelianGroup):
+    """row with each entry at a torsion position of g's canonical form reduced."""
+    out = list(row)
+    for k, d in enumerate(g.invariant_factors, g.free_rank):
+        out[k] %= d
     return out
 
 
-def canonicalized(sys: ISystem) -> ISystem:
-    """Equivalent system whose groups are in canonical diagonal form.
+def serialize_element_expr(x: GroupElement) -> str:
+    return serialize_coords(_torsion_reduced(x.coeffs, x.group))
 
-    A group already in that form keeps its generators, so canonicalizing
-    a canonical system changes nothing.
-    """
-    canon = {}
-    fwd = {}
-    back = {}
+
+def _canonical_frame(g: FGAbelianGroup):
+    """(relations, coords, preimages) of g's canonical diagonal form: the
+    diagonal relation rows, the matrix taking g's coefficient rows to their
+    canonical coordinates (torsion not yet reduced), and a function giving
+    the canonical generators' coefficient rows (a Smith form on first call,
+    paid only by map sources).  A group already in that form keeps its generators."""
+    n = g.free_rank + len(g.invariant_factors)
+    eye = identity(n)
+    rels = [[d * x for x in eye[k]] for k, d in enumerate(g.invariant_factors, g.free_rank)]
+    if g.ngens == n and g.relations == rels:
+        return rels, eye, lambda: eye
+    return rels, g.generator_coords(), lambda: [e.coeffs for e in g.canonical_generators()]
+
+
+def canonicalized(sys: ISystem) -> ISystem:
+    """Equivalent system whose groups are in canonical diagonal form."""
+    frames, canon = {}, {}
     for p in sys.poset:
         g = sys.group[p]
-        c = FGAbelianGroup(g.free_rank + len(g.invariant_factors), [
-            [d if j == g.free_rank + k else 0
-             for j in range(g.free_rank + len(g.invariant_factors))]
-            for k, d in enumerate(g.invariant_factors)
-        ])
-        if g.same_presentation(c):
-            eye = identity(g.ngens)
-            fwd[p], back[p], canon[p] = GroupHom(g, c, eye), GroupHom(c, g, eye), c
-            continue
-        fwd[p] = GroupHom(g, c, g.generator_coords())
-        back[p] = GroupHom(c, g, [e.coeffs for e in g.canonical_generators()])
-        canon[p] = c
+        frames[p] = _canonical_frame(g)
+        canon[p] = FGAbelianGroup(g.free_rank + len(g.invariant_factors), frames[p][0])
     maps = {}
     for (hi, lo), cm in sys.maps.items():
-        hom = fwd[hi].compose(cm.hom.compose(back[lo]))
-        unit = fwd[hi](cm.unit) if cm.unit is not None else None
-        maps[(hi, lo)] = ConnectingMap(hom, unit)
+        coords = frames[hi][1]
+        rows = [vec_mat(vec_mat(pre, cm.hom.matrix), coords) for pre in frames[lo][2]()]
+        unit = None if cm.unit is None else canon[hi].element(vec_mat(cm.unit.coeffs, coords))
+        maps[(hi, lo)] = ConnectingMap(GroupHom(canon[lo], canon[hi], rows), unit)
     return ISystem(sys.poset, sys.kind, canon, maps)
 
 
 def serialize_isystem(sys: ISystem) -> str:
-    sys = canonicalized(sys)
+    """`.is` text of sys in canonical form: each map clause gives the
+    canonical coordinates in G_hi of the unit image or of the image of one
+    of G_lo's canonical generators, with torsion reduced."""
+    frames = {p: _canonical_frame(sys.group[p]) for p in sys.poset}
     lines = []
     for p in sys.poset:
         lines.append(f"prime {p} {'reg' if sys.kind[p] == 'regular' else 'free'}")
@@ -481,12 +481,12 @@ def serialize_isystem(sys: ISystem) -> str:
             cm = sys.maps[(hi, lo)]
             if sys.kind[lo] == "regular" and sys.group[lo].is_trivial():
                 continue
-            clauses = []
-            if cm.unit is not None:
-                clauses.append(f"unit -> {serialize_element_expr(cm.unit)}")
-            for i in range(sys.group[lo].ngens):
-                img = sys.group[hi].element(cm.hom.matrix[i])
-                clauses.append(f"g{i + 1} -> {serialize_element_expr(img)}")
+            images = [] if cm.unit is None else [("unit", cm.unit.coeffs)]
+            images += [(f"g{i}", vec_mat(pre, cm.hom.matrix))
+                       for i, pre in enumerate(frames[lo][2](), 1)]
+            clauses = (f"{lhs} -> " + serialize_coords(
+                _torsion_reduced(vec_mat(row, frames[hi][1]), sys.group[hi]))
+                for lhs, row in images)
             lines.append(f"map {hi} <- {lo} : " + " ; ".join(clauses))
     return "\n".join(lines) + "\n"
 

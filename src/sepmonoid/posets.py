@@ -78,15 +78,8 @@ class Poset:
 
     def covers(self) -> list:
         """All cover pairs (a, b): a < b with nothing strictly between."""
-        out = []
-        for a in self.elements:
-            for b in self.elements:
-                if not self.lt(a, b):
-                    continue
-                if any(self.lt(a, c) and self.lt(c, b) for c in self.elements):
-                    continue
-                out.append((a, b))
-        return out
+        return [(a, b) for a in self.elements for b in sorted(self._up[a] - {a})
+                if self._up[a] & self._down[b] == {a, b}]
 
     def lower_covers(self, p) -> list:
         return sorted(a for a, b in self.covers() if b == p)

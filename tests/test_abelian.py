@@ -162,6 +162,8 @@ def test_canonical_coords_roundtrip():
         assert g.eq(x, g.from_canonical(free, tors))
         dots = [sum(c * k for c, k in zip(coeffs, col)) for col, _ in cols]
         assert tuple(d % m if m else d for d, (_, m) in zip(dots, cols)) == free + tors
+    assert g.generator_coords() == [list(x.canonical()[0] + x.canonical()[1])
+                                    for x in map(g.gen, range(3))]
 
 
 def test_relation_free_group_needs_no_smith_form(monkeypatch):

@@ -6,6 +6,7 @@ from sepmonoid.cli import main
 from sepmonoid.fixtures import fixture_text, graph_names
 from sepmonoid.graph import parse_graph
 from sepmonoid.isystem import parse_isystem
+from sepmonoid.realize import realize
 
 
 @pytest.fixture
@@ -115,6 +116,40 @@ def test_nf_prints_antichain(g5, capsys):
     out = capsys.readouterr().out
     assert "antisym" in out
     assert "nf a free" in out
+
+
+# stdout of `sepmonoid nf`: group= is the canonical coordinates of the
+# class's group, torsion reduced (Z/2 on g2, Z on g3 and g4, Z/3 at a')
+NF_GOLDEN = [
+    ("g1", "2*b", "antisym b:free:2\nnf b free n=2 group=0\n"),
+    ("g2", "w", "antisym w:regular:1\nnf w regular n=1 group=g1\n"),
+    ("g2", "2*w", "antisym w:regular:1\nnf w regular n=1 group=0\n"),
+    ("g3", "u", "antisym u:regular:1\nnf u regular n=1 group=-g1\n"),
+    ("g3", "u+3*w", "antisym u:regular:1\nnf u regular n=1 group=2*g1\n"),
+    ("g3", "4*u", "antisym u:regular:1\nnf u regular n=1 group=-4*g1\n"),
+    ("g4", "b+w", "antisym w:regular:1\nnf w regular n=1 group=0\n"),
+    ("g4", "5*w", "antisym w:regular:1\nnf w regular n=1 group=5*g1\n"),
+    ("g5", "a+a'+b", "antisym a:free:1 a':free:1\n"
+                     "nf a free n=1 group=g1\nnf a' free n=1 group=0\n"),
+    ("g5", "a'+2*b", "antisym a':free:1\nnf a' free n=1 group=2*g1\n"),
+]
+
+
+@pytest.mark.parametrize("name,expr,want", NF_GOLDEN)
+@pytest.mark.parametrize("fmt", ["human", "lines"])
+def test_nf_golden_stdout(name, expr, want, fmt, tmp_path, capsys):
+    path = tmp_path / f"{name}.sg"
+    path.write_text(fixture_text(f"{name}.sg"))
+    assert main(["nf", str(path), expr, "--format", fmt]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_eq_human_prints_nf_lines(g5, capsys):
+    assert main(["eq", g5, "a+a'+b", "a'+2*b"]) == 1
+    assert capsys.readouterr().out == (
+        "not equal\n"
+        "  left nf a free n=1 group=g1\n  left nf a' free n=1 group=0\n"
+        "  right nf a' free n=1 group=2*g1\n")
 
 
 def test_refine_prints_grid(g2, capsys):
@@ -228,6 +263,21 @@ def test_out_of_range_counts_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert "must be at least" in err
     assert "Traceback" not in err
+
+
+def test_realize_budget_goes_to_the_library(s1, tmp_path, monkeypatch):
+    import sepmonoid.cli as cli
+    seen = []
+
+    def spy(system, **kwargs):
+        seen.append(kwargs["budget"])
+        return realize(system, **kwargs)
+
+    monkeypatch.setattr(cli, "realize", spy)
+    out = str(tmp_path / "s1.sg")
+    assert main(["realize", s1, "-o", out]) == 0
+    assert main(["realize", s1, "--budget", "7", "-o", out]) == 0
+    assert seen == [200, 7]
 
 
 def test_realize_accepts_and_ignores_seed(s1, tmp_path):

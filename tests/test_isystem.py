@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from sepmonoid.abelian import FGAbelianGroup, GroupHom
+from sepmonoid.abelian import FGAbelianGroup, GroupHom, identity
 from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names
 from sepmonoid.isystem import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED,
                                ConnectingMap, ISystem, ISystemError,
@@ -10,6 +12,7 @@ from sepmonoid.isystem import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED,
                                serialize_element_expr, serialize_isystem,
                                validate_isystem)
 from sepmonoid.posets import Poset
+from sepmonoid.randgen import corpus_systems, random_adaptable
 
 
 def test_extract_groups_match_hand_calc():
@@ -251,3 +254,103 @@ def test_hat_apply():
     assert not out.is_zero()
     out2 = s.hat_apply("p", "q", 2, s.group["q"].zero())
     assert out2.is_zero()
+
+
+# reference for serialize_isystem and canonicalized: each group is rebuilt
+# in canonical diagonal form (a group already in that form keeps its
+# generators), every map becomes the GroupHom fwd_hi . hom . back_lo, and the
+# lines are written from that copy with torsion reduced.
+
+def _old_canonicalized(sys):
+    canon, fwd, back = {}, {}, {}
+    for p in sys.poset:
+        g = sys.group[p]
+        n = g.free_rank + len(g.invariant_factors)
+        c = FGAbelianGroup(n, [[d if j == g.free_rank + k else 0 for j in range(n)]
+                               for k, d in enumerate(g.invariant_factors)])
+        if g.same_presentation(c):
+            fwd[p], back[p] = GroupHom(g, c, identity(n)), GroupHom(c, g, identity(n))
+        else:
+            coords = [list(fr + tc) for fr, tc in map(g.canonical_coords, identity(g.ngens))]
+            fwd[p] = GroupHom(g, c, coords)
+            back[p] = GroupHom(c, g, [e.coeffs for e in g.canonical_generators()])
+        canon[p] = c
+    maps = {}
+    for (hi, lo), cm in sys.maps.items():
+        hom = fwd[hi].compose(cm.hom.compose(back[lo]))
+        maps[(hi, lo)] = ConnectingMap(hom, None if cm.unit is None else fwd[hi](cm.unit))
+    return ISystem(sys.poset, sys.kind, canon, maps)
+
+
+def _old_element_text(x):
+    g, coeffs = x.group, list(x.coeffs)
+    for k, d in enumerate(g.invariant_factors):
+        coeffs[g.free_rank + k] %= d
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c:
+            name = f"g{i + 1}"
+            terms.append(name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}")
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def _old_serialize(sys):
+    sys = _old_canonicalized(sys)
+    lines = [f"prime {p} {'reg' if sys.kind[p] == 'regular' else 'free'}" for p in sys.poset]
+    lines += [f"cover {lo} < {hi}" for lo, hi in sys.poset.covers()]
+    lines += [f"group {p} : {sys.group[p].canonical_name()}" for p in sys.poset]
+    for hi in sys.poset:
+        for lo in sorted(sys.poset.strict_down(hi)):
+            cm = sys.maps[(hi, lo)]
+            if sys.kind[lo] == "regular" and sys.group[lo].is_trivial():
+                continue
+            clauses = [] if cm.unit is None else [f"unit -> {_old_element_text(cm.unit)}"]
+            for i in range(sys.group[lo].ngens):
+                img = sys.group[hi].element(cm.hom.matrix[i])
+                clauses.append(f"g{i + 1} -> {_old_element_text(img)}")
+            lines.append(f"map {hi} <- {lo} : " + " ; ".join(clauses))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_inputs():
+    base = [extract_isystem(fixture_graph(name)) for name in graph_names()]
+    base += [fixture_system("s1"), fixture_system("s2")]
+    rng = random.Random(20261018)
+    base += [extract_isystem(random_adaptable(rng, k)) for k in range(2, 9) for _ in range(25)]
+    base += [s for seed in (1, 2, 3) for s, _ in corpus_systems(seed)]
+    out = []
+    for s in base:
+        reparsed = parse_isystem(serialize_isystem(s))
+        out += [s, reparsed, canonicalized(reparsed)]
+    return out
+
+
+def _diagonal(g):
+    n = g.free_rank + len(g.invariant_factors)
+    return g.ngens == n and g.relations == [[d if j == g.free_rank + k else 0 for j in range(n)]
+                                            for k, d in enumerate(g.invariant_factors)]
+
+
+def test_serialize_isystem_matches_the_canonicalized_route():
+    systems = _reference_inputs()
+    groups = [g for s in systems for g in s.group.values()]
+    assert any(g.ngens == 0 for g in groups)
+    assert any(g.is_trivial() and g.ngens > 0 for g in groups)
+    # canonical Z^k + Z/d as written, whose Smith form moves the columns
+    assert any(_diagonal(g) and g.free_rank and g.invariant_factors
+               and g.generator_coords() != identity(g.ngens) for g in groups)
+    assert any(g.invariant_factors and not _diagonal(g) for g in groups)
+    for s in systems:
+        assert serialize_isystem(s) == _old_serialize(s)
+        new, old = canonicalized(s), _old_canonicalized(s)
+        for p in s.poset:
+            assert new.group[p].same_presentation(old.group[p])
+        assert new.maps.keys() == old.maps.keys()
+        for k, cm in old.maps.items():
+            assert new.maps[k].hom.matrix == cm.hom.matrix
+            assert (new.maps[k].unit and new.maps[k].unit.coeffs) == (cm.unit and cm.unit.coeffs)

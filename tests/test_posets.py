@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sepmonoid.posets import Poset, PosetError
@@ -24,6 +26,17 @@ def test_covers_skip_transitive_pairs():
     p = Poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert p.covers() == [("a", "b"), ("b", "c")]
     assert p.lower_covers("c") == ["b"]
+
+
+def test_covers_match_the_pairwise_definition():
+    rng = random.Random(5)
+    for _ in range(200):
+        elems = [f"p{i}" for i in range(rng.randint(1, 8))]
+        rel = [(a, b) for a in elems for b in elems if a < b and rng.random() < 0.3]
+        p = Poset(elems, rel)
+        want = [(a, b) for a in p.elements for b in p.elements if p.lt(a, b)
+                and not any(p.lt(a, c) and p.lt(c, b) for c in p.elements)]
+        assert p.covers() == want
 
 
 def test_up_down_sets():
