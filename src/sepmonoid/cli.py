@@ -188,6 +188,9 @@ def cmd_refine(args):
     print(f"  b = {serialize_element(x21)} + {serialize_element(x22)}")
     print(f"  c = {serialize_element(x11)} + {serialize_element(x21)}")
     print(f"  d = {serialize_element(x12)} + {serialize_element(x22)}")
+    if args.format == "human":
+        for name, trace in zip("abcd", w.traces):
+            print(f"  {name} trace: {_fmt_trace(trace)}")
     return 0
 
 
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nf", help="normal form of an element")
     p.add_argument("path")
     p.add_argument("expr")
-    common(p, depth=False, budget=False)
+    common(p, depth=False, budget=False, fmt=False)
     p.set_defaults(func=cmd_nf)
 
     p = sub.add_parser("refine", help="refinement grid for a+b = c+d")

@@ -50,6 +50,14 @@ class FreeElement:
         self._items = tuple(sorted(d.items()))
 
     @classmethod
+    def _of(cls, d):
+        """Wrap d, a dict of positive multiplicities, without copying it."""
+        x = cls.__new__(cls)
+        x.counts = d
+        x._items = tuple(sorted(d.items()))
+        return x
+
+    @classmethod
     def from_vertices(cls, seq):
         d = {}
         for v in seq:
@@ -75,7 +83,7 @@ class FreeElement:
         d = dict(self.counts)
         for v, n in other.counts.items():
             d[v] = d.get(v, 0) + n
-        return FreeElement(d)
+        return FreeElement._of(d)
 
     def scale(self, n: int) -> "FreeElement":
         if n < 0:
@@ -141,10 +149,6 @@ def serialize_element(x: FreeElement) -> str:
 # ------------------------------------------------------------- rewriting
 
 
-def block_targets(g: SepGraph, block) -> FreeElement:
-    return FreeElement.from_vertices(g.edges[e][1] for e in block)
-
-
 def step_targets(g: SepGraph, x: FreeElement):
     """All one-step rewrites of x as (vertex, block index, result)."""
     cg = g.derived(_CompiledGraph)
@@ -152,12 +156,22 @@ def step_targets(g: SepGraph, x: FreeElement):
 
 
 def apply_step(g: SepGraph, x: FreeElement, v: str, bi: int) -> FreeElement:
-    if x.get(v) < 1:
+    n = x.get(v)
+    if n < 1:
         raise RewriteError(f"no occurrence of '{v}' to rewrite")
     blocks = g.blocks_of[v]
-    if bi >= len(blocks):
+    if not 0 <= bi < len(blocks):
         raise RewriteError(f"vertex '{v}' has no block {bi}")
-    return x.minus(FreeElement({v: 1})) + block_targets(g, blocks[bi])
+    d = dict(x.counts)
+    if n == 1:
+        del d[v]
+    else:
+        d[v] = n - 1
+    edges = g.edges
+    for e in blocks[bi]:
+        w = edges[e][1]
+        d[w] = d.get(w, 0) + 1
+    return FreeElement._of(d)
 
 
 def apply_trace(g: SepGraph, x: FreeElement, trace) -> FreeElement:
@@ -171,8 +185,8 @@ class _CompiledGraph:
 
     moves[i] holds one ((v, bi), delta) pair per block bi of the i-th vertex
     v; delta is -1 at v plus one for each edge target of the block, so a
-    step is one tuple addition.  The search runs on these tuples, and
-    FreeElement appears only at its boundary.
+    step is one tuple addition.  The search and the refinement split run on
+    these tuples, and FreeElement appears only at their boundary.
     """
 
     __slots__ = ("vertices", "index", "moves")
@@ -409,15 +423,28 @@ def split_trace(g: SepGraph, part_a: FreeElement, part_b: FreeElement, trace):
     When both parts hold the rewritten vertex, part_a consumes it.  Returns
     the two descendant parts, which sum to the trace's final element.
     """
-    pa, pb = part_a, part_b
-    for v, bi in trace:
-        if pa.get(v) > 0:
-            pa = apply_step(g, pa, v, bi)
-        elif pb.get(v) > 0:
-            pb = apply_step(g, pb, v, bi)
-        else:
+    cg = g.derived(_CompiledGraph)
+    ta, tb, _, _ = _split_packed(cg, cg.pack(part_a), cg.pack(part_b), trace)
+    return cg.unpack(ta), cg.unpack(tb)
+
+
+def _split_packed(cg: _CompiledGraph, ta, tb, trace):
+    """split_trace on packed parts: (ta', tb', trace_a, trace_b), where
+    trace_a holds the steps ta consumed, in order, so that ta rewrites to
+    ta' along trace_a, and likewise for tb."""
+    parts, subs = [ta, tb], ([], [])
+    for step in trace:
+        v, bi = step
+        i = cg.index.get(v)
+        k = 0 if i is not None and parts[0][i] else 1
+        if i is None or not parts[k][i]:
             raise RewriteError(f"trace step rewrites absent vertex '{v}'")
-    return pa, pb
+        mine = cg.moves[i]
+        if not 0 <= bi < len(mine):
+            raise RewriteError(f"vertex '{v}' has no block {bi}")
+        parts[k] = tuple(map(add, parts[k], mine[bi][1]))
+        subs[k].append(step)
+    return parts[0], parts[1], tuple(subs[0]), tuple(subs[1])
 
 
 @dataclass
@@ -425,6 +452,7 @@ class RefinementWitness:
     status: str                      # "ok" | "unequal" | "unknown" | "exhausted"
     pieces: tuple = ()               # ((x11, x12), (x21, x22)) when ok
     gamma: FreeElement | None = None
+    traces: tuple = ()               # (ta, tb, tc, td) when ok
 
 
 def refinement_witness(g: SepGraph, a, b, c, d,
@@ -432,28 +460,35 @@ def refinement_witness(g: SepGraph, a, b, c, d,
     """Given a + b == c + d in the monoid, produce a refinement grid.
 
     The grid (x11, x12 / x21, x22) satisfies a == x11+x12, b == x21+x22,
-    c == x11+x21, d == x12+x22, all checked by replayed traces.
+    c == x11+x21, d == x12+x22.  One search finds a common descendant gamma
+    of a + b and c + d; splitting its two traces between the parts gives
+    each of a, b, c, d a sub-trace, and `traces` = (ta, tb, tc, td) holds
+    them.  They certify the grid: apply_trace rewrites a along ta to
+    x11 + x12, b along tb to x21 + x22, c along tc to x11 + x21 and d along
+    td to x12 + x22.  Each is replayed on FreeElement before the answer is
+    returned, so that no further search runs.
     """
     res = confluence_equal(g, a + b, c + d, depth, node_budget)
     if res.status != "equal":
         return RefinementWitness(res.status)
-    ga, gb = split_trace(g, a, b, res.trace_x)
-    gc, gd = split_trace(g, c, d, res.trace_y)
-    w = ga.meet(gc)
-    x11 = w
-    x12 = ga.minus(w)
-    x21 = gc.minus(w)
-    x22 = gb.minus(x21)
-    # row/column sums are exact multiset identities with the split parts
-    assert x11 + x12 == ga and x11 + x21 == gc
-    assert x21 + x22 == gb and x12 + x22 == gd
-    vdepth = max(len(res.trace_x), len(res.trace_y)) + 1
-    for orig, split in ((a, ga), (b, gb), (c, gc), (d, gd)):
-        # equal by construction, so no disequality certificate is tried
-        check = confluence_search(g, orig, split, vdepth, node_budget)
-        if check.status != "equal":
-            raise RewriteError("refinement split failed its replay check")
-    return RefinementWitness("ok", ((x11, x12), (x21, x22)), res.gamma)
+    cg = g.derived(_CompiledGraph)
+    ga, gb, ta, tb = _split_packed(cg, cg.pack(a), cg.pack(b), res.trace_x)
+    gc, gd, tc, td = _split_packed(cg, cg.pack(c), cg.pack(d), res.trace_y)
+    x11 = tuple(map(min, ga, gc))
+    x12 = tuple(map(sub, ga, x11))
+    x21 = tuple(map(sub, gc, x11))
+    x22 = tuple(map(sub, gb, x21))
+    # x11 + x12 == ga and x11 + x21 == gc by construction
+    if min(x22, default=0) < 0 or tuple(map(add, x12, x22)) != gd:
+        raise RewriteError("refinement grid rows and columns do not add up")
+    e11, e12, e21, e22 = (cg.unpack(t) for t in (x11, x12, x21, x22))
+    # replayed on FreeElement, independently of the compiled graph
+    for part, trace, want in ((a, ta, e11 + e12), (b, tb, e21 + e22),
+                              (c, tc, e11 + e21), (d, td, e12 + e22)):
+        if apply_trace(g, part, trace) != want:
+            raise RewriteError("refinement sub-trace failed its replay check")
+    return RefinementWitness("ok", ((e11, e12), (e21, e22)), res.gamma,
+                             (ta, tb, tc, td))
 
 
 # ---------------------------------------------------- normal form machinery

@@ -138,10 +138,15 @@ NF_GOLDEN = [
 @pytest.mark.parametrize("name,expr,want", NF_GOLDEN)
 @pytest.mark.parametrize("fmt", ["human", "lines"])
 def test_nf_golden_stdout(name, expr, want, fmt, tmp_path, capsys):
+    # nf has one output format: --format, in either value, is a usage error
     path = tmp_path / f"{name}.sg"
     path.write_text(fixture_text(f"{name}.sg"))
-    assert main(["nf", str(path), expr, "--format", fmt]) == 0
+    assert main(["nf", str(path), expr]) == 0
     assert capsys.readouterr().out == want
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", str(path), expr, "--format", fmt])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_eq_human_prints_nf_lines(g5, capsys):
@@ -152,10 +157,21 @@ def test_eq_human_prints_nf_lines(g5, capsys):
         "  right nf a' free n=1 group=2*g1\n")
 
 
-def test_refine_prints_grid(g2, capsys):
+REFINE_GRID = ("refined gamma=a+2*b\n"
+               "  a = a + b\n  b = 0 + b\n  c = a + 0\n  d = b + b\n")
+
+
+def test_refine_prints_grid(g1, g2, capsys):
     assert main(["refine", g2, "w", "2*w", "3*w", "0"]) == 0
     out = capsys.readouterr().out
     assert "a = " in out and "d = " in out
+    # human adds the sub-traces that certify the grid, lines keeps the grid
+    assert main(["refine", g1, "a", "b", "a", "2*b"]) == 0
+    assert capsys.readouterr().out == REFINE_GRID + (
+        "  a trace: a:0\n  b trace: (empty)\n"
+        "  c trace: (empty)\n  d trace: (empty)\n")
+    assert main(["refine", g1, "a", "b", "a", "2*b", "--format", "lines"]) == 0
+    assert capsys.readouterr().out == REFINE_GRID
 
 
 def test_extract_writes_system(g5, tmp_path, capsys):

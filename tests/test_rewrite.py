@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sepmonoid import graph as graph_mod
 from sepmonoid import isystem as isystem_mod
+from sepmonoid import rewrite as rewrite_mod
 from sepmonoid.abelian import direct_sum, subgroup_membership
 from sepmonoid.fixtures import fixture_graph, fixture_text, graph_names
 from sepmonoid.graph import (check_adaptable, condensation, parse_graph,
@@ -66,6 +67,12 @@ def test_apply_step_needs_support():
     g = fixture_graph("g1")
     with pytest.raises(RewriteError):
         apply_step(g, fe(g, "b"), "a", 0)
+    # a block index counts from 0: -1 is no alias of the last block
+    for bi in (-1, -2, 1):
+        with pytest.raises(RewriteError, match=f"has no block {bi}"):
+            apply_step(g, fe(g, "a"), "a", bi)
+        with pytest.raises(RewriteError, match=f"has no block {bi}"):
+            split_trace(g, fe(g, "a"), fe(g, "b"), [("a", bi)])
 
 
 # frozen small-case oracles, worked out from the block structure by hand
@@ -185,6 +192,207 @@ def test_split_trace_divides_history():
     assert b1 + b2 == beta
     assert eq_exact(g, a1, b1)
     assert eq_exact(g, a2, b2)
+
+
+# two random adaptable graphs: r1 has a free vertex with two blocks over a
+# sink next to a regular vertex, r2 a chain of three regular classes
+REFINE_GRAPHS = {
+    "r1": "vertex v1\nvertex v2\nvertex v3\n"
+          "edge e1 v2 v2\nedge e2 v2 v2\nedge e3 v3 v3\nedge e4 v3 v1\n"
+          "edge e5 v3 v3\nedge e6 v3 v1\n"
+          "block e1 e2\nblock e3 e4\nblock e5 e6\n",
+    "r2": "vertex v1\nvertex v2\nvertex v3\nvertex v4\n"
+          "edge e1 v1 v1\nedge e2 v1 v1\nedge e3 v1 v1\n"
+          "edge e4 v2 v2\nedge e5 v2 v2\nedge e6 v2 v3\nedge e7 v2 v1\n"
+          "edge e8 v3 v3\nedge e9 v3 v3\nedge e10 v3 v2\nedge e11 v3 v1\n"
+          "edge e12 v3 v1\n"
+          "block e1 e2 e3\nblock e4 e5 e6 e7\nblock e8 e9 e10 e11 e12\n",
+}
+
+# (graph, (a, b, c, d), (x11, x12, x21, x22), gamma) of refinement_witness at
+# depth 12, on criterion-2 instances: a + b and c + d split from two random
+# walks of one seed
+GOLDEN_REFINE = [
+    ("g1", ("2*b", "2*a+2*b", "a+2*b", "a"), ("2*b", "0", "a+2*b", "a"), "2*a+4*b"),
+    ("g1", ("a", "5*b", "a+2*b", "2*b"), ("a", "0", "3*b", "2*b"), "a+5*b"),
+    ("g1", ("2*b", "3*a+b", "2*a", "a+5*b"), ("0", "2*b", "2*a", "a+3*b"), "3*a+5*b"),
+    ("g2", ("5*w", "3*w", "2*w", "4*w"), ("4*w", "w", "0", "3*w"), "8*w"),
+    ("g2", ("6*w", "w", "w", "10*w"), ("w", "9*w", "0", "w"), "11*w"),
+    ("g5", ("2*a'+2*b", "9*b", "2*a'+7*b", "b"), ("2*a'+2*b", "0", "8*b", "b"),
+     "2*a'+11*b"),
+    ("g5", ("a+6*b", "3*b", "a+2*b", "5*b"), ("a+4*b", "2*b", "0", "3*b"), "a+9*b"),
+    ("g5", ("a+a'+4*b", "a'+2*b", "a+2*a'", "11*b"), ("a+a'", "9*b", "a'", "2*b"),
+     "a+2*a'+11*b"),
+    ("r1", ("2*v2", "v1+v2+3*v3", "v1+2*v3", "v1+3*v2+v3"),
+     ("0", "2*v2", "v1+2*v3", "v1+v2+v3"), "2*v1+3*v2+3*v3"),
+    ("r1", ("3*v1+v3", "2*v2", "2*v1+v2+v3", "v1"), ("2*v1+v3", "v1", "2*v2", "0"),
+     "3*v1+2*v2+v3"),
+    ("r2", ("3*v1+v2", "4*v1+3*v3+v4", "3*v1+3*v3+v4", "v2"),
+     ("3*v1", "v2", "4*v1+3*v3+v4", "0"), "7*v1+v2+3*v3+v4"),
+    ("r2", ("3*v2+2*v3", "5*v1+v2+v3", "2*v1+4*v2+v3", "3*v1+2*v3"),
+     ("3*v2+v3", "v3", "2*v1+v2", "3*v1+v3"), "5*v1+4*v2+3*v3"),
+]
+
+
+def _refine_graph(name):
+    text = REFINE_GRAPHS.get(name)
+    return parse_graph(text) if text else fixture_graph(name)
+
+
+@pytest.mark.parametrize("case", GOLDEN_REFINE, ids=lambda c: f"{c[0]}:{'|'.join(c[1])}")
+def test_refinement_witness_golden(case):
+    name, abcd, pieces, gamma = case
+    g = _refine_graph(name)
+    w = refinement_witness(g, *(fe(g, t) for t in abcd), depth=12)
+    assert w.status == "ok"
+    (x11, x12), (x21, x22) = w.pieces
+    assert tuple(serialize_element(e) for e in (x11, x12, x21, x22)) == pieces
+    assert serialize_element(w.gamma) == gamma
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    real = rewrite_mod.confluence_search
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite_mod, "confluence_search", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", GOLDEN_REFINE, ids=lambda c: f"{c[0]}:{'|'.join(c[1])}")
+def test_refinement_traces_replay_to_the_grid(case, monkeypatch):
+    name, abcd, _, _ = case
+    g = _refine_graph(name)
+    a, b, c, d = (fe(g, t) for t in abcd)
+    searches = _count_searches(monkeypatch)
+    w = refinement_witness(g, a, b, c, d, depth=12)
+    assert w.status == "ok"
+    assert len(searches) == 1                  # the main search and no other
+    (x11, x12), (x21, x22) = w.pieces
+    ta, tb, tc, td = w.traces
+    assert apply_trace(g, a, ta) == x11 + x12
+    assert apply_trace(g, b, tb) == x21 + x22
+    assert apply_trace(g, c, tc) == x11 + x21
+    assert apply_trace(g, d, td) == x12 + x22
+    # the sub-traces divide the main search's two traces between the parts
+    assert apply_trace(g, a + b, ta + tb) == apply_trace(g, c + d, tc + td) == w.gamma
+
+
+def _altered(g, part, trace):
+    """trace with its first step moved to another vertex of part."""
+    (v, _), rest = trace[0], trace[1:]
+    u = next(u for u in part.support() if u != v and g.blocks_of[u])
+    return ((u, 0),) + rest
+
+
+@pytest.mark.parametrize("mutation", ["drop", "alter"])
+def test_refinement_replay_rejects_a_mutated_sub_trace(mutation, monkeypatch):
+    g = _refine_graph("r1")
+    abcd = [fe(g, t) for t in ("2*v2", "v1+v2+3*v3", "v1+2*v3", "v1+3*v2+v3")]
+    w = refinement_witness(g, *abcd, depth=12)
+    k = next(k for k, t in enumerate(w.traces) if t)
+    (x11, x12), (x21, x22) = w.pieces
+    sums = (x11 + x12, x21 + x22, x11 + x21, x12 + x22)
+    if mutation == "drop":
+        bad = w.traces[k][1:]
+    else:
+        bad = _altered(g, abcd[k], w.traces[k])
+    assert bad != w.traces[k]
+    assert apply_trace(g, abcd[k], bad) != sums[k]
+    # the same mutation inside refinement_witness fails its replay check
+    real = rewrite_mod._split_packed
+    splits = []
+
+    def split_then_mutate(cg, ta, tb, trace):
+        # the first split gives (ta, tb), the second (tc, td)
+        out = list(real(cg, ta, tb, trace))
+        if len(splits) == k // 2:
+            assert out[2 + k % 2] == w.traces[k]
+            out[2 + k % 2] = bad
+        splits.append(trace)
+        return tuple(out)
+
+    monkeypatch.setattr(rewrite_mod, "_split_packed", split_then_mutate)
+    with pytest.raises(RewriteError, match="replay"):
+        refinement_witness(g, *abcd, depth=12)
+    assert len(splits) == 2
+
+
+def _reference_apply_step(g, x, v, bi):
+    # the FreeElement route that apply_step took before it updated one dict
+    if x.get(v) < 1:
+        raise RewriteError(f"no occurrence of '{v}' to rewrite")
+    blocks = g.blocks_of[v]
+    if bi >= len(blocks):
+        raise RewriteError(f"vertex '{v}' has no block {bi}")
+    targets = FreeElement.from_vertices(g.edges[e][1] for e in blocks[bi])
+    return x.minus(FreeElement({v: 1})) + targets
+
+
+def _reference_split_trace(g, part_a, part_b, trace):
+    # split_trace as it was on FreeElement
+    pa, pb = part_a, part_b
+    for v, bi in trace:
+        if pa.get(v) > 0:
+            pa = _reference_apply_step(g, pa, v, bi)
+        elif pb.get(v) > 0:
+            pb = _reference_apply_step(g, pb, v, bi)
+        else:
+            raise RewriteError(f"trace step rewrites absent vertex '{v}'")
+    return pa, pb
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RewriteError as exc:
+        return ("RewriteError", str(exc))
+
+
+def test_split_trace_matches_the_free_element_route():
+    rng = random.Random(12)
+    graphs = [g for _, g in CORPUS[:10]] + [_refine_graph("r1"), _refine_graph("r2")]
+    errors = set()
+    for n in range(600):
+        g = graphs[n % len(graphs)]
+        a1 = random_element(rng, g, 3, nonzero=False)
+        a2 = random_element(rng, g, 3, nonzero=False)
+        _, trace = random_trace(rng, g, a1 + a2, rng.randint(0, 6))
+        if trace and n % 3 == 0:
+            # a step on a vertex neither part holds, or on a missing block
+            k = rng.randrange(len(trace) + 1)
+            v = rng.choice(sorted(g.vertices))
+            bad = (v, len(g.blocks_of[v])) if n % 2 else ("zz", 0)
+            trace = trace[:k] + (bad,) + trace[k:]
+        want = _outcome(_reference_split_trace, g, a1, a2, trace)
+        assert _outcome(split_trace, g, a1, a2, trace) == want
+        if want[0] == "RewriteError":
+            errors.add(want[1].split("'")[0])
+            continue
+        # the sub-traces carry each part to its descendant
+        cg = g.derived(rewrite_mod._CompiledGraph)
+        _, _, sa, sb = rewrite_mod._split_packed(cg, cg.pack(a1), cg.pack(a2), trace)
+        assert apply_trace(g, a1, sa) == want[0]
+        assert apply_trace(g, a2, sb) == want[1]
+        assert len(sa) + len(sb) == len(trace)
+    assert errors == {"trace step rewrites absent vertex ", "vertex "}
+
+
+def test_apply_step_matches_the_free_element_route():
+    rng = random.Random(13)
+    for _, g in CORPUS[:10]:
+        for _ in range(40):
+            x = random_element(rng, g, 4, nonzero=False)
+            v = rng.choice(sorted(g.vertices))
+            bi = rng.randrange(len(g.blocks_of[v]) + 1)
+            want = _outcome(_reference_apply_step, g, x, v, bi)
+            got = _outcome(apply_step, g, x, v, bi)
+            assert got == want
+            if isinstance(got, FreeElement):
+                assert got.counts == want.counts and got.items() == want.items()
 
 
 def test_antisym_nf_maximal_support():
