@@ -18,8 +18,8 @@ from .isystem import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED, ConnectingMap,
 from .posets import Poset, PosetError
 from .randgen import corpus_systems, random_adaptable
 from .realize import (ConstructionFailed, ConstructionInfeasible,
-                      RealizeResult, RoundtripReport, realize,
-                      roundtrip_check)
+                      RealizeResult, RoundtripReport,
+                      check_roundtrip_certificate, realize, roundtrip_check)
 from .rewrite import (FreeElement, RewriteError, antisym_nf, confluence_equal,
                       eq_exact, grothendieck_of_restriction, le_semidecide,
                       monoid_nf, nf_add, nf_equal, parse_element,
@@ -34,7 +34,8 @@ __all__ = [
     "GroupElement", "GroupHom", "ISystem", "ISystemError", "ISystemParseError",
     "NotAdaptableError", "Poset", "PosetError", "RealizeResult",
     "RewriteError", "RoundtripReport", "SepGraph",
-    "antisym_nf", "canonicalized", "check_adaptable", "condensation",
+    "antisym_nf", "canonicalized", "check_adaptable",
+    "check_roundtrip_certificate", "condensation",
     "confluence_equal", "corpus_systems", "eq_exact", "export_dot",
     "extract_isystem", "find_isomorphism", "fixture_graph", "fixture_system",
     "graph_names", "grothendieck_of_restriction",

@@ -11,6 +11,10 @@ exactly the kernel of the value assignment.  Every prime is verified on
 the spot by presenting the extracted group and checking the induced
 evaluation map is an isomorphism pinning the lower generators.
 
+The built graph carries the isomorphism the construction followed (a
+`RealizeWitness`), so that `roundtrip_check` can check it instead of
+searching for one.
+
 Not every valid system is realizable.  A provable rank obstruction
 raises ConstructionInfeasible; an exhausted search raises
 ConstructionFailed.  Both carry the offending prime in the message.
@@ -46,6 +50,20 @@ class RealizeResult:
     log: list = field(default_factory=list)
 
 
+@dataclass
+class RealizeWitness:
+    """The isomorphism `realize` built its graph along, kept on that graph."""
+    system: ISystem          # the very object realize was given
+    poset_map: dict          # prime -> class of the built graph
+    images: dict             # prime -> {vertex of its scope: element of the prime's group}
+
+
+def _witness(graph: SepGraph):
+    """The memo key of realize's witness: realize stores its RealizeWitness
+    under it, so graph.derived(_witness) is None on any other graph."""
+    return None
+
+
 # ----------------------------------------------------------------- builder
 
 
@@ -57,6 +75,7 @@ class _Builder:
         self.prime_of = {}
         self.out_blocks = {}      # vertex -> list of {target: mult}, loops included
         self.val = {}             # vertex in a regular class -> element of G_prime
+        self.images = {}          # prime -> {vertex of its scope: image in G_prime}
 
     def name(self, base):
         cand = base
@@ -91,14 +110,18 @@ class _Builder:
                 rows.append(row)
         return rows
 
-    def add_free(self, p, blocks):
+    def add_free(self, p, blocks, images):
         v = self.name(p)
-        self.add_class(p, {v: [_merge({v: 1}, b) for b in blocks]})
+        self.add_class(p, {v: [_merge({v: 1}, b) for b in blocks]}, images)
         return v
 
-    def add_class(self, p, out_blocks, values=()):
-        """Record the class of p: its vertices in order, each with its blocks."""
+    def add_class(self, p, out_blocks, images, values=()):
+        """Record the class of p: its vertices in order, each with its blocks,
+        and the evaluation map its construction verified (the generator
+        images of theta_p in the extraction, whose scope at p is the class
+        when regular and every vertex strictly below)."""
         self.class_vertices[p] = tuple(out_blocks)
+        self.images[p] = images
         for v, outs in out_blocks.items():
             self.prime_of[v] = p
             self.out_blocks[v] = outs
@@ -206,7 +229,7 @@ def _realize_free(builder: _Builder, p, log):
     lows = sorted(sysm.poset.strict_down(p))
     if not lows:
         # minimal free prime: a sink (its group is trivial by validation)
-        builder.add_free(p, [])
+        builder.add_free(p, [], {})
         return
     L = builder.lower_verts(p)
     amb = FGAbelianGroup(len(L), builder.ambient_rows(L))
@@ -253,7 +276,7 @@ def _realize_free(builder: _Builder, p, log):
             raise ConstructionFailed(
                 f"free prime {p}: no nonnegative preimage for coverage of {q} within bounds")
         push(_merge({u: 1}, z))
-    v = builder.add_free(p, blocks)
+    v = builder.add_free(p, blocks, dict(zip(L, required)))
     # verify: lower rows plus the block rows present exactly G
     index = {u: i for i, u in enumerate(L)}
     rows = builder.ambient_rows(L)
@@ -428,7 +451,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
 
         out_maps = rec((), _row_hnf(R_L))
         if out_maps is not None:
-            builder.add_class(p, {w: [out_maps[w]] for w in W}, tval)
+            builder.add_class(p, {w: [out_maps[w]] for w in W}, dict(zip(order, values)), tval)
             log.append(f"regular {p}: vertices {', '.join(W)}, attempt {visits}")
             return
     raise ConstructionFailed(
@@ -444,7 +467,10 @@ def realize(system: ISystem, *, seed: int = 0, budget: int = 200,
 
     The search is deterministic: `seed` is accepted for compatibility and
     ignored.  `budget` bounds each regular prime's search at 100 * budget
-    visits.
+    visits.  The graph carries the isomorphism of the construction: each
+    prime's class, and the image of every vertex of the prime's scope in
+    its group.  `roundtrip_check(system, graph)` checks it in place of a
+    search.
     """
     log = []
     if validate:
@@ -465,6 +491,7 @@ def realize(system: ISystem, *, seed: int = 0, budget: int = 200,
     if not report.ok:
         raise ConstructionFailed(
             "built graph is not adaptable: " + "; ".join(sorted(report.violation_clauses())))
+    psi = {}
     for p, verts in builder.class_vertices.items():
         classes = {report.condensation.class_of[v] for v in verts}
         if len(classes) != 1:
@@ -475,6 +502,8 @@ def realize(system: ISystem, *, seed: int = 0, budget: int = 200,
         if report.kinds[cid] != system.kind[p]:
             raise ConstructionFailed(
                 f"prime {p} realized as {report.kinds[cid]}, wanted {system.kind[p]}")
+        psi[p] = cid
+    graph._derived[_witness] = RealizeWitness(system, psi, builder.images)
     return RealizeResult(graph, dict(builder.class_vertices), dict(builder.val), log)
 
 
@@ -484,6 +513,61 @@ class RoundtripReport:
     poset_map: dict | None = None
     detail: str = ""
     theta: dict | None = None      # Verified: prime -> iso ext group -> system group
+    by: str = "search"             # "witness" when realize's own isomorphism certified it
+
+
+def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dict,
+                                theta: dict) -> str | None:
+    """Check a round-trip certificate without any search.
+
+    None when poset_map (prime -> class of the extraction of graph) is a
+    kind-preserving poset isomorphism, and each theta[p] is an isomorphism
+    from the extracted group at poset_map[p] onto the system's group at p
+    that commutes with every connecting map on generators and sends each
+    unit of the extraction to the system's.  Otherwise the first failure.
+    """
+    ext = extract_isystem(graph)
+    psi = poset_map
+    primes = list(system.poset)
+    if sorted(psi) != sorted(primes) or sorted(psi.values()) != sorted(ext.poset):
+        return "the poset map is no bijection onto the extracted classes"
+    if set(theta) != set(psi):
+        return "theta does not have one isomorphism per prime"
+    for p in primes:
+        if system.kind[p] != ext.kind[psi[p]]:
+            return f"prime {p} is {system.kind[p]}, its class {psi[p]} is {ext.kind[psi[p]]}"
+        for q in primes:
+            if system.poset.le(p, q) != ext.poset.le(psi[p], psi[q]):
+                return f"the poset map does not keep the order of {p} and {q}"
+    for p in primes:
+        f = theta[p]
+        if not (f.domain.same_presentation(ext.group[psi[p]])
+                and f.codomain.same_presentation(system.group[p]) and f.is_isomorphism()):
+            return f"theta at {p} is no isomorphism onto its group"
+    for p in primes:
+        f = theta[p]
+        for q in system.poset.strict_down(p):
+            cm_e, cm_o = ext.map_for(psi[p], psi[q]), system.map_for(p, q)
+            for e_row, t_row in zip(cm_e.hom.matrix, theta[q].matrix):
+                if f(e_row) != cm_o.hom(t_row):
+                    return f"theta does not commute with the map {p} <- {q}"
+            if (cm_e.unit is None) != (cm_o.unit is None):
+                return f"the map {p} <- {q} has a unit on one side only"
+            if cm_e.unit is not None and f(cm_e.unit) != cm_o.unit:
+                return f"theta at {p} does not send the unit of {q} to the system's"
+    return None
+
+
+def _witness_theta(system: ISystem, ext: ISystem, wit: RealizeWitness):
+    """theta from the witness's vertex images, or None where they do not
+    name the extracted generators."""
+    theta = {}
+    for p, c in wit.poset_map.items():
+        labels, img = ext.generator_labels[c], wit.images[p]
+        if set(labels) != set(img):
+            return None
+        theta[p] = GroupHom(ext.group[c], system.group[p], [img[w] for w in labels])
+    return theta
 
 
 def _content(x) -> int:
@@ -496,13 +580,23 @@ def roundtrip_check(system: ISystem, graph: SepGraph, box: int = 4,
                     branch: int = 64) -> RoundtripReport:
     """Compare a system against the extraction of a (realized) graph.
 
-    Searches for a kind-preserving poset isomorphism together with a
-    family of group isomorphisms commuting with all connecting maps.  A
-    Verified report carries both: `poset_map` (prime -> class of the
+    A Verified report carries `poset_map` (prime -> class of the
     extraction) and `theta` (prime p -> GroupHom from the extracted group
-    at poset_map[p] onto the system's group at p).
+    at poset_map[p] onto the system's group at p), and `by` says where
+    they came from.  When `realize` built the graph from this very system
+    object, its witness gives both, and `check_roundtrip_certificate`
+    checks them (`by="witness"`).  Otherwise, or if that check fails, a
+    bounded search looks for a kind-preserving poset isomorphism together
+    with a family of group isomorphisms commuting with all connecting maps
+    (`by="search"`); `box` and `branch` bound only that search.
     """
     ext = extract_isystem(graph)
+    wit = graph.derived(_witness)
+    if wit is not None and wit.system is system:
+        theta = _witness_theta(system, ext, wit)
+        if (theta is not None
+                and check_roundtrip_certificate(system, graph, wit.poset_map, theta) is None):
+            return RoundtripReport("Verified", dict(wit.poset_map), theta=theta, by="witness")
 
     def sig_o(p):
         return (system.kind[p], system.group[p].invariant_factors, system.group[p].free_rank)

@@ -216,7 +216,7 @@ class _CompiledGraph:
         return tuple(t)
 
     def unpack(self, t) -> FreeElement:
-        return FreeElement({v: n for v, n in zip(self.vertices, t) if n})
+        return FreeElement._of({v: n for v, n in zip(self.vertices, t) if n})
 
     def steps(self, t):
         """All ((v, bi), result) one-step rewrites of t, in step_targets order."""
@@ -354,11 +354,12 @@ def confluence_equal(g: SepGraph, x: FreeElement, y: FreeElement,
     answer is that of `confluence_search`.
     """
     cg = g.derived(_CompiledGraph)
+    root_x, root_y = cg.pack(x), cg.pack(y)      # rejects vertices outside g
     if x != y:
-        invariant = g.derived(_Certificates).separating(cg.pack(x), cg.pack(y))
+        invariant = g.derived(_Certificates).separating(root_x, root_y)
         if invariant:
             return ConfluenceResult("unequal", invariant=invariant)
-    return confluence_search(g, x, y, depth, node_budget)
+    return _search_packed(g, cg, x, y, root_x, root_y, depth, node_budget)
 
 
 def confluence_search(g: SepGraph, x: FreeElement, y: FreeElement,
@@ -370,7 +371,11 @@ def confluence_search(g: SepGraph, x: FreeElement, y: FreeElement,
     explored.  The search stops at the first node past the budget.
     """
     cg = g.derived(_CompiledGraph)
-    root_x, root_y = cg.pack(x), cg.pack(y)      # rejects vertices outside g
+    return _search_packed(g, cg, x, y, cg.pack(x), cg.pack(y), depth, node_budget)
+
+
+def _search_packed(g, cg, x, y, root_x, root_y, depth, node_budget):
+    """confluence_search from x and y, already packed to root_x and root_y."""
     if x == y:
         return ConfluenceResult("equal", x, (), (), explored=1)
 

@@ -1,3 +1,4 @@
+import importlib
 import random
 import re
 from dataclasses import replace
@@ -7,13 +8,18 @@ import pytest
 from sepmonoid.abelian import GroupHom, mat_mul
 from sepmonoid.fixtures import (fixture_graph, fixture_system, graph_names,
                                 system_names)
-from sepmonoid.graph import check_adaptable, serialize_graph
+from sepmonoid.graph import check_adaptable, parse_graph, serialize_graph
 from sepmonoid.isystem import (canonicalized, extract_isystem, parse_isystem,
                                serialize_isystem, validate_isystem)
 from sepmonoid.randgen import random_adaptable, relabel_system
 from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible,
-                               _row_hnf, realize, roundtrip_check)
+                               _row_hnf, _witness, _witness_theta,
+                               check_roundtrip_certificate, realize,
+                               roundtrip_check)
 from sepmonoid.rewrite import eq_exact, parse_element
+
+# the module, which the package's `realize` function shadows as an attribute
+realize_mod = importlib.import_module("sepmonoid.realize")
 
 
 def test_s1_gives_the_minimal_shape():
@@ -171,8 +177,25 @@ def test_roundtrip_certifies_a_doubled_free_unit():
             "FailedAt", "no compatible family of group isomorphisms"), unit
         assert roundtrip_check(parse_isystem(UNIT_SYSTEM.format(unit)), g,
                                box=0).status == "FailedAt"
-    # with the contents equal, an empty box is still only a bound
-    assert roundtrip_check(s, g, box=0).status == "InconclusiveWithinBound"
+    # with the contents equal, an empty box is still only a bound for the
+    # search, which runs on a copy that carries no witness
+    assert roundtrip_check(s, _reparsed(g), box=0).status == "InconclusiveWithinBound"
+
+
+def _reparsed(g):
+    """A copy of g that realize did not build, so it carries no witness."""
+    return parse_graph(serialize_graph(g))
+
+
+def _roundtrip_both_routes(s, g):
+    """The round trips that miss their route, as (wanted by, status, by):
+    g should be Verified by its witness, a reparsed copy by the search."""
+    bad = []
+    for graph, by in ((g, "witness"), (_reparsed(g), "search")):
+        rep = roundtrip_check(s, graph)
+        if (rep.status, rep.by) != ("Verified", by):
+            bad.append((by, rep.status, rep.by))
+    return bad
 
 
 def test_realize_is_deterministic():
@@ -359,9 +382,7 @@ def test_realize_stress_corpus(seed):
         except (ConstructionFailed, ConstructionInfeasible) as exc:
             bad.append((i, f"{type(exc).__name__}: {exc}"))
             continue
-        status = roundtrip_check(s, g).status
-        if status != "Verified":
-            bad.append((i, status))
+        bad.extend((i, b) for b in _roundtrip_both_routes(s, g))
     assert not bad
 
 
@@ -371,41 +392,7 @@ def test_free_rank_two_stress_systems_roundtrip():
     for i in (1, 25, 30, 43, 54):
         s = corpus[i]
         assert max(s.group[p].free_rank for p in s.poset) == 2
-        assert roundtrip_check(s, realize(s).graph).status == "Verified", i
-
-
-def _replay_certificate(system, graph, rep):
-    """Check a Verified report's certificate without any search: psi is a
-    kind-preserving poset isomorphism, each theta_p is an isomorphism from
-    the extracted group at psi[p] onto the system's group at p, commutes
-    with every connecting map on generators, and sends each unit of the
-    extraction to the system's unit."""
-    ext = extract_isystem(graph)
-    psi, theta = rep.poset_map, rep.theta
-    primes = list(system.poset)
-    if (sorted(psi) != sorted(primes) or sorted(psi.values()) != sorted(ext.poset)
-            or set(theta) != set(psi)):
-        return False
-    if any(system.kind[p] != ext.kind[psi[p]] for p in primes):
-        return False
-    if any(system.poset.le(p, q) != ext.poset.le(psi[p], psi[q]) for p in primes for q in primes):
-        return False
-    for p in system.poset:
-        f = theta[p]
-        if not (f.domain.same_presentation(ext.group[psi[p]])
-                and f.codomain.same_presentation(system.group[p]) and f.is_isomorphism()):
-            return False
-        for q in system.poset.strict_down(p):
-            cm_e, cm_o = ext.map_for(psi[p], psi[q]), system.map_for(p, q)
-            gq = ext.group[psi[q]]
-            for i in range(gq.ngens):
-                if f(cm_e.hom(gq.gen(i))) != cm_o.hom(theta[q](gq.gen(i))):
-                    return False
-            if (cm_e.unit is None) != (cm_o.unit is None):
-                return False
-            if cm_e.unit is not None and f(cm_e.unit) != cm_o.unit:
-                return False
-    return True
+        assert not _roundtrip_both_routes(s, realize(s).graph), i
 
 
 def test_verified_roundtrip_carries_a_replayable_certificate():
@@ -414,9 +401,10 @@ def test_verified_roundtrip_carries_a_replayable_certificate():
     systems += [parse_isystem(HARD_SYSTEMS[n]) for n in sorted(HARD_SYSTEMS)]
     for s in systems:
         g = realize(s).graph
-        rep = roundtrip_check(s, g)
-        assert rep.status == "Verified"
-        assert _replay_certificate(s, g, rep)
+        for graph, by in ((g, "witness"), (_reparsed(g), "search")):
+            rep = roundtrip_check(s, graph)
+            assert (rep.status, rep.by) == ("Verified", by)
+            assert check_roundtrip_certificate(s, graph, rep.poset_map, rep.theta) is None
     # a copy that doubles theta on a Z prime fails the replay
     s = fixture_system("s2")
     g = realize(s).graph
@@ -425,7 +413,59 @@ def test_verified_roundtrip_carries_a_replayable_certificate():
     f = rep.theta[p]
     doubled = GroupHom(f.domain, f.codomain, [[2 * x for x in row] for row in f.matrix])
     bad = replace(rep, theta={**rep.theta, p: doubled})
-    assert _replay_certificate(s, g, rep) and not _replay_certificate(s, g, bad)
+    assert check_roundtrip_certificate(s, g, rep.poset_map, rep.theta) is None
+    assert check_roundtrip_certificate(s, g, bad.poset_map, bad.theta) == (
+        f"theta at {p} is no isomorphism onto its group")
+
+
+def test_a_mutated_witness_falls_back_to_the_search():
+    s = fixture_system("s2")
+    g = realize(s).graph
+    wit = g.derived(_witness)
+    p = next(p for p in s.poset if s.group[p].canonical_name() == "Z")
+    v = next(v for v in sorted(wit.images[p]) if not wit.images[p][v].is_zero())
+    wit.images[p][v] = 2 * wit.images[p][v]
+    theta = _witness_theta(s, extract_isystem(g), wit)
+    assert check_roundtrip_certificate(s, g, wit.poset_map, theta) is not None
+    rep = roundtrip_check(s, g)
+    assert (rep.status, rep.by) == ("Verified", "search")
+    assert check_roundtrip_certificate(s, g, rep.poset_map, rep.theta) is None
+
+
+def test_a_witness_for_another_system_object_is_ignored():
+    s = parse_isystem(UNIT_SYSTEM.format("-g1"))
+    g = realize(s).graph
+    assert g.derived(_witness).system is s
+    assert roundtrip_check(parse_isystem(UNIT_SYSTEM.format("-g1")), g).by == "search"
+    for unit in ("2*g1", "-2*g1", "3*g1"):
+        rep = roundtrip_check(parse_isystem(UNIT_SYSTEM.format(unit)), g)
+        assert (rep.status, rep.detail, rep.by) == (
+            "FailedAt", "no compatible family of group isomorphisms", "search"), unit
+
+
+# (Z/16)^4 as a free prime over four trivial free primes, one unit each
+Z16_4_SYSTEM = "".join(
+    ["prime p free\n"]
+    + [f"prime q{i} free\ncover q{i} < p\ngroup q{i} : 0\n" for i in range(1, 5)]
+    + ["group p : Z/16 + Z/16 + Z/16 + Z/16\n"]
+    + [f"map p <- q{i} : unit -> g{i}\n" for i in range(1, 5)])
+
+
+def test_large_finite_system_roundtrips_by_its_witness(monkeypatch):
+    calls = []
+    real = realize_mod.iter_isomorphisms
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(realize_mod, "iter_isomorphisms", counting)
+    s = parse_isystem(Z16_4_SYSTEM)
+    g = realize(s, validate=False).graph
+    rep = roundtrip_check(s, g)
+    assert (rep.status, rep.by) == ("Verified", "witness")
+    assert check_roundtrip_certificate(s, g, rep.poset_map, rep.theta) is None
+    assert calls == []
 
 
 def test_realize_ignores_seed():

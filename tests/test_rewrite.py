@@ -251,14 +251,15 @@ def test_refinement_witness_golden(case):
 
 
 def _count_searches(monkeypatch):
+    # every search, from confluence_search or confluence_equal, runs here
     calls = []
-    real = rewrite_mod.confluence_search
+    real = rewrite_mod._search_packed
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(rewrite_mod, "confluence_search", counting)
+    monkeypatch.setattr(rewrite_mod, "_search_packed", counting)
     return calls
 
 
