@@ -11,8 +11,8 @@ from .graph import (GraphError, GraphParseError, NotAdaptableError, SepGraph,
                     check_adaptable, condensation, export_dot, parse_graph,
                     remove_edge, require_adaptable, restrict_lower,
                     serialize_graph, split_block)
-from .isystem import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED, ConnectingMap,
-                      ISystem, ISystemError, ISystemParseError, canonicalized,
+from .isystem import (COUNTEREXAMPLE, VERIFIED, ConnectingMap, ISystem,
+                      ISystemError, ISystemParseError, canonicalized,
                       extract_isystem, parse_isystem, serialize_isystem,
                       validate_isystem)
 from .posets import Poset, PosetError
@@ -28,7 +28,7 @@ from .rewrite import (FreeElement, RewriteError, antisym_nf, confluence_equal,
 __version__ = "0.1.0"
 
 __all__ = [
-    "COUNTEREXAMPLE", "INCONCLUSIVE", "VERIFIED",
+    "COUNTEREXAMPLE", "VERIFIED",
     "ConnectingMap", "ConstructionFailed", "ConstructionInfeasible",
     "FGAbelianGroup", "FreeElement", "GraphError", "GraphParseError",
     "GroupElement", "GroupHom", "ISystem", "ISystemError", "ISystemParseError",

@@ -333,14 +333,6 @@ class FGAbelianGroup:
         cy = y.coeffs if isinstance(y, GroupElement) else tuple(y)
         return self.canonical_coords(cx) == self.canonical_coords(cy)
 
-    def all_elements(self):
-        """Every element; only for finite groups."""
-        if self.free_rank:
-            raise AbelianError("group is infinite")
-        orders = self.torsion_orders()
-        for tors in product(*[range(d) for d in orders]):
-            yield self.from_canonical((), tors)
-
     def order(self):
         if self.free_rank:
             return None
@@ -543,37 +535,6 @@ def subgroup_membership(gens, x: GroupElement) -> bool:
     if not rows:
         return x.is_zero()
     return solve_left(rows, list(x.coeffs)) is not None
-
-
-def cone_walk(group: FGAbelianGroup, gens, prune=None):
-    """Breadth-first walk over the sums of gens, a list of (key, GroupElement).
-
-    Yields (layer, element, canonical coords, multiset) once per element,
-    starting with zero at layer 0.  The multiset over the keys is a
-    smallest one summing to the element, the first found in gens order.
-    An element whose canonical coords satisfy prune is neither yielded nor
-    extended.  The walk ends when a layer adds nothing; callers that need a
-    bound stop it themselves.
-    """
-    zero = group.zero()
-    seen = {zero.canonical()}
-    yield 0, zero, zero.canonical(), {}
-    frontier, layer = [(zero, {})], 0
-    while frontier:
-        layer += 1
-        nxt = []
-        for x, ms in frontier:
-            for key, gv in gens:
-                y = x + gv
-                c = y.canonical()
-                if c in seen or (prune is not None and prune(c)):
-                    continue
-                seen.add(c)
-                nms = dict(ms)
-                nms[key] = nms.get(key, 0) + 1
-                yield layer, y, c, nms
-                nxt.append((y, nms))
-        frontier = nxt
 
 
 # --------------------------------------------------------- direct sums, iso

@@ -15,9 +15,9 @@ import sys
 from .fixtures import fixture_graph, graph_names
 from .graph import (GraphError, GraphParseError, NotAdaptableError,
                     check_adaptable, export_dot, parse_graph, serialize_graph)
-from .isystem import (COUNTEREXAMPLE, INCONCLUSIVE, ISystemError,
-                      ISystemParseError, extract_isystem, parse_isystem,
-                      serialize_coords, serialize_isystem, validate_isystem)
+from .isystem import (ISystemError, ISystemParseError, extract_isystem,
+                      parse_isystem, serialize_coords, serialize_isystem,
+                      validate_isystem)
 from .posets import PosetError
 from .props import run_suites
 from .randgen import random_adaptable
@@ -100,12 +100,10 @@ def cmd_extract(args):
 def cmd_realize(args):
     sysm = parse_isystem(_read(args.path))
     vrep = validate_isystem(sysm)
-    if vrep.status == COUNTEREXAMPLE:
+    if not vrep.ok:
         for f in vrep.failures:
             print(f"axiom {f.axiom} fails at {f.primes}: {f.detail}", file=sys.stderr)
         return 1
-    if vrep.status == INCONCLUSIVE:
-        print("warning: validation inconclusive within bounds", file=sys.stderr)
     try:
         result = realize(sysm, budget=args.budget, validate=False)
     except ConstructionInfeasible as exc:
@@ -299,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None, help="output .sg file (default stdout)")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the extract-and-compare round trip")
-    p.add_argument("--seed", type=int, default=None,
-                   help="ignored: realization is deterministic")
     p.add_argument("--budget", type=_COUNT, default=200,
                    help="search budget per regular prime, in units of 100 "
                         "visits (default 200)")

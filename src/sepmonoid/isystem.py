@@ -12,15 +12,15 @@ against the axioms, and round-tripped through a text format (.is).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .abelian import (FGAbelianGroup, GroupElement, GroupHom, cone_walk, identity,
-                      vec_mat, zero_hom)
+from .abelian import (FGAbelianGroup, GroupElement, GroupHom, identity,
+                      left_kernel, vec_mat, zero_hom)
 from .graph import SepGraph, require_adaptable
 from .posets import Poset
 
 VERIFIED = "Verified"
 COUNTEREXAMPLE = "CounterexampleFound"
-INCONCLUSIVE = "InconclusiveWithinBound"
 
 
 class ISystemError(ValueError):
@@ -98,65 +98,66 @@ class ValidationFailure:
 class ValidationReport:
     status: str
     failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     @property
     def ok(self):
         return self.status == VERIFIED
 
 
-def _cone_covers_finite(q_group: FGAbelianGroup, units) -> GroupElement | None:
-    """Walk the additive closure of the unit classes inside a finite group.
+def _cone_gap(p, quotient: FGAbelianGroup, units) -> str | None:
+    """Why the units, a list of (prime, coefficient row in quotient), fail to
+    generate quotient = G_p mod the lower images as a monoid, or None.
 
-    Returns a missing element if the closure is proper, else None.
+    They generate it as a monoid exactly when (a) they generate it as a
+    group and (b) no nonzero linear form y on its r free coordinates has
+    one sign on every unit.  Given both, Stiemke's theorem gives a
+    rational relation sum(c_i * u_i) = 0 on the free coordinates with
+    every c_i > 0; scaled by a common denominator and by the torsion
+    exponent it is an integer relation in quotient with every c_i >= 1,
+    so -u_j = (c_j - 1) * u_j + sum(c_i * u_i, i != j) is a sum of units,
+    and the monoid is the group.  Conversely a form as in (b) that is
+    nonzero on some u_q leaves -u_q outside even the real cone.
+
+    (a) is one Smith form of the relations plus the unit rows: a nonzero
+    group rest names a canonical generator that no unit sum reaches.
+    For (b), once (a) holds the units span R^r, so if their real cone is
+    not all of R^r it has a facet, spanned by r - 1 independent units;
+    its normal is the one row of the left kernel of their r x (r - 1)
+    coordinate matrix.  Checking every (r - 1)-subset costs
+    C(n, r - 1) kernels of r x (r - 1) matrices for n units; the corpora
+    have r <= 2 and n <= 5.
     """
-    seen = {c for _, _, c, _ in cone_walk(q_group, list(enumerate(units)))}
-    for g in q_group.all_elements():
-        if g.canonical() not in seen:
-            return g
+    rest = FGAbelianGroup(quotient.ngens, quotient.relations + [list(u) for _, u in units])
+    if not rest.is_trivial():
+        missing = quotient.element(rest.canonical_generators()[0].coeffs)
+        return f"element {missing.canonical()} of G_{p} is not reachable from below"
+    r = quotient.free_rank
+    if not r:
+        return None
+    free = [quotient.canonical_coords(u)[0] for _, u in units]
+    for subset in combinations(free, r - 1):
+        # r = 1 has one subset, the empty one, whose 1 x 0 matrix has kernel (1)
+        normals = left_kernel([list(col) for col in zip(*subset)] or [[]])
+        if len(normals) != 1:
+            continue
+        y = normals[0]
+        signs = [sum(a * b for a, b in zip(y, u)) for u in free]
+        if all(x <= 0 for x in signs):
+            y, signs = [-a for a in y], [-x for x in signs]
+        if all(x >= 0 for x in signs):
+            q = units[next(i for i, x in enumerate(signs) if x)][0]
+            return (f"the negated unit of {q} is not reachable from below: the form {tuple(y)} "
+                    f"on the free coordinates of G_{p} modulo the lower images is >= 0 on "
+                    f"every unit and > 0 on that one")
     return None
 
 
-def _cone_covers_infinite(q_group: FGAbelianGroup, units, box=3, cap=20000):
-    """(status, detail) for the cone condition in an infinite quotient."""
-    r = q_group.free_rank
-    unit_coords = [u.canonical() for u in units]
-    for i in range(r):
-        vals = [c[0][i] for c in unit_coords]
-        if all(v >= 0 for v in vals):
-            return COUNTEREXAMPLE, f"no generator has a negative coordinate {i}"
-        if all(v <= 0 for v in vals):
-            return COUNTEREXAMPLE, f"no generator has a positive coordinate {i}"
-    targets = set()
-    for i in range(r):
-        for sgn in (1, -1):
-            free = tuple(sgn if j == i else 0 for j in range(r))
-            targets.add((free, tuple([0] * len(q_group.torsion_orders()))))
-    orders = q_group.torsion_orders()
-    for j in range(len(orders)):
-        tors = tuple(1 if k == j else 0 for k in range(len(orders)))
-        targets.add((tuple([0] * r), tors))
-    # the step cap is checked only when a layer is complete
-    seen, last = set(), 0
-    for layer, _, c, _ in cone_walk(q_group, list(enumerate(units)),
-                                    lambda c: any(abs(x) > box for x in c[0])):
-        if layer != last and len(seen) > cap:
-            break
-        seen.add(c)
-        last = layer
-    missing = targets - seen
-    if not missing:
-        return VERIFIED, ""
-    return INCONCLUSIVE, f"{len(missing)} basis targets not reached within box {box}"
-
-
-def validate_isystem(sys: ISystem, box=3) -> ValidationReport:
+def validate_isystem(sys: ISystem) -> ValidationReport:
     failures = []
-    inconclusive = []
     poset = sys.poset
     # map presence and shape
     for hi in poset:
-        for lo in poset.strict_down(hi):
+        for lo in sorted(poset.strict_down(hi)):
             if (hi, lo) not in sys.maps:
                 failures.append(ValidationFailure(
                     "map-presence", (hi, lo), f"no connecting map for {lo} < {hi}"))
@@ -183,8 +184,8 @@ def validate_isystem(sys: ISystem, box=3) -> ValidationReport:
         return ValidationReport(COUNTEREXAMPLE, failures)
     # functoriality over chains lo < mid < hi
     for hi in poset:
-        for mid in poset.strict_down(hi):
-            for lo in poset.strict_down(mid):
+        for mid in sorted(poset.strict_down(hi)):
+            for lo in sorted(poset.strict_down(mid)):
                 a = sys.map_for(hi, lo)
                 b = sys.map_for(hi, mid)
                 c = sys.map_for(mid, lo)
@@ -211,30 +212,18 @@ def validate_isystem(sys: ISystem, box=3) -> ValidationReport:
             continue
         units = []
         hom_rows = []
-        for q in lowers:
+        for q in sorted(lowers):
             cm = sys.map_for(p, q)
             if sys.kind[q] == "free" and cm.unit is not None:
-                units.append(cm.unit)
+                units.append((q, cm.unit.coeffs))
             for i in range(sys.group[q].ngens):
                 hom_rows.append(list(cm.hom.matrix[i]))
         quotient = FGAbelianGroup(g_p.ngens, list(g_p.relations) + hom_rows)
-        unit_classes = [quotient.element(u.coeffs) for u in units]
-        if quotient.free_rank == 0:
-            missing = _cone_covers_finite(quotient, unit_classes)
-            if missing is not None:
-                failures.append(ValidationFailure(
-                    "cone-coverage", (p,),
-                    f"element {missing.canonical()} of G_{p} is not reachable from below"))
-        else:
-            status, detail = _cone_covers_infinite(quotient, unit_classes, box=box)
-            if status == COUNTEREXAMPLE:
-                failures.append(ValidationFailure("cone-coverage", (p,), detail))
-            elif status == INCONCLUSIVE:
-                inconclusive.append(ValidationFailure("cone-coverage", (p,), detail))
+        gap = _cone_gap(p, quotient, units)
+        if gap is not None:
+            failures.append(ValidationFailure("cone-coverage", (p,), gap))
     if failures:
         return ValidationReport(COUNTEREXAMPLE, failures)
-    if inconclusive:
-        return ValidationReport(INCONCLUSIVE, inconclusive)
     return ValidationReport(VERIFIED)
 
 
@@ -595,7 +584,7 @@ def parse_isystem(text: str) -> ISystem:
             raise ISystemParseError(line_no, f"missing clause(s) for {', '.join(missing)}")
         maps[(hi, lo)] = ConnectingMap(GroupHom(group[lo], group[hi], rows), unit)
     for hi in poset:
-        for lo in poset.strict_down(hi):
+        for lo in sorted(poset.strict_down(hi)):
             if (hi, lo) not in maps and not (kind[lo] == "regular" and group[lo].is_trivial()):
                 raise ISystemError(f"missing map line for {lo} < {hi}")
     return ISystem(poset, kind, group, maps)

@@ -227,11 +227,11 @@ def division_suite(g: SepGraph, rng: random.Random, samples: int = 500,
     return res
 
 
-def extraction_validity_suite(g: SepGraph, box: int = 3) -> SuiteResult:
+def extraction_validity_suite(g: SepGraph) -> SuiteResult:
     """The system extracted from an adaptable graph must pass validation."""
     res = SuiteResult("extraction-validity")
     res.samples = 1
-    rep = validate_isystem(extract_isystem(g), box=box)
+    rep = validate_isystem(extract_isystem(g))
     res.notes["status"] = rep.status
     if rep.status == COUNTEREXAMPLE:
         res.failures.extend((f.axiom, f.detail) for f in rep.failures)

@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .abelian import (
-    FGAbelianGroup, GroupHom, cone_walk, kernel_generators, left_kernel,
+    FGAbelianGroup, GroupHom, kernel_generators, left_kernel,
     iter_isomorphisms,
 )
 from .graph import SepGraph, check_adaptable, components_of
-from .isystem import (ISystem, extract_isystem, validate_isystem,
-                      COUNTEREXAMPLE, INCONCLUSIVE)
+from .isystem import ISystem, extract_isystem, validate_isystem
 
 
 class ConstructionInfeasible(ValueError):
@@ -192,15 +191,34 @@ def _nonneg_preimage(group, target, gens, max_total=16, state_cap=40000):
     """Multiset over gen keys whose images sum to target, or None.
 
     gens: list of (key, GroupElement); breadth-first, so the result is a
-    smallest such multiset and deterministic for a fixed gens order.
+    smallest such multiset and deterministic for a fixed gens order.  The
+    walk visits each element once, in layers of growing total, and gives
+    up past layer max_total or after state_cap elements.
     """
-    for n, (layer, x, _, ms) in enumerate(cone_walk(group, gens)):
-        if layer > max_total:
-            return None
-        if x == target:
-            return ms
-        if n >= state_cap:
-            return None
+    goal = target.canonical()
+    zero = group.zero()
+    if zero.canonical() == goal:
+        return {}
+    seen = {zero.canonical()}
+    frontier, n = [(zero, {})], 0
+    for _ in range(max_total):
+        nxt = []
+        for x, ms in frontier:
+            for key, gv in gens:
+                y = x + gv
+                c = y.canonical()
+                if c in seen:
+                    continue
+                seen.add(c)
+                n += 1
+                nms = dict(ms)
+                nms[key] = nms.get(key, 0) + 1
+                if c == goal:
+                    return nms
+                if n >= state_cap:
+                    return None
+                nxt.append((y, nms))
+        frontier = nxt
     return None
 
 
@@ -461,25 +479,22 @@ def _realize_regular(builder: _Builder, p, budget, log):
 # --------------------------------------------------------------------- api
 
 
-def realize(system: ISystem, *, seed: int = 0, budget: int = 200,
+def realize(system: ISystem, *, budget: int = 200,
             validate: bool = True) -> RealizeResult:
     """Construct a graph whose extracted system is isomorphic to `system`.
 
-    The search is deterministic: `seed` is accepted for compatibility and
-    ignored.  `budget` bounds each regular prime's search at 100 * budget
-    visits.  The graph carries the isomorphism of the construction: each
-    prime's class, and the image of every vertex of the prime's scope in
-    its group.  `roundtrip_check(system, graph)` checks it in place of a
-    search.
+    The search is deterministic.  `budget` bounds each regular prime's
+    search at 100 * budget visits.  The graph carries the isomorphism of
+    the construction: each prime's class, and the image of every vertex of
+    the prime's scope in its group.  `roundtrip_check(system, graph)`
+    checks it in place of a search.
     """
     log = []
     if validate:
         rep = validate_isystem(system)
-        if rep.status == COUNTEREXAMPLE:
+        if not rep.ok:
             msgs = "; ".join(fl.detail for fl in rep.failures[:3])
             raise ValueError(f"system fails validation: {msgs}")
-        if rep.status == INCONCLUSIVE:
-            log.append("warning: validation inconclusive within bounds, proceeding")
     builder = _Builder(system)
     for p in system.poset.linear_extension():
         if system.kind[p] == "free":
@@ -546,7 +561,7 @@ def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dic
             return f"theta at {p} is no isomorphism onto its group"
     for p in primes:
         f = theta[p]
-        for q in system.poset.strict_down(p):
+        for q in sorted(system.poset.strict_down(p)):
             cm_e, cm_o = ext.map_for(psi[p], psi[q]), system.map_for(p, q)
             for e_row, t_row in zip(cm_e.hom.matrix, theta[q].matrix):
                 if f(e_row) != cm_o.hom(t_row):

@@ -127,7 +127,7 @@ def test_criterion_4_realization_corpus():
     bad = []
     for i, (sysm, _witness) in enumerate(systems):
         try:
-            res = realize(sysm, seed=i, budget=200)
+            res = realize(sysm, budget=200)
             rep = roundtrip_check(sysm, res.graph)
             status = rep.status
         except Exception as exc:

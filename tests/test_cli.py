@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import sepmonoid
 from sepmonoid.cli import main
 from sepmonoid.fixtures import fixture_text, graph_names
 from sepmonoid.graph import parse_graph
@@ -214,6 +218,54 @@ def test_realize_invalid_system_exit_1(tmp_path, capsys):
     assert "cone-coverage" in capsys.readouterr().err
 
 
+def test_realize_half_plane_system_exit_1(tmp_path, capsys):
+    # every unit has x + y >= 0, so -(-g1 + 2*g2) is not a sum of units
+    p = tmp_path / "half-plane.is"
+    p.write_text("prime p free\nprime q1 free\nprime q2 free\nprime q3 free\n"
+                 "cover q1 < p\ncover q2 < p\ncover q3 < p\n"
+                 "group p : Z^2\ngroup q1 : 0\ngroup q2 : 0\ngroup q3 : 0\n"
+                 "map p <- q1 : unit -> g1 - g2\nmap p <- q2 : unit -> -g1 + 2*g2\n"
+                 "map p <- q3 : unit -> g2\n")
+    assert main(["realize", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "axiom cone-coverage" in err and "negated unit of q2" in err
+
+
+# two functoriality triangles t <- b <- a and t <- d <- c that both fail
+TWO_BROKEN_TRIANGLES = "".join(
+    [f"prime {p} reg\ngroup {p} : Z/4\n" for p in "abcdt"]
+    + [f"cover {lo} < {hi}\n" for lo, hi in ("ab", "bt", "cd", "dt")]
+    + [f"map {hi} <- {lo} : g1 -> {img}\n"
+       for hi, lo, img in (("b", "a", "g1"), ("t", "b", "g1"), ("t", "a", "3*g1"),
+                           ("d", "c", "g1"), ("t", "d", "g1"), ("t", "c", "3*g1"))])
+THREE_COVERS_NO_MAPS = "".join(
+    [f"prime {p} reg\ngroup {p} : Z/2\n" for p in "abct"]
+    + [f"cover {lo} < t\n" for lo in "abc"])
+
+
+@pytest.mark.parametrize("text, first", [
+    (TWO_BROKEN_TRIANGLES, "axiom functoriality fails at ('t', 'b', 'a'): "
+                           "hom a<t differs from the composite through b"),
+    (THREE_COVERS_NO_MAPS, "error: missing map line for a < t"),
+], ids=["two-broken-triangles", "three-covers-no-maps"])
+def test_realize_errors_do_not_hang_on_the_hash_seed(tmp_path, text, first):
+    # the primes below a prime form a frozenset, whose order follows
+    # PYTHONHASHSEED; the messages come in sorted order instead
+    path = tmp_path / "s.is"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(sepmonoid.__file__))
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    errs = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        proc = subprocess.run([sys.executable, "-m", "sepmonoid.cli", "realize", str(path)],
+                              capture_output=True, env=env)
+        assert proc.returncode in (1, 2)
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert errs[0].decode().splitlines()[0] == first
+
+
 def test_realize_infeasible_exit_1(tmp_path, capsys):
     p = tmp_path / "obstructed.is"
     p.write_text("prime p reg\nprime q1 free\nprime q2 free\n"
@@ -296,13 +348,12 @@ def test_realize_budget_goes_to_the_library(s1, tmp_path, monkeypatch):
     assert seen == [200, 7]
 
 
-def test_realize_accepts_and_ignores_seed(s1, tmp_path):
-    outs = []
-    for seed in ("1", "9"):
-        out_path = tmp_path / f"s1-{seed}.sg"
-        assert main(["realize", s1, "--seed", seed, "-o", str(out_path)]) == 0
-        outs.append(out_path.read_text())
-    assert outs[0] == outs[1]
+def test_realize_rejects_seed(s1, tmp_path, capsys):
+    # realization is deterministic and has no seed to take
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", s1, "--seed", "1", "-o", str(tmp_path / "s1.sg")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- fuzz

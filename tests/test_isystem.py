@@ -1,13 +1,14 @@
+import ast
 import random
+import re
 
 import pytest
 
 from sepmonoid.abelian import FGAbelianGroup, GroupHom, identity
 from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names
-from sepmonoid.isystem import (COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED,
-                               ConnectingMap, ISystem, ISystemError,
-                               ISystemParseError, canonicalized,
-                               extract_isystem, parse_group_name,
+from sepmonoid.isystem import (COUNTEREXAMPLE, VERIFIED, ConnectingMap,
+                               ISystem, ISystemError, ISystemParseError,
+                               canonicalized, extract_isystem, parse_group_name,
                                parse_group_presentation, parse_isystem,
                                serialize_element_expr, serialize_isystem,
                                validate_isystem)
@@ -149,8 +150,11 @@ def test_trivial_regular_source_gets_zero_map():
 
 @pytest.mark.parametrize("first, second, status, detail", [
     ("g1", "-g1", VERIFIED, []),
-    ("g1", "2*g1", COUNTEREXAMPLE, ["no generator has a negative coordinate 0"]),
-    ("7*g1", "-5*g1", INCONCLUSIVE, ["2 basis targets not reached within box 3"]),
+    ("g1", "2*g1", COUNTEREXAMPLE, [
+        "the negated unit of q1 is not reachable from below: the form (1,) on the free "
+        "coordinates of G_p modulo the lower images is >= 0 on every unit and > 0 on that one"]),
+    ("7*g1", "-5*g1", VERIFIED, []),
+    ("2*g1", "-2*g1", COUNTEREXAMPLE, ["element ((1,), ()) of G_p is not reachable from below"]),
 ])
 def test_validate_cone_in_free_quotient(first, second, status, detail):
     # a free prime with group Z over two trivial free primes
@@ -161,6 +165,92 @@ def test_validate_cone_in_free_quotient(first, second, status, detail):
     rep = validate_isystem(parse_isystem(txt))
     assert rep.status == status
     assert [f.detail for f in rep.failures] == detail
+
+
+def _free_over_trivial(group, units):
+    """A free prime p with the given group over one trivial free prime per unit."""
+    qs = [f"q{i}" for i in range(1, len(units) + 1)]
+    return parse_isystem("".join(
+        ["prime p free\n", f"group p : {group}\n"]
+        + [f"prime {q} free\ncover {q} < p\ngroup {q} : 0\n" for q in qs]
+        + [f"map p <- {q} : unit -> {u}\n" for q, u in zip(qs, units)]))
+
+
+FACET = re.compile(r"the negated unit of (\w+) is not reachable from below: "
+                   r"the form (\(.*?\)) on the free coordinates")
+
+
+def _facet_signs(s, detail):
+    """The named prime and y.u for each unit u, u in the free canonical
+    coordinates of G_p (every lower prime here is trivial)."""
+    q, y = FACET.match(detail).groups()
+    g = s.group["p"]
+    units = {lo: g.canonical_coords(s.map_for("p", lo).unit.coeffs)[0]
+             for lo in s.poset.strict_down("p")}
+    return q, {lo: sum(a * b for a, b in zip(ast.literal_eval(y), u)) for lo, u in units.items()}
+
+
+def test_validate_cone_half_plane():
+    # every unit has x + y >= 0, yet every coordinate takes both signs and
+    # the units generate Z^2 as a group: -(-g1 + 2*g2) is the gap
+    s = _free_over_trivial("Z^2", ["g1 - g2", "-g1 + 2*g2", "g2"])
+    rep = validate_isystem(s)
+    assert rep.status == COUNTEREXAMPLE
+    [failure] = rep.failures
+    assert (failure.axiom, failure.primes) == ("cone-coverage", ("p",))
+    q, signs = _facet_signs(s, failure.detail)
+    assert q == "q2" and signs["q2"] > 0 and min(signs.values()) >= 0
+
+
+def _positive_relation(sympy, simplex, units):
+    """Rational c with every c_i >= 1 and sum(c_i * u_i) = 0, or None, by
+    sympy's simplex over the rational null space of the units' matrix."""
+    basis = sympy.Matrix(units).T.nullspace()
+    if not basis:
+        return None
+    t = sympy.symbols(f"t0:{len(basis)}")
+    c = sum((ti * v for ti, v in zip(t, basis)), sympy.zeros(len(units), 1))
+    try:
+        _, point = simplex.lpmin(sum(c), [ci >= 1 for ci in c])
+    except simplex.InfeasibleLPError:
+        return None
+    return [ci.subs(point) for ci in c]
+
+
+def test_validate_cone_agrees_with_smith_and_lp_oracles():
+    # an independent oracle: the units generate G_p as a monoid exactly
+    # when sympy's Smith form says they generate it as a group and its
+    # simplex finds c_i >= 1 with sum(c_i * u_i) = 0 on the free coordinates
+    sympy = pytest.importorskip("sympy")
+    simplex = pytest.importorskip("sympy.solvers.simplex")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(200):
+        r = rng.randint(0, 3)
+        tors = rng.choice([[], [2], [3], [2, 4], [6]] if r else [[2], [3], [2, 4], [6]])
+        n = rng.randint(1, 5)
+        units = [[rng.randint(-3, 3) for _ in range(r + len(tors))] for _ in range(n)]
+        name = " + ".join(["Z"] * r + [f"Z/{d}" for d in tors])
+        s = _free_over_trivial(name, [" + ".join(f"{c}*g{i}" for i, c in enumerate(u, 1))
+                                      .replace("+ -", "- ") for u in units])
+        rels = [[d if j == r + k else 0 for j in range(r + len(tors))]
+                for k, d in enumerate(tors)]
+        diag = invariant_factors(sympy.Matrix(rels + units), domain=sympy.ZZ)
+        ok = len(diag) == r + len(tors) and all(abs(d) == 1 for d in diag)
+        if ok and r:
+            c = _positive_relation(sympy, simplex, [u[:r] for u in units])
+            assert c is None or (min(c) >= 1 and not any(
+                sum(ci * u[i] for ci, u in zip(c, units)) for i in range(r)))
+            ok = c is not None
+        rep = validate_isystem(s)
+        assert rep.status == (VERIFIED if ok else COUNTEREXAMPLE), (name, units, rep.failures)
+        for failure in rep.failures:
+            if failure.detail.startswith("the negated unit"):
+                q, signs = _facet_signs(s, failure.detail)
+                assert signs[q] > 0 and min(signs.values()) >= 0, (name, units)
+        seen.add((rep.status, "negated" in "".join(f.detail for f in rep.failures)))
+    assert len(seen) == 3
 
 
 def test_validate_flags_missing_map():

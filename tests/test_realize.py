@@ -9,8 +9,8 @@ from sepmonoid.abelian import GroupHom, mat_mul
 from sepmonoid.fixtures import (fixture_graph, fixture_system, graph_names,
                                 system_names)
 from sepmonoid.graph import check_adaptable, parse_graph, serialize_graph
-from sepmonoid.isystem import (canonicalized, extract_isystem, parse_isystem,
-                               serialize_isystem, validate_isystem)
+from sepmonoid.isystem import (VERIFIED, canonicalized, extract_isystem,
+                               parse_isystem, serialize_isystem, validate_isystem)
 from sepmonoid.randgen import random_adaptable, relabel_system
 from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible,
                                _row_hnf, _witness, _witness_theta,
@@ -200,8 +200,8 @@ def _roundtrip_both_routes(s, g):
 
 def test_realize_is_deterministic():
     s = extract_isystem(fixture_graph("g5"))
-    g_a = realize(s, seed=7).graph
-    g_b = realize(s, seed=7).graph
+    g_a = realize(s).graph
+    g_b = realize(s).graph
     assert serialize_graph(g_a) == serialize_graph(g_b)
 
 
@@ -461,7 +461,8 @@ def test_large_finite_system_roundtrips_by_its_witness(monkeypatch):
 
     monkeypatch.setattr(realize_mod, "iter_isomorphisms", counting)
     s = parse_isystem(Z16_4_SYSTEM)
-    g = realize(s, validate=False).graph
+    assert validate_isystem(s).status == VERIFIED
+    g = realize(s).graph
     rep = roundtrip_check(s, g)
     assert (rep.status, rep.by) == ("Verified", "witness")
     assert check_roundtrip_certificate(s, g, rep.poset_map, rep.theta) is None
@@ -470,13 +471,13 @@ def test_large_finite_system_roundtrips_by_its_witness(monkeypatch):
 
 def test_realize_ignores_seed():
     # this system once needed a randomized fallback whose result hung on
-    # the seed; the search is deterministic now
+    # a seed; the search has no seed, and three calls build one graph
     s = parse_isystem("prime p1 reg\nprime p2 free\nprime p3 free\nprime p4 reg\n"
                       "prime p5 reg\ncover p1 < p5\ncover p2 < p3\ncover p4 < p5\n"
                       "group p1 : Z/3\ngroup p2 : 0\ngroup p3 : 0\ngroup p4 : Z\n"
                       "group p5 : Z + Z/3\nmap p3 <- p2 : unit -> 0\n"
                       "map p5 <- p1 : g1 -> 2*g2\nmap p5 <- p4 : g1 -> -4*g1 + g2\n")
-    results = [realize(s, seed=seed) for seed in (0, 1, 5)]
+    results = [realize(s) for _ in range(3)]
     assert len({serialize_graph(r.graph) for r in results}) == 1
     assert roundtrip_check(s, results[0].graph).status == "Verified"
     regular = [line for line in results[0].log if line.startswith("regular")]
