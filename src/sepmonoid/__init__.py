@@ -4,8 +4,7 @@ Validation, commutative-monoid rewriting, invariant-system extraction,
 and the constructive converse that realizes a system as a graph.
 """
 
-from .abelian import (FGAbelianGroup, GroupElement, GroupHom,
-                      find_isomorphism, smith_normal_form)
+from .abelian import FGAbelianGroup, GroupElement, GroupHom, smith_normal_form
 from .fixtures import fixture_graph, fixture_system, graph_names
 from .graph import (GraphError, GraphParseError, NotAdaptableError, SepGraph,
                     check_adaptable, condensation, export_dot, parse_graph,
@@ -37,7 +36,7 @@ __all__ = [
     "antisym_nf", "canonicalized", "check_adaptable",
     "check_roundtrip_certificate", "condensation",
     "confluence_equal", "corpus_systems", "eq_exact", "export_dot",
-    "extract_isystem", "find_isomorphism", "fixture_graph", "fixture_system",
+    "extract_isystem", "fixture_graph", "fixture_system",
     "graph_names", "grothendieck_of_restriction",
     "le_semidecide", "monoid_nf", "nf_add", "nf_equal", "parse_element",
     "parse_graph", "parse_isystem", "random_adaptable", "realize",

@@ -7,9 +7,9 @@ homomorphisms act on the right (x maps to x @ M).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import gcd, lcm
 
 
 class AbelianError(ValueError):
@@ -411,19 +411,8 @@ def element_order(x: GroupElement):
     orders = x.group.torsion_orders()
     for t, d in zip(tors, orders):
         if t:
-            g = _gcd(t, d)
-            n = _lcm(n, d // g)
+            n = lcm(n, d // gcd(t, d))
     return n
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a, b):
-    return abs(a * b) // _gcd(a, b) if a and b else 0
 
 
 # -------------------------------------------------------------------- homs
@@ -565,12 +554,6 @@ def direct_sum(groups):
     return total, embeds
 
 
-@dataclass
-class IsoResult:
-    status: str              # "found" | "impossible" | "inconclusive"
-    hom: GroupHom | None = None
-
-
 def _torsion_candidates(h: FGAbelianGroup, d: int):
     """(coefficients, canonical coords) of the elements of h of order exactly d."""
     orders = h.torsion_orders()
@@ -647,18 +630,3 @@ def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints=(), box=
                 yield from walk(k + 1)
 
     yield from walk(0)
-
-
-def find_isomorphism(g: FGAbelianGroup, h: FGAbelianGroup, constraints=(), box=4) -> IsoResult:
-    """Search for an isomorphism g -> h honoring the constraints.
-
-    "impossible" is only claimed when the search space was exhausted
-    completely, which happens exactly when both groups are finite.
-    """
-    if g.invariant_factors != h.invariant_factors or g.free_rank != h.free_rank:
-        return IsoResult("impossible")
-    for f in iter_isomorphisms(g, h, constraints, box):
-        return IsoResult("found", f)
-    if g.free_rank == 0:
-        return IsoResult("impossible")
-    return IsoResult("inconclusive")

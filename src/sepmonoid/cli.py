@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract the invariant system of a graph")
     p.add_argument("path")
     p.add_argument("-o", "--out", default=None, help="output .is file (default stdout)")
-    common(p, depth=False, budget=False)
+    common(p, depth=False, budget=False, fmt=False)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("realize", help="build a graph realizing a .is system")
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_COUNT, default=200,
                    help="search budget per regular prime, in units of 100 "
                         "visits (default 200)")
-    common(p, depth=False, budget=False)
+    common(p, depth=False, budget=False, fmt=False)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("eq", help="decide equality of two elements")
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("left")
     p.add_argument("right")
-    common(p)
+    common(p, fmt=False)
     p.set_defaults(func=cmd_le)
 
     p = sub.add_parser("nf", help="normal form of an element")

@@ -68,16 +68,6 @@ class ISystem:
         except KeyError:
             raise ISystemError(f"no connecting map for {lo} < {hi}") from None
 
-    def hat_apply(self, hi, lo, n: int, g: GroupElement) -> GroupElement:
-        """Image of (n, g) from the hatted source at lo into G_hi."""
-        cm = self.map_for(hi, lo)
-        out = cm.hom(g)
-        if n:
-            if cm.unit is None:
-                raise ISystemError(f"map {lo} < {hi} has no unit image but n={n}")
-            out = out + n * cm.unit
-        return out
-
     def __repr__(self):
         ks = ", ".join(f"{p}:{self.kind[p]}/{self.group[p].canonical_name()}"
                        for p in self.poset)

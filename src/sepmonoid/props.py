@@ -10,10 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graph import SepGraph, require_adaptable
+from .graph import SepGraph
 from .isystem import COUNTEREXAMPLE, extract_isystem, validate_isystem
 from .randgen import random_element, random_trace, random_walk
-from .rewrite import (FreeElement, RewriteError, antisym_nf, confluence_equal,
+from .rewrite import (FreeElement, RewriteError, antisym_le, confluence_equal,
                       eq_exact, refinement_witness,
                       serialize_element, split_trace)
 
@@ -124,18 +124,6 @@ def oracle_agreement_suite(g: SepGraph, rng: random.Random, pairs: int = 1000,
                  "eq_true": eq_true, "confirmed": confirmed,
                  "unconfirmed": eq_true - confirmed}
     return res
-
-
-def antisym_le(g: SepGraph, x: FreeElement, y: FreeElement) -> bool:
-    """Order of the antisymmetrized monoid, decided on archimedean classes."""
-    if x.is_zero():
-        return True
-    if y.is_zero():
-        return False
-    pos = require_adaptable(g).condensation.poset
-    cy = antisym_nf(g, y).entries
-    return all(any(pos.le(cx, cls) for cls, _, _ in cy)
-               for cx, _, _ in antisym_nf(g, x).entries)
 
 
 def primeness_suite(g: SepGraph, rng: random.Random, samples: int = 500,

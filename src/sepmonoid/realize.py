@@ -349,11 +349,11 @@ def _small_kernel_rows(coords, mods, nW, limit=500):
 
 
 def _realize_regular(builder: _Builder, p, budget, log):
-    """Gadget rows (out-maps minus one loop) by a depth-first search.
+    """Gadget rows (out-maps minus one loop) by one depth-first search.
 
-    The search runs once per torsion mask; a set bit means that torsion
-    generator arrives from below, so its gadget vertex carries zero.  Each
-    vertex draws its row from one ordered pool:
+    The gadget vertices carry the canonical generators of G_p (g and -g on
+    the pair of a free generator), so together they generate G_p whatever
+    arrives from below.  Each vertex draws its row from one ordered pool:
       1. core plus ring, with the coverage pinning vectors on the first row;
       2. that row plus one or two pinning vectors;
       3. small nonnegative kernel rows, enumerated only when reached.
@@ -405,8 +405,11 @@ def _realize_regular(builder: _Builder, p, budget, log):
     mods = [0] * f + list(facs)
     covers = sysm.poset.lower_covers(p)
     visits = 0
+    # gadget values: the canonical generators, g and -g on a free pair
+    tval = dict(zip(W, [v for gen in cg[:f] for v in (gen, -gen)] + cg[f:] or [G.zero()]))
+    values = list(tval.values()) + required
 
-    def accept(rows, values):
+    def accept(rows):
         out_maps = {w: _merge({order[k]: c for k, c in enumerate(row) if c}, {w: 1})
                     for w, row in zip(row_order, rows)}
         hit = _reached(builder, [t for om in out_maps.values() for t in om])
@@ -420,60 +423,50 @@ def _realize_regular(builder: _Builder, p, budget, log):
             return None
         return out_maps
 
-    for mask in range(1 << len(tors)):
-        # gadget values; a masked torsion vertex carries zero
-        tval = {w: G.zero() for w in W}
-        for i, (a, b) in enumerate(pairs):
-            tval[a], tval[b] = cg[i], -cg[i]
-        tval.update((w, cg[f + k]) for k, w in enumerate(tors) if not mask >> k & 1)
-        if mask and not G.generated_by([v.coeffs for v in required + [tval[w] for w in W]]):
-            continue
-        values = [tval[w] for w in W] + required
-        coords = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]
-        target = _kernel_hnf(coords, mods)
-        # pinning vectors: a lower vertex plus gadget vertices cancelling its value
-        tcone = [(w, tval[w]) for w in W]
-        pre = {u: _nonneg_preimage(G, -val, tcone) for u, val in zip(L, required)}
-        pin = {u: _merge({u: 1}, m) for u, m in pre.items() if m is not None}
-        cover_pins = [pin[u] for u in (builder.class_vertices[q][0] for q in covers) if u in pin]
-        singles = list(pin.values())
-        extras = [{}] + singles + [_merge(z, y) for i, z in enumerate(singles) for y in singles[i:]]
-        small = None
+    coords = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]
+    target = _kernel_hnf(coords, mods)
+    # pinning vectors: a lower vertex plus gadget vertices cancelling its value
+    tcone = list(tval.items())
+    pre = {u: _nonneg_preimage(G, -val, tcone) for u, val in zip(L, required)}
+    pin = {u: _merge({u: 1}, m) for u, m in pre.items() if m is not None}
+    cover_pins = [pin[u] for u in (builder.class_vertices[q][0] for q in covers) if u in pin]
+    singles = list(pin.values())
+    extras = [{}] + singles + [_merge(z, y) for i, z in enumerate(singles) for y in singles[i:]]
+    small = None
 
-        def candidates(j):
-            nonlocal small
-            w = row_order[j]
-            fixed = [core[w], ring[w]] + (cover_pins if j == 0 else [])
-            seen = set()
-            for extra in extras:
-                row = vec(*fixed, extra)
-                if row not in seen:
-                    seen.add(row)
-                    yield row
-            if small is None:
-                small = _small_kernel_rows(coords, mods, nW)
-            yield from (row for row in small if row not in seen)
+    def candidates(j):
+        nonlocal small
+        w = row_order[j]
+        fixed = [core[w], ring[w]] + (cover_pins if j == 0 else [])
+        seen = set()
+        for extra in extras:
+            row = vec(*fixed, extra)
+            if row not in seen:
+                seen.add(row)
+                yield row
+        if small is None:
+            small = _small_kernel_rows(coords, mods, nW)
+        yield from (row for row in small if row not in seen)
 
-        def rec(rows, span):
-            nonlocal visits
-            visits += 1
-            if visits > 100 * budget or len(target) - len(span) > nW - len(rows):
-                return None
-            if len(rows) == nW:
-                return accept(rows, values) if span == target else None
-            for row in candidates(len(rows)):
-                got = rec(rows + (row,), _row_hnf(list(span) + [list(row)]))
-                if got is not None:
-                    return got
+    def rec(rows, span):
+        nonlocal visits
+        visits += 1
+        if visits > 100 * budget or len(target) - len(span) > nW - len(rows):
             return None
+        if len(rows) == nW:
+            return accept(rows) if span == target else None
+        for row in candidates(len(rows)):
+            got = rec(rows + (row,), _row_hnf(list(span) + [list(row)]))
+            if got is not None:
+                return got
+        return None
 
-        out_maps = rec((), _row_hnf(R_L))
-        if out_maps is not None:
-            builder.add_class(p, {w: [out_maps[w]] for w in W}, dict(zip(order, values)), tval)
-            log.append(f"regular {p}: vertices {', '.join(W)}, attempt {visits}")
-            return
-    raise ConstructionFailed(
-        f"regular prime {p}: no row set matched the kernel lattice after {visits} visits")
+    out_maps = rec((), _row_hnf(R_L))
+    if out_maps is None:
+        raise ConstructionFailed(
+            f"regular prime {p}: no row set matched the kernel lattice after {visits} visits")
+    builder.add_class(p, {w: [out_maps[w]] for w in W}, dict(zip(order, values)), tval)
+    log.append(f"regular {p}: vertices {', '.join(W)}, attempt {visits}")
 
 
 # --------------------------------------------------------------------- api

@@ -277,7 +277,8 @@ class _Certificates:
     class of v, so `adaptable` switches this invariant off.
 
     Elements that differ in either image are unequal in the monoid.  Bit k
-    of a class mask stands for classes[k], the k-th class id in sorted order.
+    of a class mask stands for classes[k], the k-th class id in sorted order;
+    `free` is the mask of the free classes.
     """
 
     def __init__(self, g: SepGraph):
@@ -287,6 +288,7 @@ class _Certificates:
         cond = report.condensation
         self.classes = tuple(sorted(cond.members))
         bit = {c: 1 << k for k, c in enumerate(self.classes)}
+        self.free = sum(bit[c] for c, kind in report.kinds.items() if kind == "free")
         below = {c: sum(bit[q] for q in cond.poset.strict_down(c)) for c in bit}
         self.class_bits = tuple(bit[cond.class_of[v]] for v in cg.vertices)
         self.below = tuple(below[cond.class_of[v]] for v in cg.vertices)
@@ -299,14 +301,25 @@ class _Certificates:
                              [delta for mine in cg.moves for _, delta in mine])
         return grp.coordinate_columns()
 
-    def top_classes(self, t):
-        """The mask of the maximal classes of t's support, an antichain."""
+    def spread(self, t):
+        """(support, lower): the mask of the classes of t's support, and that
+        of the classes strictly below one of them."""
         support = lower = 0
         for n, bit, below in zip(t, self.class_bits, self.below):
             if n:
                 support |= bit
                 lower |= below
+        return support, lower
+
+    def top_classes(self, t):
+        """The mask of the maximal classes of t's support, an antichain."""
+        support, lower = self.spread(t)
         return support & ~lower
+
+    def dominated(self, tx, ty) -> bool:
+        """Is every class of tx's support at or below a class of ty's?"""
+        support_y, lower_y = self.spread(ty)
+        return not self.spread(tx)[0] & ~(support_y | lower_y)
 
     def separating(self, tx, ty):
         """The name of an invariant on which tx and ty differ, or None."""
@@ -534,7 +547,9 @@ class _NormalForms:
     Tables, by vertex index as in `_CompiledGraph` and by class bit as in
     `_Certificates`: cls[i] is the class bit of vertex i, up[i] the mask of
     the classes strictly above it, and label[i][k] its generator index in
-    the group of class k (None where it is no generator).
+    the group of class k (None where it is no generator); gens[k] lists
+    the vertex of each generator label of class k, so label[gens[k][j]][k]
+    is j.
     """
 
     def __init__(self, g: SepGraph):
@@ -552,10 +567,12 @@ class _NormalForms:
             for q in _bits(below):
                 strict_up[q] |= 1 << k
         self.up = tuple(strict_up[k] for k in self.cls)
+        self.gens = tuple(tuple(cg.index[w] for w in sysm.generator_labels[p])
+                          for p in classes)
         self.label = [[None] * len(classes) for _ in cg.vertices]
-        for k, p in enumerate(classes):
-            for j, w in enumerate(sysm.generator_labels[p]):
-                self.label[cg.index[w]][k] = j
+        for k, gens in enumerate(self.gens):
+            for j, i in enumerate(gens):
+                self.label[i][k] = j
         self._layouts = {}
 
     def layout(self, top) -> "_Layout":
@@ -651,10 +668,20 @@ def antisym_nf(g: SepGraph, x: FreeElement) -> AntisymNF:
     return AntisymNF(tuple(entries))
 
 
-def monoid_nf(g: SepGraph, x: FreeElement) -> MonoidNF:
-    nf = g.derived(_NormalForms)
-    t = nf.cg.pack(x)
-    layout = nf.layout(nf.cert.top_classes(t))
+def antisym_le(g: SepGraph, x: FreeElement, y: FreeElement) -> bool:
+    """Order of the antisymmetrized monoid, decided on archimedean classes:
+    is every class of x's support at or below a class of y's?"""
+    if x.is_zero():
+        return True
+    if y.is_zero():
+        return False
+    require_adaptable(g)
+    cg = g.derived(_CompiledGraph)
+    return g.derived(_Certificates).dominated(cg.pack(x), cg.pack(y))
+
+
+def _nf(nf: _NormalForms, layout: _Layout, t) -> MonoidNF:
+    """The normal form of t, a vector on the vertices that layout folds."""
     v = layout.fold(t)
     return MonoidNF(tuple(
         NFEntry(nf.cert.classes[k], nf.kinds[k], v[off + n] if free else 1,
@@ -662,33 +689,33 @@ def monoid_nf(g: SepGraph, x: FreeElement) -> MonoidNF:
         for k, off, n, free in layout.entries))
 
 
+def monoid_nf(g: SepGraph, x: FreeElement) -> MonoidNF:
+    nf = g.derived(_NormalForms)
+    t = nf.cg.pack(x)
+    return _nf(nf, nf.layout(nf.cert.top_classes(t)), t)
+
+
 def nf_add(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> MonoidNF:
-    """Sum of two normal forms, renormalized."""
-    sysm = extract_isystem(g)
-    poset = sysm.poset
-    all_classes = sorted({e.cls for e in nf1.entries} | {e.cls for e in nf2.entries})
-    top = poset.maximals(all_classes)
-    out = {}
-    for p in sorted(top):
-        out[p] = [sysm.kind[p], 0, sysm.group[p].zero()]
-    for nf in (nf1, nf2):
-        for e in nf.entries:
-            p = e.cls if e.cls in top else min(q for q in top if poset.lt(e.cls, q))
-            src = sysm.group[e.cls].element(e.gcoeffs)
-            if e.cls == p:
-                if e.kind == "free":
-                    out[p][1] += e.n
-                out[p][2] = out[p][2] + src
-            else:
-                n = e.n if e.kind == "free" else 0
-                out[p][2] = out[p][2] + sysm.hat_apply(p, e.cls, n, src)
-    entries = []
-    for p in sorted(top):
-        kind, n, gval = out[p]
-        if kind == "regular":
-            n = 1
-        entries.append(NFEntry(p, kind, n, tuple(gval.coeffs)))
-    return MonoidNF(tuple(entries))
+    """Sum of two normal forms, renormalized.
+
+    Each entry unfolds onto the vertices it counts: its coefficients onto
+    the generator vertices of its class, a free multiplicity onto the
+    class's own vertex.  The sum of the unfolded vectors is folded into the
+    layout of the union antichain, so on the normal forms of x and y the
+    result is monoid_nf(g, x + y).
+    """
+    nf = g.derived(_NormalForms)
+    t = [0] * len(nf.cg.vertices)
+    support = lower = 0
+    for e in nf1.entries + nf2.entries:
+        k, i = nf.bit[e.cls], nf.cg.index[e.cls]      # a class id is one of its vertices
+        for j, c in zip(nf.gens[k], e.gcoeffs):
+            t[j] += c
+        if nf.kinds[k] == "free":
+            t[i] += e.n
+        support |= 1 << k
+        lower |= nf.cert.below[i]
+    return _nf(nf, nf.layout(support & ~lower), t)
 
 
 def nf_equal(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> bool:
@@ -734,21 +761,15 @@ def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
         return LeResult("yes", FreeElement())
     if x.is_zero():
         return LeResult("yes", y)
-    report = require_adaptable(g)
-    class_of, poset = report.condensation.class_of, report.condensation.poset
-    ycls = {class_of[v] for v in y.support()}
-    for v in x.support():
-        q = class_of[v]
-        if not any(poset.le(q, p) for p in ycls):
-            return LeResult("no")
-    # free multiplicity bound: a free class nothing in y can feed from above
-    for v in x.support():
-        q = class_of[v]
-        if report.kinds[q] != "free":
-            continue
-        if any(poset.lt(q, p) for p in ycls):
-            continue
-        if x.get(v) > y.get(v):
+    require_adaptable(g)
+    cert = g.derived(_Certificates)
+    support_y, lower_y = cert.spread(root_y)
+    # "no" for a class of x at or below no class of y (x is not dominated),
+    # and for a free class of x with more copies than y that no class of y
+    # lies above: nothing in y can feed it from above
+    for n, m, bit in zip(root_x, root_y, cert.class_bits):
+        if n and (not bit & (support_y | lower_y)
+                  or bit & cert.free and not bit & lower_y and n > m):
             return LeResult("no")
     if y.contains(x):
         return LeResult("yes", y.minus(x))

@@ -153,6 +153,31 @@ def test_nf_golden_stdout(name, expr, want, fmt, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+# le, extract and realize have one output format too, as nf has
+FORMATLESS_GOLDEN = [
+    (["le", "g5.sg", "b", "a+a'+b"], 0, "yes z=a+a'\n"),
+    (["le", "g5.sg", "a", "b"], 1, "no\n"),
+    (["extract", "g2.sg"], 0, "prime w reg\ngroup w : Z/2\n"),
+    (["realize", "s1.is"], 0, "vertex p\nvertex q\nedge e1 p p\nedge e2 p q\n"
+                              "edge e3 p q\nblock e1 e2 e3\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,want", FORMATLESS_GOLDEN,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+@pytest.mark.parametrize("fmt", ["human", "lines"])
+def test_formatless_commands_golden_stdout(argv, code, want, fmt, tmp_path, capsys):
+    cmd, name, *rest = argv
+    path = tmp_path / name
+    path.write_text(fixture_text(name))
+    assert main([cmd, str(path)] + rest) == code
+    assert capsys.readouterr().out == want
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, str(path)] + rest + ["--format", fmt])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_eq_human_prints_nf_lines(g5, capsys):
     assert main(["eq", g5, "a+a'+b", "a'+2*b"]) == 1
     assert capsys.readouterr().out == (

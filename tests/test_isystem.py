@@ -337,15 +337,6 @@ def test_serialized_form_is_canonical_names():
     assert "prime w reg" in text
 
 
-def test_hat_apply():
-    s = fixture_system("s1")
-    gp = s.group["p"]
-    out = s.hat_apply("p", "q", 1, s.group["q"].zero())
-    assert not out.is_zero()
-    out2 = s.hat_apply("p", "q", 2, s.group["q"].zero())
-    assert out2.is_zero()
-
-
 # reference for serialize_isystem and canonicalized: each group is rebuilt
 # in canonical diagonal form (a group already in that form keeps its
 # generators), every map becomes the GroupHom fwd_hi . hom . back_lo, and the

@@ -11,15 +11,16 @@ from sepmonoid import isystem as isystem_mod
 from sepmonoid import rewrite as rewrite_mod
 from sepmonoid.abelian import direct_sum, subgroup_membership
 from sepmonoid.fixtures import fixture_graph, fixture_text, graph_names
-from sepmonoid.graph import (check_adaptable, condensation, parse_graph,
-                             require_adaptable)
+from sepmonoid.graph import (NotAdaptableError, check_adaptable, condensation,
+                             parse_graph, require_adaptable)
 from sepmonoid.isystem import (canonicalized, extract_isystem,
                                serialize_isystem, validate_isystem)
 from sepmonoid.realize import realize, roundtrip_check
 from sepmonoid.randgen import (random_adaptable, random_element, random_trace,
                                random_walk)
+from sepmonoid.props import antisym_le as props_antisym_le
 from sepmonoid.rewrite import (FreeElement, MonoidNF, NFEntry, RewriteError,
-                               antisym_nf, apply_step, apply_trace,
+                               antisym_le, antisym_nf, apply_step, apply_trace,
                                confluence_equal, confluence_search, eq_exact,
                                grothendieck_of_restriction,
                                le_semidecide, monoid_nf, nf_add, nf_equal,
@@ -927,6 +928,84 @@ def test_normal_form_kernel_reaches_the_ambiguity_subgroup():
             seen.add((how, want))
     assert {("membership", True), ("membership", False), ("zero", True),
             ("no generators", False), ("multiplicity", False)} <= seen
+
+
+# the order and the sum against the routes they replaced: antisym_nf plus
+# Poset.le for antisym_le, and Poset.le / Poset.lt over the support classes
+# of y for le_semidecide's two "no" prechecks, restated here
+
+
+def _reference_antisym_le(g, x, y):
+    if x.is_zero():
+        return True
+    if y.is_zero():
+        return False
+    pos = require_adaptable(g).condensation.poset
+    cy = antisym_nf(g, y).entries
+    return all(any(pos.le(cx, cls) for cls, _, _ in cy)
+               for cx, _, _ in antisym_nf(g, x).entries)
+
+
+def _reference_le_no(g, x, y):
+    report = require_adaptable(g)
+    class_of, poset = report.condensation.class_of, report.condensation.poset
+    ycls = {class_of[v] for v in y.support()}
+    for v in x.support():
+        q = class_of[v]
+        if not any(poset.le(q, p) for p in ycls):
+            return True
+        if (report.kinds[q] == "free" and not any(poset.lt(q, p) for p in ycls)
+                and x.get(v) > y.get(v)):
+            return True
+    return False
+
+
+def _order_pairs(g, rng, count):
+    for k in range(count):
+        x = random_element(rng, g, 4, nonzero=False)
+        if k % 2:
+            y = random_element(rng, g, 4, nonzero=False)
+        else:
+            w = random_element(rng, g, 3, nonzero=False)
+            y = random_walk(rng, g, x + w, rng.randint(0, 4))
+        yield x, y
+
+
+def test_nf_add_is_the_normal_form_of_the_sum():
+    # exact, not only nf_equal: the sum unfolds both normal forms onto their
+    # vertices and folds them into the layout of the union antichain
+    for name, g in CORPUS:
+        rng = random.Random(zlib.crc32(name.encode()))
+        pairs = list(_order_pairs(g, rng, 60))
+        pairs += [_lower_content_pair(rng, g) for _ in range(20)]
+        for x, y in pairs:
+            assert nf_add(g, monoid_nf(g, x), monoid_nf(g, y)) == monoid_nf(g, x + y), \
+                (name, serialize_element(x), serialize_element(y))
+
+
+def test_order_matches_the_poset_route():
+    assert props_antisym_le is antisym_le
+    seen = set()
+    for name, g in CORPUS:
+        rng = random.Random(zlib.crc32(name.encode()) + 1)
+        for x, y in _order_pairs(g, rng, 60):
+            want = _reference_antisym_le(g, x, y)
+            assert antisym_le(g, x, y) is want
+            # at depth 0 every "no" is a precheck's
+            no = le_semidecide(g, x, y, depth=0, node_budget=0).status == "no"
+            assert no is (x != y and not x.is_zero() and _reference_le_no(g, x, y))
+            seen.add((want, no))
+    assert {(True, False), (False, True), (True, True)} <= seen
+
+
+def test_antisym_le_zero_answers_come_before_the_adaptability_check():
+    g = parse_graph("vertex v\nvertex w\nedge e v w\nblock e\n")
+    assert not check_adaptable(g).ok
+    assert antisym_le(g, FreeElement(), fe(g, "v"))
+    assert antisym_le(g, FreeElement(), FreeElement())
+    assert not antisym_le(g, fe(g, "w"), FreeElement())
+    with pytest.raises(NotAdaptableError):
+        antisym_le(g, fe(g, "w"), fe(g, "v"))
 
 
 # ------------------------------------------------- one analysis per graph
