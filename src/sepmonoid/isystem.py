@@ -16,11 +16,12 @@ from itertools import combinations
 
 from .abelian import (FGAbelianGroup, GroupElement, GroupHom, identity,
                       left_kernel, vec_mat, zero_hom)
-from .graph import SepGraph, require_adaptable
+from .graph import MAX_EXPANDED_EDGES, SepGraph, require_adaptable
 from .posets import Poset
 
 VERIFIED = "Verified"
 COUNTEREXAMPLE = "CounterexampleFound"
+MAX_GROUP_GENERATORS = 256      # per group name in a .is file
 
 
 class ISystemError(ValueError):
@@ -297,6 +298,9 @@ def _extract(g: SepGraph) -> ISystem:
 
 
 def parse_group_name(s: str) -> FGAbelianGroup:
+    """Read a name like 'Z^2 + Z/2 + Z/4'.  A torsion order may be at most
+    MAX_EXPANDED_EDGES (realize writes that many parallel edges), and the
+    group at most MAX_GROUP_GENERATORS generators."""
     s = s.strip()
     if s == "0":
         return FGAbelianGroup(0, [])
@@ -320,9 +324,15 @@ def parse_group_name(s: str) -> FGAbelianGroup:
                 raise ISystemError(f"bad group term '{part}'") from None
             if d < 2:
                 raise ISystemError(f"torsion order must be at least 2, got {d}")
+            if d > MAX_EXPANDED_EDGES:
+                raise ISystemError(f"group term '{part}': torsion order above "
+                                   f"{MAX_EXPANDED_EDGES}")
             factors.append(d)
         else:
             raise ISystemError(f"bad group term '{part}'")
+        if free + len(factors) > MAX_GROUP_GENERATORS:
+            raise ISystemError(f"group term '{part}': more than "
+                               f"{MAX_GROUP_GENERATORS} generators in the group")
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise ISystemError(f"torsion orders must divide in sequence: {a}, {b}")

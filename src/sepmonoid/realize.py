@@ -23,10 +23,12 @@ ConstructionFailed.  Both carry the offending prime in the message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import count
 from math import comb, gcd
 
 from .abelian import (
-    FGAbelianGroup, GroupHom, kernel_generators, left_kernel,
+    FGAbelianGroup, GroupHom, _xgcd, kernel_generators, left_kernel,
     iter_isomorphisms,
 )
 from .graph import SepGraph, check_adaptable, components_of
@@ -146,45 +148,50 @@ class _Builder:
 # ----------------------------------------------------------- shared pieces
 
 
+def _hnf_insert(span, row):
+    """The canonical HNF of the span of a canonical HNF `span` plus `row`.
+
+    The row is cleared against each pivot in turn by the 2x2 extended-gcd
+    combination, a leftover leading entry becomes a new pivot row, and the
+    entries above each pivot are reduced into [0, pivot) again.  The basis
+    is unique per lattice, so this is _row_hnf of the span's rows and row.
+    """
+    mat = list(span)
+    # leading columns: a first nonzero value occurs first at its own column
+    piv = [r.index(next(filter(None, r))) for r in mat]
+    i = 0
+    while any(row):
+        c = row.index(next(filter(None, row)))
+        while i < len(mat) and piv[i] < c:
+            i += 1
+        if i == len(mat) or piv[i] > c:
+            mat.insert(i, tuple(-x for x in row) if row[c] < 0 else row)
+            piv.insert(i, c)
+            break
+        a, b = mat[i][c], row[c]
+        if b % a:
+            g, x, y = _xgcd(a, b)
+            mat[i], row = ([x * u + y * v for u, v in zip(mat[i], row)],
+                           [a // g * v - b // g * u for u, v in zip(mat[i], row)])
+        else:
+            row = [v - b // a * u for u, v in zip(mat[i], row)]
+        i += 1
+    for j, c in enumerate(piv):
+        for k in range(j):
+            q = mat[k][c] // mat[j][c]
+            if q:
+                mat[k] = [u - q * v for u, v in zip(mat[k], mat[j])]
+    return tuple(map(tuple, mat))
+
+
 def _row_hnf(rows):
-    """Canonical Hermite-style basis of the integer row span.
+    """Canonical Hermite-style basis of the integer row span, the fold of
+    _hnf_insert from the empty basis.
 
     Unique per lattice (positive pivots, entries above a pivot reduced into
     [0, pivot)), so tuples compare equal exactly when the spans agree.
     """
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    pr = 0
-    for col in range(ncols):
-        if pr >= len(mat):
-            break
-        while True:
-            nz = [j for j in range(pr, len(mat)) if mat[j][col]]
-            if not nz:
-                break
-            j = min(nz, key=lambda k: abs(mat[k][col]))
-            if j != pr:
-                mat[pr], mat[j] = mat[j], mat[pr]
-            if mat[pr][col] < 0:
-                mat[pr] = [-x for x in mat[pr]]
-            done = True
-            for k in range(pr + 1, len(mat)):
-                if mat[k][col]:
-                    q = mat[k][col] // mat[pr][col]
-                    mat[k] = [x - q * y for x, y in zip(mat[k], mat[pr])]
-                    if mat[k][col]:
-                        done = False
-            if done:
-                break
-        if pr < len(mat) and mat[pr][col]:
-            for j in range(pr):
-                q = mat[j][col] // mat[pr][col]
-                if q:
-                    mat[j] = [x - q * y for x, y in zip(mat[j], mat[pr])]
-            pr += 1
-    return tuple(tuple(r) for r in mat[:pr] if any(r))
+    return reduce(_hnf_insert, rows, ())
 
 
 def _nonneg_preimage(group, target, gens, max_total=16, state_cap=40000):
@@ -320,7 +327,8 @@ def _kernel_hnf(coords, mods):
 
 
 def _small_kernel_rows(coords, mods, nW, limit=500):
-    """Nonnegative kernel rows of small total, smallest first.
+    """Nonnegative kernel rows of small total, smallest first, generated
+    lazily in (sum(r), r) order.
 
     Each row has a gadget coordinate (one of the first nW), which keeps the
     internal out-degree of its vertex at 2 or more.  The total bound starts
@@ -331,21 +339,21 @@ def _small_kernel_rows(coords, mods, nW, limit=500):
     cap = 4 if n <= 10 else 3
     while comb(n + cap + 1, n) < limit:
         cap += 1
-    out = []
     row = [0] * n
 
     def walk(i, left, acc):
-        if i == n:
-            if any(row[:nW]) and all(a % m == 0 if m else a == 0 for a, m in zip(acc, mods)):
-                out.append(tuple(row))
-            return
-        for c in range(left + 1):
+        # rows of total `left` on coordinates i.., in lexicographic order
+        for c in range(left + 1) if i < n - 1 else (left,):
             row[i] = c
-            walk(i + 1, left - c, [a + c * x for a, x in zip(acc, coords[i])])
-        row[i] = 0
+            nacc = [a + c * x for a, x in zip(acc, coords[i])]
+            if i < n - 1:
+                yield from walk(i + 1, left - c, nacc)
+            elif any(row[:nW]) and all(a % m == 0 if m else a == 0
+                                       for a, m in zip(nacc, mods)):
+                yield tuple(row)
 
-    walk(0, cap, [0] * len(mods))
-    return sorted(out, key=lambda r: (sum(r), r))
+    for total in range(cap + 1):
+        yield from walk(0, total, [0] * len(mods))
 
 
 def _realize_regular(builder: _Builder, p, budget, log):
@@ -356,9 +364,10 @@ def _realize_regular(builder: _Builder, p, budget, log):
     arrives from below.  Each vertex draws its row from one ordered pool:
       1. core plus ring, with the coverage pinning vectors on the first row;
       2. that row plus one or two pinning vectors;
-      3. small nonnegative kernel rows, enumerated only when reached.
+      3. small nonnegative kernel rows, enumerated lazily, only as far as
+         the search reads, into one list that every level shares.
     Rows that cannot raise the span to the lattice rank are pruned, and
-    one visit counter bounds the whole search at 100 * budget.
+    one visit counter stops the whole search when it reaches 100 * budget.
     """
     sysm = builder.sysm
     G = sysm.group[p]
@@ -432,10 +441,18 @@ def _realize_regular(builder: _Builder, p, budget, log):
     cover_pins = [pin[u] for u in (builder.class_vertices[q][0] for q in covers) if u in pin]
     singles = list(pin.values())
     extras = [{}] + singles + [_merge(z, y) for i, z in enumerate(singles) for y in singles[i:]]
-    small = None
+    small, more = [], _small_kernel_rows(coords, mods, nW)
+
+    def small_rows():
+        # the rows read so far, then more on demand; None marks the end
+        for k in count():
+            if k == len(small):
+                small.append(next(more, None))
+            if small[k] is None:
+                return
+            yield small[k]
 
     def candidates(j):
-        nonlocal small
         w = row_order[j]
         fixed = [core[w], ring[w]] + (cover_pins if j == 0 else [])
         seen = set()
@@ -444,19 +461,19 @@ def _realize_regular(builder: _Builder, p, budget, log):
             if row not in seen:
                 seen.add(row)
                 yield row
-        if small is None:
-            small = _small_kernel_rows(coords, mods, nW)
-        yield from (row for row in small if row not in seen)
+        yield from (row for row in small_rows() if row not in seen)
 
     def rec(rows, span):
         nonlocal visits
         visits += 1
-        if visits > 100 * budget or len(target) - len(span) > nW - len(rows):
+        if len(target) - len(span) > nW - len(rows):
             return None
         if len(rows) == nW:
             return accept(rows) if span == target else None
         for row in candidates(len(rows)):
-            got = rec(rows + (row,), _row_hnf(list(span) + [list(row)]))
+            if visits >= 100 * budget:
+                return None
+            got = rec(rows + (row,), _hnf_insert(span, row))
             if got is not None:
                 return got
         return None
@@ -476,8 +493,8 @@ def realize(system: ISystem, *, budget: int = 200,
             validate: bool = True) -> RealizeResult:
     """Construct a graph whose extracted system is isomorphic to `system`.
 
-    The search is deterministic.  `budget` bounds each regular prime's
-    search at 100 * budget visits.  The graph carries the isomorphism of
+    The search is deterministic.  Each regular prime's search makes at most
+    100 * budget visits.  The graph carries the isomorphism of
     the construction: each prime's class, and the image of every vertex of
     the prime's scope in its group.  `roundtrip_check(system, graph)`
     checks it in place of a search.

@@ -69,6 +69,13 @@ def test_validate_huge_multiplicity_exit_2(tmp_path, capsys):
     assert "multiplicities add more than 10000 edges" in capsys.readouterr().err
 
 
+def test_realize_huge_torsion_exit_2(tmp_path, capsys):
+    p = tmp_path / "huge.is"
+    p.write_text("prime p reg\ngroup p : Z/10001\n")
+    assert main(["realize", str(p)]) == 2
+    assert "group term 'Z/10001': torsion order above 10000" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["validate", "/no/such/file.sg"]) == 2
 

@@ -104,6 +104,25 @@ def test_parse_group_name_forms():
         parse_group_name("Q")
 
 
+@pytest.mark.parametrize("name, term, why", [
+    ("Z/10001", "Z/10001", "torsion order above 10000"),
+    ("Z^257", "Z^257", "more than 256 generators"),
+    ("Z^100000", "Z^100000", "more than 256 generators"),
+    ("Z^200 + Z^56 + Z/2", "Z/2", "more than 256 generators"),
+])
+def test_parse_group_name_caps(name, term, why):
+    # parse-only: the check comes before any group is built
+    with pytest.raises(ISystemError, match=re.escape(f"group term '{term}': {why}")):
+        parse_group_name(name)
+    with pytest.raises(ISystemParseError, match="line 2"):
+        parse_isystem(f"prime p reg\ngroup p : {name}\n")
+
+
+def test_parse_group_name_at_the_caps():
+    assert parse_group_name("Z/10000").invariant_factors == (10000,)
+    assert parse_group_name("Z^255 + Z/2").ngens == 256
+
+
 def test_parse_group_name_rejects_negative_free_rank():
     with pytest.raises(ISystemError):
         parse_group_name("Z^-1")

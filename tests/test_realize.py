@@ -1,7 +1,9 @@
+import hashlib
 import importlib
 import random
 import re
 from dataclasses import replace
+from math import comb
 
 import pytest
 
@@ -13,8 +15,8 @@ from sepmonoid.isystem import (VERIFIED, canonicalized, extract_isystem,
                                parse_isystem, serialize_isystem, validate_isystem)
 from sepmonoid.randgen import random_adaptable, relabel_system
 from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible,
-                               _row_hnf, _witness, _witness_theta,
-                               check_roundtrip_certificate, realize,
+                               _hnf_insert, _row_hnf, _small_kernel_rows, _witness,
+                               _witness_theta, check_roundtrip_certificate, realize,
                                roundtrip_check)
 from sepmonoid.rewrite import eq_exact, parse_element
 
@@ -499,3 +501,143 @@ def test_row_hnf_agrees_with_sympy():
         h = hermite_normal_form(sympy.Matrix([r[::-1] for r in a]).T).T
         theirs = [tuple(int(x) for x in h.row(i))[::-1] for i in range(h.rows)]
         assert _row_hnf(a) == tuple(r for r in reversed(theirs) if any(r)), a
+
+
+def _eliminated_hnf(rows):
+    """An HNF by repeated elimination of whole columns, the routine that
+    realize used before its one-row insertion, kept as the reference."""
+    mat = [list(r) for r in rows if any(r)]
+    if not mat:
+        return ()
+    ncols = len(mat[0])
+    pr = 0
+    for col in range(ncols):
+        if pr >= len(mat):
+            break
+        while True:
+            nz = [j for j in range(pr, len(mat)) if mat[j][col]]
+            if not nz:
+                break
+            j = min(nz, key=lambda k: abs(mat[k][col]))
+            if j != pr:
+                mat[pr], mat[j] = mat[j], mat[pr]
+            if mat[pr][col] < 0:
+                mat[pr] = [-x for x in mat[pr]]
+            done = True
+            for k in range(pr + 1, len(mat)):
+                if mat[k][col]:
+                    q = mat[k][col] // mat[pr][col]
+                    mat[k] = [x - q * y for x, y in zip(mat[k], mat[pr])]
+                    if mat[k][col]:
+                        done = False
+            if done:
+                break
+        if pr < len(mat) and mat[pr][col]:
+            for j in range(pr):
+                q = mat[j][col] // mat[pr][col]
+                if q:
+                    mat[j] = [x - q * y for x, y in zip(mat[j], mat[pr])]
+            pr += 1
+    return tuple(tuple(r) for r in mat[:pr] if any(r))
+
+
+def test_hnf_insert_matches_elimination():
+    rng = random.Random(16)
+    for _ in range(20000):
+        width = rng.randint(1, 8)
+        span = _eliminated_hnf([[rng.randint(-4, 4) for _ in range(width)]
+                                for _ in range(rng.randint(0, 5))])
+        row = tuple(rng.randint(-4, 4) for _ in range(width))
+        assert _hnf_insert(span, row) == _eliminated_hnf(list(span) + [row]), (span, row)
+    for _ in range(500):
+        width = rng.randint(1, 8)
+        rows = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(rng.randint(0, 9))]
+        assert _row_hnf(rows) == _eliminated_hnf(rows), rows
+
+
+def _sorted_small_kernel_rows(coords, mods, nW, limit=500):
+    """Every small kernel row at once, sorted: the list realize built before
+    it read the rows lazily."""
+    n = len(coords)
+    cap = 4 if n <= 10 else 3
+    while comb(n + cap + 1, n) < limit:
+        cap += 1
+    out, row = [], [0] * n
+
+    def walk(i, left, acc):
+        if i == n:
+            if any(row[:nW]) and all(a % m == 0 if m else a == 0 for a, m in zip(acc, mods)):
+                out.append(tuple(row))
+            return
+        for c in range(left + 1):
+            row[i] = c
+            walk(i + 1, left - c, [a + c * x for a, x in zip(acc, coords[i])])
+        row[i] = 0
+
+    walk(0, cap, [0] * len(mods))
+    return sorted(out, key=lambda r: (sum(r), r))
+
+
+def test_lazy_small_kernel_rows_match_the_sorted_list():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        mods = [rng.choice([0, 0, 2, 3, 4, 6]) for _ in range(rng.randint(1, 3))]
+        coords = [[rng.randint(-3, 3) for _ in mods] for _ in range(n)]
+        nW = rng.randint(1, n)
+        want = _sorted_small_kernel_rows(coords, mods, nW)
+        assert list(_small_kernel_rows(coords, mods, nW)) == want, (coords, mods, nW)
+
+
+# The slowest system of the realize-roundtrip corpus: p4's search makes 417
+# visits, each of which adds one row to the span.
+DEEP_SYSTEM = """\
+prime p1 free
+prime p2 reg
+prime p3 reg
+prime p4 reg
+prime p5 free
+cover p2 < p3
+cover p2 < p5
+cover p3 < p4
+group p1 : 0
+group p2 : Z
+group p3 : Z + Z/3
+group p4 : Z + Z/3
+group p5 : Z
+map p3 <- p2 : g1 -> g1
+map p4 <- p2 : g1 -> g1
+map p4 <- p3 : g1 -> g1 ; g2 -> g2
+map p5 <- p2 : g1 -> g1
+"""
+
+
+def test_deep_system_golden_realization():
+    s = parse_isystem(DEEP_SYSTEM)
+    res = realize(s)
+    assert res.log == ["regular p2: vertices p2.1, p2.2, attempt 3",
+                       "regular p3: vertices p3.1, p3.2, p3.3, attempt 5",
+                       "regular p4: vertices p4.1, p4.2, p4.3, attempt 417",
+                       "free p5: vertex p5, 1 block(s)"]
+    text = serialize_graph(res.graph)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "ec2e16b191851e206ec341e98062847c8a4c7946ac040c59aa8c1fe02852bfdc"
+    assert roundtrip_check(s, res.graph).status == "Verified"
+
+
+def test_search_stops_at_exactly_100_times_budget_visits():
+    # positions 141 and 677 of the systems extracted from successive
+    # random_adaptable(rng, 6) graphs; each level once kept walking its
+    # candidates past the bound, to 319 and 652 visits at budget=1
+    rng = random.Random(99)
+    systems = [extract_isystem(random_adaptable(rng, 6)) for _ in range(678)]
+    for i, prime in ((141, "v7"), (677, "v8")):
+        with pytest.raises(ConstructionFailed) as exc:
+            realize(systems[i], budget=1)
+        assert str(exc.value) == (f"regular prime {prime}: no row set matched "
+                                  f"the kernel lattice after 100 visits"), i
+    # 141 needs 129 visits, so a 200-visit bound finds what it found before
+    log = realize(systems[141], budget=2).log
+    assert log[-1] == "regular v7: vertices v7.1, v7.2, v7.3, v7.4, v7.5, attempt 129"
+    with pytest.raises(ConstructionFailed, match="after 200 visits$"):
+        realize(systems[677], budget=2)
