@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 
 class AbelianError(ValueError):
@@ -20,33 +21,26 @@ class AbelianError(ValueError):
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise AbelianError("matrix shape mismatch")
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    cols = len(b[0])
-    inner = len(b)
-    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def vec_mat(x, a):
     if len(x) != len(a):
         raise AbelianError("vector/matrix shape mismatch")
-    if not a:
-        return []
-    cols = len(a[0])
-    return [sum(x[i] * a[i][j] for i in range(len(x))) for j in range(cols)]
+    return [sum(map(mul, x, col)) for col in zip(*a)]
 
 
 def _swap_rows(s, u, i, j):
     s[i], s[j] = s[j], s[i]
-    u[i], u[j] = u[j], u[i]
+    if u is not None:
+        u[i], u[j] = u[j], u[i]
 
 
 def _swap_cols(s, v, i, j):
@@ -59,7 +53,8 @@ def _swap_cols(s, v, i, j):
 def _add_row(s, u, dst, src, c):
     # row_dst += c * row_src
     s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-    u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+    if u is not None:
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
 
 def _add_col(s, v, dst, src, c):
@@ -71,7 +66,8 @@ def _add_col(s, v, dst, src, c):
 
 def _negate_row(s, u, i):
     s[i] = [-x for x in s[i]]
-    u[i] = [-x for x in u[i]]
+    if u is not None:
+        u[i] = [-x for x in u[i]]
 
 
 def _xgcd(a, b):
@@ -91,7 +87,7 @@ def _xgcd(a, b):
 
 def _row_combine(s, u, r1, r2, x, y, p, q):
     # (row_r1, row_r2) <- (x*row_r1 + y*row_r2, p*row_r1 + q*row_r2)
-    for mat in (s, u):
+    for mat in (s, u) if u is not None else (s,):
         a_row, b_row = mat[r1], mat[r2]
         mat[r1] = [x * ai + y * bi for ai, bi in zip(a_row, b_row)]
         mat[r2] = [p * ai + q * bi for ai, bi in zip(a_row, b_row)]
@@ -114,25 +110,34 @@ def smith_normal_form(a):
     (smallest nonzero absolute value, row-major tie break) so results are
     reproducible.  Elimination uses 2x2 unimodular gcd transforms, which
     keeps intermediate entries far smaller than repeated remainder swaps.
+    It is _smith(a, True); callers that never read u call _smith(a, False).
     """
+    return _smith(a, True)
+
+
+def _smith(a, left):
+    """The one Smith elimination: (u, s, v) as in smith_normal_form when
+    left is true.  With left false, u is None, the row helpers skip it, and
+    s and v are the same."""
     m = len(a)
     n = len(a[0]) if m else 0
     for row in a:
         if len(row) != n:
             raise AbelianError("ragged matrix")
     s = [list(row) for row in a]
-    u = identity(m)
+    u = identity(m) if left else None
     v = identity(n)
     t = 0
     while t < m and t < n:
-        piv = None
-        best = None
+        piv, best = None, 0
         for i in range(t, m):
+            row = s[i]
             for j in range(t, n):
-                x = s[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, piv = x, (i, j)
+            if best == 1:
+                break               # no pivot is smaller, and ties keep the first
         if piv is None:
             break
         i, j = piv
@@ -185,7 +190,7 @@ def smith_normal_form(a):
 
 
 def snf_diagonal(a):
-    _, s, _ = smith_normal_form(a)
+    _, s, _ = _smith(a, False)
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
@@ -247,7 +252,7 @@ class FGAbelianGroup:
             if len(r) != ngens:
                 raise AbelianError(f"relation length {len(r)} != ngens {ngens}")
         if self.relations:
-            _, s, v = smith_normal_form(self.relations)
+            _, s, v = _smith(self.relations, False)
             self._v = v
             k = min(len(self.relations), ngens)
             self._diag = [s[i][i] for i in range(k) if s[i][i]]
@@ -260,6 +265,13 @@ class FGAbelianGroup:
         self.invariant_factors = tuple(d for d in self._diag if d > 1)
         self._free_idx = list(range(self.rank, ngens))
         self._tors_idx = [i for i, d in enumerate(self._diag) if d > 1]
+
+    @cached_property
+    def _columns(self):
+        # (column of v, modulus) per canonical coordinate, free ones first;
+        # the columns of invariant factor 1 are never read
+        cols = [(i, 0) for i in self._free_idx] + [(i, self._diag[i]) for i in self._tors_idx]
+        return tuple((tuple(row[i] for row in self._v), m) for i, m in cols)
 
     @cached_property
     def _vinv(self):
@@ -283,9 +295,11 @@ class FGAbelianGroup:
 
     def canonical_coords(self, coeffs):
         """(free coords, torsion coords) of an element given by coeffs."""
-        c = vec_mat(list(coeffs), self._v)
-        free = tuple(c[i] for i in self._free_idx)
-        tors = tuple(c[i] % self._diag[i] for i in self._tors_idx)
+        if len(coeffs) != self.ngens:
+            raise AbelianError("vector/matrix shape mismatch")
+        cols, k = self._columns, self.free_rank
+        free = tuple(sum(map(mul, coeffs, col)) for col, _ in cols[:k])
+        tors = tuple(sum(map(mul, coeffs, col)) % m for col, m in cols[k:])
         return free, tors
 
     def coordinate_columns(self):
@@ -294,8 +308,7 @@ class FGAbelianGroup:
         The dot product of coeffs with a column, reduced mod its modulus
         when that is nonzero, is one entry of canonical_coords(coeffs).
         """
-        cols = [(i, 0) for i in self._free_idx] + [(i, self._diag[i]) for i in self._tors_idx]
-        return [(tuple(row[i] for row in self._v), m) for i, m in cols]
+        return list(self._columns)
 
     def from_canonical(self, free, tors) -> "GroupElement":
         c = [0] * self.ngens
@@ -311,7 +324,7 @@ class FGAbelianGroup:
 
     def generator_coords(self):
         """Canonical coordinates of each generator, free then torsion, as rows."""
-        cols = self.coordinate_columns()
+        cols = self._columns
         return [[col[j] % m if m else col[j] for col, m in cols] for j in range(self.ngens)]
 
     def torsion_orders(self):
@@ -361,7 +374,7 @@ class GroupElement:
         if len(coeffs) != group.ngens:
             raise AbelianError("coefficient length mismatch")
         self.group = group
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple(map(int, coeffs))
 
     def __add__(self, other):
         self._check(other)
@@ -382,8 +395,7 @@ class GroupElement:
             raise AbelianError("elements of different groups")
 
     def is_zero(self) -> bool:
-        free, tors = self.group.canonical_coords(self.coeffs)
-        return not any(free) and not any(tors)
+        return vanishes(self.coeffs, self.group._columns)
 
     def canonical(self):
         return self.group.canonical_coords(self.coeffs)
@@ -400,6 +412,16 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({list(self.coeffs)!r})"
+
+
+def vanishes(v, columns) -> bool:
+    """Is v zero in the group with these `coordinate_columns()`?  Each
+    column's dot product with v is one canonical coordinate of v."""
+    for col, m in columns:
+        c = sum(map(mul, v, col))
+        if c and (not m or c % m):
+            return False
+    return True
 
 
 def element_order(x: GroupElement):
@@ -457,11 +479,8 @@ class GroupHom:
         return GroupHom(other.domain, self.codomain, mat)
 
     def is_well_defined(self) -> bool:
-        for rel in self.domain.relations:
-            img = self.codomain.element(vec_mat(list(rel), self.matrix))
-            if not img.is_zero():
-                return False
-        return True
+        cols = self.codomain._columns
+        return all(vanishes(vec_mat(rel, self.matrix), cols) for rel in self.domain.relations)
 
     def is_isomorphism(self) -> bool:
         """Same invariants, well defined and onto.

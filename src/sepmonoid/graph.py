@@ -83,7 +83,10 @@ class SepGraph:
             if len(srcs) != 1:
                 raise GraphError(f"block {sorted(ids)} mixes edges from different vertices")
             declared.setdefault(srcs.pop(), []).append(tuple(sorted(ids)))
+        # out-edge index: self.edges is sorted by id, so each list is too
+        self._out = {v: [] for v in self.vertices}
         for e, (s, _) in self.edges.items():
+            self._out[s].append(e)
             if e not in placed:
                 declared.setdefault(s, []).append((e,))
         self.blocks_of = {v: tuple(sorted(declared.get(v, ()))) for v in self.vertices}
@@ -103,7 +106,7 @@ class SepGraph:
             return value
 
     def out_edges(self, v):
-        return [e for e, (s, _) in self.edges.items() if s == v]
+        return list(self._out.get(v, ()))
 
     def is_sink(self, v) -> bool:
         return not self.blocks_of[v]

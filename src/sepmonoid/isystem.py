@@ -346,13 +346,16 @@ def parse_group_name(s: str) -> FGAbelianGroup:
 
 
 def parse_group_presentation(s: str) -> FGAbelianGroup:
-    """Parse 'g1 g2 ... [rels <expr> ; <expr> ...]' into a presented group."""
+    """Parse 'g1 g2 ... [rels <expr> ; <expr> ...]' into a presented group
+    under the caps of parse_group_name, its invariant factors as torsion orders."""
     parts = s.split()
     if "rels" in parts:
         cut = parts.index("rels")
         gen_names, rel_text = parts[:cut], " ".join(parts[cut + 1:])
     else:
         gen_names, rel_text = parts, ""
+    if len(gen_names) > MAX_GROUP_GENERATORS:
+        raise ISystemError(f"more than {MAX_GROUP_GENERATORS} generators in the group")
     if gen_names != [f"g{i + 1}" for i in range(len(gen_names))]:
         raise ISystemError(f"generators must be named g1, g2, ... in order, got {gen_names}")
     free = FGAbelianGroup(len(gen_names), [])
@@ -361,7 +364,11 @@ def parse_group_presentation(s: str) -> FGAbelianGroup:
         if not chunk:
             continue
         rows.append(list(parse_element_expr(chunk, free).coeffs))
-    return FGAbelianGroup(len(gen_names), rows)
+    group = FGAbelianGroup(len(gen_names), rows)
+    top = max(group.invariant_factors, default=0)
+    if top > MAX_EXPANDED_EDGES:
+        raise ISystemError(f"invariant factor {top} above {MAX_EXPANDED_EDGES}")
+    return group
 
 
 def parse_element_expr(s: str, group: FGAbelianGroup) -> GroupElement:

@@ -17,11 +17,12 @@ test in the direct sum of the component groups.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from operator import add, ge, mul, sub
+from functools import cache, cached_property
+from operator import add, ge, sub
 
-from .abelian import FGAbelianGroup
+from .abelian import FGAbelianGroup, vanishes
 from .graph import SepGraph, check_adaptable, require_adaptable
 from .isystem import extract_isystem
 
@@ -230,8 +231,9 @@ class _CompiledGraph:
 
 
 class _Side:
-    def __init__(self, cg: _CompiledGraph, root: tuple):
+    def __init__(self, cg: _CompiledGraph, root: tuple, key):
         self.cg = cg
+        self.key = key
         self.parent = {root: None}
         self.frontier = [root]
 
@@ -239,7 +241,7 @@ class _Side:
         """Add the next layer and return its new nodes, at most `limit` of them."""
         new = []
         parent = self.parent
-        for e in sorted(self.frontier, key=self.cg.sort_key):
+        for e in sorted(self.frontier, key=self.key):
             for step, r in self.cg.steps(e):
                 if r not in parent:
                     parent[r] = (e, step)
@@ -323,21 +325,11 @@ class _Certificates:
 
     def separating(self, tx, ty):
         """The name of an invariant on which tx and ty differ, or None."""
-        if not _vanishes(tuple(map(sub, tx, ty)), self.columns):
+        if not vanishes(tuple(map(sub, tx, ty)), self.columns):
             return "group"
         if self.adaptable and self.top_classes(tx) != self.top_classes(ty):
             return "support"
         return None
-
-
-def _vanishes(v, columns) -> bool:
-    """Is v zero in the group with these `coordinate_columns()`?  Each
-    column's dot product with v is one canonical coordinate of v."""
-    for col, m in columns:
-        c = sum(map(mul, v, col))
-        if c and (not m or c % m):
-            return False
-    return True
 
 
 def _bits(mask):
@@ -407,8 +399,9 @@ def _search_packed(g, cg, x, y, root_x, root_y, depth, node_budget):
     return ConfluenceResult("equal", gamma, tx, ty, explored)
 
 
-def _two_sided(cg: _CompiledGraph, root_x, root_y, depth, node_budget, meet):
-    """Grow a rewriting search from each root, one side's layer at a time.
+def _two_sided(cg: _CompiledGraph, root_x, root_y, depth, node_budget, meet, key=None):
+    """Grow a rewriting search from each root, one side's layer at a time,
+    each frontier in the order of key (cg.sort_key by default).
 
     After each side grows, meet(added, from_x, other) sees its new nodes
     and the other side, and returns the (x-side, y-side) pair of nodes that
@@ -416,7 +409,8 @@ def _two_sided(cg: _CompiledGraph, root_x, root_y, depth, node_budget, meet):
     "met" with hit = ((node_x, trace_x), (node_y, trace_y)), "unknown" when
     the depth ran out, "exhausted" at the first node past node_budget.
     """
-    sx, sy = _Side(cg, root_x), _Side(cg, root_y)
+    key = key or cg.sort_key
+    sx, sy = _Side(cg, root_x, key), _Side(cg, root_y, key)
     explored = 2
     for _ in range(depth):
         progressed = False
@@ -649,9 +643,9 @@ class _Layout:
 
     def is_zero(self, delta) -> bool:
         """Is this difference of two vectors zero in the monoid?"""
-        if _vanishes(delta, self.columns):
+        if vanishes(delta, self.columns):
             return True
-        return bool(self._gens) and _vanishes(delta, self._ambiguity_columns)
+        return bool(self._gens) and vanishes(delta, self._ambiguity_columns)
 
 
 def antisym_nf(g: SepGraph, x: FreeElement) -> AntisymNF:
@@ -774,15 +768,25 @@ def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
     if y.contains(x):
         return LeResult("yes", y.minus(x))
 
+    key = cache(cg.sort_key)            # once per node of this search
+
     def meet(added, from_x, other):
-        reached = sorted(other.parent, key=cg.sort_key)
-        for a in sorted(added, key=cg.sort_key):
-            for b in reached:
+        # w >= x2 needs total(w) >= total(x2), and key sorts by total first:
+        # scan only the slice of the other side whose totals can work
+        reached = sorted(other.parent, key=key)
+        totals = [key(b)[0] for b in reached]
+        for a in sorted(added, key=key):
+            total = key(a)[0]
+            if from_x:
+                part = reached[bisect_left(totals, total):]
+            else:
+                part = reached[:bisect_right(totals, total)]
+            for b in part:
                 x2, w = (a, b) if from_x else (b, a)
                 if all(map(ge, w, x2)):
                     return x2, w
 
-    status, _, hit = _two_sided(cg, root_x, root_y, depth, node_budget, meet)
+    status, _, hit = _two_sided(cg, root_x, root_y, depth, node_budget, meet, key)
     if hit:
         (x2, tx), (w, ty) = hit
         z = cg.unpack(tuple(map(sub, w, x2)))

@@ -167,9 +167,9 @@ def test_canonical_coords_roundtrip():
 
 def test_relation_free_group_needs_no_smith_form(monkeypatch):
     calls = []
-    real = abelian.smith_normal_form
-    monkeypatch.setattr(abelian, "smith_normal_form",
-                        lambda a: calls.append(len(a)) or real(a))
+    real = abelian._smith
+    monkeypatch.setattr(abelian, "_smith",
+                        lambda a, left: calls.append(len(a)) or real(a, left))
     g = FGAbelianGroup(200)
     assert g.canonical_name() == "Z^200"
     assert g.canonical_coords([1] * 200) == ((1,) * 200, ())
@@ -180,9 +180,9 @@ def test_relation_free_group_needs_no_smith_form(monkeypatch):
 
 def test_inverse_transform_is_built_on_first_use(monkeypatch):
     calls = []
-    real = abelian.smith_normal_form
-    monkeypatch.setattr(abelian, "smith_normal_form",
-                        lambda a: calls.append(len(a)) or real(a))
+    real = abelian._smith
+    monkeypatch.setattr(abelian, "_smith",
+                        lambda a, left: calls.append(len(a)) or real(a, left))
     g = FGAbelianGroup(2, [[2, 4]])
     free, tors = g.canonical_coords([1, 1])
     assert len(calls) == 1          # the presentation's Smith form only
@@ -192,6 +192,102 @@ def test_inverse_transform_is_built_on_first_use(monkeypatch):
     assert g.eq(x, g.element([1, 1]))
     g.canonical_generators()
     assert len(calls) == 2
+
+
+def _seeded_matrix(rng, m, n, bound):
+    """An m x n matrix with entries in [-bound, bound], some rows and
+    columns zeroed."""
+    a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+    for i in range(m):
+        if rng.random() < 0.15:
+            a[i] = [0] * n
+    for j in range(n):
+        if rng.random() < 0.15:
+            for row in a:
+                row[j] = 0
+    return a
+
+
+def test_smith_without_left_transform_matches_smith_normal_form():
+    rng = random.Random(17)
+    shapes = [(m, n) for m in range(7) for n in range(7)]
+    for k in range(2100):
+        m, n = shapes[k % len(shapes)]
+        if m == 0:
+            n = 0                   # a matrix with no rows has no columns
+        a = _seeded_matrix(rng, m, n, rng.choice((1, 3, 9)))
+        u, s, v = smith_normal_form(a)
+        assert abelian._smith(a, False) == (None, s, v)
+        assert abelian._smith(a, True) == (u, s, v)
+
+
+def _vec_mat_scan(x, a):
+    """x @ a as a full product, as coordinates were computed before the
+    cached columns."""
+    if not a:
+        return []
+    return [sum(x[i] * a[i][j] for i in range(len(x))) for j in range(len(a[0]))]
+
+
+def _full_product_coords(g, coeffs):
+    c = _vec_mat_scan(list(coeffs), g._v)
+    return (tuple(c[i] for i in g._free_idx),
+            tuple(c[i] % g._diag[i] for i in g._tors_idx))
+
+
+def _full_product_is_zero(g, coeffs):
+    free, tors = _full_product_coords(g, coeffs)
+    return not any(free) and not any(tors)
+
+
+def _full_product_well_defined(f):
+    return all(_full_product_is_zero(f.codomain, _vec_mat_scan(list(rel), f.matrix))
+               for rel in f.domain.relations)
+
+
+def _seeded_group(rng):
+    n = rng.randint(1, 5)
+    return FGAbelianGroup(n, _seeded_matrix(rng, rng.randint(0, 4), n, 6))
+
+
+def test_coordinates_and_zero_test_match_the_full_product():
+    rng = random.Random(23)
+    zeros = 0
+    for _ in range(400):
+        g = _seeded_group(rng)
+        orders = [d for d in g.invariant_factors]
+        for _ in range(10):
+            c = [rng.randint(-20, 20) for _ in range(g.ngens)]
+            if orders and rng.random() < 0.3:
+                # a relation combination: zero in g
+                c = [0] * g.ngens
+                for r in g.relations:
+                    k = rng.randint(-3, 3)
+                    c = [a + k * b for a, b in zip(c, r)]
+            assert g.canonical_coords(c) == _full_product_coords(g, c)
+            assert g.element(c).is_zero() == _full_product_is_zero(g, c)
+            zeros += g.element(c).is_zero()
+    assert zeros > 100
+
+
+def test_well_defined_matches_the_full_product():
+    rng = random.Random(29)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        h = _seeded_group(rng)
+        n = rng.randint(1, 4)
+        mat = [[rng.randint(-3, 3) for _ in range(h.ngens)] for _ in range(n)]
+        free = FGAbelianGroup(n)
+        if rng.random() < 0.5:
+            # relations from the kernel: a well-defined hom on the quotient
+            ker = [x.coeffs for x in kernel_generators(GroupHom(free, h, mat))]
+            rels = [list(r) for r in ker if rng.random() < 0.7]
+        else:
+            rels = _seeded_matrix(rng, rng.randint(0, 3), n, 4)
+        f = GroupHom(FGAbelianGroup(n, rels), h, mat)
+        assert f.is_well_defined() == _full_product_well_defined(f)
+        outcomes[f.is_well_defined()] += 1
+    assert min(outcomes.values()) > 100
 
 
 def test_generated_by():

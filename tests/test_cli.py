@@ -76,6 +76,22 @@ def test_realize_huge_torsion_exit_2(tmp_path, capsys):
     assert "group term 'Z/10001': torsion order above 10000" in capsys.readouterr().err
 
 
+def test_realize_huge_presented_torsion_exit_2(tmp_path, capsys):
+    p = tmp_path / "huge.is"
+    p.write_text("prime p reg\ngroup p gens g1 rels 10001*g1\n")
+    assert main(["realize", str(p)]) == 2
+    assert "invariant factor 10001 above 10000" in capsys.readouterr().err
+
+
+def test_realize_zero_generator_presentation(tmp_path, capsys):
+    # q's one relation is the empty row; its map must still be well defined
+    p = tmp_path / "zero.is"
+    p.write_text("prime p reg\nprime q reg\ncover q < p\ngroup p : Z/2\n"
+                 "group q gens rels 0\nmap p <- q :\n")
+    assert main(["realize", str(p)]) == 0
+    assert "roundtrip Verified" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["validate", "/no/such/file.sg"]) == 2
 

@@ -15,7 +15,8 @@ from sepmonoid.graph import (MAX_EXPANDED_EDGES, GraphError, GraphParseError,
                              require_adaptable, restrict_lower,
                              serialize_graph, split_block,
                              strongly_connected_components)
-from sepmonoid.randgen import random_adaptable
+from sepmonoid.randgen import corpus_systems, random_adaptable
+from sepmonoid.realize import realize
 
 
 def clause_set(g):
@@ -199,3 +200,22 @@ def test_scc_agrees_with_networkx():
             ours = strongly_connected_components(h)
             assert {frozenset(c) for c in ours} == theirs
             assert len(ours) == len(theirs)
+
+
+def _scan_out_edges(g, v):
+    """out_edges as an edge scan, the definition the index must keep."""
+    return [e for e, (s, _) in g.edges.items() if s == v]
+
+
+def test_out_edges_index_matches_the_edge_scan():
+    graphs = [fixture_graph(name) for name in graph_names()]
+    rng = random.Random(20260819)       # the acceptance corpus
+    graphs += [random_adaptable(rng, max_classes=6) for _ in range(20)]
+    graphs += [realize(sysm).graph for sysm, _ in corpus_systems(5, count=50)]
+    for g in graphs:
+        for v in g.vertices + ("no-such-vertex",):
+            assert g.out_edges(v) == _scan_out_edges(g, v)
+        if g.vertices:
+            v = g.vertices[0]
+            g.out_edges(v).append("stray")      # each call returns a copy
+            assert g.out_edges(v) == _scan_out_edges(g, v)

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from sepmonoid import isystem
 from sepmonoid.abelian import FGAbelianGroup, GroupHom, identity
 from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names
 from sepmonoid.isystem import (COUNTEREXAMPLE, VERIFIED, ConnectingMap,
@@ -121,6 +122,36 @@ def test_parse_group_name_caps(name, term, why):
 def test_parse_group_name_at_the_caps():
     assert parse_group_name("Z/10000").invariant_factors == (10000,)
     assert parse_group_name("Z^255 + Z/2").ngens == 256
+
+
+@pytest.mark.parametrize("pres, why", [
+    ("g1 rels 10001*g1", "invariant factor 10001 above 10000"),
+    ("g1 g2 rels 2*g1 ; 5001*g2", "invariant factor 10002 above 10000"),
+    (" ".join(f"g{i + 1}" for i in range(257)), "more than 256 generators"),
+])
+def test_parse_group_presentation_caps(pres, why):
+    with pytest.raises(ISystemError, match=why):
+        parse_group_presentation(pres)
+    with pytest.raises(ISystemParseError, match="line 2"):
+        parse_isystem(f"prime p reg\ngroup p gens {pres}\n")
+
+
+def test_presentation_generator_cap_comes_before_any_group(monkeypatch):
+    built = []
+    monkeypatch.setattr(isystem, "FGAbelianGroup",
+                        lambda *a: built.append(a) or FGAbelianGroup(*a))
+    with pytest.raises(ISystemError, match="more than 256 generators"):
+        parse_group_presentation(" ".join(f"g{i + 1}" for i in range(257)))
+    assert built == []
+    parse_group_presentation("g1 rels 2*g1")
+    assert built                    # the counter does see a group being built
+
+
+def test_parse_group_presentation_at_the_caps():
+    assert parse_group_presentation("g1 rels 10000*g1").invariant_factors == (10000,)
+    assert parse_group_presentation("g1 g2 rels 16*g1 ; 625*g2").invariant_factors == (10000,)
+    names = " ".join(f"g{i + 1}" for i in range(256))
+    assert parse_group_presentation(names).free_rank == 256
 
 
 def test_parse_group_name_rejects_negative_free_rank():

@@ -1,6 +1,7 @@
 import pickle
 import random
 import zlib
+from operator import ge, sub
 
 import pytest
 from hypothesis import given, settings
@@ -708,6 +709,67 @@ block e3 e4 e5 e6
 block e7 e8 e9
 block e10 e11
 """
+
+
+def test_le_meet_computes_each_sort_key_once(monkeypatch):
+    g = dict(CORPUS)["rand-8"]
+    x, y = fe(g, "4*v2+8*v3+v4+v5+3*v6"), fe(g, "v1+2*v2+v3+v4+v5+v6")
+    seen = []
+    real = rewrite_mod._CompiledGraph.sort_key
+    monkeypatch.setattr(rewrite_mod._CompiledGraph, "sort_key",
+                        lambda self, t: seen.append(t) or real(self, t))
+    res = le_semidecide(g, x, y, depth=10, node_budget=20000)
+    assert res.status == "yes" and serialize_element(res.z) == "v1+v3+v4"
+    # re-sorting both sides on every layer made 921 calls here
+    assert seen and len(seen) == len(set(seen))
+
+
+def _full_scan_meet(cg):
+    """le_semidecide's meet without the total slices: every new node
+    against every reached node, both in sort_key order."""
+    def meet(added, from_x, other):
+        reached = sorted(other.parent, key=cg.sort_key)
+        for a in sorted(added, key=cg.sort_key):
+            for b in reached:
+                x2, w = (a, b) if from_x else (b, a)
+                if all(map(ge, w, x2)):
+                    return x2, w
+    return meet
+
+
+def test_le_meet_finds_the_pair_of_the_full_scan():
+    # u -> 2w and w -> 2u: from u, the x side's first layer holds 2w, the
+    # y root itself, a pair of equal totals
+    swap = graph_mod.SepGraph(["u", "w"], [("a", "u", "w"), ("a2", "u", "w"),
+                                           ("b", "w", "u"), ("b2", "w", "u")],
+                              [("a", "a2"), ("b", "b2")])
+    assert le_semidecide(swap, fe(swap, "u"), fe(swap, "2*w")).z == FreeElement()
+    rng = random.Random(31)
+    met = 0
+    for name, g in CORPUS + [("swap", swap)]:
+        if not check_adaptable(g).ok:
+            continue
+        cg = g.derived(rewrite_mod._CompiledGraph)
+        for _ in range(80):
+            x = random_element(rng, g, 4)
+            if rng.random() < 0.7:
+                y = random_walk(rng, g, x + random_element(rng, g, 2, nonzero=False),
+                                rng.randint(0, 4))
+            else:
+                y = random_element(rng, g, 5)
+            if x == y or y.contains(x):
+                continue
+            depth = rng.randint(1, 6)
+            status, _, hit = rewrite_mod._two_sided(
+                cg, cg.pack(x), cg.pack(y), depth, 2000, _full_scan_meet(cg))
+            res = le_semidecide(g, x, y, depth, node_budget=2000)
+            if hit:
+                (x2, _), (w, _) = hit
+                met += 1
+                assert res.status == "yes" and res.z == cg.unpack(tuple(map(sub, w, x2)))
+            elif status == "exhausted":
+                assert res.status in ("no", "unknown")
+    assert met > 100
 
 
 def test_le_semidecide_stops_at_the_first_node_past_the_budget():
