@@ -43,8 +43,9 @@ def _swap_rows(s, u, i, j):
         u[i], u[j] = u[j], u[i]
 
 
-def _swap_cols(s, v, i, j):
-    for row in s:
+def _swap_cols(s, v, i, j, lo=0):
+    # the column helpers update s from row lo down, v in full
+    for row in s[lo:]:
         row[i], row[j] = row[j], row[i]
     for row in v:
         row[i], row[j] = row[j], row[i]
@@ -57,8 +58,8 @@ def _add_row(s, u, dst, src, c):
         u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
 
-def _add_col(s, v, dst, src, c):
-    for row in s:
+def _add_col(s, v, dst, src, c, lo=0):
+    for row in s[lo:]:
         row[dst] += c * row[src]
     for row in v:
         row[dst] += c * row[src]
@@ -93,9 +94,9 @@ def _row_combine(s, u, r1, r2, x, y, p, q):
         mat[r2] = [p * ai + q * bi for ai, bi in zip(a_row, b_row)]
 
 
-def _col_combine(s, v, c1, c2, x, y, p, q):
+def _col_combine(s, v, c1, c2, x, y, p, q, lo=0):
     # (col_c1, col_c2) <- (x*col_c1 + y*col_c2, p*col_c1 + q*col_c2)
-    for mat in (s, v):
+    for mat in (s[lo:], v):
         for row in mat:
             ai, bi = row[c1], row[c2]
             row[c1] = x * ai + y * bi
@@ -118,7 +119,11 @@ def smith_normal_form(a):
 def _smith(a, left):
     """The one Smith elimination: (u, s, v) as in smith_normal_form when
     left is true.  With left false, u is None, the row helpers skip it, and
-    s and v are the same."""
+    s and v are the same.
+
+    At step t of the main loop the rows above t are zero in every column
+    from t on, so its column operations update s from row t down only; the
+    divisibility fix works on all rows."""
     m = len(a)
     n = len(a[0]) if m else 0
     for row in a:
@@ -144,7 +149,7 @@ def _smith(a, left):
         if i != t:
             _swap_rows(s, u, i, t)
         if j != t:
-            _swap_cols(s, v, j, t)
+            _swap_cols(s, v, j, t, t)
         # alternate clearing column t and row t; every non-divisible step
         # replaces the pivot by a strictly smaller gcd, so this terminates
         while True:
@@ -165,11 +170,11 @@ def _smith(a, left):
                     continue
                 a0 = s[t][t]
                 if b0 % a0 == 0:
-                    _add_col(s, v, j, t, -(b0 // a0))
+                    _add_col(s, v, j, t, -(b0 // a0), t)
                 else:
                     # mixing column t back in can refill it below the pivot
                     g, x, y = _xgcd(a0, b0)
-                    _col_combine(s, v, t, j, x, y, -(b0 // g), a0 // g)
+                    _col_combine(s, v, t, j, x, y, -(b0 // g), a0 // g, t)
                     refill = True
             if not refill and all(s[i][t] == 0 for i in range(t + 1, m)):
                 break

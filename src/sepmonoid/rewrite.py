@@ -35,9 +35,14 @@ class RewriteError(ValueError):
 
 
 class FreeElement:
-    """Multiset of vertices; the positive cone the monoid is built on."""
+    """Multiset of vertices; the positive cone the monoid is built on.
 
-    __slots__ = ("counts", "_items")
+    counts maps each vertex of the support to its positive multiplicity.
+    The sorted items() are built on first read, and the hash, which is
+    that of items(), on first use; equality compares counts.
+    """
+
+    __slots__ = ("counts", "_items", "_hash")
 
     def __init__(self, counts=None):
         d = {}
@@ -48,15 +53,19 @@ class FreeElement:
             if n:
                 d[v] = n
         self.counts = d
-        self._items = tuple(sorted(d.items()))
+        self._items = self._hash = None
 
     @classmethod
     def _of(cls, d):
         """Wrap d, a dict of positive multiplicities, without copying it."""
         x = cls.__new__(cls)
         x.counts = d
-        x._items = tuple(sorted(d.items()))
+        x._items = x._hash = None
         return x
+
+    def __reduce__(self):
+        # the cached hash of str items is only valid in this process
+        return FreeElement, (self.counts,)
 
     @classmethod
     def from_vertices(cls, seq):
@@ -66,10 +75,12 @@ class FreeElement:
         return cls(d)
 
     def items(self):
+        if self._items is None:
+            self._items = tuple(sorted(self.counts.items()))
         return self._items
 
     def support(self):
-        return [v for v, _ in self._items]
+        return [v for v, _ in self.items()]
 
     def get(self, v) -> int:
         return self.counts.get(v, 0)
@@ -105,10 +116,12 @@ class FreeElement:
     def __eq__(self, other):
         if not isinstance(other, FreeElement):
             return NotImplemented
-        return self._items == other._items
+        return self.counts == other.counts
 
     def __hash__(self):
-        return hash(self._items)
+        if self._hash is None:
+            self._hash = hash(self.items())
+        return self._hash
 
     def __repr__(self):
         return f"FreeElement({serialize_element(self)!r})"
@@ -157,28 +170,34 @@ def step_targets(g: SepGraph, x: FreeElement):
 
 
 def apply_step(g: SepGraph, x: FreeElement, v: str, bi: int) -> FreeElement:
-    n = x.get(v)
-    if n < 1:
-        raise RewriteError(f"no occurrence of '{v}' to rewrite")
-    blocks = g.blocks_of[v]
-    if not 0 <= bi < len(blocks):
-        raise RewriteError(f"vertex '{v}' has no block {bi}")
-    d = dict(x.counts)
-    if n == 1:
-        del d[v]
-    else:
-        d[v] = n - 1
-    edges = g.edges
-    for e in blocks[bi]:
-        w = edges[e][1]
-        d[w] = d.get(w, 0) + 1
-    return FreeElement._of(d)
+    """One rewrite step: apply_trace along the one-step trace ((v, bi),)."""
+    return apply_trace(g, x, ((v, bi),))
 
 
 def apply_trace(g: SepGraph, x: FreeElement, trace) -> FreeElement:
+    """Rewrite x along trace, a sequence of (vertex, block index) steps.
+
+    The steps update one copy of x's counts; an empty trace returns x.
+    """
+    if not trace:
+        return x
+    d = dict(x.counts)
+    edges, blocks_of = g.edges, g.blocks_of
     for v, bi in trace:
-        x = apply_step(g, x, v, bi)
-    return x
+        n = d.get(v, 0)
+        if n < 1:
+            raise RewriteError(f"no occurrence of '{v}' to rewrite")
+        blocks = blocks_of[v]
+        if not 0 <= bi < len(blocks):
+            raise RewriteError(f"vertex '{v}' has no block {bi}")
+        if n == 1:
+            del d[v]
+        else:
+            d[v] = n - 1
+        for e in blocks[bi]:
+            w = edges[e][1]
+            d[w] = d.get(w, 0) + 1
+    return FreeElement._of(d)
 
 
 class _CompiledGraph:
@@ -187,7 +206,10 @@ class _CompiledGraph:
     moves[i] holds one ((v, bi), delta) pair per block bi of the i-th vertex
     v; delta is -1 at v plus one for each edge target of the block, so a
     step is one tuple addition.  The search and the refinement split run on
-    these tuples, and FreeElement appears only at their boundary.
+    these tuples, and FreeElement appears only at their boundary.  sort_key
+    is the search's canonical order: it breaks ties among a layer's
+    discoverers of a node and in the meet, and the search reads it only
+    along the trace it returns.
     """
 
     __slots__ = ("vertices", "index", "moves")
@@ -209,9 +231,11 @@ class _CompiledGraph:
 
     def pack(self, x: FreeElement) -> tuple:
         t = [0] * len(self.vertices)
-        for v, n in x.items():
-            i = self.index.get(v)
+        index = self.index
+        for v, n in x.counts.items():
+            i = index.get(v)
             if i is None:
+                v = min(w for w in x.counts if w not in index)
                 raise RewriteError(f"unknown vertex '{v}' in element")
             t[i] = n
         return tuple(t)
@@ -225,31 +249,61 @@ class _CompiledGraph:
                 for i, n in enumerate(t) if n for step, delta in self.moves[i]]
 
     def sort_key(self, t):
-        """(total, serialize_element) of unpack(t): the search's tie-break."""
+        """(total, serialize_element) of unpack(t): the search's tie-break,
+        among the discoverers of a node on the returned trace and in the meet."""
         terms = [v if n == 1 else f"{n}*{v}" for v, n in zip(self.vertices, t) if n]
         return (sum(t), "+".join(terms) or "0")
 
 
 class _Side:
+    """One side of the two-sided search: its nodes and their discoverers.
+
+    The frontier is not sorted.  A layer's sweep records the first
+    discoverer (node, step) of each new node in parent, and every later one
+    from the same layer in alts.  trace_to resolves each node of the
+    returned path to the discoverer whose node has the least key, the first
+    step on a tie: the parent that a sweep in key order records.  Only a
+    layer whose new nodes would pass the limit is swept in key order, since
+    there the order decides which nodes the layer keeps.
+    """
+
     def __init__(self, cg: _CompiledGraph, root: tuple, key):
         self.cg = cg
         self.key = key
         self.parent = {root: None}
+        self.alts = {}
         self.frontier = [root]
+
+    def _sweep(self, frontier, limit):
+        """(layer, alts): the first discoverer of each node new to this side
+        from frontier, in the order of frontier and stopping at `limit` new
+        nodes, and the later discoverers of each."""
+        parent, moves = self.parent, self.cg.moves
+        layer, alts = {}, {}
+        for e in frontier:
+            for i, n in enumerate(e):
+                if n:
+                    for step, delta in moves[i]:
+                        r = tuple(map(add, e, delta))
+                        if r in layer:
+                            alts.setdefault(r, []).append((e, step))
+                        elif r not in parent:
+                            layer[r] = (e, step)
+                            if len(layer) == limit:
+                                return layer, alts
+        return layer, alts
 
     def expand(self, limit):
         """Add the next layer and return its new nodes, at most `limit` of them."""
-        new = []
-        parent = self.parent
-        for e in sorted(self.frontier, key=self.key):
-            for step, r in self.cg.steps(e):
-                if r not in parent:
-                    parent[r] = (e, step)
-                    new.append(r)
-                    if len(new) == limit:
-                        self.frontier = new
-                        return new
-        self.frontier = new
+        layer, alts = self._sweep(self.frontier, limit + 1)
+        if len(layer) > limit:
+            # the limit cuts this layer: keep the nodes of a sweep in key
+            # order, whose first discoverers are already the least
+            layer, _ = self._sweep(sorted(self.frontier, key=self.key), limit)
+        else:
+            self.alts.update(alts)
+        self.parent.update(layer)
+        self.frontier = new = list(layer)
         return new
 
     def trace_to(self, elem):
@@ -257,6 +311,10 @@ class _Side:
         cur = elem
         while self.parent[cur] is not None:
             prev, step = self.parent[cur]
+            later = self.alts.get(cur)
+            if later:
+                # min keeps the first of equal keys
+                prev, step = min([(prev, step)] + later, key=lambda c: self.key(c[0]))
             steps.append(step)
             cur = prev
         steps.reverse()
@@ -400,14 +458,17 @@ def _search_packed(g, cg, x, y, root_x, root_y, depth, node_budget):
 
 
 def _two_sided(cg: _CompiledGraph, root_x, root_y, depth, node_budget, meet, key=None):
-    """Grow a rewriting search from each root, one side's layer at a time,
-    each frontier in the order of key (cg.sort_key by default).
+    """Grow a rewriting search from each root, one side's layer at a time.
 
-    After each side grows, meet(added, from_x, other) sees its new nodes
-    and the other side, and returns the (x-side, y-side) pair of nodes that
-    ends the search, or None.  Returns (status, explored, hit): status
-    "met" with hit = ((node_x, trace_x), (node_y, trace_y)), "unknown" when
-    the depth ran out, "exhausted" at the first node past node_budget.
+    The frontiers are swept in the order their nodes were found; key
+    (cg.sort_key by default) orders only the discoverers of the nodes on
+    the returned traces, and the sweep of a layer that crosses the budget
+    (see _Side).  After each side grows, meet(added, from_x, other) sees
+    its new nodes and the other side, and returns the (x-side, y-side)
+    pair of nodes that ends the search, or None.  Returns (status,
+    explored, hit): status "met" with hit = ((node_x, trace_x), (node_y,
+    trace_y)), "unknown" when the depth ran out, "exhausted" at the first
+    node past node_budget.
     """
     key = key or cg.sort_key
     sx, sy = _Side(cg, root_x, key), _Side(cg, root_y, key)
@@ -727,9 +788,12 @@ def nf_equal(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> bool:
 
 def eq_exact(g: SepGraph, x: FreeElement, y: FreeElement) -> bool:
     """Total equality decision for monoid elements of an adaptable graph:
-    nf_equal of their normal forms, without building them."""
+    nf_equal of their normal forms, without building them.  Identical packs
+    answer at once, after the adaptability and vertex checks."""
     nf = g.derived(_NormalForms)
     tx, ty = nf.cg.pack(x), nf.cg.pack(y)
+    if tx == ty:
+        return True
     top = nf.cert.top_classes(tx)
     if top != nf.cert.top_classes(ty):
         return False

@@ -221,6 +221,95 @@ def test_smith_without_left_transform_matches_smith_normal_form():
         assert abelian._smith(a, True) == (u, s, v)
 
 
+def _all_row_smith(a, left):
+    """_smith with every column operation of the main loop over all rows."""
+    def swap_cols(s, v, i, j):
+        for row in s + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(s, v, dst, src, c):
+        for row in s + v:
+            row[dst] += c * row[src]
+
+    def col_combine(s, v, c1, c2, x, y, p, q):
+        for row in s + v:
+            ai, bi = row[c1], row[c2]
+            row[c1], row[c2] = x * ai + y * bi, p * ai + q * bi
+
+    m = len(a)
+    n = len(a[0]) if m else 0
+    s = [list(row) for row in a]
+    u = abelian.identity(m) if left else None
+    v = abelian.identity(n)
+    t = 0
+    while t < m and t < n:
+        piv, best = None, 0
+        for i in range(t, m):
+            for j in range(t, n):
+                x = abs(s[i][j])
+                if x and (not best or x < best):
+                    best, piv = x, (i, j)
+            if best == 1:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            abelian._swap_rows(s, u, i, t)
+        if j != t:
+            swap_cols(s, v, j, t)
+        while True:
+            for i in range(t + 1, m):
+                b0, a0 = s[i][t], s[t][t]
+                if not b0:
+                    continue
+                if b0 % a0 == 0:
+                    abelian._add_row(s, u, i, t, -(b0 // a0))
+                else:
+                    g, x, y = abelian._xgcd(a0, b0)
+                    abelian._row_combine(s, u, t, i, x, y, -(b0 // g), a0 // g)
+            refill = False
+            for j in range(t + 1, n):
+                b0, a0 = s[t][j], s[t][t]
+                if not b0:
+                    continue
+                if b0 % a0 == 0:
+                    add_col(s, v, j, t, -(b0 // a0))
+                else:
+                    g, x, y = abelian._xgcd(a0, b0)
+                    col_combine(s, v, t, j, x, y, -(b0 // g), a0 // g)
+                    refill = True
+            if not refill and all(s[i][t] == 0 for i in range(t + 1, m)):
+                break
+        if s[t][t] < 0:
+            abelian._negate_row(s, u, t)
+        t += 1
+    for i in range(t):
+        for j in range(i + 1, t):
+            a0, b0 = s[i][i], s[j][j]
+            if b0 % a0 == 0:
+                continue
+            add_col(s, v, i, j, 1)
+            g, x, y = abelian._xgcd(a0, b0)
+            abelian._row_combine(s, u, i, j, x, y, -(b0 // g), a0 // g)
+            add_col(s, v, j, i, -(s[i][j] // g))
+    return u, s, v
+
+
+def test_smith_column_updates_skip_the_cleared_rows():
+    # the main loop's column operations leave rows above t alone; u, s and
+    # v are those of the elimination that updates every row
+    rng = random.Random(23)
+    shapes = [(m, n) for m in range(9) for n in range(9)]
+    for k in range(2430):
+        m, n = shapes[k % len(shapes)]
+        if m == 0:
+            n = 0
+        a = _seeded_matrix(rng, m, n, rng.choice((1, 3, 9, 50)))
+        for left in (True, False):
+            assert abelian._smith(a, left) == _all_row_smith(a, left)
+
+
 def _vec_mat_scan(x, a):
     """x @ a as a full product, as coordinates were computed before the
     cached columns."""

@@ -132,6 +132,14 @@ def test_eq_unknown_vertex_exit_2(g1, capsys):
     assert main(["eq", g1, "zz", "a"]) == 2
 
 
+def test_eq_of_an_element_with_itself_keeps_the_checks(tmp_path, g2, capsys):
+    p = tmp_path / "bad.sg"
+    p.write_text("vertex u\nvertex w\nedge e u w\nblock e\n")
+    assert main(["eq", str(p), "u", "u"]) == 1
+    assert "not adaptable" in capsys.readouterr().err
+    assert main(["eq", g2, "zz", "zz"]) == 2
+
+
 def test_le_yes_no_unknown(g5, capsys):
     assert main(["le", g5, "b", "a + b"]) == 0
     assert "yes" in capsys.readouterr().out

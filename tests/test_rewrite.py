@@ -1149,3 +1149,210 @@ def test_shared_analysis_is_not_mutated_by_callers(name):
     assert check_adaptable(copy).kinds == report.kinds
     assert extract_isystem(copy) is not sysm
     assert _snapshot(extract_isystem(copy)) == before
+
+
+# the search sweeps its frontiers unsorted and resolves the parents on the
+# returned path by key; against the search that sorted every layer
+
+
+class _SortedSide:
+    """_Side as a search that sweeps every frontier in key order."""
+
+    def __init__(self, cg, root, key):
+        self.cg, self.key = cg, key
+        self.parent = {root: None}
+        self.frontier = [root]
+
+    def expand(self, limit):
+        new = []
+        for e in sorted(self.frontier, key=self.key):
+            for step, r in self.cg.steps(e):
+                if r not in self.parent:
+                    self.parent[r] = (e, step)
+                    new.append(r)
+                    if len(new) == limit:
+                        self.frontier = new
+                        return new
+        self.frontier = new
+        return new
+
+    def trace_to(self, elem):
+        steps = []
+        while self.parent[elem] is not None:
+            elem, step = self.parent[elem]
+            steps.append(step)
+        return tuple(reversed(steps))
+
+
+def _sorted_two_sided(cg, root_x, root_y, depth, node_budget, meet):
+    sx, sy = _SortedSide(cg, root_x, cg.sort_key), _SortedSide(cg, root_y, cg.sort_key)
+    explored = 2
+    for _ in range(depth):
+        progressed = False
+        for side, other, from_x in ((sx, sy, True), (sy, sx, False)):
+            added = side.expand(max(1, node_budget + 1 - explored))
+            explored += len(added)
+            progressed = progressed or bool(added)
+            pair = meet(added, from_x, other)
+            if pair:
+                ex, ey = pair
+                return "met", explored, ((ex, sx.trace_to(ex)), (ey, sy.trace_to(ey)))
+            if explored > node_budget:
+                return "exhausted", explored, None
+        if not progressed:
+            break
+    return "unknown", explored, None
+
+
+def _common_meet(cg):
+    """confluence_search's meet: the least common node by sort_key."""
+    def meet(added, from_x, other):
+        common = [e for e in added if e in other.parent]
+        return (min(common, key=cg.sort_key),) * 2 if common else None
+    return meet
+
+
+def test_two_sided_matches_the_sorted_sweep(monkeypatch):
+    expands, sweeps = [], []
+    real_expand, real_sweep = rewrite_mod._Side.expand, rewrite_mod._Side._sweep
+
+    def expand(self, limit):
+        before = len(sweeps)
+        out = real_expand(self, limit)
+        expands.append(len(sweeps) - before)
+        return out
+
+    def sweep(self, frontier, limit):
+        sweeps.append(limit)
+        return real_sweep(self, frontier, limit)
+
+    monkeypatch.setattr(rewrite_mod._Side, "expand", expand)
+    monkeypatch.setattr(rewrite_mod._Side, "_sweep", sweep)
+    rng = random.Random(41)
+    met = 0
+    for n in range(1000):
+        _, g = CORPUS[n % len(CORPUS)]
+        cg = g.derived(rewrite_mod._CompiledGraph)
+        s = random_element(rng, g, 4)
+        x = random_walk(rng, g, s, rng.randint(0, 4))
+        if n % 5 == 4:
+            y = random_element(rng, g, 4)
+        else:
+            y = random_walk(rng, g, s, rng.randint(0, 4))
+        depth = 1 + n % 10
+        for budget in (20, 200, 20000):
+            for meet in (_common_meet(cg), _full_scan_meet(cg)):
+                args = (cg, cg.pack(x), cg.pack(y), depth, budget, meet)
+                want = _sorted_two_sided(*args)
+                assert rewrite_mod._two_sided(*args) == want
+                met += want[0] == "met"
+    assert met > 4000
+    # layers the budget cut, swept again in key order
+    assert expands.count(2) >= 50 and set(expands) == {1, 2}
+
+
+def test_confluence_search_keys_only_the_returned_path(monkeypatch):
+    g = dict(CORPUS)["rand-8"]
+    x, y = fe(g, "2*v1+v2+v3+3*v4+5*v6"), fe(g, "3*v1+v2+4*v3+v6")
+    seen, swept = [], []
+    real = rewrite_mod._CompiledGraph.sort_key
+    monkeypatch.setattr(rewrite_mod._CompiledGraph, "sort_key",
+                        lambda self, t: seen.append(t) or real(self, t))
+    real_sweep = rewrite_mod._Side._sweep
+    monkeypatch.setattr(rewrite_mod._Side, "_sweep", lambda self, frontier, limit:
+                        swept.extend(frontier) or real_sweep(self, frontier, limit))
+    res = confluence_search(g, x, y, depth=10, node_budget=20000)
+    assert (res.status, res.explored) == ("equal", 86)
+    assert serialize_element(res.gamma) == "4*v1+2*v2+4*v3+3*v4+5*v6"
+    assert res.trace_x == (("v2", 0), ("v3", 0))
+    assert res.trace_y == (("v6", 0), ("v6", 0), ("v4", 0))
+    # sorting every frontier keyed each expanded node: 36 calls here
+    assert len(seen) < len(swept) < res.explored
+
+
+def test_free_element_sorts_on_first_read():
+    x = FreeElement({"b": 2, "a": 1, "c": 3})
+    y = FreeElement({"c": 3, "a": 1, "b": 2})
+    assert x._items is None and list(x.counts) != list(y.counts)
+    assert x == y and x._items is None
+    assert x != FreeElement({"a": 1, "b": 2}) and x != FreeElement({"a": 1, "b": 2, "c": 4})
+    assert hash(x) == hash(y)
+    items = x.items()
+    assert items == (("a", 1), ("b", 2), ("c", 3)) and x.items() is items
+    assert hash(x) == hash(tuple(sorted(x.counts.items())))
+    assert hash(x + y) == hash((("a", 2), ("b", 4), ("c", 6)))
+    assert {x: 1}[y] == 1
+    # str hashes differ between processes: an unpickled element hashes anew
+    copy = pickle.loads(pickle.dumps(x))
+    assert copy == x and copy._hash is None
+
+
+def _parent_apply_step(g, x, v, bi):
+    # apply_step as one dict copy per step
+    n = x.get(v)
+    if n < 1:
+        raise RewriteError(f"no occurrence of '{v}' to rewrite")
+    blocks = g.blocks_of[v]
+    if not 0 <= bi < len(blocks):
+        raise RewriteError(f"vertex '{v}' has no block {bi}")
+    d = dict(x.counts)
+    if n == 1:
+        del d[v]
+    else:
+        d[v] = n - 1
+    for e in blocks[bi]:
+        w = g.edges[e][1]
+        d[w] = d.get(w, 0) + 1
+    return FreeElement(d)
+
+
+def _stepwise_apply_trace(g, x, trace):
+    for v, bi in trace:
+        x = _parent_apply_step(g, x, v, bi)
+    return x
+
+
+def test_apply_trace_matches_the_stepwise_replay():
+    rng = random.Random(43)
+    errors = set()
+    for n in range(800):
+        _, g = CORPUS[n % len(CORPUS)]
+        x = random_element(rng, g, 4, nonzero=False)
+        _, trace = random_trace(rng, g, x, rng.randint(0, 6))
+        if n % 2:
+            # a step on an absent vertex, a missing block, or an unknown vertex
+            v = rng.choice(sorted(g.vertices))
+            bad = rng.choice([(v, len(g.blocks_of[v])), (v, -1), (v, 0), ("zz", 0)])
+            k = rng.randrange(len(trace) + 1)
+            trace = trace[:k] + (bad,) + trace[k:]
+        before = dict(x.counts)
+        want = _outcome(_stepwise_apply_trace, g, x, trace)
+        got = _outcome(apply_trace, g, x, trace)
+        assert got == want and x.counts == before
+        if isinstance(got, FreeElement):
+            assert got.items() == want.items()
+        else:
+            errors.add(want[1].split("'")[0])
+        if len(trace) == 1:
+            assert _outcome(apply_step, g, x, *trace[0]) == want
+    assert errors == {"no occurrence of ", "vertex "}
+    g = fixture_graph("g5")
+    x = fe(g, "a + 2*b")
+    assert apply_trace(g, x, ()) is x and apply_trace(g, x, []) is x
+
+
+def test_eq_exact_identity_keeps_the_checks():
+    g = parse_graph("vertex u\nvertex w\nedge e u w\nblock e\n")
+    u = fe(g, "u")
+    with pytest.raises(NotAdaptableError):
+        eq_exact(g, u, u)
+    g = fixture_graph("g5")
+    bad = FreeElement({"a": 1, "zz": 2})
+    with pytest.raises(RewriteError, match="unknown vertex 'zz'"):
+        eq_exact(g, bad, bad)
+    # the least unknown vertex, whatever order the dict holds them in
+    for counts in ({"zz": 1, "a": 1, "yy": 1}, {"yy": 1, "a": 1, "zz": 1}):
+        with pytest.raises(RewriteError, match="unknown vertex 'yy'"):
+            eq_exact(g, FreeElement(counts), FreeElement(counts))
+    x = fe(g, "a + a' + b")
+    assert eq_exact(g, x, fe(g, "b + a' + a"))
