@@ -519,63 +519,7 @@ def zero_hom(domain: FGAbelianGroup, codomain: FGAbelianGroup) -> GroupHom:
     return GroupHom(domain, codomain, [[0] * codomain.ngens for _ in range(domain.ngens)])
 
 
-def kernel_generators(f: GroupHom):
-    """Domain elements generating ker f (includes domain relations, harmless)."""
-    dom, cod = f.domain, f.codomain
-    stacked = [list(row) for row in f.matrix]
-    stacked_rows = dom.ngens
-    rel = cod.relations
-    if rel:
-        stacked = stacked + [list(r) for r in rel]
-    ker = left_kernel(stacked)
-    out = []
-    for row in ker:
-        x = row[:stacked_rows]
-        if any(x):
-            out.append(dom.element(x))
-    # domain relations map to zero but may not appear above; they are kernel
-    # members by definition
-    for r in dom.relations:
-        if any(r):
-            out.append(dom.element(r))
-    return out
-
-
-def subgroup_membership(gens, x: GroupElement) -> bool:
-    """Is x in the subgroup generated by gens (all in x's group)?"""
-    g = x.group
-    rows = [list(e.coeffs) for e in gens] + [list(r) for r in g.relations]
-    if not rows:
-        return x.is_zero()
-    return solve_left(rows, list(x.coeffs)) is not None
-
-
-# --------------------------------------------------------- direct sums, iso
-
-
-def direct_sum(groups):
-    """Direct sum with embeddings.  Returns (sum group, [embedding homs])."""
-    ngens = sum(g.ngens for g in groups)
-    relations = []
-    offset = 0
-    offsets = []
-    for g in groups:
-        offsets.append(offset)
-        for r in g.relations:
-            row = [0] * ngens
-            row[offset:offset + g.ngens] = list(r)
-            relations.append(row)
-        offset += g.ngens
-    total = FGAbelianGroup(ngens, relations)
-    embeds = []
-    for g, off in zip(groups, offsets):
-        rows = []
-        for i in range(g.ngens):
-            row = [0] * ngens
-            row[off + i] = 1
-            rows.append(row)
-        embeds.append(GroupHom(g, total, rows))
-    return total, embeds
+# ------------------------------------------------------------ isomorphisms
 
 
 def _torsion_candidates(h: FGAbelianGroup, d: int):

@@ -306,12 +306,6 @@ def condensation(g: SepGraph) -> Condensation:
 
 
 @dataclass(frozen=True)
-class FreeBlockShape:
-    loop: str
-    connectors: tuple
-
-
-@dataclass(frozen=True)
 class Violation:
     clause: str
     class_id: str
@@ -322,7 +316,6 @@ class Violation:
 class AdaptabilityReport:
     ok: bool
     kinds: dict                      # class id -> "free" | "regular"
-    free_shapes: dict                # vertex -> tuple of FreeBlockShape
     violations: list
     condensation: Condensation = field(repr=False, default=None)
 
@@ -332,7 +325,6 @@ class AdaptabilityReport:
 
 def _free_defects(g, cid, v):
     defects = []
-    shapes = []
     total_connectors = 0
     for blk in g.blocks_of[v]:
         loops = [e for e in blk if g.edges[e][1] == v]
@@ -342,13 +334,11 @@ def _free_defects(g, cid, v):
             defects.append(Violation(
                 "A-free-shape", cid,
                 f"block ({' '.join(blk)}) at {v} has {len(loops)} loop(s) and {len(conns)} connector(s)"))
-        else:
-            shapes.append(FreeBlockShape(loops[0], tuple(conns)))
     if g.blocks_of[v] and total_connectors == 0:
         defects.append(Violation(
             "A-free-minimal", cid,
             f"{v} has out-edges but no connectors, so it cannot be a minimal free vertex"))
-    return defects, tuple(shapes)
+    return defects
 
 
 def _regular_defects(g, cid, members):
@@ -377,15 +367,13 @@ def check_adaptable(g: SepGraph) -> AdaptabilityReport:
 def _adaptability_report(g: SepGraph) -> AdaptabilityReport:
     cond = condensation(g)
     kinds = {}
-    free_shapes = {}
     violations = []
     for cid, members in sorted(cond.members.items()):
         if len(members) == 1:
             v = members[0]
-            fdef, shapes = _free_defects(g, cid, v)
+            fdef = _free_defects(g, cid, v)
             if not fdef:
                 kinds[cid] = "free"
-                free_shapes[v] = shapes
                 continue
             rdef = _regular_defects(g, cid, members)
             if not rdef:
@@ -403,7 +391,7 @@ def _adaptability_report(g: SepGraph) -> AdaptabilityReport:
                 violations.append(Violation(
                     "A-partition", cid,
                     f"class {cid} has more than one vertex, so its block structure admits no free refinement"))
-    return AdaptabilityReport(not violations, kinds, free_shapes, violations, cond)
+    return AdaptabilityReport(not violations, kinds, violations, cond)
 
 
 def require_adaptable(g: SepGraph) -> AdaptabilityReport:

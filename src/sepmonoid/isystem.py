@@ -426,10 +426,6 @@ def _torsion_reduced(row, g: FGAbelianGroup):
     return out
 
 
-def serialize_element_expr(x: GroupElement) -> str:
-    return serialize_coords(_torsion_reduced(x.coeffs, x.group))
-
-
 def _canonical_frame(g: FGAbelianGroup):
     """(relations, coords, preimages) of g's canonical diagonal form: the
     diagonal relation rows, the matrix taking g's coefficient rows to their

@@ -84,10 +84,6 @@ class Poset:
     def lower_covers(self, p) -> list:
         return sorted(a for a, b in self.covers() if b == p)
 
-    def maximals(self, subset=None) -> list:
-        pool = set(self.elements if subset is None else subset)
-        return sorted(p for p in pool if not any(self.lt(p, q) for q in pool))
-
     def linear_extension(self) -> list:
         """Deterministic linear extension: always emit the least ready element."""
         emitted = set()

@@ -106,15 +106,6 @@ def random_walk(rng: random.Random, g: SepGraph, x: FreeElement,
     return random_trace(rng, g, x, steps)[0]
 
 
-def random_equal_pair(rng: random.Random, g: SepGraph, max_total: int = 5,
-                      steps: int = 4):
-    """(x, y) equal in the monoid: both are rewrite descendants of a seed."""
-    seed = random_element(rng, g, max_total)
-    x = random_walk(rng, g, seed, rng.randint(0, steps))
-    y = random_walk(rng, g, seed, rng.randint(0, steps))
-    return x, y
-
-
 def relabel_system(sysm: ISystem, prefix: str = "p") -> ISystem:
     """Copy with primes renamed p1, p2, ... along a linear extension."""
     order = sysm.poset.linear_extension()

@@ -1,15 +1,20 @@
 """Build an adaptable separated graph realizing a given invariant system.
 
-The construction walks a linear extension of the prime poset.  A free
-prime becomes a single vertex whose blocks (one loop plus connectors)
-impose exactly the kernel of the evaluation map from the already-built
-lower part onto the target group.  A regular prime becomes a small
+The construction walks a linear extension of the prime poset.  Both
+prime kinds read one kernel routine, `_kernel_rows`: integer rows
+generating the relations among the values that the prime's group
+requires of its vertices.  A free prime becomes a single vertex whose
+blocks (one loop plus connectors) impose exactly the kernel rows of the
+evaluation map from the already-built lower part onto the target group.
+The lower vertices impose their own block relations already, so the
+free blocks do not repeat them.  A regular prime becomes a small
 strongly connected gadget: one vertex per torsion factor, a mutually
 looped pair per free generator.  One deterministic depth-first search
 chooses the gadget rows so that, together with the lower rows, they span
-exactly the kernel of the value assignment.  Every prime is verified on
-the spot by presenting the extracted group and checking the induced
-evaluation map is an isomorphism pinning the lower generators.
+exactly the kernel of the value assignment, the HNF of its kernel rows.
+Every prime is verified on the spot by presenting the extracted group
+and checking the induced evaluation map is an isomorphism pinning the
+lower generators.
 
 The built graph carries the isomorphism the construction followed (a
 `RealizeWitness`), so that `roundtrip_check` can check it instead of
@@ -28,8 +33,7 @@ from itertools import count
 from math import comb, gcd
 
 from .abelian import (
-    FGAbelianGroup, GroupHom, _xgcd, kernel_generators, left_kernel,
-    iter_isomorphisms,
+    FGAbelianGroup, GroupHom, _xgcd, iter_isomorphisms, left_kernel,
 )
 from .graph import SepGraph, check_adaptable, components_of
 from .isystem import ISystem, extract_isystem, validate_isystem
@@ -194,6 +198,15 @@ def _row_hnf(rows):
     return reduce(_hnf_insert, rows, ())
 
 
+def _kernel_rows(values, G):
+    """Nonzero integer rows r generating the lattice of sum(r[i] * values[i])
+    == 0 in G: one left kernel of the values' coefficient rows stacked on
+    G's relations, cut to the values' columns."""
+    n = len(values)
+    ker = left_kernel([list(v.coeffs) for v in values] + G.relations)
+    return [r[:n] for r in ker if any(r[:n])]
+
+
 def _nonneg_preimage(group, target, gens, max_total=16, state_cap=40000):
     """Multiset over gen keys whose images sum to target, or None.
 
@@ -259,8 +272,7 @@ def _realize_free(builder: _Builder, p, log):
     L = builder.lower_verts(p)
     amb = FGAbelianGroup(len(L), builder.ambient_rows(L))
     required = [builder.required_image(p, u) for u in L]
-    eps = GroupHom(amb, G, [r.coeffs for r in required])
-    if not eps.is_well_defined():
+    if not GroupHom(amb, G, [r.coeffs for r in required]).is_well_defined():
         raise ConstructionFailed(
             f"free prime {p}: lower evaluation is not a homomorphism, connecting data incoherent")
     cone = [(u, required[i]) for i, u in enumerate(L)]
@@ -276,10 +288,7 @@ def _realize_free(builder: _Builder, p, log):
             seen.add(key)
             blocks.append(ms)
 
-    for k in kernel_generators(eps):
-        coeffs = list(k.coeffs)
-        if not any(coeffs):
-            continue
+    for coeffs in _kernel_rows(required, G):
         pos = {L[i]: c for i, c in enumerate(coeffs) if c > 0}
         neg = {L[i]: -c for i, c in enumerate(coeffs) if c < 0}
         pos_val = G.zero()
@@ -317,13 +326,6 @@ def _realize_free(builder: _Builder, p, log):
 
 
 # ----------------------------------------------------------- regular primes
-
-
-def _kernel_hnf(coords, mods):
-    """HNF of the lattice of integer rows r with sum(r[i] * coords[i]) == 0,
-    coordinate k taken modulo mods[k] (0 for a free coordinate)."""
-    killers = [[m if j == k else 0 for j in range(len(mods))] for k, m in enumerate(mods) if m]
-    return _row_hnf([r[:len(coords)] for r in left_kernel(coords + killers)])
 
 
 def _small_kernel_rows(coords, mods, nW, limit=500):
@@ -432,8 +434,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
             return None
         return out_maps
 
-    coords = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]
-    target = _kernel_hnf(coords, mods)
+    target = _row_hnf(_kernel_rows(values, G))
     # pinning vectors: a lower vertex plus gadget vertices cancelling its value
     tcone = list(tval.items())
     pre = {u: _nonneg_preimage(G, -val, tcone) for u, val in zip(L, required)}
@@ -441,6 +442,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
     cover_pins = [pin[u] for u in (builder.class_vertices[q][0] for q in covers) if u in pin]
     singles = list(pin.values())
     extras = [{}] + singles + [_merge(z, y) for i, z in enumerate(singles) for y in singles[i:]]
+    coords = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]
     small, more = [], _small_kernel_rows(coords, mods, nW)
 
     def small_rows():

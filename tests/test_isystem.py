@@ -11,8 +11,7 @@ from sepmonoid.isystem import (COUNTEREXAMPLE, VERIFIED, ConnectingMap,
                                ISystem, ISystemError, ISystemParseError,
                                canonicalized, extract_isystem, parse_group_name,
                                parse_group_presentation, parse_isystem,
-                               serialize_element_expr, serialize_isystem,
-                               validate_isystem)
+                               serialize_isystem, validate_isystem)
 from sepmonoid.posets import Poset
 from sepmonoid.randgen import corpus_systems, random_adaptable
 

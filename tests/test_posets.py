@@ -45,7 +45,7 @@ def test_up_down_sets():
     assert p.downset("top") == {"bot", "x", "y", "top"}
     assert p.strict_down("x") == {"bot"}
     assert p.upset("bot") == {"bot", "x", "y", "top"}
-    assert p.maximals() == ["top"]
+    assert p.upset("top") == {"top"}
 
 
 def test_linear_extension_is_deterministic_and_valid():

@@ -8,8 +8,7 @@ from sepmonoid.props import (conicality_suite, division_suite,
                              refinement_suite, run_suites, separativity_suite,
                              split_random)
 from sepmonoid.randgen import (DEFAULT_GROUPS, corpus_systems,
-                               random_adaptable, random_element,
-                               random_equal_pair, random_walk)
+                               random_adaptable, random_element, random_walk)
 from sepmonoid.rewrite import FreeElement, eq_exact
 
 
@@ -49,14 +48,6 @@ def test_random_walk_stays_equal():
     x = random_element(rng, g, max_total=4)
     y = random_walk(rng, g, x, steps=5)
     assert eq_exact(g, x, y)
-
-
-def test_random_equal_pair_is_equal():
-    rng = random.Random(3)
-    g = fixture_graph("g5")
-    for _ in range(20):
-        x, y = random_equal_pair(rng, g)
-        assert eq_exact(g, x, y)
 
 
 def test_split_random_parts_sum_back():

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from sepmonoid.abelian import GroupHom, mat_mul
+from sepmonoid.abelian import FGAbelianGroup, GroupHom, left_kernel, mat_mul
 from sepmonoid.fixtures import (fixture_graph, fixture_system, graph_names,
                                 system_names)
 from sepmonoid.graph import check_adaptable, parse_graph, serialize_graph
@@ -15,7 +15,8 @@ from sepmonoid.isystem import (VERIFIED, canonicalized, extract_isystem,
                                parse_isystem, serialize_isystem, validate_isystem)
 from sepmonoid.randgen import random_adaptable, relabel_system
 from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible,
-                               _hnf_insert, _row_hnf, _small_kernel_rows, _witness,
+                               _hnf_insert, _kernel_rows, _row_hnf, _small_kernel_rows,
+                               _witness,
                                _witness_theta, check_roundtrip_certificate, realize,
                                roundtrip_check)
 from sepmonoid.rewrite import eq_exact, parse_element
@@ -354,6 +355,23 @@ def test_hard_systems_realize_and_verify(name):
     assert roundtrip_check(s, res.graph).status == "Verified"
 
 
+def test_free_blocks_impose_only_the_kernel_rows():
+    # The four hard systems with a free prime above another prime.  A free
+    # block that repeated a lower block's relation would show here as an
+    # extra block and its edges.
+    want = {"seed1-24": (["free p2: vertex p2, 1 block(s)"], 36),
+            "seed2-181": (["free p6: vertex p6, 3 block(s)"], 24),
+            "seed3-191": (["free p3: vertex p3, 1 block(s)",
+                           "free p5: vertex p5, 4 block(s)"], 26),
+            "seed3-237": (["free p2: vertex p2, 1 block(s)"], 35)}
+    for name, (free_lines, edges) in want.items():
+        s = parse_isystem(HARD_SYSTEMS[name])
+        res = realize(s)
+        assert [ln for ln in res.log if ln.startswith("free")] == free_lines, name
+        assert len(res.graph.edges) == edges, name
+        assert not _roundtrip_both_routes(s, res.graph), name
+
+
 def _stress_corpus(seed, count=300, max_classes=6, free_rank=2):
     """The first `count` distinct systems extracted from random adaptable
     graphs with at most max_classes classes and free rank <= free_rank,
@@ -587,6 +605,60 @@ def test_lazy_small_kernel_rows_match_the_sorted_list():
         nW = rng.randint(1, n)
         want = _sorted_small_kernel_rows(coords, mods, nW)
         assert list(_small_kernel_rows(coords, mods, nW)) == want, (coords, mods, nW)
+
+
+def _kernel_hnf(coords, mods):
+    """HNF of the lattice of integer rows r with sum(r[i] * coords[i]) == 0,
+    coordinate k taken modulo mods[k] (0 for a free coordinate): the same
+    lattice stated over canonical coordinates instead of a presentation."""
+    killers = [[m if j == k else 0 for j in range(len(mods))] for k, m in enumerate(mods) if m]
+    return _row_hnf([r[:len(coords)] for r in left_kernel(coords + killers)])
+
+
+def _scrambled_group(rng, free_rank, factors):
+    """Z^free_rank plus the given torsion, presented on mixed generators:
+    the diagonal relations times a random unimodular change of basis, plus
+    a redundant combination of them half the time."""
+    n = free_rank + len(factors)
+    rels = [[d if j == free_rank + k else 0 for j in range(n)] for k, d in enumerate(factors)]
+    for _ in range(2 * n):
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice([-2, -1, 1, 2])
+            for r in rels:
+                r[j] += c * r[i]
+    if rels and rng.random() < 0.5:
+        rels.append([sum(rng.randint(-2, 2) * r[j] for r in rels) for j in range(n)])
+    return FGAbelianGroup(n, rels)
+
+
+def test_kernel_rows_span_the_canonical_coordinate_lattice():
+    rng = random.Random(21)
+    shapes = {"trivial": 0, "torsion": 0, "Z^2 + torsion": 0, "zero values": 0}
+    for _ in range(600):
+        shape = rng.choice(sorted(shapes))
+        if shape == "trivial":
+            G = rng.choice([FGAbelianGroup(0), FGAbelianGroup(2, [[1, 1], [0, 1]]),
+                            _scrambled_group(rng, 0, [1, 1])])
+        elif shape == "torsion":
+            G = _scrambled_group(rng, 0, rng.choice([[2], [3], [2, 4], [3, 6], [2, 2, 4]]))
+        else:
+            G = _scrambled_group(rng, 2, rng.choice([[], [2], [4], [2, 6]]))
+        n = rng.randint(1, 6)
+        values = [G.element([0 if shape == "zero values" else rng.randint(-4, 4)
+                             for _ in range(G.ngens)]) for _ in range(n)]
+        shapes[shape] += 1
+        rows = _kernel_rows(values, G)
+        for r in rows:
+            assert len(r) == n and any(r)
+            total = G.zero()
+            for c, v in zip(r, values):
+                total = total + c * v
+            assert total.is_zero()
+        coords = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]
+        mods = [0] * G.free_rank + list(G.invariant_factors)
+        assert _row_hnf(rows) == _kernel_hnf(coords, mods), (values, G.relations)
+    assert min(shapes.values()) > 100
 
 
 # The slowest system of the realize-roundtrip corpus: p4's search makes 417

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from sepmonoid import graph as graph_mod
 from sepmonoid import isystem as isystem_mod
 from sepmonoid import rewrite as rewrite_mod
-from sepmonoid.abelian import direct_sum, subgroup_membership
+from sepmonoid.abelian import (FGAbelianGroup, GroupHom, element_order,
+                               solve_left)
 from sepmonoid.fixtures import fixture_graph, fixture_text, graph_names
 from sepmonoid.graph import (NotAdaptableError, check_adaptable, condensation,
                              parse_graph, require_adaptable)
@@ -881,9 +882,49 @@ def test_eq_exact_symmetric(x, y):
 
 
 # ------------------------------------- the normal-form kernel against the
-# route it replaced: Poset.maximals and per-class assignment for monoid_nf,
-# and GroupElement deltas with subgroup_membership in the direct sum for
-# nf_equal, restated here
+# route it replaced: maximal classes and per-class assignment for monoid_nf,
+# and GroupElement deltas with subgroup membership in the direct sum for
+# nf_equal, restated here with the helpers that route used
+
+
+def _maximals(poset, subset):
+    pool = set(subset)
+    return sorted(p for p in pool if not any(poset.lt(p, q) for q in pool))
+
+
+def subgroup_membership(gens, x):
+    """Is x in the subgroup generated by gens (all in x's group)?"""
+    rows = [list(e.coeffs) for e in gens] + [list(r) for r in x.group.relations]
+    if not rows:
+        return x.is_zero()
+    return solve_left(rows, list(x.coeffs)) is not None
+
+
+def direct_sum(groups):
+    """Direct sum with embeddings: (sum group, [embedding homs])."""
+    ngens = sum(g.ngens for g in groups)
+    relations, offsets, offset = [], [], 0
+    for g in groups:
+        offsets.append(offset)
+        for r in g.relations:
+            row = [0] * ngens
+            row[offset:offset + g.ngens] = list(r)
+            relations.append(row)
+        offset += g.ngens
+    total = FGAbelianGroup(ngens, relations)
+    embeds = [GroupHom(g, total, [[int(j == off + i) for j in range(ngens)]
+                                  for i in range(g.ngens)])
+              for g, off in zip(groups, offsets)]
+    return total, embeds
+
+
+def test_direct_sum():
+    z2 = FGAbelianGroup(1, [[2]])
+    z = FGAbelianGroup(1, [])
+    g, incs = direct_sum([z2, z])
+    assert g.canonical_name() == "Z + Z/2"
+    x = incs[0](z2.gen(0))
+    assert element_order(x) == 2
 
 
 def _reference_monoid_nf(g, x):
@@ -891,7 +932,7 @@ def _reference_monoid_nf(g, x):
     cond, kinds = report.condensation, report.kinds
     sysm = extract_isystem(g)
     classes = sorted({cond.class_of[v] for v in x.support()})
-    top = cond.poset.maximals(classes)
+    top = _maximals(cond.poset, classes)
     entries = []
     for p in top:
         index = {w: i for i, w in enumerate(sysm.generator_labels[p])}
