@@ -37,6 +37,15 @@ class NotAdaptableError(GraphError):
     pass
 
 
+def _unaddressable(name: str) -> str | None:
+    """Why the element syntax (`2*a+b`, `0`) cannot name `name`, or None."""
+    if name == "0":
+        return "'0' is the zero element"
+    if "+" in name or "*" in name:
+        return "'+' and '*' separate the terms of an element"
+    return None
+
+
 class SepGraph:
     """Immutable separated graph.
 
@@ -150,6 +159,9 @@ def parse_graph(text: str) -> SepGraph:
                 raise GraphParseError(line_no, "vertex line needs exactly one name")
             if args[0] in seen_v:
                 raise GraphParseError(line_no, f"duplicate vertex '{args[0]}'")
+            why = _unaddressable(args[0])
+            if why:
+                raise GraphParseError(line_no, f"vertex name '{args[0]}' is reserved: {why}")
             seen_v.add(args[0])
             vertices.append(args[0])
         elif kind == "edge":

@@ -16,7 +16,8 @@ from itertools import combinations
 
 from .abelian import (FGAbelianGroup, GroupElement, GroupHom, identity,
                       left_kernel, vec_mat, zero_hom)
-from .graph import MAX_EXPANDED_EDGES, SepGraph, require_adaptable
+from .graph import (MAX_EXPANDED_EDGES, SepGraph, _unaddressable,
+                    require_adaptable)
 from .posets import Poset
 
 VERIFIED = "Verified"
@@ -498,6 +499,10 @@ def parse_isystem(text: str) -> ISystem:
                 raise ISystemParseError(line_no, "prime line needs: prime <name> free|reg")
             if tokens[1] in kind:
                 raise ISystemParseError(line_no, f"duplicate prime '{tokens[1]}'")
+            why = _unaddressable(tokens[1])
+            if why:
+                # realize names vertices after their primes
+                raise ISystemParseError(line_no, f"prime name '{tokens[1]}' is reserved: {why}")
             kind[tokens[1]] = "free" if tokens[2] == "free" else "regular"
         elif tokens[0] == "cover":
             if len(tokens) != 4 or tokens[2] != "<":

@@ -14,7 +14,7 @@ import random
 from .graph import SepGraph, check_adaptable
 from .isystem import ISystem, extract_isystem, canonicalized, serialize_isystem
 from .posets import Poset
-from .rewrite import FreeElement, step_targets
+from .rewrite import FreeElement, RewriteError, apply_step
 
 
 DEFAULT_GROUPS = ("0", "Z", "Z/2", "Z/3", "Z/4", "Z/2 + Z/2", "Z + Z/3")
@@ -89,15 +89,25 @@ def random_element(rng: random.Random, g: SepGraph, max_total: int = 6,
 
 
 def random_trace(rng: random.Random, g: SepGraph, x: FreeElement, steps: int):
-    """Apply up to `steps` random rewrites; returns (result, trace)."""
+    """Apply up to `steps` random rewrites; returns (result, trace).
+
+    Each step is drawn uniformly from the (vertex, block index) pairs of
+    x, support vertices sorted and blocks in order, as step_targets lists
+    them, and only the drawn one is applied.
+    """
     trace = []
+    blocks_of = g.blocks_of
     for _ in range(steps):
-        opts = step_targets(g, x)
+        opts = []
+        for v in x.support():
+            if v not in blocks_of:
+                raise RewriteError(f"unknown vertex '{v}' in element")
+            opts += [(v, bi) for bi in range(len(blocks_of[v]))]
         if not opts:
             break
-        v, bi, y = rng.choice(opts)
+        v, bi = rng.choice(opts)
         trace.append((v, bi))
-        x = y
+        x = apply_step(g, x, v, bi)
     return x, tuple(trace)
 
 

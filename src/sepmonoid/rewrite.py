@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import add, ge, sub
+from operator import add, lshift, sub
 
 from .abelian import FGAbelianGroup, vanishes
 from .graph import SepGraph, check_adaptable, require_adaptable
@@ -205,14 +205,12 @@ class _CompiledGraph:
 
     moves[i] holds one ((v, bi), delta) pair per block bi of the i-th vertex
     v; delta is -1 at v plus one for each edge target of the block, so a
-    step is one tuple addition.  The search and the refinement split run on
-    these tuples, and FreeElement appears only at their boundary.  sort_key
-    is the search's canonical order: it breaks ties among a layer's
-    discoverers of a node and in the meet, and the search reads it only
-    along the trace it returns.
+    step is one tuple addition.  The refinement split and the normal forms
+    run on these tuples, the search on the ints of a `_Kernel`, and
+    FreeElement appears only at their boundary.
     """
 
-    __slots__ = ("vertices", "index", "moves")
+    __slots__ = ("vertices", "index", "moves", "_growth", "_kernels")
 
     def __init__(self, g: SepGraph):
         self.vertices = g.vertices
@@ -228,6 +226,8 @@ class _CompiledGraph:
                 mine.append(((v, bi), tuple(delta)))
             moves.append(tuple(mine))
         self.moves = tuple(moves)
+        self._growth = None             # set by the first search: most graphs never search
+        self._kernels = {}
 
     def pack(self, x: FreeElement) -> tuple:
         t = [0] * len(self.vertices)
@@ -248,75 +248,155 @@ class _CompiledGraph:
         return [(step, tuple(map(add, t, delta)))
                 for i, n in enumerate(t) if n for step, delta in self.moves[i]]
 
-    def sort_key(self, t):
-        """(total, serialize_element) of unpack(t): the search's tie-break,
-        among the discoverers of a node on the returned trace and in the meet."""
-        terms = [v if n == 1 else f"{n}*{v}" for v, n in zip(self.vertices, t) if n]
-        return (sum(t), "+".join(terms) or "0")
+    def kernel(self, depth: int, *roots) -> "_Kernel":
+        """The kernel whose fields hold every count of a search of `depth`
+        layers from the packed roots: a step adds at most `growth`, the
+        largest entry of any block delta, to a count."""
+        if self._growth is None:
+            self._growth = max((max(delta) for mine in self.moves for _, delta in mine),
+                               default=0)
+        width = (max(map(sum, roots)) + depth * self._growth).bit_length() + 1
+        kern = self._kernels.get(width)
+        if kern is None:
+            kern = self._kernels[width] = _Kernel(self, width)
+        return kern
+
+
+class _Kernel:
+    """The search's nodes as ints, one `width`-bit field per vertex.
+
+    Field i, bits i * width upward, holds the count of vertices[i].  Its
+    top bit is a guard: `_CompiledGraph.kernel` sizes width so that every
+    count of the search stays below 2 ** (width - 1), so no field carries
+    into the next, a node has no guard bit set, and a step is one int
+    addition of a block's delta.  table holds, for each vertex i with
+    blocks, the mask of its field and its (step, delta) pairs in
+    `_CompiledGraph.moves` order.  ge(w, x) is the componentwise w >= x:
+    each field of (w | guards) - x keeps its guard bit exactly when w's
+    count is at least x's.  sort_key is the search's canonical order,
+    (total, serialize_element) of the node.
+    """
+
+    __slots__ = ("vertices", "width", "mask", "shifts", "guards", "table")
+
+    def __init__(self, cg: _CompiledGraph, width: int):
+        self.vertices = cg.vertices
+        self.width = width
+        self.mask = mask = (1 << width) - 1
+        self.shifts = shifts = range(0, len(cg.vertices) * width, width)
+        self.guards = sum(1 << s for s in shifts) << width - 1
+        self.table = tuple((mask << shifts[i], tuple((step, self.encode(delta))
+                                                     for step, delta in mine))
+                           for i, mine in enumerate(cg.moves) if mine)
+
+    def encode(self, t) -> int:
+        """The int of packed t; a negative entry borrows from the fields above."""
+        return sum(map(lshift, t, self.shifts))
+
+    def decode(self, e) -> tuple:
+        mask = self.mask
+        return tuple(e >> s & mask for s in self.shifts)
+
+    def sort_key(self, e):
+        """(total, serialize_element) of the node e, read off its fields."""
+        width, mask = self.width, self.mask
+        total, terms = 0, []
+        for v in self.vertices:
+            if not e:
+                break
+            n = e & mask
+            if n:
+                total += n
+                terms.append(v if n == 1 else f"{n}*{v}")
+            e >>= width
+        return (total, "+".join(terms) or "0")
+
+    def ge(self, w, x) -> bool:
+        guards = self.guards
+        return (w | guards) - x & guards == guards
 
 
 class _Side:
-    """One side of the two-sided search: its nodes and their discoverers.
+    """One side of the two-sided search: the layer of each of its nodes.
 
-    The frontier is not sorted.  A layer's sweep records the first
-    discoverer (node, step) of each new node in parent, and every later one
-    from the same layer in alts.  trace_to resolves each node of the
-    returned path to the discoverer whose node has the least key, the first
-    step on a tie: the parent that a sweep in key order records.  Only a
-    layer whose new nodes would pass the limit is swept in key order, since
-    there the order decides which nodes the layer keeps.
+    depth maps each node to the layer that found it, and nothing else is
+    stored.  The frontier, the last layer, is not sorted, except for a
+    layer whose new nodes would pass the limit: that layer's nodes are
+    dropped and the sweep runs again in key order, since there the order
+    decides which nodes the layer keeps.  trace_to recomputes the
+    discoverers of each node of the returned path from the layer before
+    it, and keeps the one of least key, the first step on a tie: the
+    parent that a sweep in key order records.
     """
 
-    def __init__(self, cg: _CompiledGraph, root: tuple, key):
-        self.cg = cg
+    def __init__(self, kern: _Kernel, root: int, key):
+        self.kern = kern
         self.key = key
-        self.parent = {root: None}
-        self.alts = {}
+        self.depth = {root: 0}
         self.frontier = [root]
+        self.layers = 0
 
-    def _sweep(self, frontier, limit):
-        """(layer, alts): the first discoverer of each node new to this side
-        from frontier, in the order of frontier and stopping at `limit` new
-        nodes, and the later discoverers of each."""
-        parent, moves = self.parent, self.cg.moves
-        layer, alts = {}, {}
+    def _sweep(self, frontier, limit, d):
+        """The nodes new to this side from frontier, entered at depth d in
+        the order of frontier, stopping at `limit` of them."""
+        depth, table, new = self.depth, self.kern.table, []
         for e in frontier:
-            for i, n in enumerate(e):
-                if n:
-                    for step, delta in moves[i]:
-                        r = tuple(map(add, e, delta))
-                        if r in layer:
-                            alts.setdefault(r, []).append((e, step))
-                        elif r not in parent:
-                            layer[r] = (e, step)
-                            if len(layer) == limit:
-                                return layer, alts
-        return layer, alts
+            for field, pairs in table:
+                if e & field:
+                    for _, delta in pairs:
+                        r = e + delta
+                        if r not in depth:
+                            depth[r] = d
+                            new.append(r)
+                            if len(new) == limit:
+                                return new
+        return new
 
     def expand(self, limit):
         """Add the next layer and return its new nodes, at most `limit` of them."""
-        layer, alts = self._sweep(self.frontier, limit + 1)
-        if len(layer) > limit:
-            # the limit cuts this layer: keep the nodes of a sweep in key
-            # order, whose first discoverers are already the least
-            layer, _ = self._sweep(sorted(self.frontier, key=self.key), limit)
-        else:
-            self.alts.update(alts)
-        self.parent.update(layer)
-        self.frontier = new = list(layer)
+        self.layers = d = self.layers + 1
+        new = self._sweep(self.frontier, limit + 1, d)
+        if len(new) > limit:
+            # the limit cuts this layer: keep the nodes of a sweep in key order
+            for r in new:
+                del self.depth[r]
+            new = self._sweep(sorted(self.frontier, key=self.key), limit, d)
+        self.frontier = new
         return new
 
     def trace_to(self, elem):
+        """The steps from the root to elem, through least-key discoverers.
+
+        A discoverer of cur, at depth d, is a node prev = cur - delta at
+        depth d - 1 whose field at the stepped vertex is nonzero.  When
+        cur - delta is not a node, the subtraction leaves some field out of
+        [0, 2 ** (width - 1)), since a count moves by at most `growth` <
+        2 ** (width - 1) down and by 1 up.  Then the int is negative, or
+        the lowest such field reads as its value modulo 2 ** width, which
+        has the guard bit set.  No node has either form, so membership in
+        depth is a sound test.
+        """
+        depth, key, table = self.depth, self.key, self.kern.table
         steps = []
         cur = elem
-        while self.parent[cur] is not None:
-            prev, step = self.parent[cur]
-            later = self.alts.get(cur)
-            if later:
-                # min keeps the first of equal keys
-                prev, step = min([(prev, step)] + later, key=lambda c: self.key(c[0]))
-            steps.append(step)
-            cur = prev
+        for d in range(depth[elem] - 1, -1, -1):
+            best = best_key = None
+            for field, pairs in table:
+                for step, delta in pairs:
+                    prev = cur - delta
+                    if depth.get(prev) != d or not prev & field or prev == best:
+                        continue
+                    if best is None:
+                        best, best_step = prev, step
+                        continue
+                    # a second discoverer: keys are read only now
+                    if best_key is None:
+                        best_key = key(best)
+                    k = key(prev)
+                    if k < best_key:
+                        best, best_step, best_key = prev, step, k
+            cur = best
+            steps.append(best_step)
         steps.reverse()
         return tuple(steps)
 
@@ -441,37 +521,40 @@ def _search_packed(g, cg, x, y, root_x, root_y, depth, node_budget):
     """confluence_search from x and y, already packed to root_x and root_y."""
     if x == y:
         return ConfluenceResult("equal", x, (), (), explored=1)
+    kern = cg.kernel(depth, root_x, root_y)
 
     def meet(added, from_x, other):
-        common = [e for e in added if e in other.parent]
-        return (min(common, key=cg.sort_key),) * 2 if common else None
+        common = [e for e in added if e in other]
+        if len(common) > 1:
+            return (min(common, key=kern.sort_key),) * 2
+        return (common[0],) * 2 if common else None
 
-    status, explored, hit = _two_sided(cg, root_x, root_y, depth, node_budget, meet)
+    status, explored, hit = _two_sided(kern, kern.encode(root_x), kern.encode(root_y),
+                                       depth, node_budget, meet, kern.sort_key)
     if not hit:
         return ConfluenceResult(status, explored=explored)
     (gamma, tx), (_, ty) = hit
     # replayed on FreeElement, independently of the compiled graph
-    gamma = cg.unpack(gamma)
+    gamma = cg.unpack(kern.decode(gamma))
     if apply_trace(g, x, tx) != gamma or apply_trace(g, y, ty) != gamma:
         raise RewriteError("trace replay failed, search bookkeeping is broken")
     return ConfluenceResult("equal", gamma, tx, ty, explored)
 
 
-def _two_sided(cg: _CompiledGraph, root_x, root_y, depth, node_budget, meet, key=None):
+def _two_sided(kern: _Kernel, root_x, root_y, depth, node_budget, meet, key):
     """Grow a rewriting search from each root, one side's layer at a time.
 
-    The frontiers are swept in the order their nodes were found; key
-    (cg.sort_key by default) orders only the discoverers of the nodes on
-    the returned traces, and the sweep of a layer that crosses the budget
-    (see _Side).  After each side grows, meet(added, from_x, other) sees
-    its new nodes and the other side, and returns the (x-side, y-side)
-    pair of nodes that ends the search, or None.  Returns (status,
-    explored, hit): status "met" with hit = ((node_x, trace_x), (node_y,
-    trace_y)), "unknown" when the depth ran out, "exhausted" at the first
-    node past node_budget.
+    The nodes are the ints of kern, and the frontiers are swept in the
+    order their nodes were found; key orders only the discoverers of the
+    nodes on the returned traces, recomputed there, and the sweep of a
+    layer that crosses the budget (see _Side).  After each side grows,
+    meet(added, from_x, other) sees its new nodes and the other side's
+    depth dict, and returns the (x-side, y-side) pair of nodes that ends
+    the search, or None.  Returns (status, explored, hit): status "met"
+    with hit = ((node_x, trace_x), (node_y, trace_y)), "unknown" when the
+    depth ran out, "exhausted" at the first node past node_budget.
     """
-    key = key or cg.sort_key
-    sx, sy = _Side(cg, root_x, key), _Side(cg, root_y, key)
+    sx, sy = _Side(kern, root_x, key), _Side(kern, root_y, key)
     explored = 2
     for _ in range(depth):
         progressed = False
@@ -479,7 +562,7 @@ def _two_sided(cg: _CompiledGraph, root_x, root_y, depth, node_budget, meet, key
             added = side.expand(max(1, node_budget + 1 - explored))
             explored += len(added)
             progressed = progressed or bool(added)
-            pair = meet(added, from_x, other)
+            pair = meet(added, from_x, other.depth)
             if pair:
                 ex, ey = pair
                 return "met", explored, ((ex, sx.trace_to(ex)), (ey, sy.trace_to(ey)))
@@ -832,12 +915,13 @@ def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
     if y.contains(x):
         return LeResult("yes", y.minus(x))
 
-    key = cache(cg.sort_key)            # once per node of this search
+    kern = cg.kernel(depth, root_x, root_y)
+    key, ge = cache(kern.sort_key), kern.ge     # key: once per node of this search
 
     def meet(added, from_x, other):
         # w >= x2 needs total(w) >= total(x2), and key sorts by total first:
         # scan only the slice of the other side whose totals can work
-        reached = sorted(other.parent, key=key)
+        reached = sorted(other, key=key)
         totals = [key(b)[0] for b in reached]
         for a in sorted(added, key=key):
             total = key(a)[0]
@@ -847,13 +931,14 @@ def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
                 part = reached[:bisect_right(totals, total)]
             for b in part:
                 x2, w = (a, b) if from_x else (b, a)
-                if all(map(ge, w, x2)):
+                if ge(w, x2):
                     return x2, w
 
-    status, _, hit = _two_sided(cg, root_x, root_y, depth, node_budget, meet, key)
+    status, _, hit = _two_sided(kern, kern.encode(root_x), kern.encode(root_y),
+                                depth, node_budget, meet, key)
     if hit:
         (x2, tx), (w, ty) = hit
-        z = cg.unpack(tuple(map(sub, w, x2)))
+        z = cg.unpack(kern.decode(w - x2))
         if apply_trace(g, x + z, tx) != apply_trace(g, y, ty):
             raise RewriteError("order witness replay failed")
         return LeResult("yes", z)

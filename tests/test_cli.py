@@ -62,6 +62,18 @@ def test_validate_parse_error_exit_2(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, suffix, text", [
+    ("validate", ".sg", "vertex a+b\n"),
+    ("validate", ".sg", "vertex u\nvertex 0\nedge e u 0\n"),
+    ("realize", ".is", "prime 0 reg\ngroup 0 : Z/2\n"),
+])
+def test_reserved_names_exit_2(tmp_path, capsys, cmd, suffix, text):
+    p = tmp_path / f"reserved{suffix}"
+    p.write_text(text)
+    assert main([cmd, str(p)]) == 2
+    assert "is reserved" in capsys.readouterr().err
+
+
 def test_validate_huge_multiplicity_exit_2(tmp_path, capsys):
     p = tmp_path / "huge.sg"
     p.write_text("vertex w\nedge l w w * 10001\nblock l\n")

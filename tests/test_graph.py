@@ -1,6 +1,7 @@
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -57,6 +58,27 @@ def test_parse_errors():
         SepGraph("aa", [])                   # duplicate vertex
     with pytest.raises(GraphError):
         SepGraph("ab", [("e", "a", "a"), ("f", "b", "b")], [("e", "f")])
+
+
+@pytest.mark.parametrize("name", ["0", "a+b", "+", "2*a", "*", "a+"])
+def test_parse_rejects_names_the_element_syntax_cannot_address(name):
+    with pytest.raises(GraphParseError, match=f"line 2: vertex name '{re.escape(name)}'"):
+        parse_graph(f"vertex u\nvertex {name}\nedge e u u\n")
+
+
+def test_generated_and_realized_vertex_names_are_addressable():
+    names = set()
+    for name in graph_names():
+        names |= set(fixture_graph(name).vertices)
+    rng = random.Random(9)
+    for _ in range(40):
+        names |= set(random_adaptable(rng, max_classes=5).vertices)
+    for sysm, _ in corpus_systems(seed=4, count=8):
+        g = realize(sysm).graph
+        assert parse_graph(serialize_graph(g)) == g
+        names |= set(g.vertices)
+    assert names and not any(n == "0" or "+" in n or "*" in n for n in names)
+    assert "0a" in parse_graph("vertex 0a\nvertex a0\n").vertices
 
 
 def test_unlisted_edges_become_singleton_blocks():

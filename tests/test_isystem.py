@@ -175,6 +175,14 @@ def test_parse_errors_carry_line_numbers():
     assert "line 3" in str(exc.value)
 
 
+@pytest.mark.parametrize("name", ["0", "p+q", "2*p"])
+def test_parse_rejects_prime_names_the_element_syntax_cannot_address(name):
+    # realize names each prime's vertices after the prime
+    text = f"prime q free\nprime {name} reg\ngroup q : 0\n"
+    with pytest.raises(ISystemParseError, match=r"line 2: prime name '.*' is reserved"):
+        parse_isystem(text)
+
+
 def test_parse_requires_unit_exactly_for_free_sources():
     base = ("prime p free\nprime q free\ncover q < p\n"
             "group p : Z/2\ngroup q : 0\n")

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from sepmonoid.fixtures import fixture_graph
 from sepmonoid.graph import check_adaptable, serialize_graph
 from sepmonoid.isystem import serialize_isystem, validate_isystem
@@ -8,8 +10,9 @@ from sepmonoid.props import (conicality_suite, division_suite,
                              refinement_suite, run_suites, separativity_suite,
                              split_random)
 from sepmonoid.randgen import (DEFAULT_GROUPS, corpus_systems,
-                               random_adaptable, random_element, random_walk)
-from sepmonoid.rewrite import FreeElement, eq_exact
+                               random_adaptable, random_element, random_trace,
+                               random_walk)
+from sepmonoid.rewrite import FreeElement, RewriteError, eq_exact, step_targets
 
 
 def test_random_adaptable_always_is():
@@ -101,3 +104,38 @@ def test_suite_line_format():
     line = res.line()
     assert line.startswith("refinement:")
     assert "samples=10" in line
+
+
+def _listing_random_trace(rng, g, x, steps):
+    """random_trace drawing from the list of every one-step rewrite."""
+    trace = []
+    for _ in range(steps):
+        opts = step_targets(g, x)
+        if not opts:
+            break
+        v, bi, x = rng.choice(opts)
+        trace.append((v, bi))
+    return x, tuple(trace)
+
+
+def test_random_trace_draws_as_the_listing_of_every_step():
+    rng = random.Random(6)
+    graphs = [fixture_graph(n) for n in ("g1", "g2", "g3", "g4", "g5")]
+    graphs += [random_adaptable(rng, max_classes=5) for _ in range(15)]
+    for n in range(600):
+        g = graphs[n % len(graphs)]
+        x = random_element(rng, g, 5, nonzero=n % 7 != 0)
+        steps, seed = rng.randint(0, 8), rng.random()
+        a, b = random.Random(seed), random.Random(seed)
+        y, trace = random_trace(a, g, x, steps)
+        want, want_trace = _listing_random_trace(b, g, x, steps)
+        assert (y, trace) == (want, want_trace) and a.random() == b.random()
+
+
+def test_random_trace_rejects_vertices_outside_the_graph():
+    g = fixture_graph("g5")
+    x = FreeElement({"a": 1, "zz": 1, "yy": 2})
+    with pytest.raises(RewriteError, match="unknown vertex 'yy'"):
+        random_trace(random.Random(0), g, x, 1)
+    with pytest.raises(RewriteError, match="unknown vertex 'yy'"):
+        step_targets(g, x)

@@ -716,24 +716,39 @@ def test_le_meet_computes_each_sort_key_once(monkeypatch):
     g = dict(CORPUS)["rand-8"]
     x, y = fe(g, "4*v2+8*v3+v4+v5+3*v6"), fe(g, "v1+2*v2+v3+v4+v5+v6")
     seen = []
-    real = rewrite_mod._CompiledGraph.sort_key
-    monkeypatch.setattr(rewrite_mod._CompiledGraph, "sort_key",
-                        lambda self, t: seen.append(t) or real(self, t))
+    real = rewrite_mod._Kernel.sort_key
+    monkeypatch.setattr(rewrite_mod._Kernel, "sort_key",
+                        lambda self, e: seen.append(e) or real(self, e))
     res = le_semidecide(g, x, y, depth=10, node_budget=20000)
     assert res.status == "yes" and serialize_element(res.z) == "v1+v3+v4"
     # re-sorting both sides on every layer made 921 calls here
     assert seen and len(seen) == len(set(seen))
 
 
-def _full_scan_meet(cg):
+def _sort_key(cg, t):
+    """The search's canonical order on packed tuples: (total,
+    serialize_element) of unpack(t)."""
+    terms = [v if n == 1 else f"{n}*{v}" for v, n in zip(cg.vertices, t) if n]
+    return (sum(t), "+".join(terms) or "0")
+
+
+def _identity(e):
+    return e
+
+
+def _full_scan_meet(cg, decode=_identity):
     """le_semidecide's meet without the total slices: every new node
-    against every reached node, both in sort_key order."""
+    against every reached node, both in sort_key order.  The nodes are
+    compared as the packed tuples that decode gives."""
+    def key(e):
+        return _sort_key(cg, decode(e))
+
     def meet(added, from_x, other):
-        reached = sorted(other.parent, key=cg.sort_key)
-        for a in sorted(added, key=cg.sort_key):
+        reached = sorted(other, key=key)
+        for a in sorted(added, key=key):
             for b in reached:
                 x2, w = (a, b) if from_x else (b, a)
-                if all(map(ge, w, x2)):
+                if all(map(ge, decode(w), decode(x2))):
                     return x2, w
     return meet
 
@@ -761,13 +776,17 @@ def test_le_meet_finds_the_pair_of_the_full_scan():
             if x == y or y.contains(x):
                 continue
             depth = rng.randint(1, 6)
+            tx, ty = cg.pack(x), cg.pack(y)
+            kern = cg.kernel(depth, tx, ty)
             status, _, hit = rewrite_mod._two_sided(
-                cg, cg.pack(x), cg.pack(y), depth, 2000, _full_scan_meet(cg))
+                kern, kern.encode(tx), kern.encode(ty), depth, 2000,
+                _full_scan_meet(cg, kern.decode), kern.sort_key)
             res = le_semidecide(g, x, y, depth, node_budget=2000)
             if hit:
                 (x2, _), (w, _) = hit
                 met += 1
-                assert res.status == "yes" and res.z == cg.unpack(tuple(map(sub, w, x2)))
+                z = tuple(map(sub, kern.decode(w), kern.decode(x2)))
+                assert res.status == "yes" and res.z == cg.unpack(z)
             elif status == "exhausted":
                 assert res.status in ("no", "unknown")
     assert met > 100
@@ -1192,21 +1211,23 @@ def test_shared_analysis_is_not_mutated_by_callers(name):
     assert _snapshot(extract_isystem(copy)) == before
 
 
-# the search sweeps its frontiers unsorted and resolves the parents on the
-# returned path by key; against the search that sorted every layer
+# the search sweeps its frontiers unsorted on the kernel's ints and
+# recomputes the discoverers on the returned path by key; against the
+# search that sorted every layer of packed tuples
 
 
 class _SortedSide:
-    """_Side as a search that sweeps every frontier in key order."""
+    """_Side as a search on packed tuples that sweeps every frontier in key
+    order and records the first discoverer of each node."""
 
-    def __init__(self, cg, root, key):
-        self.cg, self.key = cg, key
+    def __init__(self, cg, root):
+        self.cg = cg
         self.parent = {root: None}
         self.frontier = [root]
 
     def expand(self, limit):
         new = []
-        for e in sorted(self.frontier, key=self.key):
+        for e in sorted(self.frontier, key=lambda t: _sort_key(self.cg, t)):
             for step, r in self.cg.steps(e):
                 if r not in self.parent:
                     self.parent[r] = (e, step)
@@ -1226,7 +1247,7 @@ class _SortedSide:
 
 
 def _sorted_two_sided(cg, root_x, root_y, depth, node_budget, meet):
-    sx, sy = _SortedSide(cg, root_x, cg.sort_key), _SortedSide(cg, root_y, cg.sort_key)
+    sx, sy = _SortedSide(cg, root_x), _SortedSide(cg, root_y)
     explored = 2
     for _ in range(depth):
         progressed = False
@@ -1234,7 +1255,7 @@ def _sorted_two_sided(cg, root_x, root_y, depth, node_budget, meet):
             added = side.expand(max(1, node_budget + 1 - explored))
             explored += len(added)
             progressed = progressed or bool(added)
-            pair = meet(added, from_x, other)
+            pair = meet(added, from_x, other.parent)
             if pair:
                 ex, ey = pair
                 return "met", explored, ((ex, sx.trace_to(ex)), (ey, sy.trace_to(ey)))
@@ -1245,12 +1266,30 @@ def _sorted_two_sided(cg, root_x, root_y, depth, node_budget, meet):
     return "unknown", explored, None
 
 
-def _common_meet(cg):
+def _common_meet(cg, decode=_identity):
     """confluence_search's meet: the least common node by sort_key."""
     def meet(added, from_x, other):
-        common = [e for e in added if e in other.parent]
-        return (min(common, key=cg.sort_key),) * 2 if common else None
+        common = [e for e in added if e in other]
+        return (min(common, key=lambda e: _sort_key(cg, decode(e))),) * 2 if common else None
     return meet
+
+
+def _check_two_sided(cg, tx, ty, depth, budget):
+    """_two_sided on the kernel's ints against _sorted_two_sided on packed
+    tuples, with both meets: status, explored, and the decoded hit nodes
+    and their traces agree.  Returns the reference's statuses."""
+    kern = cg.kernel(depth, tx, ty)
+    statuses = []
+    for make in (_common_meet, _full_scan_meet):
+        want = _sorted_two_sided(cg, tx, ty, depth, budget, make(cg))
+        status, explored, hit = rewrite_mod._two_sided(
+            kern, kern.encode(tx), kern.encode(ty), depth, budget,
+            make(cg, kern.decode), kern.sort_key)
+        if hit:
+            hit = tuple((kern.decode(e), trace) for e, trace in hit)
+        assert (status, explored, hit) == want
+        statuses.append(want[0])
+    return statuses
 
 
 def test_two_sided_matches_the_sorted_sweep(monkeypatch):
@@ -1263,9 +1302,9 @@ def test_two_sided_matches_the_sorted_sweep(monkeypatch):
         expands.append(len(sweeps) - before)
         return out
 
-    def sweep(self, frontier, limit):
+    def sweep(self, frontier, limit, d):
         sweeps.append(limit)
-        return real_sweep(self, frontier, limit)
+        return real_sweep(self, frontier, limit, d)
 
     monkeypatch.setattr(rewrite_mod._Side, "expand", expand)
     monkeypatch.setattr(rewrite_mod._Side, "_sweep", sweep)
@@ -1282,26 +1321,111 @@ def test_two_sided_matches_the_sorted_sweep(monkeypatch):
             y = random_walk(rng, g, s, rng.randint(0, 4))
         depth = 1 + n % 10
         for budget in (20, 200, 20000):
-            for meet in (_common_meet(cg), _full_scan_meet(cg)):
-                args = (cg, cg.pack(x), cg.pack(y), depth, budget, meet)
-                want = _sorted_two_sided(*args)
-                assert rewrite_mod._two_sided(*args) == want
-                met += want[0] == "met"
+            statuses = _check_two_sided(cg, cg.pack(x), cg.pack(y), depth, budget)
+            met += statuses.count("met")
     assert met > 4000
     # layers the budget cut, swept again in key order
     assert expands.count(2) >= 50 and set(expands) == {1, 2}
+
+
+def _growth(cg):
+    return max((c for mine in cg.moves for _, delta in mine for c in delta), default=0)
+
+
+def test_kernel_fields_hold_every_count_of_the_search():
+    rng = random.Random(47)
+    checked = 0
+    for n in range(200):
+        _, g = CORPUS[n % len(CORPUS)]
+        cg = g.derived(rewrite_mod._CompiledGraph)
+        roots = [cg.pack(random_element(rng, g, 6, nonzero=False)) for _ in range(2)]
+        depth = rng.randint(0, 12)
+        kern = cg.kernel(depth, *roots)
+        assert cg.kernel(depth, *roots) is kern
+        # the largest count a search of depth layers can reach, and the
+        # largest that the field holds below its guard bit
+        reach = max(map(sum, roots)) + depth * _growth(cg)
+        top = (1 << kern.width - 1) - 1
+        assert reach <= top
+        ts = []
+        for _ in range(12):
+            t = [rng.choice((0, 0, 1, rng.randint(0, reach), reach, top))
+                 for _ in cg.vertices]
+            ts.append(tuple(t))
+        ts.append(tuple(map(min, ts[0], ts[1])))
+        ts.append((0,) * len(cg.vertices))
+        for t in ts:
+            e = kern.encode(t)
+            assert kern.decode(e) == t
+            assert kern.sort_key(e) == _sort_key(cg, t)
+            checked += 1
+        for t in ts:
+            for u in ts:
+                assert kern.ge(kern.encode(t), kern.encode(u)) == all(map(ge, t, u))
+    assert checked >= 2000
+
+
+WIDE = """\
+vertex u
+vertex v
+vertex w
+vertex a
+edge l u u
+edge e u w * 40
+edge f u v * 2
+edge g u a
+edge h v w * 3
+edge k v a
+edge m w a
+edge n w a
+block l e
+block f g
+block h
+block k
+block m
+block n
+"""
+
+
+def test_search_on_wide_counts_matches_the_sorted_sweep():
+    # u's first block adds 40 copies of w and keeps u: at depth 12 a count
+    # of w reaches 480, above half of the bound that sizes the fields
+    g = parse_graph(WIDE)
+    cg = g.derived(rewrite_mod._CompiledGraph)
+    pairs = [("u", "u+40*w"), ("u", "2*v+a"), ("2*u", "u+v+w"), ("u+v", "u+3*w+a"),
+             ("u", "u+400*w"), ("u+w", "u+a+200*w"), ("u", "v+a+3*w")]
+    seen = set()
+    for xs, ys in pairs:
+        tx, ty = cg.pack(fe(g, xs)), cg.pack(fe(g, ys))
+        for budget in (30, 400, 20000):
+            seen.update(_check_two_sided(cg, tx, ty, 12, budget))
+            seen.update(_check_two_sided(cg, ty, tx, 12, budget))
+    assert seen == {"met", "exhausted", "unknown"}
+
+
+def test_trace_reads_discoverers_of_the_layer_before_only():
+    # r -> z -> t and r -> s -> b -> t: t and b share layer 2, and b < z
+    # by key, but only z, from layer 1, discovers t
+    g = graph_mod.SepGraph(["r", "z", "s", "b", "t"],
+                           [("rz", "r", "z"), ("rs", "r", "s"), ("sb", "s", "b"),
+                            ("zt", "z", "t"), ("bt", "b", "t")])
+    res = confluence_search(g, fe(g, "r"), fe(g, "t"), depth=3)
+    assert (res.status, res.explored) == ("equal", 6)
+    assert res.trace_x == (("r", 1), ("z", 0)) and res.trace_y == ()
+    cg = g.derived(rewrite_mod._CompiledGraph)
+    assert _check_two_sided(cg, cg.pack(fe(g, "r")), cg.pack(fe(g, "t")), 3, 100) == ["met"] * 2
 
 
 def test_confluence_search_keys_only_the_returned_path(monkeypatch):
     g = dict(CORPUS)["rand-8"]
     x, y = fe(g, "2*v1+v2+v3+3*v4+5*v6"), fe(g, "3*v1+v2+4*v3+v6")
     seen, swept = [], []
-    real = rewrite_mod._CompiledGraph.sort_key
-    monkeypatch.setattr(rewrite_mod._CompiledGraph, "sort_key",
-                        lambda self, t: seen.append(t) or real(self, t))
+    real = rewrite_mod._Kernel.sort_key
+    monkeypatch.setattr(rewrite_mod._Kernel, "sort_key",
+                        lambda self, e: seen.append(e) or real(self, e))
     real_sweep = rewrite_mod._Side._sweep
-    monkeypatch.setattr(rewrite_mod._Side, "_sweep", lambda self, frontier, limit:
-                        swept.extend(frontier) or real_sweep(self, frontier, limit))
+    monkeypatch.setattr(rewrite_mod._Side, "_sweep", lambda self, frontier, limit, d:
+                        swept.extend(frontier) or real_sweep(self, frontier, limit, d))
     res = confluence_search(g, x, y, depth=10, node_budget=20000)
     assert (res.status, res.explored) == ("equal", 86)
     assert serialize_element(res.gamma) == "4*v1+2*v2+4*v3+3*v4+5*v6"
