@@ -49,6 +49,7 @@ class Poset:
             for b in self._up[a]:
                 down[b].add(a)
         self._down = {p: frozenset(v) for p, v in down.items()}
+        self._covers = None
 
     def __len__(self):
         return len(self.elements)
@@ -78,8 +79,10 @@ class Poset:
 
     def covers(self) -> list:
         """All cover pairs (a, b): a < b with nothing strictly between."""
-        return [(a, b) for a in self.elements for b in sorted(self._up[a] - {a})
-                if self._up[a] & self._down[b] == {a, b}]
+        if self._covers is None:            # built once, on first use
+            self._covers = tuple((a, b) for a in self.elements for b in sorted(self._up[a] - {a})
+                                 if self._up[a] & self._down[b] == {a, b})
+        return list(self._covers)
 
     def lower_covers(self, p) -> list:
         return sorted(a for a, b in self.covers() if b == p)

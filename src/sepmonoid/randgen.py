@@ -91,9 +91,9 @@ def random_element(rng: random.Random, g: SepGraph, max_total: int = 6,
 def random_trace(rng: random.Random, g: SepGraph, x: FreeElement, steps: int):
     """Apply up to `steps` random rewrites; returns (result, trace).
 
-    Each step is drawn uniformly from the (vertex, block index) pairs of
-    x, support vertices sorted and blocks in order, as step_targets lists
-    them, and only the drawn one is applied.
+    Each step is drawn uniformly from the list of the (vertex, block index)
+    pairs of x, support vertices sorted and each vertex's blocks in order,
+    and only the drawn one is applied.
     """
     trace = []
     blocks_of = g.blocks_of

@@ -33,7 +33,7 @@ from itertools import count
 from math import comb, gcd
 
 from .abelian import (
-    FGAbelianGroup, GroupHom, _xgcd, iter_isomorphisms, left_kernel,
+    FGAbelianGroup, GroupHom, _xgcd, iter_isomorphisms, left_kernel, vanishes, vec_mat,
 )
 from .graph import SepGraph, check_adaptable, components_of
 from .isystem import ISystem, extract_isystem, validate_isystem
@@ -242,6 +242,12 @@ def _nonneg_preimage(group, target, gens, max_total=16, state_cap=40000):
     return None
 
 
+def _sends_to_zero(rows, images, G):
+    """Does the evaluation at images, one element of G per column, kill every row?"""
+    coeffs, cols = [x.coeffs for x in images], G.coordinate_columns()
+    return all(vanishes(vec_mat(row, coeffs), cols) for row in rows)
+
+
 def _reached(builder, targets):
     """Primes at or below the class of some built vertex among targets."""
     hit = set()
@@ -270,9 +276,9 @@ def _realize_free(builder: _Builder, p, log):
         builder.add_free(p, [], {})
         return
     L = builder.lower_verts(p)
-    amb = FGAbelianGroup(len(L), builder.ambient_rows(L))
+    rows = builder.ambient_rows(L)
     required = [builder.required_image(p, u) for u in L]
-    if not GroupHom(amb, G, [r.coeffs for r in required]).is_well_defined():
+    if not _sends_to_zero(rows, required, G):
         raise ConstructionFailed(
             f"free prime {p}: lower evaluation is not a homomorphism, connecting data incoherent")
     cone = [(u, required[i]) for i, u in enumerate(L)]
@@ -313,7 +319,6 @@ def _realize_free(builder: _Builder, p, log):
     v = builder.add_free(p, blocks, dict(zip(L, required)))
     # verify: lower rows plus the block rows present exactly G
     index = {u: i for i, u in enumerate(L)}
-    rows = builder.ambient_rows(L)
     for b in blocks:
         row = [0] * len(L)
         for u, m in b.items():
@@ -375,13 +380,14 @@ def _realize_regular(builder: _Builder, p, budget, log):
     G = sysm.group[p]
     f = G.free_rank
     L = builder.lower_verts(p)
-    amb = FGAbelianGroup(len(L), builder.ambient_rows(L))
-    if amb.free_rank > f:
+    ambient = builder.ambient_rows(L)
+    lower_span = _row_hnf(ambient)
+    if len(L) - len(lower_span) > f:
         raise ConstructionInfeasible(
-            f"regular prime {p}: the built lower part has free rank {amb.free_rank}, "
+            f"regular prime {p}: the built lower part has free rank {len(L) - len(lower_span)}, "
             f"but the target group only has free rank {f}; no row set can cancel the difference")
     required = [builder.required_image(p, u) for u in L]
-    if not GroupHom(amb, G, [r.coeffs for r in required]).is_well_defined():
+    if not _sends_to_zero(ambient, required, G):
         raise ConstructionFailed(
             f"regular prime {p}: lower evaluation is not a homomorphism, connecting data incoherent")
     cg = G.canonical_generators()
@@ -412,7 +418,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
             total = _merge(total, ms)
         return tuple(total.get(v, 0) for v in order)
 
-    R_L = [[0] * nW + row for row in builder.ambient_rows(L)]
+    R_L = [[0] * nW + row for row in ambient]
     mods = [0] * f + list(facs)
     covers = sysm.poset.lower_covers(p)
     visits = 0
@@ -480,7 +486,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
                 return got
         return None
 
-    out_maps = rec((), _row_hnf(R_L))
+    out_maps = rec((), tuple((0,) * nW + tuple(r) for r in lower_span))
     if out_maps is None:
         raise ConstructionFailed(
             f"regular prime {p}: no row set matched the kernel lattice after {visits} visits")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import add, lshift, sub
+from operator import lshift, sub
 
 from .abelian import FGAbelianGroup, vanishes
 from .graph import SepGraph, check_adaptable, require_adaptable
@@ -163,12 +163,6 @@ def serialize_element(x: FreeElement) -> str:
 # ------------------------------------------------------------- rewriting
 
 
-def step_targets(g: SepGraph, x: FreeElement):
-    """All one-step rewrites of x as (vertex, block index, result)."""
-    cg = g.derived(_CompiledGraph)
-    return [(v, bi, cg.unpack(r)) for (v, bi), r in cg.steps(cg.pack(x))]
-
-
 def apply_step(g: SepGraph, x: FreeElement, v: str, bi: int) -> FreeElement:
     """One rewrite step: apply_trace along the one-step trace ((v, bi),)."""
     return apply_trace(g, x, ((v, bi),))
@@ -182,39 +176,42 @@ def apply_trace(g: SepGraph, x: FreeElement, trace) -> FreeElement:
     if not trace:
         return x
     d = dict(x.counts)
-    edges, blocks_of = g.edges, g.blocks_of
     for v, bi in trace:
-        n = d.get(v, 0)
-        if n < 1:
+        if d.get(v, 0) < 1:
             raise RewriteError(f"no occurrence of '{v}' to rewrite")
-        blocks = blocks_of[v]
-        if not 0 <= bi < len(blocks):
-            raise RewriteError(f"vertex '{v}' has no block {bi}")
-        if n == 1:
-            del d[v]
-        else:
-            d[v] = n - 1
-        for e in blocks[bi]:
-            w = edges[e][1]
-            d[w] = d.get(w, 0) + 1
+        _fire(g, d, v, bi)
     return FreeElement._of(d)
 
 
+def _fire(g: SepGraph, d: dict, v: str, bi: int):
+    """Rewrite one occurrence of v, which d holds, along v's block bi."""
+    blocks = g.blocks_of[v]
+    if not 0 <= bi < len(blocks):
+        raise RewriteError(f"vertex '{v}' has no block {bi}")
+    d[v] -= 1
+    if not d[v]:
+        del d[v]
+    for e in blocks[bi]:
+        w = g.edges[e][1]
+        d[w] = d.get(w, 0) + 1
+
+
 class _CompiledGraph:
-    """The rewrite steps of a graph on dense int tuples indexed like `vertices`.
+    """The rewrite steps of a graph as dense int tuples indexed like `vertices`.
 
     moves[i] holds one ((v, bi), delta) pair per block bi of the i-th vertex
-    v; delta is -1 at v plus one for each edge target of the block, so a
-    step is one tuple addition.  The refinement split and the normal forms
-    run on these tuples, the search on the ints of a `_Kernel`, and
-    FreeElement appears only at their boundary.
+    v; delta is -1 at v plus one for each edge target of the block.  The
+    deltas build the steps of a `_Kernel` and the relations of
+    `_Certificates`.  Elements are never packed: routines read FreeElement
+    counts, and the search encodes its roots into kernel ints.
     """
 
-    __slots__ = ("vertices", "index", "moves", "_growth", "_kernels")
+    __slots__ = ("vertices", "index", "known", "moves", "_growth", "_kernels")
 
     def __init__(self, g: SepGraph):
         self.vertices = g.vertices
         self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.known = frozenset(self.vertices)
         moves = []
         for i, v in enumerate(self.vertices):
             mine = []
@@ -229,33 +226,22 @@ class _CompiledGraph:
         self._growth = None             # set by the first search: most graphs never search
         self._kernels = {}
 
-    def pack(self, x: FreeElement) -> tuple:
-        t = [0] * len(self.vertices)
-        index = self.index
-        for v, n in x.counts.items():
-            i = index.get(v)
-            if i is None:
-                v = min(w for w in x.counts if w not in index)
+    def check(self, *elements):
+        """Reject the first element with vertices outside g, naming the least."""
+        known = self.known
+        for x in elements:
+            if not known.issuperset(x.counts):
+                v = min(x.counts.keys() - known)
                 raise RewriteError(f"unknown vertex '{v}' in element")
-            t[i] = n
-        return tuple(t)
 
-    def unpack(self, t) -> FreeElement:
-        return FreeElement._of({v: n for v, n in zip(self.vertices, t) if n})
-
-    def steps(self, t):
-        """All ((v, bi), result) one-step rewrites of t, in step_targets order."""
-        return [(step, tuple(map(add, t, delta)))
-                for i, n in enumerate(t) if n for step, delta in self.moves[i]]
-
-    def kernel(self, depth: int, *roots) -> "_Kernel":
+    def kernel(self, depth: int, *totals) -> "_Kernel":
         """The kernel whose fields hold every count of a search of `depth`
-        layers from the packed roots: a step adds at most `growth`, the
+        layers from roots of these totals: a step adds at most `growth`, the
         largest entry of any block delta, to a count."""
         if self._growth is None:
             self._growth = max((max(delta) for mine in self.moves for _, delta in mine),
                                default=0)
-        width = (max(map(sum, roots)) + depth * self._growth).bit_length() + 1
+        width = (max(totals) + depth * self._growth).bit_length() + 1
         kern = self._kernels.get(width)
         if kern is None:
             kern = self._kernels[width] = _Kernel(self, width)
@@ -265,37 +251,39 @@ class _CompiledGraph:
 class _Kernel:
     """The search's nodes as ints, one `width`-bit field per vertex.
 
-    Field i, bits i * width upward, holds the count of vertices[i].  Its
-    top bit is a guard: `_CompiledGraph.kernel` sizes width so that every
-    count of the search stays below 2 ** (width - 1), so no field carries
-    into the next, a node has no guard bit set, and a step is one int
-    addition of a block's delta.  table holds, for each vertex i with
-    blocks, the mask of its field and its (step, delta) pairs in
-    `_CompiledGraph.moves` order.  ge(w, x) is the componentwise w >= x:
+    Field i, bits shift[v] = i * width upward, holds the count of
+    v = vertices[i].  Its top bit is a guard: `_CompiledGraph.kernel` sizes
+    width so that every count of the search stays below 2 ** (width - 1),
+    so no field carries into the next, a node has no guard bit set, and a
+    step is one int addition of a block's delta.  table holds, for each
+    vertex i with blocks, the mask of its field and its (step, delta) pairs
+    in `_CompiledGraph.moves` order.  ge(w, x) is the componentwise w >= x:
     each field of (w | guards) - x keeps its guard bit exactly when w's
     count is at least x's.  sort_key is the search's canonical order,
     (total, serialize_element) of the node.
     """
 
-    __slots__ = ("vertices", "width", "mask", "shifts", "guards", "table")
+    __slots__ = ("vertices", "width", "mask", "shift", "guards", "table")
 
     def __init__(self, cg: _CompiledGraph, width: int):
         self.vertices = cg.vertices
         self.width = width
         self.mask = mask = (1 << width) - 1
-        self.shifts = shifts = range(0, len(cg.vertices) * width, width)
+        shifts = range(0, len(cg.vertices) * width, width)
+        self.shift = dict(zip(cg.vertices, shifts))
         self.guards = sum(1 << s for s in shifts) << width - 1
-        self.table = tuple((mask << shifts[i], tuple((step, self.encode(delta))
+        # a negative delta entry borrows from the fields above
+        self.table = tuple((mask << shifts[i], tuple((step, sum(map(lshift, delta, shifts)))
                                                      for step, delta in mine))
                            for i, mine in enumerate(cg.moves) if mine)
 
-    def encode(self, t) -> int:
-        """The int of packed t; a negative entry borrows from the fields above."""
-        return sum(map(lshift, t, self.shifts))
+    def encode(self, counts) -> int:
+        """The node of the counts dict of an element."""
+        return sum(map(lshift, counts.values(), map(self.shift.__getitem__, counts)))
 
-    def decode(self, e) -> tuple:
+    def decode(self, e) -> FreeElement:
         mask = self.mask
-        return tuple(e >> s & mask for s in self.shifts)
+        return FreeElement._of({v: n for v, s in self.shift.items() if (n := e >> s & mask)})
 
     def sort_key(self, e):
         """(total, serialize_element) of the node e, read off its fields."""
@@ -402,7 +390,7 @@ class _Side:
 
 
 class _Certificates:
-    """Two images of a packed element that no rewrite step changes.
+    """Two images of an element's counts that no rewrite step changes.
 
     group: the image in the Grothendieck group Z^V / <v - r(X)>, one
     relation per block.  A step adds a block's delta, which is a relation,
@@ -417,8 +405,9 @@ class _Certificates:
     class of v, so `adaptable` switches this invariant off.
 
     Elements that differ in either image are unequal in the monoid.  Bit k
-    of a class mask stands for classes[k], the k-th class id in sorted order;
-    `free` is the mask of the free classes.
+    of a class mask stands for classes[k], the k-th class id in sorted order,
+    and `free` is the mask of the free classes.  By vertex, class_bits and
+    below hold the bit of its class and the mask of the classes below it.
     """
 
     def __init__(self, g: SepGraph):
@@ -430,8 +419,8 @@ class _Certificates:
         bit = {c: 1 << k for k, c in enumerate(self.classes)}
         self.free = sum(bit[c] for c, kind in report.kinds.items() if kind == "free")
         below = {c: sum(bit[q] for q in cond.poset.strict_down(c)) for c in bit}
-        self.class_bits = tuple(bit[cond.class_of[v]] for v in cg.vertices)
-        self.below = tuple(below[cond.class_of[v]] for v in cg.vertices)
+        self.class_bits = {v: bit[cond.class_of[v]] for v in cg.vertices}
+        self.below = {v: below[cond.class_of[v]] for v in cg.vertices}
 
     @cached_property
     def columns(self):
@@ -441,31 +430,32 @@ class _Certificates:
                              [delta for mine in cg.moves for _, delta in mine])
         return grp.coordinate_columns()
 
-    def spread(self, t):
-        """(support, lower): the mask of the classes of t's support, and that
-        of the classes strictly below one of them."""
+    def spread(self, counts):
+        """(support, lower): the mask of the classes of the support of the
+        counts dict, and that of the classes strictly below one of them."""
         support = lower = 0
-        for n, bit, below in zip(t, self.class_bits, self.below):
-            if n:
-                support |= bit
-                lower |= below
+        class_bits, below = self.class_bits, self.below
+        for v in counts:
+            support |= class_bits[v]
+            lower |= below[v]
         return support, lower
 
-    def top_classes(self, t):
-        """The mask of the maximal classes of t's support, an antichain."""
-        support, lower = self.spread(t)
+    def top_classes(self, counts):
+        """The mask of the maximal classes of the support, an antichain."""
+        support, lower = self.spread(counts)
         return support & ~lower
 
-    def dominated(self, tx, ty) -> bool:
-        """Is every class of tx's support at or below a class of ty's?"""
-        support_y, lower_y = self.spread(ty)
-        return not self.spread(tx)[0] & ~(support_y | lower_y)
+    def dominated(self, cx, cy) -> bool:
+        """Is every class of cx's support at or below a class of cy's?"""
+        support_y, lower_y = self.spread(cy)
+        return not self.spread(cx)[0] & ~(support_y | lower_y)
 
-    def separating(self, tx, ty):
-        """The name of an invariant on which tx and ty differ, or None."""
-        if not vanishes(tuple(map(sub, tx, ty)), self.columns):
+    def separating(self, cx, cy):
+        """The name of an invariant on which counts cx and cy differ, or None."""
+        if not vanishes([cx.get(v, 0) - cy.get(v, 0) for v in self._cg.vertices],
+                        self.columns):
             return "group"
-        if self.adaptable and self.top_classes(tx) != self.top_classes(ty):
+        if self.adaptable and self.top_classes(cx) != self.top_classes(cy):
             return "support"
         return None
 
@@ -497,12 +487,12 @@ def confluence_equal(g: SepGraph, x: FreeElement, y: FreeElement,
     answer is that of `confluence_search`.
     """
     cg = g.derived(_CompiledGraph)
-    root_x, root_y = cg.pack(x), cg.pack(y)      # rejects vertices outside g
+    cg.check(x, y)
     if x != y:
-        invariant = g.derived(_Certificates).separating(root_x, root_y)
+        invariant = g.derived(_Certificates).separating(x.counts, y.counts)
         if invariant:
             return ConfluenceResult("unequal", invariant=invariant)
-    return _search_packed(g, cg, x, y, root_x, root_y, depth, node_budget)
+    return _search(g, cg, x, y, depth, node_budget)
 
 
 def confluence_search(g: SepGraph, x: FreeElement, y: FreeElement,
@@ -514,14 +504,15 @@ def confluence_search(g: SepGraph, x: FreeElement, y: FreeElement,
     explored.  The search stops at the first node past the budget.
     """
     cg = g.derived(_CompiledGraph)
-    return _search_packed(g, cg, x, y, cg.pack(x), cg.pack(y), depth, node_budget)
+    cg.check(x, y)
+    return _search(g, cg, x, y, depth, node_budget)
 
 
-def _search_packed(g, cg, x, y, root_x, root_y, depth, node_budget):
-    """confluence_search from x and y, already packed to root_x and root_y."""
+def _search(g, cg, x, y, depth, node_budget):
+    """confluence_search from x and y, whose vertices cg has checked."""
     if x == y:
         return ConfluenceResult("equal", x, (), (), explored=1)
-    kern = cg.kernel(depth, root_x, root_y)
+    kern = cg.kernel(depth, x.total(), y.total())
 
     def meet(added, from_x, other):
         common = [e for e in added if e in other]
@@ -529,13 +520,13 @@ def _search_packed(g, cg, x, y, root_x, root_y, depth, node_budget):
             return (min(common, key=kern.sort_key),) * 2
         return (common[0],) * 2 if common else None
 
-    status, explored, hit = _two_sided(kern, kern.encode(root_x), kern.encode(root_y),
+    status, explored, hit = _two_sided(kern, kern.encode(x.counts), kern.encode(y.counts),
                                        depth, node_budget, meet, kern.sort_key)
     if not hit:
         return ConfluenceResult(status, explored=explored)
     (gamma, tx), (_, ty) = hit
     # replayed on FreeElement, independently of the compiled graph
-    gamma = cg.unpack(kern.decode(gamma))
+    gamma = kern.decode(gamma)
     if apply_trace(g, x, tx) != gamma or apply_trace(g, y, ty) != gamma:
         raise RewriteError("trace replay failed, search bookkeeping is broken")
     return ConfluenceResult("equal", gamma, tx, ty, explored)
@@ -580,27 +571,29 @@ def split_trace(g: SepGraph, part_a: FreeElement, part_b: FreeElement, trace):
     the two descendant parts, which sum to the trace's final element.
     """
     cg = g.derived(_CompiledGraph)
-    ta, tb, _, _ = _split_packed(cg, cg.pack(part_a), cg.pack(part_b), trace)
-    return cg.unpack(ta), cg.unpack(tb)
+    cg.check(part_a, part_b)
+    a, b, _, _ = _split(g, part_a.counts, part_b.counts, trace)
+    return FreeElement._of(a), FreeElement._of(b)
 
 
-def _split_packed(cg: _CompiledGraph, ta, tb, trace):
-    """split_trace on packed parts: (ta', tb', trace_a, trace_b), where
-    trace_a holds the steps ta consumed, in order, so that ta rewrites to
-    ta' along trace_a, and likewise for tb."""
-    parts, subs = [ta, tb], ([], [])
+def _split(g: SepGraph, a: dict, b: dict, trace):
+    """split_trace on counts dicts a and b, neither of which it changes:
+    (a', b', trace_a, trace_b), where trace_a holds the steps a consumed,
+    in order, so that a rewrites to a' along trace_a, and likewise for b."""
+    parts, subs = (dict(a), dict(b)), ([], [])
     for step in trace:
         v, bi = step
-        i = cg.index.get(v)
-        k = 0 if i is not None and parts[0][i] else 1
-        if i is None or not parts[k][i]:
+        k = 0 if v in parts[0] else 1
+        if v not in parts[k]:
             raise RewriteError(f"trace step rewrites absent vertex '{v}'")
-        mine = cg.moves[i]
-        if not 0 <= bi < len(mine):
-            raise RewriteError(f"vertex '{v}' has no block {bi}")
-        parts[k] = tuple(map(add, parts[k], mine[bi][1]))
+        _fire(g, parts[k], v, bi)
         subs[k].append(step)
     return parts[0], parts[1], tuple(subs[0]), tuple(subs[1])
+
+
+def _minus(p: dict, q: dict) -> dict:
+    """p - q on counts dicts, without zeros; negative where q exceeds p."""
+    return {v: n for v in {**p, **q} if (n := p.get(v, 0) - q.get(v, 0))}
 
 
 @dataclass
@@ -627,17 +620,15 @@ def refinement_witness(g: SepGraph, a, b, c, d,
     res = confluence_equal(g, a + b, c + d, depth, node_budget)
     if res.status != "equal":
         return RefinementWitness(res.status)
-    cg = g.derived(_CompiledGraph)
-    ga, gb, ta, tb = _split_packed(cg, cg.pack(a), cg.pack(b), res.trace_x)
-    gc, gd, tc, td = _split_packed(cg, cg.pack(c), cg.pack(d), res.trace_y)
-    x11 = tuple(map(min, ga, gc))
-    x12 = tuple(map(sub, ga, x11))
-    x21 = tuple(map(sub, gc, x11))
-    x22 = tuple(map(sub, gb, x21))
+    ga, gb, ta, tb = _split(g, a.counts, b.counts, res.trace_x)
+    gc, gd, tc, td = _split(g, c.counts, d.counts, res.trace_y)
+    x11 = {v: min(n, gc[v]) for v, n in ga.items() if v in gc}
+    x12, x21 = _minus(ga, x11), _minus(gc, x11)
+    x22 = _minus(gb, x21)
     # x11 + x12 == ga and x11 + x21 == gc by construction
-    if min(x22, default=0) < 0 or tuple(map(add, x12, x22)) != gd:
+    if min(x22.values(), default=0) < 0 or _minus(gd, x22) != x12:
         raise RewriteError("refinement grid rows and columns do not add up")
-    e11, e12, e21, e22 = (cg.unpack(t) for t in (x11, x12, x21, x22))
+    e11, e12, e21, e22 = map(FreeElement._of, (x11, x12, x21, x22))
     # replayed on FreeElement, independently of the compiled graph
     for part, trace, want in ((a, ta, e11 + e12), (b, tb, e21 + e22),
                               (c, tc, e11 + e21), (d, td, e12 + e22)):
@@ -672,7 +663,7 @@ class MonoidNF:
 
 
 class _NormalForms:
-    """The normal-form kernel of an adaptable graph, on packed tuples.
+    """The normal-form kernel of an adaptable graph, on FreeElement counts.
 
     The normal form of x has one entry per class of its antichain of
     maximal support classes, `_Certificates.top_classes`.  Each vertex w of
@@ -682,12 +673,11 @@ class _NormalForms:
     any other w adds its count at w's label among the generators of the
     entry's extracted group.
 
-    Tables, by vertex index as in `_CompiledGraph` and by class bit as in
-    `_Certificates`: cls[i] is the class bit of vertex i, up[i] the mask of
-    the classes strictly above it, and label[i][k] its generator index in
-    the group of class k (None where it is no generator); gens[k] lists
-    the vertex of each generator label of class k, so label[gens[k][j]][k]
-    is j.
+    Tables, by vertex and by class bit as in `_Certificates`: cls[w] is
+    the class bit of vertex w, up[w] the mask of the classes strictly above
+    it, and label[w][k] its generator index in the group of class k (None
+    where it is no generator); gens[k] lists the vertex of each generator
+    label of class k, so label[gens[k][j]][k] is j.
     """
 
     def __init__(self, g: SepGraph):
@@ -699,18 +689,17 @@ class _NormalForms:
         self.kinds = tuple(sysm.kind[p] for p in classes)
         self.groups = tuple(sysm.group[p] for p in classes)
         self.columns = tuple(grp.coordinate_columns() for grp in self.groups)
-        self.cls = tuple(b.bit_length() - 1 for b in cert.class_bits)
+        self.cls = {w: b.bit_length() - 1 for w, b in cert.class_bits.items()}
         strict_up = [0] * len(classes)
-        for k, below in zip(self.cls, cert.below):
+        for w, below in cert.below.items():
             for q in _bits(below):
-                strict_up[q] |= 1 << k
-        self.up = tuple(strict_up[k] for k in self.cls)
-        self.gens = tuple(tuple(cg.index[w] for w in sysm.generator_labels[p])
-                          for p in classes)
-        self.label = [[None] * len(classes) for _ in cg.vertices]
+                strict_up[q] |= 1 << self.cls[w]
+        self.up = {w: strict_up[k] for w, k in self.cls.items()}
+        self.gens = tuple(tuple(sysm.generator_labels[p]) for p in classes)
+        self.label = {w: [None] * len(classes) for w in cg.vertices}
         for k, gens in enumerate(self.gens):
-            for j, i in enumerate(gens):
-                self.label[i][k] = j
+            for j, w in enumerate(gens):
+                self.label[w][k] = j
         self._layouts = {}
 
     def layout(self, top) -> "_Layout":
@@ -727,7 +716,7 @@ class _Layout:
     Each antichain class k owns a block of the vector: its coefficients,
     then, if k is free, its multiplicity n, a Z summand of its own.  The
     blocks sit side by side as in the direct sum of their groups, and
-    slot[i] is the place of vertex i.  Two elements with this antichain are
+    slot[w] is the place of vertex w.  Two elements with this antichain are
     equal in the monoid exactly when the delta of their vectors lies in the
     ambiguity subgroup of that sum: a vertex below two antichain classes
     p0 < p1 (by class id) is folded into p0 but would count the same in p1,
@@ -742,19 +731,19 @@ class _Layout:
             self.entries.append((k, size, ngens, free))
             offset[k], size = size, size + ngens + free
         self.size = size
-        self.slot = []
+        self.slot = {}                 # none for a vertex below no antichain class
         self._gens = []
-        for q, up, label in zip(nf.cls, nf.up, nf.label):
+        for w, q in nf.cls.items():
+            label = nf.label[w]
             if top >> q & 1:
                 own = nf.groups[q].ngens if nf.kinds[q] == "free" else label[q]
-                self.slot.append(offset[q] + own)
+                self.slot[w] = offset[q] + own
                 continue
-            above = list(_bits(top & up))
+            above = list(_bits(top & nf.up[w]))
             if not above:
-                self.slot.append(None)        # no support vertex lies here
                 continue
             p0 = above[0]
-            self.slot.append(offset[p0] + label[p0])
+            self.slot[w] = offset[p0] + label[p0]
             for p1 in above[1:]:
                 row = [0] * size
                 row[offset[p0] + label[p0]] = 1
@@ -776,13 +765,12 @@ class _Layout:
         # the direct sum modulo the ambiguity subgroup, one Smith form
         return FGAbelianGroup(self.size, self._relations + self._gens).coordinate_columns()
 
-    def fold(self, t) -> list:
-        """The vector of packed t, whose antichain mask must be this one's."""
+    def fold(self, counts) -> list:
+        """The vector of a counts dict whose antichain mask is this one's."""
         v = [0] * self.size
         slot = self.slot
-        for i, c in enumerate(t):
-            if c:
-                v[slot[i]] += c
+        for w, c in counts.items():
+            v[slot[w]] += c
         return v
 
     def is_zero(self, delta) -> bool:
@@ -796,9 +784,9 @@ def antisym_nf(g: SepGraph, x: FreeElement) -> AntisymNF:
     """Normal form in the order-antisymmetrized monoid."""
     report = require_adaptable(g)
     cert = g.derived(_Certificates)
-    top = cert.top_classes(g.derived(_CompiledGraph).pack(x))
+    g.derived(_CompiledGraph).check(x)
     entries = []
-    for p in (cert.classes[k] for k in _bits(top)):
+    for p in (cert.classes[k] for k in _bits(cert.top_classes(x.counts))):
         if report.kinds[p] == "free":
             entries.append((p, "free", x.get(p)))
         else:
@@ -814,13 +802,13 @@ def antisym_le(g: SepGraph, x: FreeElement, y: FreeElement) -> bool:
     if y.is_zero():
         return False
     require_adaptable(g)
-    cg = g.derived(_CompiledGraph)
-    return g.derived(_Certificates).dominated(cg.pack(x), cg.pack(y))
+    g.derived(_CompiledGraph).check(x, y)
+    return g.derived(_Certificates).dominated(x.counts, y.counts)
 
 
-def _nf(nf: _NormalForms, layout: _Layout, t) -> MonoidNF:
-    """The normal form of t, a vector on the vertices that layout folds."""
-    v = layout.fold(t)
+def _nf(nf: _NormalForms, layout: _Layout, counts) -> MonoidNF:
+    """The normal form of a counts dict on the vertices that layout folds."""
+    v = layout.fold(counts)
     return MonoidNF(tuple(
         NFEntry(nf.cert.classes[k], nf.kinds[k], v[off + n] if free else 1,
                 tuple(v[off:off + n]))
@@ -829,8 +817,8 @@ def _nf(nf: _NormalForms, layout: _Layout, t) -> MonoidNF:
 
 def monoid_nf(g: SepGraph, x: FreeElement) -> MonoidNF:
     nf = g.derived(_NormalForms)
-    t = nf.cg.pack(x)
-    return _nf(nf, nf.layout(nf.cert.top_classes(t)), t)
+    nf.cg.check(x)
+    return _nf(nf, nf.layout(nf.cert.top_classes(x.counts)), x.counts)
 
 
 def nf_add(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> MonoidNF:
@@ -838,22 +826,22 @@ def nf_add(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> MonoidNF:
 
     Each entry unfolds onto the vertices it counts: its coefficients onto
     the generator vertices of its class, a free multiplicity onto the
-    class's own vertex.  The sum of the unfolded vectors is folded into the
+    class's own vertex.  The sum of the unfolded counts is folded into the
     layout of the union antichain, so on the normal forms of x and y the
     result is monoid_nf(g, x + y).
     """
     nf = g.derived(_NormalForms)
-    t = [0] * len(nf.cg.vertices)
+    counts = {}
     support = lower = 0
     for e in nf1.entries + nf2.entries:
-        k, i = nf.bit[e.cls], nf.cg.index[e.cls]      # a class id is one of its vertices
-        for j, c in zip(nf.gens[k], e.gcoeffs):
-            t[j] += c
+        k = nf.bit[e.cls]                       # a class id is one of its vertices
+        for w, c in zip(nf.gens[k], e.gcoeffs):
+            counts[w] = counts.get(w, 0) + c
         if nf.kinds[k] == "free":
-            t[i] += e.n
+            counts[e.cls] = counts.get(e.cls, 0) + e.n
         support |= 1 << k
-        lower |= nf.cert.below[i]
-    return _nf(nf, nf.layout(support & ~lower), t)
+        lower |= nf.cert.below[e.cls]
+    return _nf(nf, nf.layout(support & ~lower), counts)
 
 
 def nf_equal(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> bool:
@@ -871,17 +859,19 @@ def nf_equal(g: SepGraph, nf1: MonoidNF, nf2: MonoidNF) -> bool:
 
 def eq_exact(g: SepGraph, x: FreeElement, y: FreeElement) -> bool:
     """Total equality decision for monoid elements of an adaptable graph:
-    nf_equal of their normal forms, without building them.  Identical packs
-    answer at once, after the adaptability and vertex checks."""
+    nf_equal of their normal forms, folded from their counts without
+    building them.  Equal counts answer at once, after the adaptability
+    and vertex checks."""
     nf = g.derived(_NormalForms)
-    tx, ty = nf.cg.pack(x), nf.cg.pack(y)
-    if tx == ty:
+    nf.cg.check(x, y)
+    cx, cy = x.counts, y.counts
+    if cx == cy:
         return True
-    top = nf.cert.top_classes(tx)
-    if top != nf.cert.top_classes(ty):
+    top = nf.cert.top_classes(cx)
+    if top != nf.cert.top_classes(cy):
         return False
     layout = nf.layout(top)
-    return layout.is_zero(list(map(sub, layout.fold(tx), layout.fold(ty))))
+    return layout.is_zero(list(map(sub, layout.fold(cx), layout.fold(cy))))
 
 
 # ----------------------------------------------------------- order relation
@@ -897,25 +887,26 @@ def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
                   depth: int = 8, node_budget: int = 50000) -> LeResult:
     """Semi-decision of the algebraic order: is there z with x + z == y?"""
     cg = g.derived(_CompiledGraph)
-    root_x, root_y = cg.pack(x), cg.pack(y)      # rejects vertices outside g
+    cg.check(x, y)
     if x == y:
         return LeResult("yes", FreeElement())
     if x.is_zero():
         return LeResult("yes", y)
     require_adaptable(g)
     cert = g.derived(_Certificates)
-    support_y, lower_y = cert.spread(root_y)
+    support_y, lower_y = cert.spread(y.counts)
     # "no" for a class of x at or below no class of y (x is not dominated),
     # and for a free class of x with more copies than y that no class of y
     # lies above: nothing in y can feed it from above
-    for n, m, bit in zip(root_x, root_y, cert.class_bits):
-        if n and (not bit & (support_y | lower_y)
-                  or bit & cert.free and not bit & lower_y and n > m):
+    for v, n in x.counts.items():
+        bit = cert.class_bits[v]
+        if (not bit & (support_y | lower_y)
+                or bit & cert.free and not bit & lower_y and n > y.get(v)):
             return LeResult("no")
     if y.contains(x):
         return LeResult("yes", y.minus(x))
 
-    kern = cg.kernel(depth, root_x, root_y)
+    kern = cg.kernel(depth, x.total(), y.total())
     key, ge = cache(kern.sort_key), kern.ge     # key: once per node of this search
 
     def meet(added, from_x, other):
@@ -934,11 +925,11 @@ def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
                 if ge(w, x2):
                     return x2, w
 
-    status, _, hit = _two_sided(kern, kern.encode(root_x), kern.encode(root_y),
+    status, _, hit = _two_sided(kern, kern.encode(x.counts), kern.encode(y.counts),
                                 depth, node_budget, meet, key)
     if hit:
         (x2, tx), (w, ty) = hit
-        z = cg.unpack(kern.decode(w - x2))
+        z = kern.decode(w - x2)
         if apply_trace(g, x + z, tx) != apply_trace(g, y, ty):
             raise RewriteError("order witness replay failed")
         return LeResult("yes", z)

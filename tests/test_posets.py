@@ -39,6 +39,22 @@ def test_covers_match_the_pairwise_definition():
         assert p.covers() == want
 
 
+def test_covers_are_built_once(monkeypatch):
+    rng = random.Random(6)
+    elems = [f"p{i}" for i in range(7)]
+    p = Poset(elems, [(a, b) for a in elems for b in elems if a < b and rng.random() < 0.3])
+    want = {q: sorted(a for a, b in p.covers() if b == q) for q in elems}
+    first = p.covers()
+    # later reads take the stored pairs: closure sets that fail now go unread
+    monkeypatch.setattr(p, "_up", None)
+    monkeypatch.setattr(p, "_down", None)
+    assert {q: p.lower_covers(q) for q in elems} == want
+    again = p.covers()
+    assert again == first and again is not first
+    again.append(("x", "y"))
+    assert p.covers() == first
+
+
 def test_up_down_sets():
     p = Poset(["bot", "x", "y", "top"],
               [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")])

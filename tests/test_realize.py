@@ -119,6 +119,26 @@ def test_rank_obstruction_is_infeasible():
         realize(s)
 
 
+@pytest.mark.parametrize("kind", ["reg", "free"])
+def test_incoherent_lower_evaluation_fails_at_its_prime(kind):
+    # Z/2 below maps g1 to g1 in Z/3: twice the generator is 0 below but
+    # not above, so no homomorphism exists
+    s = parse_isystem(f"prime p1 reg\nprime p2 {kind}\ncover p1 < p2\n"
+                      "group p1 : Z/2\ngroup p2 : Z/3\nmap p2 <- p1 : g1 -> g1\n")
+    prime = "regular" if kind == "reg" else "free"
+    with pytest.raises(ConstructionFailed, match=f"^{prime} prime p2: lower evaluation is "
+                       "not a homomorphism, connecting data incoherent$"):
+        realize(s, validate=False)
+
+
+def test_rank_obstruction_names_the_lower_free_rank():
+    s = parse_isystem("prime p1 reg\nprime p2 reg\ncover p1 < p2\n"
+                      "group p1 : Z\ngroup p2 : Z/3\nmap p2 <- p1 : g1 -> g1\n")
+    with pytest.raises(ConstructionInfeasible, match="^regular prime p2: the built lower "
+                       "part has free rank 1, but the target group only has free rank 0"):
+        realize(s, validate=False)
+
+
 def test_generator_arriving_from_below():
     # regression: the target generator comes entirely from the lower
     # class, so the gadget vertex itself carries no new value

@@ -27,7 +27,10 @@ from sepmonoid.rewrite import (FreeElement, MonoidNF, NFEntry, RewriteError,
                                grothendieck_of_restriction,
                                le_semidecide, monoid_nf, nf_add, nf_equal,
                                parse_element, refinement_witness,
-                               serialize_element, split_trace, step_targets)
+                               serialize_element, split_trace)
+
+import packed_reference as packed
+from packed_reference import pack, step_targets, unpack
 
 
 def fe(g, text):
@@ -256,13 +259,13 @@ def test_refinement_witness_golden(case):
 def _count_searches(monkeypatch):
     # every search, from confluence_search or confluence_equal, runs here
     calls = []
-    real = rewrite_mod._search_packed
+    real = rewrite_mod._search
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(rewrite_mod, "_search_packed", counting)
+    monkeypatch.setattr(rewrite_mod, "_search", counting)
     return calls
 
 
@@ -307,19 +310,19 @@ def test_refinement_replay_rejects_a_mutated_sub_trace(mutation, monkeypatch):
     assert bad != w.traces[k]
     assert apply_trace(g, abcd[k], bad) != sums[k]
     # the same mutation inside refinement_witness fails its replay check
-    real = rewrite_mod._split_packed
+    real = rewrite_mod._split
     splits = []
 
-    def split_then_mutate(cg, ta, tb, trace):
+    def split_then_mutate(g, a, b, trace):
         # the first split gives (ta, tb), the second (tc, td)
-        out = list(real(cg, ta, tb, trace))
+        out = list(real(g, a, b, trace))
         if len(splits) == k // 2:
             assert out[2 + k % 2] == w.traces[k]
             out[2 + k % 2] = bad
         splits.append(trace)
         return tuple(out)
 
-    monkeypatch.setattr(rewrite_mod, "_split_packed", split_then_mutate)
+    monkeypatch.setattr(rewrite_mod, "_split", split_then_mutate)
     with pytest.raises(RewriteError, match="replay"):
         refinement_witness(g, *abcd, depth=12)
     assert len(splits) == 2
@@ -377,8 +380,7 @@ def test_split_trace_matches_the_free_element_route():
             errors.add(want[1].split("'")[0])
             continue
         # the sub-traces carry each part to its descendant
-        cg = g.derived(rewrite_mod._CompiledGraph)
-        _, _, sa, sb = rewrite_mod._split_packed(cg, cg.pack(a1), cg.pack(a2), trace)
+        _, _, sa, sb = rewrite_mod._split(g, a1.counts, a2.counts, trace)
         assert apply_trace(g, a1, sa) == want[0]
         assert apply_trace(g, a2, sb) == want[1]
         assert len(sa) + len(sb) == len(trace)
@@ -725,15 +727,13 @@ def test_le_meet_computes_each_sort_key_once(monkeypatch):
     assert seen and len(seen) == len(set(seen))
 
 
-def _sort_key(cg, t):
-    """The search's canonical order on packed tuples: (total,
-    serialize_element) of unpack(t)."""
-    terms = [v if n == 1 else f"{n}*{v}" for v, n in zip(cg.vertices, t) if n]
-    return (sum(t), "+".join(terms) or "0")
-
-
 def _identity(e):
     return e
+
+
+def _decoder(cg, kern):
+    """The packed tuple of a node of kern."""
+    return lambda e: pack(cg, kern.decode(e))
 
 
 def _full_scan_meet(cg, decode=_identity):
@@ -741,7 +741,7 @@ def _full_scan_meet(cg, decode=_identity):
     against every reached node, both in sort_key order.  The nodes are
     compared as the packed tuples that decode gives."""
     def key(e):
-        return _sort_key(cg, decode(e))
+        return packed.sort_key(cg, decode(e))
 
     def meet(added, from_x, other):
         reached = sorted(other, key=key)
@@ -776,17 +776,17 @@ def test_le_meet_finds_the_pair_of_the_full_scan():
             if x == y or y.contains(x):
                 continue
             depth = rng.randint(1, 6)
-            tx, ty = cg.pack(x), cg.pack(y)
-            kern = cg.kernel(depth, tx, ty)
+            kern = cg.kernel(depth, x.total(), y.total())
+            decode = _decoder(cg, kern)
             status, _, hit = rewrite_mod._two_sided(
-                kern, kern.encode(tx), kern.encode(ty), depth, 2000,
-                _full_scan_meet(cg, kern.decode), kern.sort_key)
+                kern, kern.encode(x.counts), kern.encode(y.counts), depth, 2000,
+                _full_scan_meet(cg, decode), kern.sort_key)
             res = le_semidecide(g, x, y, depth, node_budget=2000)
             if hit:
                 (x2, _), (w, _) = hit
                 met += 1
-                z = tuple(map(sub, kern.decode(w), kern.decode(x2)))
-                assert res.status == "yes" and res.z == cg.unpack(z)
+                z = tuple(map(sub, decode(w), decode(x2)))
+                assert res.status == "yes" and res.z == unpack(cg, z)
             elif status == "exhausted":
                 assert res.status in ("no", "unknown")
     assert met > 100
@@ -1227,8 +1227,8 @@ class _SortedSide:
 
     def expand(self, limit):
         new = []
-        for e in sorted(self.frontier, key=lambda t: _sort_key(self.cg, t)):
-            for step, r in self.cg.steps(e):
+        for e in sorted(self.frontier, key=lambda t: packed.sort_key(self.cg, t)):
+            for step, r in packed.steps(self.cg, e):
                 if r not in self.parent:
                     self.parent[r] = (e, step)
                     new.append(r)
@@ -1270,7 +1270,7 @@ def _common_meet(cg, decode=_identity):
     """confluence_search's meet: the least common node by sort_key."""
     def meet(added, from_x, other):
         common = [e for e in added if e in other]
-        return (min(common, key=lambda e: _sort_key(cg, decode(e))),) * 2 if common else None
+        return (min(common, key=lambda e: packed.sort_key(cg, decode(e))),) * 2 if common else None
     return meet
 
 
@@ -1278,15 +1278,16 @@ def _check_two_sided(cg, tx, ty, depth, budget):
     """_two_sided on the kernel's ints against _sorted_two_sided on packed
     tuples, with both meets: status, explored, and the decoded hit nodes
     and their traces agree.  Returns the reference's statuses."""
-    kern = cg.kernel(depth, tx, ty)
+    kern = cg.kernel(depth, sum(tx), sum(ty))
+    decode = _decoder(cg, kern)
     statuses = []
     for make in (_common_meet, _full_scan_meet):
         want = _sorted_two_sided(cg, tx, ty, depth, budget, make(cg))
         status, explored, hit = rewrite_mod._two_sided(
-            kern, kern.encode(tx), kern.encode(ty), depth, budget,
-            make(cg, kern.decode), kern.sort_key)
+            kern, kern.encode(unpack(cg, tx).counts), kern.encode(unpack(cg, ty).counts),
+            depth, budget, make(cg, decode), kern.sort_key)
         if hit:
-            hit = tuple((kern.decode(e), trace) for e, trace in hit)
+            hit = tuple((decode(e), trace) for e, trace in hit)
         assert (status, explored, hit) == want
         statuses.append(want[0])
     return statuses
@@ -1321,7 +1322,7 @@ def test_two_sided_matches_the_sorted_sweep(monkeypatch):
             y = random_walk(rng, g, s, rng.randint(0, 4))
         depth = 1 + n % 10
         for budget in (20, 200, 20000):
-            statuses = _check_two_sided(cg, cg.pack(x), cg.pack(y), depth, budget)
+            statuses = _check_two_sided(cg, pack(cg, x), pack(cg, y), depth, budget)
             met += statuses.count("met")
     assert met > 4000
     # layers the budget cut, swept again in key order
@@ -1338,10 +1339,10 @@ def test_kernel_fields_hold_every_count_of_the_search():
     for n in range(200):
         _, g = CORPUS[n % len(CORPUS)]
         cg = g.derived(rewrite_mod._CompiledGraph)
-        roots = [cg.pack(random_element(rng, g, 6, nonzero=False)) for _ in range(2)]
+        roots = [pack(cg, random_element(rng, g, 6, nonzero=False)) for _ in range(2)]
         depth = rng.randint(0, 12)
-        kern = cg.kernel(depth, *roots)
-        assert cg.kernel(depth, *roots) is kern
+        kern = cg.kernel(depth, *map(sum, roots))
+        assert cg.kernel(depth, *map(sum, roots)) is kern
         # the largest count a search of depth layers can reach, and the
         # largest that the field holds below its guard bit
         reach = max(map(sum, roots)) + depth * _growth(cg)
@@ -1354,14 +1355,14 @@ def test_kernel_fields_hold_every_count_of_the_search():
             ts.append(tuple(t))
         ts.append(tuple(map(min, ts[0], ts[1])))
         ts.append((0,) * len(cg.vertices))
-        for t in ts:
-            e = kern.encode(t)
-            assert kern.decode(e) == t
-            assert kern.sort_key(e) == _sort_key(cg, t)
+        es = [kern.encode(unpack(cg, t).counts) for t in ts]
+        for t, e in zip(ts, es):
+            assert kern.decode(e) == unpack(cg, t) and pack(cg, kern.decode(e)) == t
+            assert kern.sort_key(e) == packed.sort_key(cg, t)
             checked += 1
-        for t in ts:
-            for u in ts:
-                assert kern.ge(kern.encode(t), kern.encode(u)) == all(map(ge, t, u))
+        for t, e in zip(ts, es):
+            for u, f in zip(ts, es):
+                assert kern.ge(e, f) == all(map(ge, t, u))
     assert checked >= 2000
 
 
@@ -1396,7 +1397,7 @@ def test_search_on_wide_counts_matches_the_sorted_sweep():
              ("u", "u+400*w"), ("u+w", "u+a+200*w"), ("u", "v+a+3*w")]
     seen = set()
     for xs, ys in pairs:
-        tx, ty = cg.pack(fe(g, xs)), cg.pack(fe(g, ys))
+        tx, ty = pack(cg, fe(g, xs)), pack(cg, fe(g, ys))
         for budget in (30, 400, 20000):
             seen.update(_check_two_sided(cg, tx, ty, 12, budget))
             seen.update(_check_two_sided(cg, ty, tx, 12, budget))
@@ -1413,7 +1414,7 @@ def test_trace_reads_discoverers_of_the_layer_before_only():
     assert (res.status, res.explored) == ("equal", 6)
     assert res.trace_x == (("r", 1), ("z", 0)) and res.trace_y == ()
     cg = g.derived(rewrite_mod._CompiledGraph)
-    assert _check_two_sided(cg, cg.pack(fe(g, "r")), cg.pack(fe(g, "t")), 3, 100) == ["met"] * 2
+    assert _check_two_sided(cg, pack(cg, fe(g, "r")), pack(cg, fe(g, "t")), 3, 100) == ["met"] * 2
 
 
 def test_confluence_search_keys_only_the_returned_path(monkeypatch):
@@ -1502,3 +1503,104 @@ def test_eq_exact_identity_keeps_the_checks():
             eq_exact(g, FreeElement(counts), FreeElement(counts))
     x = fe(g, "a + a' + b")
     assert eq_exact(g, x, fe(g, "b + a' + a"))
+
+
+# outside the search, the library reads FreeElement counts; against the
+# packed-tuple routines it replaced (tests/packed_reference.py)
+
+
+def test_counts_routines_match_the_packed_reference():
+    rng = random.Random(53)
+    checked = set()
+    errors = set()
+    for n in range(2500):
+        name, g = CORPUS[n % len(CORPUS)]
+        cg, cert = g.derived(rewrite_mod._CompiledGraph), g.derived(rewrite_mod._Certificates)
+        x = random_element(rng, g, 5, nonzero=n % 9 != 0)
+        if n % 3:
+            y = random_walk(rng, g, x, rng.randint(0, 4))
+        else:
+            y = random_element(rng, g, 5, nonzero=False)
+        tx, ty = pack(cg, x), pack(cg, y)
+        assert cert.spread(x.counts) == packed.spread(cert, tx)
+        assert cert.top_classes(y.counts) == packed.top_classes(cert, ty)
+        assert cert.separating(x.counts, y.counts) == packed.separating(cert, tx, ty)
+        if cert.adaptable:
+            assert eq_exact(g, x, y) == packed.eq_exact(g, x, y)
+        # a split where both parts often hold the rewritten vertex
+        a, b = x, random_element(rng, g, 3, nonzero=False) + x.meet(y)
+        _, trace = random_trace(rng, g, a + b, rng.randint(0, 6))
+        if trace and n % 4 == 0:
+            v = rng.choice(sorted(g.vertices))
+            trace += ((v, len(g.blocks_of[v])),) if n % 8 else (("zz", 0),)
+        want = _outcome(packed.split, cg, pack(cg, a), pack(cg, b), trace)
+        before = dict(a.counts), dict(b.counts)
+        got = _outcome(rewrite_mod._split, g, a.counts, b.counts, trace)
+        assert (a.counts, b.counts) == before
+        if want[0] == "RewriteError":
+            assert got == want
+            errors.add(want[1].split("'")[0])
+        else:
+            ga, gb, sa, sb = got
+            assert (pack(cg, FreeElement._of(ga)), pack(cg, FreeElement._of(gb)), sa, sb) == want
+            assert ga == apply_trace(g, a, sa).counts and gb == apply_trace(g, b, sb).counts
+        checked.add(name)
+    assert len(checked) == 25
+    assert errors == {"trace step rewrites absent vertex ", "vertex "}
+
+
+def _unknown_vertex_calls(g, x, y):
+    """Every entry point that checks the vertices of x and then of y."""
+    return {
+        "confluence_equal": lambda: confluence_equal(g, x, y),
+        "confluence_search": lambda: confluence_search(g, x, y),
+        "eq_exact": lambda: eq_exact(g, x, y),
+        "antisym_le": lambda: antisym_le(g, x, y),
+        "le_semidecide": lambda: le_semidecide(g, x, y),
+        "split_trace": lambda: split_trace(g, x, y, ()),
+        "refinement_witness": lambda: refinement_witness(g, x, FreeElement(), y,
+                                                         FreeElement()),
+    }
+
+
+def test_unknown_vertices_name_the_least_and_check_x_first():
+    g = fixture_graph("g5")
+    # dict order puts the least unknown vertex last
+    x = FreeElement({"zz": 1, "a": 1, "yx": 2})
+    y = FreeElement({"yy": 1, "b": 1, "ya": 1})
+    good = fe(g, "a + b")
+    # (x, y), (good, y), and (y, y), whose identity exits come after the checks
+    for first, second, least in ((x, y, "yx"), (good, y, "ya"), (y, y, "ya")):
+        for name, call in _unknown_vertex_calls(g, first, second).items():
+            with pytest.raises(RewriteError, match=rf"^unknown vertex '{least}' in element$"):
+                call()
+    for fn in (monoid_nf, antisym_nf):
+        with pytest.raises(RewriteError, match=r"^unknown vertex 'ya' in element$"):
+            fn(g, y)
+
+
+@pytest.mark.parametrize("fault", ["negative", "sum"])
+def test_refinement_grid_rejects_parts_that_do_not_add_up(fault, monkeypatch):
+    g = fixture_graph("g5")
+    abcd = [fe(g, t) for t in ("2*a'+2*b", "9*b", "2*a'+7*b", "b")]
+    w = refinement_witness(g, *abcd, depth=12)
+    assert w.status == "ok"
+    absent = next(v for v in sorted(g.vertices) if not w.gamma.get(v))
+    real, splits = rewrite_mod._split, []
+
+    def split(g, a, b, trace):
+        out = list(real(g, a, b, trace))
+        if splits and fault == "negative":
+            # the second split moves one copy of a vertex gamma lacks from
+            # d's part to c's: the sums still agree, but a corner is negative
+            out[0], out[1] = {**out[0], absent: 1}, {**out[1], absent: -1}
+        elif splits:
+            # d's part gains a copy: the corners stay nonnegative, the sums differ
+            out[1] = {**out[1], absent: 1}
+        splits.append(trace)
+        return tuple(out)
+
+    monkeypatch.setattr(rewrite_mod, "_split", split)
+    with pytest.raises(RewriteError, match="do not add up"):
+        refinement_witness(g, *abcd, depth=12)
+    assert len(splits) == 2
