@@ -332,9 +332,6 @@ class FGAbelianGroup:
         cols = self._columns
         return [[col[j] % m if m else col[j] for col, m in cols] for j in range(self.ngens)]
 
-    def torsion_orders(self):
-        return tuple(self._diag[i] for i in self._tors_idx)
-
     # -- elements
 
     def element(self, coeffs) -> "GroupElement":
@@ -345,19 +342,6 @@ class FGAbelianGroup:
 
     def gen(self, i) -> "GroupElement":
         return self.element([1 if j == i else 0 for j in range(self.ngens)])
-
-    def eq(self, x, y) -> bool:
-        cx = x.coeffs if isinstance(x, GroupElement) else tuple(x)
-        cy = y.coeffs if isinstance(y, GroupElement) else tuple(y)
-        return self.canonical_coords(cx) == self.canonical_coords(cy)
-
-    def order(self):
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
 
     def generated_by(self, rows) -> bool:
         """Do these coefficient rows generate the group?  Exactly when,
@@ -435,7 +419,7 @@ def element_order(x: GroupElement):
     if any(free):
         return None
     n = 1
-    orders = x.group.torsion_orders()
+    orders = x.group.invariant_factors
     for t, d in zip(tors, orders):
         if t:
             n = lcm(n, d // gcd(t, d))
@@ -524,7 +508,7 @@ def zero_hom(domain: FGAbelianGroup, codomain: FGAbelianGroup) -> GroupHom:
 
 def _torsion_candidates(h: FGAbelianGroup, d: int):
     """(coefficients, canonical coords) of the elements of h of order exactly d."""
-    orders = h.torsion_orders()
+    orders = h.invariant_factors
     zero = (0,) * h.free_rank
     out = []
     for tors in product(*[range(o) for o in orders]):
@@ -537,7 +521,7 @@ def _torsion_candidates(h: FGAbelianGroup, d: int):
 def _free_candidates(h: FGAbelianGroup, box: int):
     """(coefficients, canonical coords) of the elements of h of infinite
     order within the box."""
-    orders = h.torsion_orders()
+    orders = h.invariant_factors
     out = []
     for free in product(*[range(-box, box + 1) for _ in range(h.free_rank)]):
         if any(free):
@@ -555,7 +539,7 @@ def _holds(terms, target, vecs, mods):
     return True
 
 
-def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints=(), box=4):
+def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints, box):
     """Yield isos g -> h with f(a) == b for each (a, b) in constraints.
 
     The free part of the search is restricted to canonical coordinates in
@@ -567,12 +551,12 @@ def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints=(), box=
     if g.invariant_factors != h.invariant_factors or g.free_rank != h.free_rank:
         return
     cand = [_free_candidates(h, box)] * g.free_rank
-    cand += [_torsion_candidates(h, d) for d in g.torsion_orders()]
+    cand += [_torsion_candidates(h, d) for d in g.invariant_factors]
     # a candidate's matrix is these canonical coordinates of the domain
     # generators times the images of the canonical generators, so f(a) is
     # the sum of c_k * image_k with c = a @ coords
     coords = g.generator_coords()
-    mods = (0,) * h.free_rank + h.torsion_orders()
+    mods = (0,) * h.free_rank + h.invariant_factors
     checks = [[] for _ in cand]     # per image: the constraints decided there
     for a, b in constraints:
         if not (isinstance(b, GroupElement) and h.same_presentation(b.group)):

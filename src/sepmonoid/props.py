@@ -52,13 +52,16 @@ def split_random(rng: random.Random, x: FreeElement):
 
 
 def refinement_suite(g: SepGraph, rng: random.Random, instances: int = 200,
-                     depth: int = 12, max_total: int = 5, walk: int = 4) -> SuiteResult:
-    """a+b and c+d rewritten from a common seed must refine into a 2x2 grid."""
+                     depth: int = 12) -> SuiteResult:
+    """a+b and c+d rewritten from a common seed must refine into a 2x2 grid.
+
+    The seed has total 1 to 5, and each side walks 0 to 4 rewriting steps.
+    """
     res = SuiteResult("refinement")
     for _ in range(instances):
-        seed = random_element(rng, g, max_total)
-        x = random_walk(rng, g, seed, rng.randint(0, walk))
-        y = random_walk(rng, g, seed, rng.randint(0, walk))
+        seed = random_element(rng, g, 5)
+        x = random_walk(rng, g, seed, rng.randint(0, 4))
+        y = random_walk(rng, g, seed, rng.randint(0, 4))
         a, b = split_random(rng, x)
         c, d = split_random(rng, y)
         res.samples += 1
@@ -78,10 +81,11 @@ def refinement_suite(g: SepGraph, rng: random.Random, instances: int = 200,
 
 
 def oracle_agreement_suite(g: SepGraph, rng: random.Random, pairs: int = 1000,
-                           depth: int = 12, node_budget: int = 4000,
-                           max_total: int = 4, walk: int = 4) -> SuiteResult:
+                           depth: int = 12, node_budget: int = 4000) -> SuiteResult:
     """Confluence search vs the exact normal-form decision, both ways.
 
+    With probability 1/2 a pair is two walks of 0 to 4 rewriting steps from
+    a common seed of total 1 to 4, else two elements of total 0 to 4.
     Search-equal with exact-false is a failure outright, and so is a
     certified search-unequal with exact-true.  Exact-true pairs the search
     cannot confirm are logged, not failed; the caller applies whatever
@@ -91,12 +95,12 @@ def oracle_agreement_suite(g: SepGraph, rng: random.Random, pairs: int = 1000,
     eq_true = confirmed = search_equal = search_unequal = 0
     for _ in range(pairs):
         if rng.random() < 0.5:
-            seed = random_element(rng, g, max_total)
-            x = random_walk(rng, g, seed, rng.randint(0, walk))
-            y = random_walk(rng, g, seed, rng.randint(0, walk))
+            seed = random_element(rng, g, 4)
+            x = random_walk(rng, g, seed, rng.randint(0, 4))
+            y = random_walk(rng, g, seed, rng.randint(0, 4))
         else:
-            x = random_element(rng, g, max_total, nonzero=False)
-            y = random_element(rng, g, max_total, nonzero=False)
+            x = random_element(rng, g, 4, nonzero=False)
+            y = random_element(rng, g, 4, nonzero=False)
         res.samples += 1
         found = confluence_equal(g, x, y, depth, node_budget)
         eq = eq_exact(g, x, y)
@@ -126,15 +130,15 @@ def oracle_agreement_suite(g: SepGraph, rng: random.Random, pairs: int = 1000,
     return res
 
 
-def primeness_suite(g: SepGraph, rng: random.Random, samples: int = 500,
-                    max_total: int = 4) -> SuiteResult:
-    """Every generator class is prime for the antisymmetrized order."""
+def primeness_suite(g: SepGraph, rng: random.Random, samples: int = 500) -> SuiteResult:
+    """Every generator class is prime for the antisymmetrized order, tried
+    against two elements of total 0 to 4."""
     res = SuiteResult("primeness")
     verts = list(g.vertices)
     for _ in range(samples):
         v = FreeElement({rng.choice(verts): 1})
-        a1 = random_element(rng, g, max_total, nonzero=False)
-        a2 = random_element(rng, g, max_total, nonzero=False)
+        a1 = random_element(rng, g, 4, nonzero=False)
+        a2 = random_element(rng, g, 4, nonzero=False)
         res.samples += 1
         if not antisym_le(g, v, a1 + a2):
             res.skipped += 1
@@ -147,13 +151,12 @@ def primeness_suite(g: SepGraph, rng: random.Random, samples: int = 500,
     return res
 
 
-def conicality_suite(g: SepGraph, rng: random.Random, samples: int = 500,
-                     max_total: int = 3) -> SuiteResult:
-    """x + y == 0 forces x == y == 0."""
+def conicality_suite(g: SepGraph, rng: random.Random, samples: int = 500) -> SuiteResult:
+    """x + y == 0 forces x == y == 0, for x and y of total 0 to 3."""
     res = SuiteResult("conicality")
     for _ in range(samples):
-        x = random_element(rng, g, max_total, nonzero=False)
-        y = random_element(rng, g, max_total, nonzero=False)
+        x = random_element(rng, g, 3, nonzero=False)
+        y = random_element(rng, g, 3, nonzero=False)
         res.samples += 1
         s = x + y
         if s.is_zero():
@@ -166,16 +169,19 @@ def conicality_suite(g: SepGraph, rng: random.Random, samples: int = 500,
     return res
 
 
-def separativity_suite(g: SepGraph, rng: random.Random, samples: int = 500,
-                       max_total: int = 4, walk: int = 3) -> SuiteResult:
-    """2x == x+y == 2y forces x == y."""
+def separativity_suite(g: SepGraph, rng: random.Random, samples: int = 500) -> SuiteResult:
+    """2x == x+y == 2y forces x == y.
+
+    x has total 0 to 4; y is x after 0 to 3 rewriting steps or, half the
+    time, another element of total 0 to 4.
+    """
     res = SuiteResult("separativity")
     for _ in range(samples):
-        x = random_element(rng, g, max_total, nonzero=False)
+        x = random_element(rng, g, 4, nonzero=False)
         if rng.random() < 0.5:
-            y = random_walk(rng, g, x, rng.randint(0, walk))
+            y = random_walk(rng, g, x, rng.randint(0, 3))
         else:
-            y = random_element(rng, g, max_total, nonzero=False)
+            y = random_element(rng, g, 4, nonzero=False)
         res.samples += 1
         s = x + y
         if not (eq_exact(g, x.scale(2), s) and eq_exact(g, s, y.scale(2))):
@@ -188,19 +194,22 @@ def separativity_suite(g: SepGraph, rng: random.Random, samples: int = 500,
     return res
 
 
-def division_suite(g: SepGraph, rng: random.Random, samples: int = 500,
-                   max_total: int = 5, walk: int = 4) -> SuiteResult:
-    """Any split of the source survives along a rewriting trace."""
+def division_suite(g: SepGraph, rng: random.Random, samples: int = 500) -> SuiteResult:
+    """Any split of the source survives along a rewriting trace.
+
+    The source is the sum of two parts of total 0 to 3, and the trace has
+    0 to 4 steps.
+    """
     res = SuiteResult("division")
     for _ in range(samples):
-        a1 = random_element(rng, g, max_total // 2 + 1, nonzero=False)
-        a2 = random_element(rng, g, max_total // 2 + 1, nonzero=False)
+        a1 = random_element(rng, g, 3, nonzero=False)
+        a2 = random_element(rng, g, 3, nonzero=False)
         alpha = a1 + a2
         res.samples += 1
         if alpha.is_zero():
             res.skipped += 1
             continue
-        beta, trace = random_trace(rng, g, alpha, rng.randint(0, walk))
+        beta, trace = random_trace(rng, g, alpha, rng.randint(0, 4))
         ser = (serialize_element(a1), serialize_element(a2),
                serialize_element(beta))
         try:

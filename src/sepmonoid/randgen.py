@@ -3,7 +3,7 @@
 Graphs are assembled bottom-up from a small gadget vocabulary (sinks,
 looped free vertices, torsion loops, mutually fed pairs), so they are
 adaptable by construction.  The corpus generator extracts systems from
-random graphs and keeps the ones inside the requested parameter ranges;
+random graphs and keeps the ones inside fixed parameter ranges;
 every emitted system therefore has a realization by construction.
 """
 
@@ -20,9 +20,11 @@ from .rewrite import FreeElement, RewriteError, apply_step
 DEFAULT_GROUPS = ("0", "Z", "Z/2", "Z/3", "Z/4", "Z/2 + Z/2", "Z + Z/3")
 
 
-def random_adaptable(rng: random.Random, max_classes: int = 4,
-                     max_payload: int = 2) -> SepGraph:
-    """Random adaptable graph with at most max_classes condensation classes."""
+def random_adaptable(rng: random.Random, max_classes: int = 4) -> SepGraph:
+    """Random adaptable graph with at most max_classes condensation classes.
+
+    A regular block carries 0 to 2 extra edges into the classes below it.
+    """
     n = rng.randint(1, max_classes)
     vertices = []
     edges = []
@@ -62,7 +64,7 @@ def random_adaptable(rng: random.Random, max_classes: int = 4,
                 a, b = new_vertex(), new_vertex()
                 for u, w in ((a, b), (b, a)):
                     ids = [add_edge(u, u), add_edge(u, u), add_edge(u, w)]
-                    for _ in range(rng.randint(0, max_payload) if lower else 0):
+                    for _ in range(rng.randint(0, 2) if lower else 0):
                         ids.append(add_edge(u, rng.choice(lower)))
                     blocks.append(tuple(ids))
                 classes.append([a, b])
@@ -70,7 +72,7 @@ def random_adaptable(rng: random.Random, max_classes: int = 4,
                 v = new_vertex()
                 nloops = rng.randint(2, 5) if shape == "tors" else 2
                 ids = [add_edge(v, v) for _ in range(nloops)]
-                for _ in range(rng.randint(0, max_payload) if lower else 0):
+                for _ in range(rng.randint(0, 2) if lower else 0):
                     ids.append(add_edge(v, rng.choice(lower)))
                 blocks.append(tuple(ids))
                 classes.append([v])
@@ -116,10 +118,10 @@ def random_walk(rng: random.Random, g: SepGraph, x: FreeElement,
     return random_trace(rng, g, x, steps)[0]
 
 
-def relabel_system(sysm: ISystem, prefix: str = "p") -> ISystem:
+def relabel_system(sysm: ISystem) -> ISystem:
     """Copy with primes renamed p1, p2, ... along a linear extension."""
     order = sysm.poset.linear_extension()
-    names = {p: f"{prefix}{i + 1}" for i, p in enumerate(order)}
+    names = {p: f"p{i + 1}" for i, p in enumerate(order)}
     poset = Poset([names[p] for p in order],
                   [(names[a], names[b]) for a, b in sysm.poset.covers()])
     kind = {names[p]: sysm.kind[p] for p in order}
@@ -129,32 +131,25 @@ def relabel_system(sysm: ISystem, prefix: str = "p") -> ISystem:
     return ISystem(poset, kind, group, maps, labels)
 
 
-def corpus_systems(seed: int, count: int = 30, max_classes: int = 4,
-                   allowed_groups=DEFAULT_GROUPS, free_rank_max: int = 1,
-                   max_tries: int = 20000):
-    """Distinct extracted systems within the parameter ranges, with witnesses.
+def corpus_systems(seed: int, count: int = 30):
+    """Distinct extracted systems with witnesses, drawn from 20,000 random
+    graphs at most: at most 4 primes, each group one of DEFAULT_GROUPS
+    (so of free rank at most 1).
 
     Returns a list of (system, witness_graph) pairs.  Systems are
     canonicalized, relabeled, and deduplicated by their serialization.
     """
     rng = random.Random(seed)
-    allowed = set(allowed_groups)
     out = []
     seen = set()
-    for _ in range(max_tries):
+    for _ in range(20000):
         if len(out) >= count:
             break
-        g = random_adaptable(rng, max_classes)
+        g = random_adaptable(rng, 4)
         sysm = extract_isystem(g)
-        if len(list(sysm.poset)) > max_classes:
+        if len(list(sysm.poset)) > 4:
             continue
-        ok = True
-        for p in sysm.poset:
-            grp = sysm.group[p]
-            if grp.canonical_name() not in allowed or grp.free_rank > free_rank_max:
-                ok = False
-                break
-        if not ok:
+        if any(sysm.group[p].canonical_name() not in DEFAULT_GROUPS for p in sysm.poset):
             continue
         canon = relabel_system(canonicalized(sysm))
         key = serialize_isystem(canon)
@@ -163,5 +158,5 @@ def corpus_systems(seed: int, count: int = 30, max_classes: int = 4,
         seen.add(key)
         out.append((canon, g))
     if len(out) < count:
-        raise RuntimeError(f"only found {len(out)} distinct systems in {max_tries} tries")
+        raise RuntimeError(f"only found {len(out)} distinct systems in 20000 tries")
     return out

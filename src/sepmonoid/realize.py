@@ -89,31 +89,26 @@ class _Builder:
         self.used_names.add(cand)
         return cand
 
-    def lower_verts(self, p):
-        out = []
-        for q in sorted(self.sysm.poset.strict_down(p)):
-            out.extend(self.class_vertices[q])
-        return sorted(out)
-
-    def required_image(self, p, u):
-        q = self.prime_of[u]
-        cm = self.sysm.map_for(p, q)
-        if self.sysm.kind[q] == "free":
-            return cm.unit
-        return cm.hom(self.val[u])
-
-    def ambient_rows(self, L):
-        """One row per block below: its targets minus its source, summing to 0."""
+    def lower(self, p):
+        """The built vertices strictly below p, sorted, and one row per block
+        on them: its targets minus its source, summing to 0."""
+        L = sorted(u for q in self.sysm.poset.strict_down(p) for u in self.class_vertices[q])
         index = {u: i for i, u in enumerate(L)}
-        rows = []
+        return L, [_block_row(index, out, u) for u in L for out in self.out_blocks[u]]
+
+    def required(self, p, L, rows):
+        """The image in G_p that the connecting maps require of each vertex
+        of L, once checked to send every row to zero."""
+        sysm = self.sysm
+        images = []
         for u in L:
-            for out in self.out_blocks[u]:
-                row = [0] * len(L)
-                for t, c in out.items():
-                    row[index[t]] += c
-                row[index[u]] -= 1
-                rows.append(row)
-        return rows
+            q = self.prime_of[u]
+            cm = sysm.map_for(p, q)
+            images.append(cm.unit if sysm.kind[q] == "free" else cm.hom(self.val[u]))
+        if not _sends_to_zero(rows, images, sysm.group[p]):
+            raise ConstructionFailed(f"{sysm.kind[p]} prime {p}: lower evaluation is not "
+                                     "a homomorphism, connecting data incoherent")
+        return images
 
     def add_free(self, p, blocks, images):
         v = self.name(p)
@@ -207,13 +202,18 @@ def _kernel_rows(values, G):
     return [r[:n] for r in ker if any(r[:n])]
 
 
-def _nonneg_preimage(group, target, gens, max_total=16, state_cap=40000):
+_PREIMAGE_MAX_TOTAL = 16
+_PREIMAGE_STATE_CAP = 40000
+
+
+def _nonneg_preimage(group, target, gens):
     """Multiset over gen keys whose images sum to target, or None.
 
     gens: list of (key, GroupElement); breadth-first, so the result is a
     smallest such multiset and deterministic for a fixed gens order.  The
     walk visits each element once, in layers of growing total, and gives
-    up past layer max_total or after state_cap elements.
+    up past layer _PREIMAGE_MAX_TOTAL (16) or after _PREIMAGE_STATE_CAP
+    (40,000) elements.
     """
     goal = target.canonical()
     zero = group.zero()
@@ -221,7 +221,7 @@ def _nonneg_preimage(group, target, gens, max_total=16, state_cap=40000):
         return {}
     seen = {zero.canonical()}
     frontier, n = [(zero, {})], 0
-    for _ in range(max_total):
+    for _ in range(_PREIMAGE_MAX_TOTAL):
         nxt = []
         for x, ms in frontier:
             for key, gv in gens:
@@ -235,17 +235,35 @@ def _nonneg_preimage(group, target, gens, max_total=16, state_cap=40000):
                 nms[key] = nms.get(key, 0) + 1
                 if c == goal:
                     return nms
-                if n >= state_cap:
+                if n >= _PREIMAGE_STATE_CAP:
                     return None
                 nxt.append((y, nms))
         frontier = nxt
     return None
 
 
+def _block_row(index, out, source=None):
+    """One row over the columns of index: a block's target counts, minus
+    its source when given."""
+    row = [0] * len(index)
+    for t, c in out.items():
+        row[index[t]] += c
+    if source is not None:
+        row[index[source]] -= 1
+    return row
+
+
 def _sends_to_zero(rows, images, G):
     """Does the evaluation at images, one element of G per column, kill every row?"""
     coeffs, cols = [x.coeffs for x in images], G.coordinate_columns()
     return all(vanishes(vec_mat(row, coeffs), cols) for row in rows)
+
+
+def _presents(G, rows, values):
+    """Is the group presented by rows, one column per value, isomorphic to
+    G by sending each generator to its value?"""
+    return GroupHom(FGAbelianGroup(len(values), rows), G,
+                    [v.coeffs for v in values]).is_isomorphism()
 
 
 def _reached(builder, targets):
@@ -275,13 +293,10 @@ def _realize_free(builder: _Builder, p, log):
         # minimal free prime: a sink (its group is trivial by validation)
         builder.add_free(p, [], {})
         return
-    L = builder.lower_verts(p)
-    rows = builder.ambient_rows(L)
-    required = [builder.required_image(p, u) for u in L]
-    if not _sends_to_zero(rows, required, G):
-        raise ConstructionFailed(
-            f"free prime {p}: lower evaluation is not a homomorphism, connecting data incoherent")
-    cone = [(u, required[i]) for i, u in enumerate(L)]
+    L, rows = builder.lower(p)
+    required = builder.required(p, L, rows)
+    index = {u: i for i, u in enumerate(L)}
+    cone = list(zip(L, required))
     blocks = []
     seen = set()
 
@@ -297,9 +312,7 @@ def _realize_free(builder: _Builder, p, log):
     for coeffs in _kernel_rows(required, G):
         pos = {L[i]: c for i, c in enumerate(coeffs) if c > 0}
         neg = {L[i]: -c for i, c in enumerate(coeffs) if c < 0}
-        pos_val = G.zero()
-        for u, m in pos.items():
-            pos_val = pos_val + m * required[L.index(u)]
+        pos_val = sum((c * required[i] for i, c in enumerate(coeffs) if c > 0), G.zero())
         z = _nonneg_preimage(G, -pos_val, cone)
         if z is None:
             raise ConstructionFailed(
@@ -311,21 +324,14 @@ def _realize_free(builder: _Builder, p, log):
         if q in _reached(builder, [u for b in blocks for u in b]):
             continue
         u = builder.class_vertices[q][0]
-        z = _nonneg_preimage(G, -required[L.index(u)], cone)
+        z = _nonneg_preimage(G, -required[index[u]], cone)
         if z is None:
             raise ConstructionFailed(
                 f"free prime {p}: no nonnegative preimage for coverage of {q} within bounds")
         push(_merge({u: 1}, z))
-    v = builder.add_free(p, blocks, dict(zip(L, required)))
+    v = builder.add_free(p, blocks, dict(cone))
     # verify: lower rows plus the block rows present exactly G
-    index = {u: i for i, u in enumerate(L)}
-    for b in blocks:
-        row = [0] * len(L)
-        for u, m in b.items():
-            row[index[u]] += m
-        rows.append(row)
-    G2 = FGAbelianGroup(len(L), rows)
-    if not GroupHom(G2, G, [r.coeffs for r in required]).is_isomorphism():
+    if not _presents(G, rows + [_block_row(index, b) for b in blocks], required):
         raise ConstructionFailed(f"free prime {p}: verification of the presented group failed")
     log.append(f"free {p}: vertex {v}, {len(blocks)} block(s)")
 
@@ -333,18 +339,21 @@ def _realize_free(builder: _Builder, p, log):
 # ----------------------------------------------------------- regular primes
 
 
-def _small_kernel_rows(coords, mods, nW, limit=500):
+_SMALL_ROWS_LIMIT = 500
+
+
+def _small_kernel_rows(coords, mods, nW):
     """Nonnegative kernel rows of small total, smallest first, generated
     lazily in (sum(r), r) order.
 
     Each row has a gadget coordinate (one of the first nW), which keeps the
     internal out-degree of its vertex at 2 or more.  The total bound starts
     at 4 (3 on more than 10 coordinates) and grows while the number of rows
-    within it stays below `limit`.
+    within it stays below _SMALL_ROWS_LIMIT (500).
     """
     n = len(coords)
     cap = 4 if n <= 10 else 3
-    while comb(n + cap + 1, n) < limit:
+    while comb(n + cap + 1, n) < _SMALL_ROWS_LIMIT:
         cap += 1
     row = [0] * n
 
@@ -379,17 +388,13 @@ def _realize_regular(builder: _Builder, p, budget, log):
     sysm = builder.sysm
     G = sysm.group[p]
     f = G.free_rank
-    L = builder.lower_verts(p)
-    ambient = builder.ambient_rows(L)
+    L, ambient = builder.lower(p)
     lower_span = _row_hnf(ambient)
     if len(L) - len(lower_span) > f:
         raise ConstructionInfeasible(
             f"regular prime {p}: the built lower part has free rank {len(L) - len(lower_span)}, "
             f"but the target group only has free rank {f}; no row set can cancel the difference")
-    required = [builder.required_image(p, u) for u in L]
-    if not _sends_to_zero(ambient, required, G):
-        raise ConstructionFailed(
-            f"regular prime {p}: lower evaluation is not a homomorphism, connecting data incoherent")
+    required = builder.required(p, L, ambient)
     cg = G.canonical_generators()
     facs = G.invariant_factors
     # gadget vertices: pairs for free generators, one vertex per torsion factor,
@@ -435,8 +440,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
         wset = set(W)
         if len(components_of({w: [v for v in out_maps[w] if v in wset] for w in W})) > 1:
             return None
-        G2 = FGAbelianGroup(len(order), R_L + [list(r) for r in rows])
-        if not GroupHom(G2, G, [v.coeffs for v in values]).is_isomorphism():
+        if not _presents(G, R_L + list(rows), values):
             return None
         return out_maps
 
@@ -609,8 +613,11 @@ def _content(x) -> int:
     return gcd(*x.canonical()[0])
 
 
-def roundtrip_check(system: ISystem, graph: SepGraph, box: int = 4,
-                    branch: int = 64) -> RoundtripReport:
+ROUNDTRIP_BOX = 4         # the search lists free images with coordinates in [-4, 4]
+ROUNDTRIP_BRANCH = 64     # and tries at most 64 isomorphisms per prime
+
+
+def roundtrip_check(system: ISystem, graph: SepGraph) -> RoundtripReport:
     """Compare a system against the extraction of a (realized) graph.
 
     A Verified report carries `poset_map` (prime -> class of the
@@ -621,7 +628,8 @@ def roundtrip_check(system: ISystem, graph: SepGraph, box: int = 4,
     checks them (`by="witness"`).  Otherwise, or if that check fails, a
     bounded search looks for a kind-preserving poset isomorphism together
     with a family of group isomorphisms commuting with all connecting maps
-    (`by="search"`); `box` and `branch` bound only that search.
+    (`by="search"`).  Only that search is bounded, by ROUNDTRIP_BOX and
+    ROUNDTRIP_BRANCH, read at each call.
     """
     ext = extract_isystem(graph)
     wit = graph.derived(_witness)
@@ -663,12 +671,13 @@ def roundtrip_check(system: ISystem, graph: SepGraph, box: int = 4,
                 if cm_e.unit is not None:
                     constraints.append((cm_e.unit, cm_o.unit))
             tried = 0
-            for fiso in iter_isomorphisms(ext.group[psi[p]], system.group[p], constraints, box):
+            for fiso in iter_isomorphisms(ext.group[psi[p]], system.group[p], constraints,
+                                          ROUNDTRIP_BOX):
                 theta[p] = fiso
                 if assign(i + 1):
                     return True
                 tried += 1
-                if tried >= branch:
+                if tried >= ROUNDTRIP_BRANCH:
                     break
             theta.pop(p, None)
             if (tried == 0 and system.group[p].free_rank > 0

@@ -110,9 +110,6 @@ class FreeElement:
             raise RewriteError("multiset difference would be negative")
         return FreeElement({v: self.get(v) - other.get(v) for v in self.counts})
 
-    def meet(self, other) -> "FreeElement":
-        return FreeElement({v: min(n, other.get(v)) for v, n in self.counts.items()})
-
     def __eq__(self, other):
         if not isinstance(other, FreeElement):
             return NotImplemented

@@ -104,8 +104,22 @@ def test_realize_zero_generator_presentation(tmp_path, capsys):
     assert "roundtrip Verified" in capsys.readouterr().err
 
 
-def test_missing_file_exit_2(capsys):
-    assert main(["validate", "/no/such/file.sg"]) == 2
+_READS_A_FILE = {
+    "validate": [], "extract": [], "realize": [], "eq": ["a", "a"], "le": ["a", "a"],
+    "nf": ["a"], "refine": ["a", "a", "a", "a"], "props": [], "export-dot": [],
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "not-utf8"])
+@pytest.mark.parametrize("cmd", sorted(_READS_A_FILE))
+def test_unreadable_file_exit_2(cmd, kind, tmp_path, capsys):
+    path = tmp_path / ("s.is" if cmd == "realize" else "g.sg")
+    if kind == "not-utf8":
+        path.write_bytes(b"vertex a\xff\n")
+    assert main([cmd, str(path)] + _READS_A_FILE[cmd]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read")
+    assert "Traceback" not in err
 
 
 def test_eq_equal_exit_0(g1, capsys):

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from sepmonoid.cli import main
 from sepmonoid.fixtures import fixture_graph
 from sepmonoid.graph import check_adaptable, serialize_graph
 from sepmonoid.isystem import serialize_isystem, validate_isystem
@@ -141,3 +143,31 @@ def test_random_trace_rejects_vertices_outside_the_graph():
         random_trace(random.Random(0), g, x, 1)
     with pytest.raises(RewriteError, match="unknown vertex 'yy'"):
         step_targets(g, x)
+
+
+def _sha256(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+# The fixed draw ranges of random_adaptable, corpus_systems and the props
+# suites, pinned by what they produce.  These digests were taken when the
+# ranges were still parameters, at their defaults.
+
+def test_random_adaptable_output_is_pinned():
+    texts = (serialize_graph(random_adaptable(random.Random(s))) for s in range(200))
+    assert _sha256(texts) == "bd90ec6270225cba2bec2776eec9eb99d1767752a6059ed7d9dbd94854795758"
+
+
+def test_corpus_systems_output_is_pinned():
+    texts = (serialize_isystem(s) + serialize_graph(g) for s, g in corpus_systems(1))
+    assert _sha256(texts) == "db842c601566b581661fa808eb198cc9d9f47396cc0d6c6aec0b6b7ce22516bf"
+
+
+def test_props_lines_are_pinned(capsys):
+    assert main(["props", "--seed", "1", "--samples", "20", "--format", "lines"]) == 0
+    out = capsys.readouterr().out
+    assert _sha256([out]) == "1ff4469f362030573ea9eb7c585e5f56c32009fa178fcb9087a9d1ff6dda6a42"
