@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None, help="output .sg file (default stdout)")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the extract-and-compare round trip")
-    p.add_argument("--budget", type=_COUNT, default=200,
+    p.add_argument("--budget", type=_int_at_least(1), default=200,
                    help="search budget per regular prime, in units of 100 "
                         "visits (default 200)")
     common(p, depth=False, budget=False, fmt=False)

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import count
-from math import comb, gcd
+from itertools import tee
+from math import comb, gcd, prod
+from operator import add, mul
 
 from .abelian import (
     FGAbelianGroup, GroupHom, _xgcd, iter_isomorphisms, left_kernel, vanishes, vec_mat,
@@ -193,6 +194,57 @@ def _row_hnf(rows):
     return reduce(_hnf_insert, rows, ())
 
 
+def _completion_test(target, span, inside):
+    """The predicate `_hnf_insert(span, row) == target` on rows, decided in
+    the quotient Q = target / span instead of by one insertion per row.
+
+    Both are canonical HNFs and span lies in target; inside holds the
+    (column, modulus) pairs, as `coordinate_columns()` gives them, on which
+    exactly the rows of target vanish.  Span's rows are written over
+    target's rows by exact back-substitution on target's pivot columns, and
+    one Smith form of those coordinate rows gives Q's canonical
+    coordinates.  If Q needs two or more generators, no row completes; if Q
+    is trivial, every row of target does; if Q is cyclic, a row of target
+    does when its one coordinate y in Q has gcd(y, d) == 1 (|y| == 1 when
+    Q is Z).  A row outside target never completes.
+    """
+    piv = [r.index(next(filter(None, r))) for r in target]
+
+    def coords(row):
+        out = []
+        for t, c in zip(target, piv):
+            q, rem = divmod(row[c], t[c])
+            if rem:
+                return None
+            out.append(q)
+            if q:
+                row = [a - q * b for a, b in zip(row, t)]
+        return None if any(row) else out
+
+    # a row of span that is row j of target has coordinates e_j: it kills
+    # generator j of Q, so Q is presented on the other generators alone
+    index = {t: j for j, t in enumerate(target)}
+    live = sorted(set(range(len(target))) - {index[r] for r in span if r in index})
+    rels = [[y[j] for j in live] for y in (coords(r) for r in span if r not in index)]
+    cols = FGAbelianGroup(len(live), rels).coordinate_columns()
+    if len(cols) > 1:
+        return lambda row: False
+    if not cols:
+        return lambda row: vanishes(row, inside)
+    (live_col, d), = cols
+    col = [0] * len(target)
+    for j, x in zip(live, live_col):
+        col[j] = x
+    # y is a linear form on the rows of target: det * y == form . row, where
+    # form solves the triangular system that target's pivot columns make
+    det = prod(t[c] for t, c in zip(target, piv))
+    form = [0] * len(target[0])
+    for i in reversed(range(len(target))):
+        t, c = target[i], piv[i]
+        form[c] = (col[i] * det - sum(map(mul, t, form))) // t[c]
+    return lambda row: vanishes(row, inside) and gcd(sum(map(mul, row, form)) // det, d) == 1
+
+
 def _kernel_rows(values, G):
     """Nonzero integer rows r generating the lattice of sum(r[i] * values[i])
     == 0 in G: one left kernel of the values' coefficient rows stacked on
@@ -349,27 +401,52 @@ def _small_kernel_rows(coords, mods, nW):
     Each row has a gadget coordinate (one of the first nW), which keeps the
     internal out-degree of its vertex at 2 or more.  The total bound starts
     at 4 (3 on more than 10 coordinates) and grows while the number of rows
-    within it stays below _SMALL_ROWS_LIMIT (500).
+    within it stays below _SMALL_ROWS_LIMIT (500).  One loop steps through
+    each total's rows in order and keeps their value as one packed int.
     """
     n = len(coords)
     cap = 4 if n <= 10 else 3
     while comb(n + cap + 1, n) < _SMALL_ROWS_LIMIT:
         cap += 1
-    row = [0] * n
-
-    def walk(i, left, acc):
-        # rows of total `left` on coordinates i.., in lexicographic order
-        for c in range(left + 1) if i < n - 1 else (left,):
-            row[i] = c
-            nacc = [a + c * x for a, x in zip(acc, coords[i])]
-            if i < n - 1:
-                yield from walk(i + 1, left - c, nacc)
-            elif any(row[:nW]) and all(a % m == 0 if m else a == 0
-                                       for a, m in zip(nacc, mods)):
+    # a row's value packed into one int: coordinate j sits in bits
+    # [w * j, w * j + w) plus the offset 2**(w - 1), wide enough for every
+    # row within the cap, so that adding a row's packs adds its values
+    w = (cap * max((abs(x) for c in coords for x in c), default=0)).bit_length() + 2
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    codes = [sum(x << w * j for j, x in enumerate(c)) for c in coords]
+    zero = sum(half << w * j for j in range(len(mods)))
+    free = sum(mask << w * j for j, m in enumerate(mods) if not m)
+    tors = [(w * j, m, half % m) for j, m in enumerate(mods) if m]
+    for total in range(1, cap + 1):
+        # the rows of one total in lexicographic order, from the first with
+        # a gadget coordinate, (0, ..., 0, 1, 0, ..., total - 1) with the 1
+        # at coordinate nW - 1; every later row has one too
+        row = [0] * n
+        row[nW - 1] += 1
+        row[-1] += total - 1
+        key = zero + codes[nW - 1] + (total - 1) * codes[-1]
+        while True:
+            if key & free == zero & free and all((key >> s & mask) % m == h for s, m, h in tors):
                 yield tuple(row)
+            # the next row: one unit moves from the last nonzero entry p > 0
+            # to entry p - 1, and the rest of entry p moves to the end
+            p = n - 1
+            while not row[p]:
+                p -= 1
+            if not p:
+                break
+            c = row[p]
+            row[p] = 0
+            row[p - 1] += 1
+            row[-1] += c - 1
+            key += codes[p - 1] - c * codes[p] + (c - 1) * codes[-1]
 
-    for total in range(cap + 1):
-        yield from walk(0, total, [0] * len(mods))
+
+# Candidates a node with one row left adds to its span before it builds its
+# completion test.  A build costs about five insertions, and where the
+# first candidate fails the second often completes, which makes a build
+# after one failure a loss on most such nodes of the stress corpus.
+_LAST_ROW_INSERTIONS = 2
 
 
 def _realize_regular(builder: _Builder, p, budget, log):
@@ -381,9 +458,17 @@ def _realize_regular(builder: _Builder, p, budget, log):
       1. core plus ring, with the coverage pinning vectors on the first row;
       2. that row plus one or two pinning vectors;
       3. small nonnegative kernel rows, enumerated lazily, only as far as
-         the search reads, into one list that every level shares.
-    Rows that cannot raise the span to the lattice rank are pruned, and
-    one visit counter stops the whole search when it reaches 100 * budget.
+         the search reads, and shared by every level.
+    Each level reads its pool once, as int tuples, and every later node at
+    that level replays it.  Rows that cannot raise the span to the lattice
+    rank are pruned, and one visit counter stops the whole search when it
+    reaches 100 * budget.  At a node with one row left, the first
+    _LAST_ROW_INSERTIONS (2) candidates are added to the span as at every
+    other level; once they fail, `_completion_test` decides the node's
+    other candidates in the quotient target / span, with no insertion.
+    Each of them still counts as one visit, after the same budget check,
+    so the visits, the log and the graph are those of the search that
+    inserts every row.
     """
     sysm = builder.sysm
     G = sysm.group[p]
@@ -417,12 +502,6 @@ def _realize_regular(builder: _Builder, p, budget, log):
     order = W + L
     nW = len(W)
 
-    def vec(*dicts):
-        total = {}
-        for ms in dicts:
-            total = _merge(total, ms)
-        return tuple(total.get(v, 0) for v in order)
-
     R_L = [[0] * nW + row for row in ambient]
     mods = [0] * f + list(facs)
     covers = sysm.poset.lower_covers(p)
@@ -450,30 +529,40 @@ def _realize_regular(builder: _Builder, p, budget, log):
     pre = {u: _nonneg_preimage(G, -val, tcone) for u, val in zip(L, required)}
     pin = {u: _merge({u: 1}, m) for u, m in pre.items() if m is not None}
     cover_pins = [pin[u] for u in (builder.class_vertices[q][0] for q in covers) if u in pin]
-    singles = list(pin.values())
-    extras = [{}] + singles + [_merge(z, y) for i, z in enumerate(singles) for y in singles[i:]]
     coords = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]
-    small, more = [], _small_kernel_rows(coords, mods, nW)
+    # target is the kernel lattice: the rows on which these vanish
+    inside = list(zip(zip(*coords), mods))
+    # each pool is a tee object over one lazy generator: a copy of it
+    # (__copy__, no dispatch through copy.copy) replays what was read so
+    # far from the start, then reads on demand
+    small_rows = tee(_small_kernel_rows(coords, mods, nW), 1)[0]
 
-    def small_rows():
-        # the rows read so far, then more on demand; None marks the end
-        for k in count():
-            if k == len(small):
-                small.append(next(more, None))
-            if small[k] is None:
-                return
-            yield small[k]
+    def vec(ms):
+        return tuple(ms.get(v, 0) for v in order)
 
-    def candidates(j):
+    def extra_vecs():
+        # nothing, each pinning vector, then each pair of them
+        yield (0,) * len(order)
+        singles = [vec(m) for m in pin.values()]
+        yield from singles
+        for i, z in enumerate(singles):
+            for y in singles[i:]:
+                yield tuple(map(add, z, y))
+
+    extras = tee(extra_vecs(), 1)[0]
+
+    def level(j):
         w = row_order[j]
-        fixed = [core[w], ring[w]] + (cover_pins if j == 0 else [])
+        fixed = vec(reduce(_merge, [core[w], ring[w]] + (cover_pins if j == 0 else [])))
         seen = set()
-        for extra in extras:
-            row = vec(*fixed, extra)
+        for extra in extras.__copy__():
+            row = tuple(map(add, fixed, extra))
             if row not in seen:
                 seen.add(row)
                 yield row
-        yield from (row for row in small_rows() if row not in seen)
+        yield from (row for row in small_rows.__copy__() if row not in seen)
+
+    candidates = [tee(level(j), 1)[0] for j in range(nW)]
 
     def rec(rows, span):
         nonlocal visits
@@ -482,10 +571,18 @@ def _realize_regular(builder: _Builder, p, budget, log):
             return None
         if len(rows) == nW:
             return accept(rows) if span == target else None
-        for row in candidates(len(rows)):
+        completes = None
+        for k, row in enumerate(candidates[len(rows)].__copy__(), 1):
             if visits >= 100 * budget:
                 return None
-            got = rec(rows + (row,), _hnf_insert(span, row))
+            if completes is not None:
+                # the one visit that rec would count for the last row
+                visits += 1
+                got = accept(rows + (row,)) if completes(row) else None
+            else:
+                got = rec(rows + (row,), _hnf_insert(span, row))
+                if got is None and len(rows) == nW - 1 and k == _LAST_ROW_INSERTIONS:
+                    completes = _completion_test(target, span, inside)
             if got is not None:
                 return got
         return None
@@ -506,11 +603,14 @@ def realize(system: ISystem, *, budget: int = 200,
     """Construct a graph whose extracted system is isomorphic to `system`.
 
     The search is deterministic.  Each regular prime's search makes at most
-    100 * budget visits.  The graph carries the isomorphism of
+    100 * budget visits, and budget must be at least 1 (ValueError
+    otherwise).  The graph carries the isomorphism of
     the construction: each prime's class, and the image of every vertex of
     the prime's scope in its group.  `roundtrip_check(system, graph)`
     checks it in place of a search.
     """
+    if budget < 1:
+        raise ValueError(f"realize: budget must be at least 1, got {budget}")
     log = []
     if validate:
         rep = validate_isystem(system)

@@ -405,6 +405,7 @@ def test_random_generates_adaptable(tmp_path, capsys):
     ["eq", "g.sg", "a", "a", "--depth", "-1"],
     ["le", "g.sg", "a", "a", "--budget", "-3"],
     ["realize", "s.is", "--budget", "-1"],
+    ["realize", "s.is", "--budget", "0"],
 ])
 def test_out_of_range_counts_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -523,7 +524,7 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys):
     for n in range(80):
         path = tmp_path / f"m{n}.is"
         path.write_text(_mutate(rng, systems[n % len(systems)], _ODD_TOKENS + (_HUGE,)))
-        run(["realize", str(path), "--budget", "0"] + (["--no-verify"] if n % 2 else []))
+        run(["realize", str(path), "--budget", "1"] + (["--no-verify"] if n % 2 else []))
     g1 = str(tmp_path / "m0.sg")
     huge = tmp_path / "huge.sg"
     huge.write_text(fixture_text("g5.sg").replace("* 2", "* " + _HUGE))

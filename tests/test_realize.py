@@ -15,8 +15,8 @@ from sepmonoid.isystem import (VERIFIED, canonicalized, extract_isystem,
                                parse_isystem, serialize_isystem, validate_isystem)
 from sepmonoid.randgen import random_adaptable, relabel_system
 from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible,
-                               _hnf_insert, _kernel_rows, _row_hnf, _small_kernel_rows,
-                               _witness,
+                               _completion_test, _hnf_insert, _kernel_rows, _row_hnf,
+                               _small_kernel_rows, _witness,
                                _witness_theta, check_roundtrip_certificate, realize,
                                roundtrip_check)
 from sepmonoid.rewrite import eq_exact, parse_element
@@ -684,7 +684,9 @@ def test_kernel_rows_span_the_canonical_coordinate_lattice():
 
 
 # The slowest system of the realize-roundtrip corpus: p4's search makes 417
-# visits, each of which adds one row to the span.
+# visits.  At a node with one row left, the first two candidates are added
+# to the span; once both fail, the node's completion test decides the
+# others in target / span, each still one visit.
 DEEP_SYSTEM = """\
 prime p1 free
 prime p2 reg
@@ -735,3 +737,194 @@ def test_search_stops_at_exactly_100_times_budget_visits():
     assert log[-1] == "regular v7: vertices v7.1, v7.2, v7.3, v7.4, v7.5, attempt 129"
     with pytest.raises(ConstructionFailed, match="after 200 visits$"):
         realize(systems[677], budget=2)
+
+
+def test_budget_below_one_is_rejected():
+    s = fixture_system("s1")
+    for budget in (0, -1):
+        with pytest.raises(ValueError) as exc:
+            realize(s, budget=budget)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"realize: budget must be at least 1, got {budget}"
+
+
+def test_stress_corpus_realizations_are_pinned():
+    # SHA-256 of every realized graph and its log, or the exception text,
+    # over the 900 stress systems: any change of bytes or visit counts
+    # shows here
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for s in _stress_corpus(seed):
+            try:
+                res = realize(s)
+                text = serialize_graph(res.graph) + "\n".join(res.log) + "\n"
+            except (ConstructionFailed, ConstructionInfeasible) as exc:
+                text = f"{type(exc).__name__}: {exc}\n"
+            h.update(text.encode())
+    assert h.hexdigest() == "84f4b6cc6a4940f145d4c3868e6a599a25917a9a4b794133b6155277a59ef93b"
+
+
+_TORSION_CHAINS = [[], [2], [3], [4], [2, 2], [2, 4], [3, 6]]
+
+
+def _free_over_trivial(position):
+    """Text of the system at `position` of a seeded family: one free prime
+    over k trivial free primes, G_p = Z^r (r from 1, 1, 2) plus a torsion
+    chain, and k = r + 1 .. r + 3 units with coefficients in [-3, 3]."""
+    rng = random.Random(7)
+    for _ in range(position + 1):
+        r = rng.choice([1, 1, 2])
+        chain = rng.choice(_TORSION_CHAINS)
+        k = rng.randint(r + 1, r + 3)
+        units = [[rng.randint(-3, 3) for _ in range(r + len(chain))] for _ in range(k)]
+    group = " + ".join(["Z" if r == 1 else f"Z^{r}"] + [f"Z/{d}" for d in chain])
+    lines = ["prime p free", f"group p : {group}"]
+    for i, u in enumerate(units, 1):
+        unit = " + ".join(f"{c}*g{j}" for j, c in enumerate(u, 1) if c) or "0"
+        lines += [f"prime q{i} free", f"cover q{i} < p", f"group q{i} : 0",
+                  f"map p <- q{i} : unit -> {unit}"]
+    return "\n".join(lines) + "\n"
+
+
+def _preimage_totals(monkeypatch):
+    """The totals of the preimages realize finds from now on."""
+    totals = []
+    real = realize_mod._nonneg_preimage
+
+    def spy(group, target, gens):
+        found = real(group, target, gens)
+        if found is not None:
+            totals.append(sum(found.values()))
+        return found
+
+    monkeypatch.setattr(realize_mod, "_nonneg_preimage", spy)
+    return totals
+
+
+def test_a_preimage_of_total_twelve_realizes(monkeypatch):
+    # position 65: G_p = Z + Z/3 + Z/6 over three units; one kernel
+    # generator needs a preimage of 12 units, and the walk that finds it
+    # sees more than 300 elements
+    s = parse_isystem(_free_over_trivial(65))
+    assert s.group["p"].canonical_name() == "Z + Z/3 + Z/6"
+    assert validate_isystem(s).status == VERIFIED
+    totals = _preimage_totals(monkeypatch)
+    res = realize(s)
+    assert max(totals) == 12
+    assert not _roundtrip_both_routes(s, res.graph)
+    # the bounds it needs: a total of 12, and more than 300 states
+    monkeypatch.setattr(realize_mod, "_PREIMAGE_MAX_TOTAL", 11)
+    with pytest.raises(ConstructionFailed, match="^free prime p: no nonnegative preimage"):
+        realize(s)
+    monkeypatch.undo()
+    monkeypatch.setattr(realize_mod, "_PREIMAGE_STATE_CAP", 300)
+    with pytest.raises(ConstructionFailed, match="^free prime p: no nonnegative preimage"):
+        realize(s)
+
+
+def test_the_search_route_needs_a_box_of_four(monkeypatch):
+    # position 642: G_p = Z^2 over three units; on a reparsed copy of its
+    # graph, the search lists free images up to coordinate 4 before one
+    # commutes with the units
+    s = parse_isystem(_free_over_trivial(642))
+    assert s.group["p"].canonical_name() == "Z^2"
+    g = _reparsed(realize(s).graph)
+    rep = roundtrip_check(s, g)
+    assert (rep.status, rep.by) == ("Verified", "search")
+    monkeypatch.setattr(realize_mod, "ROUNDTRIP_BOX", 3)
+    assert roundtrip_check(s, g).status == "InconclusiveWithinBound"
+
+
+def _lattice_pair(rng, shape):
+    """(target, span, kind of Q): target a random lattice, span the rows of
+    M times target's rows, so that Q = target / span = Z^k / rows of M."""
+    n = rng.randint(2, 6)
+    while True:
+        target = _row_hnf([[rng.randint(-3, 3) for _ in range(n)]
+                           for _ in range(rng.randint(1, n + 1))])
+        if len(target) >= (2 if shape == "non-cyclic" else 1):
+            break
+    k = len(target)
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    if shape == "trivial":
+        m = eye
+    elif shape == "Z":
+        m = eye[1:]
+    elif shape == "cyclic":
+        m = eye[1:] + [[rng.choice([2, 3, 4, 6]) if j == 0 else 0 for j in range(k)]]
+    else:
+        # Z^2, Z + Z/2 or Z/2 + Z/2
+        m = eye[2:] + [[2 * eye[i][j] for j in range(k)] for i in range(rng.randint(0, 2))]
+    # scramble M by unimodular row operations and a redundant row
+    for _ in range(2 * k):
+        if len(m) > 1:
+            i, j = rng.sample(range(len(m)), 2)
+            m[j] = [a + rng.choice([-1, 1]) * b for a, b in zip(m[j], m[i])]
+    if m and rng.random() < 0.5:
+        m = m + [[sum(rng.randint(-1, 1) * r[c] for r in m) for c in range(k)]]
+    span = _row_hnf([[sum(c * t[j] for c, t in zip(r, target)) for j in range(n)] for r in m])
+    q = FGAbelianGroup(k, m)
+    gens = q.free_rank + len(q.invariant_factors)
+    kind = ["trivial", "Z" if q.free_rank else "cyclic"][gens] if gens < 2 else "non-cyclic"
+    return target, span, kind
+
+
+def test_completion_test_agrees_with_insertion():
+    rng = random.Random(25)
+    seen = {}
+    for _ in range(600):
+        shape = rng.choice(["trivial", "Z", "cyclic", "non-cyclic"])
+        target, span, kind = _lattice_pair(rng, shape)
+        n = len(target[0])
+        inside = FGAbelianGroup(n, [list(t) for t in target]).coordinate_columns()
+        completes = _completion_test(target, span, inside)
+        rows = list(target)
+        rows += [tuple(sum(rng.randint(-2, 2) * t[j] for t in target) for j in range(n))
+                 for _ in range(6)]
+        rows += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)]
+        for row in rows:
+            want = _hnf_insert(span, row) == target
+            assert completes(row) == want, (target, span, row)
+            inside_target = _hnf_insert(target, row) == target
+            key = (kind, "in" if inside_target else "out", want)
+            seen[key] = seen.get(key, 0) + 1
+    # each quotient kind with rows of target that complete and that do not,
+    # and rows outside target; none complete outside target or when Q is
+    # not cyclic
+    for q in ("trivial", "Z", "cyclic"):
+        assert seen.get((q, "in", True), 0) > 20, seen
+    for q in ("Z", "cyclic", "non-cyclic"):
+        assert seen.get((q, "in", False), 0) > 20, seen
+    for q in ("trivial", "Z", "cyclic", "non-cyclic"):
+        assert seen.get((q, "out", False), 0) > 20, seen
+    assert not any(want for (q, where, want) in seen if where == "out" or q == "non-cyclic")
+
+
+def test_completion_test_is_built_only_after_two_failed_last_rows(monkeypatch):
+    built = []
+    real = realize_mod._completion_test
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(realize_mod, "_completion_test", counting)
+    # every regular prime here takes its first candidate at each level:
+    # the root and one visit per gadget vertex
+    for text in ("prime p reg\ngroup p : Z/2\n", "prime p reg\ngroup p : Z\n",
+                 "prime p reg\ngroup p : Z + Z/3\n"):
+        res = realize(parse_isystem(text))
+        nW = len(res.class_map["p"])
+        assert res.log == [f"regular p: vertices {', '.join(res.class_map['p'])}, "
+                           f"attempt {nW + 1}"]
+    # p3 of the deep system's lower part: its last row's first candidate
+    # fails and the second completes, still by insertion
+    res = realize(parse_isystem("prime p2 reg\nprime p3 reg\ncover p2 < p3\ngroup p2 : Z\n"
+                                "group p3 : Z + Z/3\nmap p3 <- p2 : g1 -> g1\n"))
+    assert res.log[-1] == "regular p3: vertices p3.1, p3.2, p3.3, attempt 5"
+    assert built == []
+    # the deep system's p4 builds one at each last-level node whose first
+    # two candidates fail, and the log is the golden one
+    res = realize(parse_isystem(DEEP_SYSTEM))
+    assert res.log[2] == "regular p4: vertices p4.1, p4.2, p4.3, attempt 417"
+    assert len(built) > 1
