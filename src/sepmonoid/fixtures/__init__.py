@@ -1,7 +1,5 @@
 """Packaged example graphs (.sg) and systems (.is)."""
 
-from importlib import resources
-
 from ..graph import SepGraph, parse_graph
 from ..isystem import ISystem, parse_isystem
 
@@ -18,6 +16,8 @@ def system_names():
 
 
 def fixture_text(filename: str) -> str:
+    from importlib import resources  # imported here to keep `import sepmonoid` light
+
     return resources.files(__package__).joinpath(filename).read_text(encoding="utf-8")
 
 

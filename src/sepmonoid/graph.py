@@ -14,9 +14,8 @@ Out-edges not mentioned in any block line end up in singleton blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .posets import Poset
+from .records import FrozenRecord, Record
 
 
 # edges that "* N" multiplicities may add to one .sg text, all lines together
@@ -237,11 +236,11 @@ def serialize_graph(g: SepGraph) -> str:
 # ------------------------------------------------------------- condensation
 
 
-@dataclass
-class Condensation:
-    class_of: dict          # vertex -> class id
-    members: dict           # class id -> tuple of vertices
-    poset: Poset            # class ids; le(a, b) means b reaches a
+class Condensation(Record):
+    def __init__(self, class_of: dict, members: dict, poset: Poset):
+        self.class_of = class_of    # vertex -> class id
+        self.members = members      # class id -> tuple of vertices
+        self.poset = poset          # class ids; le(a, b) means b reaches a
 
 
 def strongly_connected_components(g: SepGraph):
@@ -317,19 +316,21 @@ def condensation(g: SepGraph) -> Condensation:
 # -------------------------------------------------------------- adaptability
 
 
-@dataclass(frozen=True)
-class Violation:
-    clause: str
-    class_id: str
-    detail: str
+class Violation(FrozenRecord):
+    def __init__(self, clause: str, class_id: str, detail: str):
+        d = self.__dict__
+        d["clause"], d["class_id"], d["detail"] = clause, class_id, detail
 
 
-@dataclass
-class AdaptabilityReport:
-    ok: bool
-    kinds: dict                      # class id -> "free" | "regular"
-    violations: list
-    condensation: Condensation = field(repr=False, default=None)
+class AdaptabilityReport(Record):
+    _hidden = ("condensation",)
+
+    def __init__(self, ok: bool, kinds: dict, violations: list,
+                 condensation: Condensation = None):
+        self.ok = ok
+        self.kinds = kinds                # class id -> "free" | "regular"
+        self.violations = violations
+        self.condensation = condensation
 
     def violation_clauses(self):
         return sorted({v.clause for v in self.violations})

@@ -11,7 +11,6 @@ against the axioms, and round-tripped through a text format (.is).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .abelian import (FGAbelianGroup, GroupElement, GroupHom, identity,
@@ -19,6 +18,7 @@ from .abelian import (FGAbelianGroup, GroupElement, GroupHom, identity,
 from .graph import (MAX_EXPANDED_EDGES, SepGraph, _unaddressable,
                     require_adaptable)
 from .posets import Poset
+from .records import FrozenRecord, Record
 
 VERIFIED = "Verified"
 COUNTEREXAMPLE = "CounterexampleFound"
@@ -35,10 +35,10 @@ class ISystemParseError(ISystemError):
         self.line_no = line_no
 
 
-@dataclass
-class ConnectingMap:
-    hom: GroupHom
-    unit: GroupElement | None = None   # image of the counting generator, free source only
+class ConnectingMap(Record):
+    def __init__(self, hom: GroupHom, unit: GroupElement | None = None):
+        self.hom = hom
+        self.unit = unit    # image of the counting generator, free source only
 
 
 class ISystem:
@@ -79,17 +79,16 @@ class ISystem:
 # -------------------------------------------------------------- validation
 
 
-@dataclass(frozen=True)
-class ValidationFailure:
-    axiom: str
-    primes: tuple
-    detail: str
+class ValidationFailure(FrozenRecord):
+    def __init__(self, axiom: str, primes: tuple, detail: str):
+        d = self.__dict__
+        d["axiom"], d["primes"], d["detail"] = axiom, primes, detail
 
 
-@dataclass
-class ValidationReport:
-    status: str
-    failures: list = field(default_factory=list)
+class ValidationReport(Record):
+    def __init__(self, status: str, failures: list | None = None):
+        self.status = status
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):

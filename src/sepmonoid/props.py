@@ -8,25 +8,27 @@ Failures carry serialized elements so a run can be replayed by hand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .graph import SepGraph
 from .isystem import COUNTEREXAMPLE, extract_isystem, validate_isystem
 from .randgen import random_element, random_trace, random_walk
+from .records import Record
 from .rewrite import (FreeElement, RewriteError, antisym_le, confluence_equal,
                       eq_exact, refinement_witness,
                       serialize_element, split_trace)
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    samples: int = 0
-    checked: int = 0          # instances where the law actually bit
-    skipped: int = 0          # vacuous instances
-    failures: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
-    log: list = field(default_factory=list)
+class SuiteResult(Record):
+    def __init__(self, name: str, samples: int = 0, checked: int = 0,
+                 skipped: int = 0, failures: list | None = None,
+                 notes: dict | None = None, log: list | None = None):
+        self.name = name
+        self.samples = samples
+        self.checked = checked        # instances where the law actually bit
+        self.skipped = skipped        # vacuous instances
+        self.failures = [] if failures is None else failures
+        self.notes = {} if notes is None else notes
+        self.log = [] if log is None else log
 
     @property
     def ok(self) -> bool:

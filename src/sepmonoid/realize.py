@@ -27,7 +27,6 @@ ConstructionFailed.  Both carry the offending prime in the message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import tee
 from math import comb, gcd, prod
@@ -38,6 +37,7 @@ from .abelian import (
 )
 from .graph import SepGraph, check_adaptable, components_of
 from .isystem import ISystem, extract_isystem, validate_isystem
+from .records import Record
 
 
 class ConstructionInfeasible(ValueError):
@@ -48,20 +48,22 @@ class ConstructionFailed(ValueError):
     """No realization was found within the search budget."""
 
 
-@dataclass
-class RealizeResult:
-    graph: SepGraph
-    class_map: dict          # prime -> tuple of vertices realizing it
-    values: dict             # vertex of a regular class -> element of its prime's group
-    log: list = field(default_factory=list)
+class RealizeResult(Record):
+    def __init__(self, graph: SepGraph, class_map: dict, values: dict,
+                 log: list | None = None):
+        self.graph = graph
+        self.class_map = class_map    # prime -> tuple of vertices realizing it
+        self.values = values          # vertex of a regular class -> element of its prime's group
+        self.log = [] if log is None else log
 
 
-@dataclass
-class RealizeWitness:
+class RealizeWitness(Record):
     """The isomorphism `realize` built its graph along, kept on that graph."""
-    system: ISystem          # the very object realize was given
-    poset_map: dict          # prime -> class of the built graph
-    images: dict             # prime -> {vertex of its scope: element of the prime's group}
+
+    def __init__(self, system: ISystem, poset_map: dict, images: dict):
+        self.system = system          # the very object realize was given
+        self.poset_map = poset_map    # prime -> class of the built graph
+        self.images = images          # prime -> {vertex of its scope: element of the prime's group}
 
 
 def _witness(graph: SepGraph):
@@ -529,7 +531,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
     pre = {u: _nonneg_preimage(G, -val, tcone) for u, val in zip(L, required)}
     pin = {u: _merge({u: 1}, m) for u, m in pre.items() if m is not None}
     cover_pins = [pin[u] for u in (builder.class_vertices[q][0] for q in covers) if u in pin]
-    coords = [list(v.canonical()[0]) + list(v.canonical()[1]) for v in values]
+    coords = [[*free, *tors] for free, tors in (v.canonical() for v in values)]
     # target is the kernel lattice: the rows on which these vanish
     inside = list(zip(zip(*coords), mods))
     # each pool is a tee object over one lazy generator: a copy of it
@@ -588,6 +590,9 @@ def _realize_regular(builder: _Builder, p, budget, log):
         return None
 
     out_maps = rec((), tuple((0,) * nW + tuple(r) for r in lower_span))
+    # rec reaches itself through its closure: unbind it, so that reference
+    # counting frees the search's closures, generators and tee buffers
+    del rec
     if out_maps is None:
         raise ConstructionFailed(
             f"regular prime {p}: no row set matched the kernel lattice after {visits} visits")
@@ -644,13 +649,14 @@ def realize(system: ISystem, *, budget: int = 200,
     return RealizeResult(graph, dict(builder.class_vertices), dict(builder.val), log)
 
 
-@dataclass
-class RoundtripReport:
-    status: str               # Verified | FailedAt | InconclusiveWithinBound
-    poset_map: dict | None = None
-    detail: str = ""
-    theta: dict | None = None      # Verified: prime -> iso ext group -> system group
-    by: str = "search"             # "witness" when realize's own isomorphism certified it
+class RoundtripReport(Record):
+    def __init__(self, status: str, poset_map: dict | None = None, detail: str = "",
+                 theta: dict | None = None, by: str = "search"):
+        self.status = status          # Verified | FailedAt | InconclusiveWithinBound
+        self.poset_map = poset_map
+        self.detail = detail
+        self.theta = theta            # Verified: prime -> iso ext group -> system group
+        self.by = by                  # "witness" when realize's own isomorphism certified it
 
 
 def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dict,

@@ -18,13 +18,13 @@ test in the direct sum of the component groups.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import lshift, sub
 
 from .abelian import FGAbelianGroup, vanishes
 from .graph import SepGraph, check_adaptable, require_adaptable
 from .isystem import extract_isystem
+from .records import FrozenRecord, Record
 
 
 class RewriteError(ValueError):
@@ -465,14 +465,16 @@ def _bits(mask):
         mask ^= low
 
 
-@dataclass
-class ConfluenceResult:
-    status: str                    # "equal" | "unequal" | "unknown" | "exhausted"
-    gamma: FreeElement | None = None
-    trace_x: tuple = ()
-    trace_y: tuple = ()
-    explored: int = 0
-    invariant: str | None = None   # "group" | "support" when unequal
+class ConfluenceResult(Record):
+    def __init__(self, status: str, gamma: FreeElement | None = None,
+                 trace_x: tuple = (), trace_y: tuple = (), explored: int = 0,
+                 invariant: str | None = None):
+        self.status = status          # "equal" | "unequal" | "unknown" | "exhausted"
+        self.gamma = gamma
+        self.trace_x = trace_x
+        self.trace_y = trace_y
+        self.explored = explored
+        self.invariant = invariant    # "group" | "support" when unequal
 
 
 def confluence_equal(g: SepGraph, x: FreeElement, y: FreeElement,
@@ -593,12 +595,13 @@ def _minus(p: dict, q: dict) -> dict:
     return {v: n for v in {**p, **q} if (n := p.get(v, 0) - q.get(v, 0))}
 
 
-@dataclass
-class RefinementWitness:
-    status: str                      # "ok" | "unequal" | "unknown" | "exhausted"
-    pieces: tuple = ()               # ((x11, x12), (x21, x22)) when ok
-    gamma: FreeElement | None = None
-    traces: tuple = ()               # (ta, tb, tc, td) when ok
+class RefinementWitness(Record):
+    def __init__(self, status: str, pieces: tuple = (),
+                 gamma: FreeElement | None = None, traces: tuple = ()):
+        self.status = status          # "ok" | "unequal" | "unknown" | "exhausted"
+        self.pieces = pieces          # ((x11, x12), (x21, x22)) when ok
+        self.gamma = gamma
+        self.traces = traces          # (ta, tb, tc, td) when ok
 
 
 def refinement_witness(g: SepGraph, a, b, c, d,
@@ -638,22 +641,22 @@ def refinement_witness(g: SepGraph, a, b, c, d,
 # ---------------------------------------------------- normal form machinery
 
 
-@dataclass(frozen=True)
-class NFEntry:
-    cls: str
-    kind: str
-    n: int               # multiplicity for free classes, presence flag for regular
-    gcoeffs: tuple       # coefficients in the extracted group of cls
+class NFEntry(FrozenRecord):
+    # n: multiplicity for free classes, presence flag for regular;
+    # gcoeffs: coefficients in the extracted group of cls
+    def __init__(self, cls: str, kind: str, n: int, gcoeffs: tuple):
+        d = self.__dict__
+        d["cls"], d["kind"], d["n"], d["gcoeffs"] = cls, kind, n, gcoeffs
 
 
-@dataclass(frozen=True)
-class AntisymNF:
-    entries: tuple       # of (cls, kind, n)
+class AntisymNF(FrozenRecord):
+    def __init__(self, entries: tuple):
+        self.__dict__["entries"] = entries    # of (cls, kind, n)
 
 
-@dataclass(frozen=True)
-class MonoidNF:
-    entries: tuple       # of NFEntry
+class MonoidNF(FrozenRecord):
+    def __init__(self, entries: tuple):
+        self.__dict__["entries"] = entries    # of NFEntry
 
     def antichain(self):
         return tuple(e.cls for e in self.entries)
@@ -874,10 +877,10 @@ def eq_exact(g: SepGraph, x: FreeElement, y: FreeElement) -> bool:
 # ----------------------------------------------------------- order relation
 
 
-@dataclass
-class LeResult:
-    status: str                    # "yes" | "no" | "unknown"
-    z: FreeElement | None = None
+class LeResult(Record):
+    def __init__(self, status: str, z: FreeElement | None = None):
+        self.status = status          # "yes" | "no" | "unknown"
+        self.z = z
 
 
 def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
