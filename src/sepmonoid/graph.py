@@ -98,11 +98,7 @@ class SepGraph:
             if e not in placed:
                 declared.setdefault(s, []).append((e,))
         self.blocks_of = {v: tuple(sorted(declared.get(v, ()))) for v in self.vertices}
-        self._key = (
-            self.vertices,
-            tuple(sorted(self.edges.items())),
-            tuple((v, self.blocks_of[v]) for v in self.vertices),
-        )
+        self._key = None                # built on the first __eq__ or __hash__
         self._derived = {}
 
     def derived(self, build):
@@ -119,13 +115,19 @@ class SepGraph:
     def is_sink(self, v) -> bool:
         return not self.blocks_of[v]
 
+    def _equality_key(self):
+        if self._key is None:
+            self._key = (self.vertices, tuple(self.edges.items()),
+                         tuple((v, self.blocks_of[v]) for v in self.vertices))
+        return self._key
+
     def __eq__(self, other):
         if not isinstance(other, SepGraph):
             return NotImplemented
-        return self._key == other._key
+        return self._equality_key() == other._equality_key()
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._equality_key())
 
     def __reduce__(self):
         # rebuild on unpickling, which starts an empty memo of derived results
@@ -225,7 +227,7 @@ def serialize_graph(g: SepGraph) -> str:
     lines = []
     for v in g.vertices:
         lines.append(f"vertex {v}")
-    for e, (s, d) in sorted(g.edges.items()):
+    for e, (s, d) in g.edges.items():          # sorted by id
         lines.append(f"edge {e} {s} {d}")
     for v in g.vertices:
         for blk in g.blocks_of[v]:
@@ -243,14 +245,19 @@ class Condensation(Record):
         self.poset = poset          # class ids; le(a, b) means b reaches a
 
 
+def _successors(g: SepGraph):
+    edges = g.edges
+    return {v: sorted([edges[e][1] for e in out]) for v, out in g._out.items()}
+
+
 def strongly_connected_components(g: SepGraph):
-    return components_of({v: sorted(g.edges[e][1] for e in g.out_edges(v))
-                          for v in g.vertices})
+    return components_of(_successors(g))
 
 
 def components_of(adj):
     """Strongly connected components of the digraph adj (vertex -> targets,
-    all of them keys of adj), each sorted, by Tarjan's algorithm."""
+    all of them keys of adj), each sorted, by Tarjan's algorithm.  A component
+    comes after every component that it reaches."""
     index = {}
     low = {}
     onstack = set()
@@ -296,21 +303,25 @@ def components_of(adj):
 
 
 def condensation(g: SepGraph) -> Condensation:
-    comps = strongly_connected_components(g)
+    adj = _successors(g)
     class_of = {}
     members = {}
-    for comp in comps:
+    down = {}       # class -> the classes it reaches, itself included
+    for comp in components_of(adj):
         cid = comp[0]
         members[cid] = tuple(comp)
         for v in comp:
             class_of[v] = cid
-    rel = []
-    for e, (s, d) in g.edges.items():
-        a, b = class_of[s], class_of[d]
-        if a != b:
-            rel.append((b, a))  # target class sits below source class
-    poset = Poset(members.keys(), rel)
-    return Condensation(class_of, members, poset)
+        # every class this one reaches came out before it, with its downset
+        # closed, so a class already in reach brings nothing new
+        reach = {cid}
+        for v in comp:
+            for w in adj[v]:
+                c = class_of[w]
+                if c not in reach:
+                    reach |= down[c]
+        down[cid] = reach
+    return Condensation(class_of, members, Poset._closed(down))
 
 
 # -------------------------------------------------------------- adaptability
@@ -363,7 +374,7 @@ def _regular_defects(g, cid, members):
             defects.append(Violation(
                 "A-regular-Cw", cid,
                 f"{w} has {nblocks} blocks, a regular vertex needs exactly one"))
-        internal = sum(1 for e in g.out_edges(w) if g.edges[e][1] in mset)
+        internal = sum(1 for e in g._out[w] if g.edges[e][1] in mset)
         if internal < 2:
             defects.append(Violation(
                 "A-regular-degree", cid,

@@ -12,6 +12,15 @@ class PosetError(ValueError):
     pass
 
 
+def _transpose(sets, elements):
+    """b -> {a : b in sets[a]}, over elements."""
+    out = {p: set() for p in elements}
+    for a in elements:
+        for b in sets[a]:
+            out[b].add(a)
+    return out
+
+
 class Poset:
     """Finite poset built from a set of elements and a generating relation.
 
@@ -42,13 +51,23 @@ class Poset:
         for a in self.elements:
             for b in reach[a]:
                 if a != b and a in reach[b]:
+                    # name the least pair, whatever the set order
+                    b = min(c for c in reach[a] if c != a and a in reach[c])
                     raise PosetError(f"antisymmetry fails: {a!r} and {b!r} lie on a cycle")
-        self._up = {p: frozenset(reach[p]) for p in self.elements}
-        down = {p: set() for p in self.elements}
-        for a in self.elements:
-            for b in self._up[a]:
-                down[b].add(a)
-        self._down = {p: frozenset(v) for p, v in down.items()}
+        self._close(reach, _transpose(reach, self.elements))
+
+    @classmethod
+    def _closed(cls, down):
+        """Poset whose downsets are down[p], each holding p: closed and acyclic."""
+        self = cls.__new__(cls)
+        self.elements = tuple(sorted(down))
+        self._close(_transpose(down, self.elements), down)
+        return self
+
+    def _close(self, up, down):
+        self._up = {p: frozenset(up[p]) for p in self.elements}
+        self._down = down = {p: frozenset(down[p]) for p in self.elements}
+        self._strict_down = {p: down[p] - {p} for p in self.elements}
         self._covers = None
 
     def __len__(self):
@@ -75,7 +94,7 @@ class Poset:
         return self._down[p]
 
     def strict_down(self, p) -> frozenset:
-        return self._down[p] - {p}
+        return self._strict_down[p]
 
     def covers(self) -> list:
         """All cover pairs (a, b): a < b with nothing strictly between."""

@@ -50,7 +50,7 @@ def split_random(rng: random.Random, x: FreeElement):
             da[v] = k
         if n - k:
             db[v] = n - k
-    return FreeElement(da), FreeElement(db)
+    return FreeElement._of(da), FreeElement._of(db)
 
 
 def refinement_suite(g: SepGraph, rng: random.Random, instances: int = 200,

@@ -14,7 +14,7 @@ import random
 from .graph import SepGraph, check_adaptable
 from .isystem import ISystem, extract_isystem, canonicalized, serialize_isystem
 from .posets import Poset
-from .rewrite import FreeElement, RewriteError, apply_step
+from .rewrite import FreeElement, RewriteError, _fire
 
 
 DEFAULT_GROUPS = ("0", "Z", "Z/2", "Z/3", "Z/4", "Z/2 + Z/2", "Z + Z/3")
@@ -95,22 +95,30 @@ def random_trace(rng: random.Random, g: SepGraph, x: FreeElement, steps: int):
 
     Each step is drawn uniformly from the list of the (vertex, block index)
     pairs of x, support vertices sorted and each vertex's blocks in order,
-    and only the drawn one is applied.
+    by one rng.choice over that list's indices.  Only the drawn step fires,
+    on one copy of x's counts; when none fires, x itself comes back.
     """
-    trace = []
+    if steps < 1:
+        return x, ()
     blocks_of = g.blocks_of
+    unknown = [v for v in x.counts if v not in blocks_of]
+    if unknown:
+        raise RewriteError(f"unknown vertex '{min(unknown)}' in element")
+    d = dict(x.counts)
+    trace = []
     for _ in range(steps):
-        opts = []
-        for v in x.support():
-            if v not in blocks_of:
-                raise RewriteError(f"unknown vertex '{v}' in element")
-            opts += [(v, bi) for bi in range(len(blocks_of[v]))]
-        if not opts:
+        support = sorted(d)
+        n = sum(len(blocks_of[v]) for v in support)
+        if not n:
             break
-        v, bi = rng.choice(opts)
-        trace.append((v, bi))
-        x = apply_step(g, x, v, bi)
-    return x, tuple(trace)
+        k = rng.choice(range(n))        # one _randbelow(n), as a choice over the list
+        for v in support:
+            if k < len(blocks_of[v]):
+                break
+            k -= len(blocks_of[v])
+        trace.append((v, k))
+        _fire(g, d, v, k)
+    return (FreeElement._of(d) if trace else x), tuple(trace)
 
 
 def random_walk(rng: random.Random, g: SepGraph, x: FreeElement,

@@ -72,7 +72,7 @@ class FreeElement:
         d = {}
         for v in seq:
             d[v] = d.get(v, 0) + 1
-        return cls(d)
+        return cls._of(d)
 
     def items(self):
         if self._items is None:

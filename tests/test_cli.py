@@ -348,6 +348,24 @@ def test_realize_errors_do_not_hang_on_the_hash_seed(tmp_path, text, first):
     assert errs[0].decode().splitlines()[0] == first
 
 
+def test_cycle_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # the poset used to name the second prime on the cycle in set order
+    path = tmp_path / "cycle.is"
+    path.write_text("".join(f"prime {p} reg\ngroup {p} : 0\n" for p in "pqr")
+                    + "cover p < q\ncover q < r\ncover r < p\n")
+    src = os.path.dirname(os.path.dirname(sepmonoid.__file__))
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    errs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        proc = subprocess.run([sys.executable, "-m", "sepmonoid.cli", "realize", str(path)],
+                              capture_output=True, env=env)
+        assert proc.returncode == 2
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert b"antisymmetry fails: 'p' and 'q' lie on a cycle" in errs[0]
+
+
 def test_realize_infeasible_exit_1(tmp_path, capsys):
     p = tmp_path / "obstructed.is"
     p.write_text("prime p reg\nprime q1 free\nprime q2 free\n"

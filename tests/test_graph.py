@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pickle
 import random
@@ -222,6 +223,47 @@ def test_scc_agrees_with_networkx():
             ours = strongly_connected_components(h)
             assert {frozenset(c) for c in ours} == theirs
             assert len(ours) == len(theirs)
+
+
+def _one_edge_cuts(rng, count, max_classes=6):
+    """The graphs of test_scc_agrees_with_networkx: random adaptable ones,
+    each followed by a copy with one edge removed."""
+    for _ in range(count):
+        g = random_adaptable(rng, max_classes)
+        yield g
+        if g.edges:
+            yield remove_edge(g, rng.choice(sorted(g.edges)))
+
+
+def test_condensation_order_agrees_with_networkx():
+    # the removed edge can split a class and leave a non-adaptable graph
+    nx = pytest.importorskip("networkx")
+    for h in _one_edge_cuts(random.Random(5), 100):
+        d = nx.DiGraph()
+        d.add_nodes_from(h.vertices)
+        d.add_edges_from(h.edges.values())
+        dag = nx.condensation(d)
+        node = dag.graph["mapping"]
+        cond = condensation(h)
+        assert sorted(cond.poset) == sorted(cond.members)
+        for a in cond.poset:
+            for b in cond.poset:
+                assert cond.poset.le(a, b) == nx.has_path(dag, node[b], node[a])
+
+
+def test_condensation_output_is_pinned():
+    # taken before condensation closed its order in Tarjan order
+    h = hashlib.sha256()
+    for s in range(200):
+        g = random_adaptable(random.Random(s))
+        for k in [g] + [remove_edge(g, e) for e in g.edges]:
+            rep = check_adaptable(k)
+            cond = rep.condensation
+            for part in (rep, list(cond.members.items()), list(cond.class_of.items()),
+                         cond.poset.elements, cond.poset.covers()):
+                h.update(repr(part).encode())
+                h.update(b"\0")
+    assert h.hexdigest() == "66ffe2abdfa2d51076724dd546245335a547fd7972b02b82bd75a8d498a88e12"
 
 
 def _scan_out_edges(g, v):

@@ -64,6 +64,24 @@ def test_up_down_sets():
     assert p.upset("top") == {"top"}
 
 
+def test_strict_downsets_are_built_once_on_both_paths():
+    rng = random.Random(8)
+    elems = [f"p{i}" for i in range(6)]
+    p = Poset(elems, [(a, b) for a in elems for b in elems if a < b and rng.random() < 0.4])
+    q = Poset._closed({x: p.downset(x) for x in reversed(elems)})
+    for poset in (p, q):
+        for x in elems:
+            assert poset.strict_down(x) == p.downset(x) - {x}
+            assert poset.strict_down(x) is poset.strict_down(x)
+            assert poset.upset(x) == p.upset(x)
+    assert q.elements == p.elements and q.covers() == p.covers()
+
+
+def test_cycle_error_names_the_least_pair():
+    with pytest.raises(PosetError, match="'p' and 'q' lie on a cycle"):
+        Poset("spqr", [("s", "r"), ("r", "p"), ("p", "q"), ("q", "r")])
+
+
 def test_linear_extension_is_deterministic_and_valid():
     p = Poset(["q", "p", "r"], [("q", "p"), ("q", "r")])
     ext = p.linear_extension()

@@ -145,6 +145,17 @@ def test_random_trace_rejects_vertices_outside_the_graph():
         step_targets(g, x)
 
 
+def test_random_trace_of_no_steps_returns_its_argument():
+    g = fixture_graph("g5")
+    x = FreeElement({"a": 1, "zz": 1})
+    rng = random.Random(0)
+    y, trace = random_trace(rng, g, x, 0)
+    assert y is x and trace == ()
+    assert rng.random() == random.Random(0).random()
+    zero = FreeElement()
+    assert random_trace(rng, g, zero, 3) == (zero, ()) and random_trace(rng, g, zero, 3)[0] is zero
+
+
 def _sha256(texts):
     h = hashlib.sha256()
     for text in texts:
