@@ -7,7 +7,7 @@ homomorphisms act on the right (x maps to x @ M).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import mul
@@ -244,45 +244,67 @@ def unimodular_inverse(m):
 # ------------------------------------------------------------------ groups
 
 
+class _Frame:
+    """One presentation's Smith data as int tuples: v, the nonzero diagonal,
+    the invariant factors, the free and torsion indices, and the coordinate
+    columns.  vinv (the inverse of v) and canon
+    (FGAbelianGroup.canonical_frame) are filled on first use."""
+    __slots__ = ("v", "diag", "invariant_factors", "free_idx", "tors_idx", "columns",
+                 "vinv", "canon")
+
+    def __init__(self, ngens, relations):
+        self.vinv = self.canon = None
+        if relations:
+            _, s, v = _smith(relations, False)
+            self.v = v = tuple(map(tuple, v))
+            self.diag = diag = tuple(s[i][i] for i in range(min(len(s), ngens)) if s[i][i])
+        else:
+            # no relations: the identity is its own inverse, no Smith form needed
+            self.v = self.vinv = v = tuple(map(tuple, identity(ngens)))
+            self.diag = diag = ()
+        self.invariant_factors = tuple(d for d in diag if d > 1)
+        self.free_idx = tuple(range(len(diag), ngens))
+        self.tors_idx = tuple(i for i, d in enumerate(diag) if d > 1)
+        # (column of v, modulus) per canonical coordinate, free ones first;
+        # the columns of invariant factor 1 are never read
+        cols = [(i, 0) for i in self.free_idx] + [(i, diag[i]) for i in self.tors_idx]
+        self.columns = tuple((tuple(row[i] for row in v), m) for i, m in cols)
+
+    def inverse(self):
+        # built on first use by from_canonical or canonical_generators
+        if self.vinv is None:
+            self.vinv = tuple(map(tuple, unimodular_inverse(self.v)))
+        return self.vinv
+
+
+# frames of small presentations (FGAbelianGroup); larger ones repeat too rarely
+# to pay for an entry that keeps their frames alive for the collector
+_frame = lru_cache(maxsize=256)(_Frame)
+
+
 class FGAbelianGroup:
     """Abelian group presented by ngens generators and integer relations.
 
     Relations are coefficient rows: the row (2, -1) says 2*g0 - g1 == 0.
+    The Smith data lives in a _Frame.  Groups whose presentation has at most
+    2 int relations on at most 2 generators share one frame per presentation,
+    from a 256-entry LRU cache (`_frame`); any other presentation builds its
+    own.  No result depends on the cache, and relations is each group's own list.
     """
 
     def __init__(self, ngens: int, relations=()):
         self.ngens = ngens
-        self.relations = [list(r) for r in relations]
-        for r in self.relations:
+        self.relations = rels = [list(r) for r in relations]
+        for r in rels:
             if len(r) != ngens:
                 raise AbelianError(f"relation length {len(r)} != ngens {ngens}")
-        if self.relations:
-            _, s, v = _smith(self.relations, False)
-            self._v = v
-            k = min(len(self.relations), ngens)
-            self._diag = [s[i][i] for i in range(k) if s[i][i]]
+        if len(rels) <= 2 and ngens <= 2 and all(type(x) is int for r in rels for x in r):
+            self._frame = f = _frame(ngens, tuple(map(tuple, rels)))
         else:
-            # no relations: the identity is its own inverse, no Smith form needed
-            self._v = self._vinv = identity(ngens)
-            self._diag = []
-        self.rank = len(self._diag)
+            self._frame = f = _Frame(ngens, rels)
+        self.rank = len(f.diag)
         self.free_rank = ngens - self.rank
-        self.invariant_factors = tuple(d for d in self._diag if d > 1)
-        self._free_idx = list(range(self.rank, ngens))
-        self._tors_idx = [i for i, d in enumerate(self._diag) if d > 1]
-
-    @cached_property
-    def _columns(self):
-        # (column of v, modulus) per canonical coordinate, free ones first;
-        # the columns of invariant factor 1 are never read
-        cols = [(i, 0) for i in self._free_idx] + [(i, self._diag[i]) for i in self._tors_idx]
-        return tuple((tuple(row[i] for row in self._v), m) for i, m in cols)
-
-    @cached_property
-    def _vinv(self):
-        # the inverse transform, built on first use by from_canonical or
-        # canonical_generators; a relation-free group sets it in __init__
-        return unimodular_inverse(self._v)
+        self.invariant_factors = f.invariant_factors
 
     # -- structure
 
@@ -302,7 +324,7 @@ class FGAbelianGroup:
         """(free coords, torsion coords) of an element given by coeffs."""
         if len(coeffs) != self.ngens:
             raise AbelianError("vector/matrix shape mismatch")
-        cols, k = self._columns, self.free_rank
+        cols, k = self._frame.columns, self.free_rank
         free = tuple(sum(map(mul, coeffs, col)) for col, _ in cols[:k])
         tors = tuple(sum(map(mul, coeffs, col)) % m for col, m in cols[k:])
         return free, tors
@@ -313,23 +335,42 @@ class FGAbelianGroup:
         The dot product of coeffs with a column, reduced mod its modulus
         when that is nonzero, is one entry of canonical_coords(coeffs).
         """
-        return list(self._columns)
+        return list(self._frame.columns)
 
     def from_canonical(self, free, tors) -> "GroupElement":
+        f = self._frame
         c = [0] * self.ngens
-        for k, i in enumerate(self._free_idx):
+        for k, i in enumerate(f.free_idx):
             c[i] = free[k]
-        for k, i in enumerate(self._tors_idx):
+        for k, i in enumerate(f.tors_idx):
             c[i] = tors[k]
-        return self.element(vec_mat(c, self._vinv))
+        return self.element(vec_mat(c, f.inverse()))
 
     def canonical_generators(self):
         """Elements mapping to the canonical basis: free gens, then torsion gens."""
-        return [self.element(self._vinv[i]) for i in self._free_idx + self._tors_idx]
+        f = self._frame
+        # a group with no canonical generators (the trivial group) needs no inverse
+        return [self.element(f.inverse()[i]) for i in f.free_idx + f.tors_idx]
+
+    def canonical_frame(self):
+        """(relations, coords) of the canonical diagonal form: its diagonal
+        relation rows, free coordinates first, and the matrix taking
+        coefficient rows to canonical coordinates (torsion not yet reduced),
+        or None when the group is already in that form and keeps its
+        generators.  Built once per frame, so groups of one small
+        presentation share it."""
+        f = self._frame
+        if f.canon is None:
+            n = self.free_rank + len(self.invariant_factors)
+            rels = tuple(tuple(d if j == k else 0 for j in range(n))
+                         for k, d in enumerate(self.invariant_factors, self.free_rank))
+            same = self.ngens == n and tuple(map(tuple, self.relations)) == rels
+            f.canon = rels, None if same else self.generator_coords()
+        return f.canon
 
     def generator_coords(self):
         """Canonical coordinates of each generator, free then torsion, as rows."""
-        cols = self._columns
+        cols = self._frame.columns
         return [[col[j] % m if m else col[j] for col, m in cols] for j in range(self.ngens)]
 
     # -- elements
@@ -384,7 +425,7 @@ class GroupElement:
             raise AbelianError("elements of different groups")
 
     def is_zero(self) -> bool:
-        return vanishes(self.coeffs, self.group._columns)
+        return vanishes(self.coeffs, self.group._frame.columns)
 
     def canonical(self):
         return self.group.canonical_coords(self.coeffs)
@@ -468,7 +509,7 @@ class GroupHom:
         return GroupHom(other.domain, self.codomain, mat)
 
     def is_well_defined(self) -> bool:
-        cols = self.codomain._columns
+        cols = self.codomain._frame.columns
         return all(vanishes(vec_mat(rel, self.matrix), cols) for rel in self.domain.relations)
 
     def is_isomorphism(self) -> bool:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .abelian import (FGAbelianGroup, GroupElement, GroupHom, identity,
-                      left_kernel, vec_mat, zero_hom)
+from .abelian import (FGAbelianGroup, GroupElement, GroupHom, left_kernel,
+                      vec_mat, zero_hom)
 from .graph import (MAX_EXPANDED_EDGES, SepGraph, _unaddressable,
                     require_adaptable)
 from .posets import Poset
@@ -243,7 +243,7 @@ def presented_group(g: SepGraph, cond, kinds, verts, extra_free=()):
         if kinds[cond.class_of[w]] == "regular":
             row = [0] * len(verts)
             row[index[w]] += 1
-            for e in g.out_edges(w):
+            for e in g._out[w]:
                 row[index[g.edges[e][1]]] -= 1
             rows.append(row)
         else:
@@ -426,32 +426,31 @@ def _torsion_reduced(row, g: FGAbelianGroup):
     return out
 
 
-def _canonical_frame(g: FGAbelianGroup):
-    """(relations, coords, preimages) of g's canonical diagonal form: the
-    diagonal relation rows, the matrix taking g's coefficient rows to their
-    canonical coordinates (torsion not yet reduced), and a function giving
-    the canonical generators' coefficient rows (a Smith form on first call,
-    paid only by map sources).  A group already in that form keeps its generators."""
-    n = g.free_rank + len(g.invariant_factors)
-    eye = identity(n)
-    rels = [[d * x for x in eye[k]] for k, d in enumerate(g.invariant_factors, g.free_rank)]
-    if g.ngens == n and g.relations == rels:
-        return rels, eye, lambda: eye
-    return rels, g.generator_coords(), lambda: [e.coeffs for e in g.canonical_generators()]
+def _source_images(matrix, g: FGAbelianGroup):
+    """Rows of matrix, a hom out of g, taken at g's canonical generators."""
+    if g.canonical_frame()[1] is None:
+        return matrix
+    return [vec_mat(e.coeffs, matrix) for e in g.canonical_generators()]
+
+
+def _target_coords(row, g: FGAbelianGroup):
+    """row, coefficients in g, in g's canonical coordinates (row itself
+    when g is in canonical form)."""
+    coords = g.canonical_frame()[1]
+    return row if coords is None else vec_mat(row, coords)
 
 
 def canonicalized(sys: ISystem) -> ISystem:
     """Equivalent system whose groups are in canonical diagonal form."""
-    frames, canon = {}, {}
+    canon = {}
     for p in sys.poset:
         g = sys.group[p]
-        frames[p] = _canonical_frame(g)
-        canon[p] = FGAbelianGroup(g.free_rank + len(g.invariant_factors), frames[p][0])
+        canon[p] = FGAbelianGroup(g.free_rank + len(g.invariant_factors), g.canonical_frame()[0])
     maps = {}
     for (hi, lo), cm in sys.maps.items():
-        coords = frames[hi][1]
-        rows = [vec_mat(vec_mat(pre, cm.hom.matrix), coords) for pre in frames[lo][2]()]
-        unit = None if cm.unit is None else canon[hi].element(vec_mat(cm.unit.coeffs, coords))
+        g = sys.group[hi]
+        rows = [_target_coords(row, g) for row in _source_images(cm.hom.matrix, sys.group[lo])]
+        unit = None if cm.unit is None else canon[hi].element(_target_coords(cm.unit.coeffs, g))
         maps[(hi, lo)] = ConnectingMap(GroupHom(canon[lo], canon[hi], rows), unit)
     return ISystem(sys.poset, sys.kind, canon, maps)
 
@@ -460,7 +459,6 @@ def serialize_isystem(sys: ISystem) -> str:
     """`.is` text of sys in canonical form: each map clause gives the
     canonical coordinates in G_hi of the unit image or of the image of one
     of G_lo's canonical generators, with torsion reduced."""
-    frames = {p: _canonical_frame(sys.group[p]) for p in sys.poset}
     lines = []
     for p in sys.poset:
         lines.append(f"prime {p} {'reg' if sys.kind[p] == 'regular' else 'free'}")
@@ -469,16 +467,16 @@ def serialize_isystem(sys: ISystem) -> str:
     for p in sys.poset:
         lines.append(f"group {p} : {sys.group[p].canonical_name()}")
     for hi in sys.poset:
+        g = sys.group[hi]
         for lo in sorted(sys.poset.strict_down(hi)):
             cm = sys.maps[(hi, lo)]
             if sys.kind[lo] == "regular" and sys.group[lo].is_trivial():
                 continue
             images = [] if cm.unit is None else [("unit", cm.unit.coeffs)]
-            images += [(f"g{i}", vec_mat(pre, cm.hom.matrix))
-                       for i, pre in enumerate(frames[lo][2](), 1)]
+            images += [(f"g{i}", row) for i, row in
+                       enumerate(_source_images(cm.hom.matrix, sys.group[lo]), 1)]
             clauses = (f"{lhs} -> " + serialize_coords(
-                _torsion_reduced(vec_mat(row, frames[hi][1]), sys.group[hi]))
-                for lhs, row in images)
+                _torsion_reduced(_target_coords(row, g), g)) for lhs, row in images)
             lines.append(f"map {hi} <- {lo} : " + " ; ".join(clauses))
     return "\n".join(lines) + "\n"
 

@@ -180,6 +180,7 @@ def test_canonical_coords_roundtrip():
 
 
 def test_relation_free_group_needs_no_smith_form(monkeypatch):
+    abelian._frame.cache_clear()    # the counts below start from a cold cache
     calls = []
     real = abelian._smith
     monkeypatch.setattr(abelian, "_smith",
@@ -190,9 +191,13 @@ def test_relation_free_group_needs_no_smith_form(monkeypatch):
     assert calls == []
     FGAbelianGroup(2, [[2, 0]])
     assert calls                    # the counter does see a presented group
+    seen = len(calls)
+    FGAbelianGroup(2, [[2, 0]])
+    assert len(calls) == seen       # the same small presentation shares its frame
 
 
 def test_inverse_transform_is_built_on_first_use(monkeypatch):
+    abelian._frame.cache_clear()    # the counts below start from a cold cache
     calls = []
     real = abelian._smith
     monkeypatch.setattr(abelian, "_smith",
@@ -206,6 +211,102 @@ def test_inverse_transform_is_built_on_first_use(monkeypatch):
     assert group_eq(g, x, g.element([1, 1]))
     g.canonical_generators()
     assert len(calls) == 2
+    h = FGAbelianGroup(2, [[2, 4]])
+    assert group_eq(h, h.from_canonical(free, tors), h.element([1, 1]))
+    h.canonical_generators()
+    assert len(calls) == 2          # a second group reuses the frame and its inverse
+
+
+def _small_and_larger_presentations(rng):
+    """(ngens, relations): every 0 x n, 1 x 1, 1 x 2 and 2 x 1 presentation
+    with entries within 3, 300 drawn 2 x 2 ones with entries within 3, then
+    seeded presentations up to 6 x 6 with entries within 20.  Presentations
+    that differ only by a swap or a sign are many, so a frame shared where
+    it should not be shows."""
+    out = [(n, []) for n in range(3)]
+    for m, n in ((1, 1), (1, 2), (2, 1)):
+        for flat in product(range(-3, 4), repeat=m * n):
+            out.append((n, [list(flat[i * n:(i + 1) * n]) for i in range(m)]))
+    for _ in range(300):
+        out.append((2, [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]))
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        out.append((n, _seeded_matrix(rng, rng.randint(0, 6), n, 20)))
+    return out
+
+
+def _group_answers(g, elements):
+    return (g.invariant_factors, g.free_rank, g.coordinate_columns(),
+            [x.coeffs for x in g.canonical_generators()],
+            [g.canonical_coords(c) for c in elements])
+
+
+def test_groups_do_not_depend_on_the_frame_cache():
+    rng = random.Random(41)
+    cases = _small_and_larger_presentations(rng)
+    for n, rels in cases:
+        FGAbelianGroup(n, rels)                                 # fills the cache
+    warm = [FGAbelianGroup(n, rels) for n, rels in cases]
+    for (n, rels), w in zip(cases, warm):
+        elements = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(5)]
+        abelian._frame.cache_clear()
+        cold = FGAbelianGroup(n, rels)
+        again = FGAbelianGroup(n, rels)                         # a cache hit when small
+        expect = _group_answers(cold, elements)
+        assert _group_answers(w, elements) == expect
+        assert _group_answers(again, elements) == expect
+        assert cold.relations == again.relations == [list(r) for r in rels]
+        assert cold.relations is not again.relations
+    # 2.0 == 2 hash alike; a float presentation must not lend its frame
+    FGAbelianGroup(1, [[2.0]])
+    assert FGAbelianGroup(1, [[2]]).canonical_name() == "Z/2"
+
+
+def test_small_presentations_share_one_frame():
+    a = FGAbelianGroup(2, [[2, 4], [0, 6]])
+    b = FGAbelianGroup(2, ((2, 4), (0, 6)))
+    assert a._frame is b._frame
+    assert a.relations is not b.relations
+    a.relations[0][0] = 3           # each group's relations are its own list
+    assert b.relations == [[2, 4], [0, 6]]
+    assert FGAbelianGroup(3, [[2, 4, 0]])._frame is not FGAbelianGroup(3, [[2, 4, 0]])._frame
+
+
+def test_canonical_frame_keeps_a_canonical_group_and_is_shared():
+    # Z + Z/2, presented in canonical form and with the factors swapped
+    assert FGAbelianGroup(2, [[0, 2]]).canonical_frame() == (((0, 2),), None)
+    g = FGAbelianGroup(2, [[2, 0]])
+    rels, coords = g.canonical_frame()
+    assert rels == ((0, 2),) and coords == g.generator_coords() == [[0, 1], [1, 0]]
+    assert FGAbelianGroup(2, [[2, 0]]).canonical_frame() is g.canonical_frame()
+    big = FGAbelianGroup(3, [[2, 0, 0]])
+    assert big.canonical_frame() is not FGAbelianGroup(3, [[2, 0, 0]]).canonical_frame()
+
+
+def test_frame_cache_is_bounded():
+    rng = random.Random(43)
+    for _ in range(1000):
+        n = rng.randint(0, 2)
+        FGAbelianGroup(n, [[rng.randint(-50, 50) for _ in range(n)]
+                           for _ in range(rng.randint(0, 2))])
+        assert abelian._frame.cache_info().currsize <= 256
+    assert abelian._frame.cache_info().currsize == 256
+
+
+def test_larger_presentations_stay_out_of_the_frame_cache():
+    rng = random.Random(47)
+    FGAbelianGroup(1, [[5]])
+    before = abelian._frame.cache_info()
+    seen = set()
+    while len(seen) < 1000:
+        n = rng.choice((3, 4))
+        rels = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+        if rels not in seen:
+            seen.add(rels)
+            FGAbelianGroup(n, rels)
+    after = abelian._frame.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def _seeded_matrix(rng, m, n, bound):
@@ -333,9 +434,10 @@ def _vec_mat_scan(x, a):
 
 
 def _full_product_coords(g, coeffs):
-    c = _vec_mat_scan(list(coeffs), g._v)
-    return (tuple(c[i] for i in g._free_idx),
-            tuple(c[i] % g._diag[i] for i in g._tors_idx))
+    f = g._frame
+    c = _vec_mat_scan(list(coeffs), f.v)
+    return (tuple(c[i] for i in f.free_idx),
+            tuple(c[i] % f.diag[i] for i in f.tors_idx))
 
 
 def _full_product_is_zero(g, coeffs):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import random
 import re
 
@@ -492,3 +493,17 @@ def test_serialize_isystem_matches_the_canonicalized_route():
         for k, cm in old.maps.items():
             assert new.maps[k].hom.matrix == cm.hom.matrix
             assert (new.maps[k].unit and new.maps[k].unit.coeffs) == (cm.unit and cm.unit.coeffs)
+
+
+def test_extracted_reparsed_and_canonicalized_texts_are_pinned():
+    # small presentations share one Smith frame and its canonical form, and
+    # a group already in canonical form keeps its generators; the texts must
+    # not move (digest taken before the frames were shared)
+    h = hashlib.sha256()
+    for seed in range(300):
+        sysm = extract_isystem(random_adaptable(random.Random(seed), 6))
+        text = serialize_isystem(sysm)
+        for t in (text, serialize_isystem(parse_isystem(text)),
+                  serialize_isystem(canonicalized(sysm))):
+            h.update(t.encode())
+    assert h.hexdigest() == "8b5625c8c6bb6523b148dd4b2ecb69afc53bb1606cc499585aeea1d33d3276ab"
