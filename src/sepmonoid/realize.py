@@ -471,6 +471,15 @@ def _realize_regular(builder: _Builder, p, budget, log):
     Each of them still counts as one visit, after the same budget check,
     so the visits, the log and the graph are those of the search that
     inserts every row.
+
+    Before any of that is built, `accept` checks the first descent (the
+    first candidate at every level), which the search reaches after
+    nW + 1 visits.  Every candidate and lower row lies in the values'
+    kernel lattice, target, and `_presents` holds exactly when their span
+    equals it (the values map onto G_p).  So if it accepts, span == target
+    at the leaf and no level is pruned (a row raises the rank by at most
+    1): the search returns the same.  The check before level j's row sees
+    j + 1 visits, so both finish that descent when nW < 100 * budget.
     """
     sysm = builder.sysm
     G = sysm.group[p]
@@ -525,12 +534,32 @@ def _realize_regular(builder: _Builder, p, budget, log):
             return None
         return out_maps
 
-    target = _row_hnf(_kernel_rows(values, G))
     # pinning vectors: a lower vertex plus gadget vertices cancelling its value
-    tcone = list(tval.items())
-    pre = {u: _nonneg_preimage(G, -val, tcone) for u, val in zip(L, required)}
-    pin = {u: _merge({u: 1}, m) for u, m in pre.items() if m is not None}
-    cover_pins = [pin[u] for u in (builder.class_vertices[q][0] for q in covers) if u in pin]
+    image = dict(zip(order, values))
+
+    def pin_of(u):
+        m = _nonneg_preimage(G, -image[u], list(tval.items()))
+        return None if m is None else _merge({u: 1}, m)
+
+    cover_pin = {u: pin_of(u) for u in (builder.class_vertices[q][0] for q in covers)}
+    cover_pins = [z for z in cover_pin.values() if z is not None]
+
+    def vec(ms):
+        return tuple(ms.get(v, 0) for v in order)
+
+    def first(j):
+        # the first candidate of level j: core plus ring, the cover pins on row 0
+        w = row_order[j]
+        return vec(reduce(_merge, [core[w], ring[w]] + (cover_pins if j == 0 else [])))
+
+    out_maps = accept(tuple(map(first, range(nW)))) if nW < 100 * budget else None
+    if out_maps is not None:
+        builder.add_class(p, {w: [out_maps[w]] for w in W}, image, tval)
+        log.append(f"regular {p}: vertices {', '.join(W)}, attempt {nW + 1}")
+        return
+
+    target = _row_hnf(_kernel_rows(values, G))
+    pins = [cover_pin[u] if u in cover_pin else pin_of(u) for u in L]
     coords = [[*free, *tors] for free, tors in (v.canonical() for v in values)]
     # target is the kernel lattice: the rows on which these vanish
     inside = list(zip(zip(*coords), mods))
@@ -539,13 +568,10 @@ def _realize_regular(builder: _Builder, p, budget, log):
     # far from the start, then reads on demand
     small_rows = tee(_small_kernel_rows(coords, mods, nW), 1)[0]
 
-    def vec(ms):
-        return tuple(ms.get(v, 0) for v in order)
-
     def extra_vecs():
         # nothing, each pinning vector, then each pair of them
         yield (0,) * len(order)
-        singles = [vec(m) for m in pin.values()]
+        singles = [vec(m) for m in pins if m is not None]
         yield from singles
         for i, z in enumerate(singles):
             for y in singles[i:]:
@@ -554,8 +580,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
     extras = tee(extra_vecs(), 1)[0]
 
     def level(j):
-        w = row_order[j]
-        fixed = vec(reduce(_merge, [core[w], ring[w]] + (cover_pins if j == 0 else [])))
+        fixed = first(j)
         seen = set()
         for extra in extras.__copy__():
             row = tuple(map(add, fixed, extra))
@@ -596,7 +621,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
     if out_maps is None:
         raise ConstructionFailed(
             f"regular prime {p}: no row set matched the kernel lattice after {visits} visits")
-    builder.add_class(p, {w: [out_maps[w]] for w in W}, dict(zip(order, values)), tval)
+    builder.add_class(p, {w: [out_maps[w]] for w in W}, image, tval)
     log.append(f"regular {p}: vertices {', '.join(W)}, attempt {visits}")
 
 

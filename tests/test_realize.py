@@ -925,8 +925,9 @@ def test_completion_test_is_built_only_after_two_failed_last_rows(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(realize_mod, "_completion_test", counting)
-    # every regular prime here takes its first candidate at each level:
-    # the root and one visit per gadget vertex
+    # every regular prime here is accepted on its first descent (the first
+    # candidate at each level: the root and one visit per gadget vertex),
+    # so it ends before any search is built
     for text in ("prime p reg\ngroup p : Z/2\n", "prime p reg\ngroup p : Z\n",
                  "prime p reg\ngroup p : Z + Z/3\n"):
         res = realize(parse_isystem(text))
@@ -944,3 +945,63 @@ def test_completion_test_is_built_only_after_two_failed_last_rows(monkeypatch):
     res = realize(parse_isystem(DEEP_SYSTEM))
     assert res.log[2] == "regular p4: vertices p4.1, p4.2, p4.3, attempt 417"
     assert len(built) > 1
+
+
+def test_an_accepted_first_descent_builds_no_kernel_lattice(monkeypatch):
+    calls = []
+    real = realize_mod._kernel_rows
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(realize_mod, "_kernel_rows", counting)
+    # a lone regular prime is accepted on its first descent: no kernel rows
+    for group in ("Z/2", "Z", "Z + Z/3", "0"):
+        res = realize(parse_isystem(f"prime p reg\ngroup p : {group}\n"))
+        nW = len(res.class_map["p"])
+        assert res.log == [f"regular p: vertices {', '.join(res.class_map['p'])}, "
+                           f"attempt {nW + 1}"], group
+        assert calls == [], group
+    # the deep system: p2 ends at its first descent, p3 and p4 search, and
+    # the free p5 reads its kernel rows; the logs are the golden ones
+    res = realize(parse_isystem(DEEP_SYSTEM))
+    assert res.log == ["regular p2: vertices p2.1, p2.2, attempt 3",
+                       "regular p3: vertices p3.1, p3.2, p3.3, attempt 5",
+                       "regular p4: vertices p4.1, p4.2, p4.3, attempt 417",
+                       "free p5: vertex p5, 1 block(s)"]
+    assert len(calls) == 3
+
+
+def test_first_descent_keeps_the_search_budget_bound():
+    # Z^r has 2r gadget vertices, so its first descent ends at 2r + 1
+    # visits; the search finishes it only when 2r < 100 * budget
+    def system(r):
+        return parse_isystem(f"prime p reg\ngroup p : Z^{r}\n")
+
+    assert realize(system(49), budget=1).log[-1].endswith(", attempt 99")
+    with pytest.raises(ConstructionFailed) as exc:
+        realize(system(50), budget=1)
+    assert str(exc.value) == ("regular prime p: no row set matched the kernel lattice "
+                              "after 100 visits")
+    assert realize(system(50), budget=2).log[-1].endswith(", attempt 101")
+
+
+def test_two_torsion_factor_realizations_are_pinned():
+    # every lone Z/a + Z/b (a | b <= 64), (Z/16)^3 and (Z/16)^4: each first
+    # descent fails, so all of them take the search; SHA-256 of each graph
+    # and log, or the exception text, taken before the first-descent check
+    groups = [f"Z/{a} + Z/{b}" for b in range(2, 65) for a in range(2, b + 1) if b % a == 0]
+    groups += [" + ".join(["Z/16"] * k) for k in (3, 4)]
+    h = hashlib.sha256()
+    failed = 0
+    for group in groups:
+        try:
+            res = realize(parse_isystem(f"prime p reg\ngroup p : {group}\n"))
+            text = serialize_graph(res.graph) + "\n".join(res.log) + "\n"
+        except ConstructionFailed as exc:
+            failed += 1
+            text = f"ConstructionFailed: {exc}\n"
+        h.update(text.encode())
+    assert (len(groups), failed) == (218, 38)
+    assert h.hexdigest() == "07309684060f2d04b0a4bf9201904849dd98fe25b1d53c36bf326601a8d026e2"
