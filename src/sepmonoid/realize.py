@@ -196,32 +196,29 @@ def _row_hnf(rows):
     return reduce(_hnf_insert, rows, ())
 
 
-def _completion_test(target, span, inside):
-    """The predicate `_hnf_insert(span, row) == target` on rows, decided in
-    the quotient Q = target / span instead of by one insertion per row.
+def _completion_test(target, span):
+    """The predicate `_hnf_insert(span, row) == target` on the rows of
+    target, decided in the quotient Q = target / span instead of by one
+    insertion per row.
 
-    Both are canonical HNFs and span lies in target; inside holds the
-    (column, modulus) pairs, as `coordinate_columns()` gives them, on which
-    exactly the rows of target vanish.  Span's rows are written over
-    target's rows by exact back-substitution on target's pivot columns, and
-    one Smith form of those coordinate rows gives Q's canonical
-    coordinates.  If Q needs two or more generators, no row completes; if Q
-    is trivial, every row of target does; if Q is cyclic, a row of target
-    does when its one coordinate y in Q has gcd(y, d) == 1 (|y| == 1 when
-    Q is Z).  A row outside target never completes.
+    Both are canonical HNFs and span lies in target.  Span's rows are
+    written over target's rows by exact back-substitution on target's pivot
+    columns, and one Smith form of those coordinate rows gives Q's
+    canonical coordinates.  If Q needs two or more generators, no row
+    completes; if Q is trivial, every row does; if Q is cyclic, a row does
+    when its one coordinate y in Q has gcd(y, d) == 1 (|y| == 1 when Q is
+    Z).  A row outside target is not in the predicate's domain.
     """
     piv = [r.index(next(filter(None, r))) for r in target]
 
     def coords(row):
         out = []
         for t, c in zip(target, piv):
-            q, rem = divmod(row[c], t[c])
-            if rem:
-                return None
+            q = row[c] // t[c]
             out.append(q)
             if q:
                 row = [a - q * b for a, b in zip(row, t)]
-        return None if any(row) else out
+        return out
 
     # a row of span that is row j of target has coordinates e_j: it kills
     # generator j of Q, so Q is presented on the other generators alone
@@ -232,7 +229,7 @@ def _completion_test(target, span, inside):
     if len(cols) > 1:
         return lambda row: False
     if not cols:
-        return lambda row: vanishes(row, inside)
+        return lambda row: True
     (live_col, d), = cols
     col = [0] * len(target)
     for j, x in zip(live, live_col):
@@ -244,7 +241,7 @@ def _completion_test(target, span, inside):
     for i in reversed(range(len(target))):
         t, c = target[i], piv[i]
         form[c] = (col[i] * det - sum(map(mul, t, form))) // t[c]
-    return lambda row: vanishes(row, inside) and gcd(sum(map(mul, row, form)) // det, d) == 1
+    return lambda row: gcd(sum(map(mul, row, form)) // det, d) == 1
 
 
 def _kernel_rows(values, G):
@@ -444,13 +441,6 @@ def _small_kernel_rows(coords, mods, nW):
             key += codes[p - 1] - c * codes[p] + (c - 1) * codes[-1]
 
 
-# Candidates a node with one row left adds to its span before it builds its
-# completion test.  A build costs about five insertions, and where the
-# first candidate fails the second often completes, which makes a build
-# after one failure a loss on most such nodes of the stress corpus.
-_LAST_ROW_INSERTIONS = 2
-
-
 def _realize_regular(builder: _Builder, p, budget, log):
     """Gadget rows (out-maps minus one loop) by one depth-first search.
 
@@ -464,22 +454,21 @@ def _realize_regular(builder: _Builder, p, budget, log):
     Each level reads its pool once, as int tuples, and every later node at
     that level replays it.  Rows that cannot raise the span to the lattice
     rank are pruned, and one visit counter stops the whole search when it
-    reaches 100 * budget.  At a node with one row left, the first
-    _LAST_ROW_INSERTIONS (2) candidates are added to the span as at every
-    other level; once they fail, `_completion_test` decides the node's
-    other candidates in the quotient target / span, with no insertion.
-    Each of them still counts as one visit, after the same budget check,
-    so the visits, the log and the graph are those of the search that
-    inserts every row.
+    reaches 100 * budget.  A node with one row left builds one
+    `_completion_test` and decides every candidate in the quotient
+    target / span, with no insertion; each counts as one visit, after the
+    same budget check, and goes to `accept` when it raises the span to
+    target.  The test is exact on rows of target, and every pool row is
+    one: core, ring, pins and small rows are all kernel rows of the values.
 
     Before any of that is built, `accept` checks the first descent (the
     first candidate at every level), which the search reaches after
     nW + 1 visits.  Every candidate and lower row lies in the values'
     kernel lattice, target, and `_presents` holds exactly when their span
-    equals it (the values map onto G_p).  So if it accepts, span == target
-    at the leaf and no level is pruned (a row raises the rank by at most
-    1): the search returns the same.  The check before level j's row sees
-    j + 1 visits, so both finish that descent when nW < 100 * budget.
+    equals it (the values map onto G_p).  So if it accepts, the last row
+    completes target and no level is pruned (a row raises the rank by at
+    most 1): the search returns the same.  The check before level j's row
+    sees j + 1 visits, so both finish that descent when nW < 100 * budget.
     """
     sysm = builder.sysm
     G = sysm.group[p]
@@ -561,8 +550,6 @@ def _realize_regular(builder: _Builder, p, budget, log):
     target = _row_hnf(_kernel_rows(values, G))
     pins = [cover_pin[u] if u in cover_pin else pin_of(u) for u in L]
     coords = [[*free, *tors] for free, tors in (v.canonical() for v in values)]
-    # target is the kernel lattice: the rows on which these vanish
-    inside = list(zip(zip(*coords), mods))
     # each pool is a tee object over one lazy generator: a copy of it
     # (__copy__, no dispatch through copy.copy) replays what was read so
     # far from the start, then reads on demand
@@ -596,20 +583,17 @@ def _realize_regular(builder: _Builder, p, budget, log):
         visits += 1
         if len(target) - len(span) > nW - len(rows):
             return None
-        if len(rows) == nW:
-            return accept(rows) if span == target else None
-        completes = None
-        for k, row in enumerate(candidates[len(rows)].__copy__(), 1):
+        last = len(rows) == nW - 1
+        completes = _completion_test(target, span) if last else None
+        for row in candidates[len(rows)].__copy__():
             if visits >= 100 * budget:
                 return None
-            if completes is not None:
-                # the one visit that rec would count for the last row
+            if last:
+                # one visit per candidate, as a node one level down counts
                 visits += 1
                 got = accept(rows + (row,)) if completes(row) else None
             else:
                 got = rec(rows + (row,), _hnf_insert(span, row))
-                if got is None and len(rows) == nW - 1 and k == _LAST_ROW_INSERTIONS:
-                    completes = _completion_test(target, span, inside)
             if got is not None:
                 return got
         return None

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import random
 import re
+from functools import reduce
 from math import comb
 
 import pytest
@@ -683,9 +684,8 @@ def test_kernel_rows_span_the_canonical_coordinate_lattice():
 
 
 # The slowest system of the realize-roundtrip corpus: p4's search makes 417
-# visits.  At a node with one row left, the first two candidates are added
-# to the span; once both fail, the node's completion test decides the
-# others in target / span, each still one visit.
+# visits.  Each node with one row left builds one completion test, which
+# decides every candidate in target / span, each still one visit.
 DEEP_SYSTEM = """\
 prime p1 free
 prime p2 reg
@@ -892,31 +892,26 @@ def test_completion_test_agrees_with_insertion():
         shape = rng.choice(["trivial", "Z", "cyclic", "non-cyclic"])
         target, span, kind = _lattice_pair(rng, shape)
         n = len(target[0])
-        inside = FGAbelianGroup(n, [list(t) for t in target]).coordinate_columns()
-        completes = _completion_test(target, span, inside)
+        completes = _completion_test(target, span)
         rows = list(target)
-        rows += [tuple(sum(rng.randint(-2, 2) * t[j] for t in target) for j in range(n))
-                 for _ in range(6)]
-        rows += [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)]
+        for _ in range(6):
+            c = [rng.randint(-2, 2) for _ in target]
+            rows.append(tuple(sum(x * t[j] for x, t in zip(c, target)) for j in range(n)))
         for row in rows:
+            assert _hnf_insert(target, row) == target
             want = _hnf_insert(span, row) == target
             assert completes(row) == want, (target, span, row)
-            inside_target = _hnf_insert(target, row) == target
-            key = (kind, "in" if inside_target else "out", want)
-            seen[key] = seen.get(key, 0) + 1
-    # each quotient kind with rows of target that complete and that do not,
-    # and rows outside target; none complete outside target or when Q is
-    # not cyclic
+            seen[kind, want] = seen.get((kind, want), 0) + 1
+    # each quotient kind with rows of target that complete and that do not;
+    # none complete when Q is not cyclic
     for q in ("trivial", "Z", "cyclic"):
-        assert seen.get((q, "in", True), 0) > 20, seen
+        assert seen.get((q, True), 0) > 20, seen
     for q in ("Z", "cyclic", "non-cyclic"):
-        assert seen.get((q, "in", False), 0) > 20, seen
-    for q in ("trivial", "Z", "cyclic", "non-cyclic"):
-        assert seen.get((q, "out", False), 0) > 20, seen
-    assert not any(want for (q, where, want) in seen if where == "out" or q == "non-cyclic")
+        assert seen.get((q, False), 0) > 20, seen
+    assert ("non-cyclic", True) not in seen
 
 
-def test_completion_test_is_built_only_after_two_failed_last_rows(monkeypatch):
+def test_completion_test_is_built_once_per_last_level_node(monkeypatch):
     built = []
     real = realize_mod._completion_test
 
@@ -934,17 +929,64 @@ def test_completion_test_is_built_only_after_two_failed_last_rows(monkeypatch):
         nW = len(res.class_map["p"])
         assert res.log == [f"regular p: vertices {', '.join(res.class_map['p'])}, "
                            f"attempt {nW + 1}"]
-    # p3 of the deep system's lower part: its last row's first candidate
-    # fails and the second completes, still by insertion
+    assert built == []
+    # p3 of the deep system's lower part reaches one last-level node, whose
+    # first candidate fails and whose second completes
     res = realize(parse_isystem("prime p2 reg\nprime p3 reg\ncover p2 < p3\ngroup p2 : Z\n"
                                 "group p3 : Z + Z/3\nmap p3 <- p2 : g1 -> g1\n"))
     assert res.log[-1] == "regular p3: vertices p3.1, p3.2, p3.3, attempt 5"
-    assert built == []
-    # the deep system's p4 builds one at each last-level node whose first
-    # two candidates fail, and the log is the golden one
+    assert len(built) == 1
+    # the deep system: that node again, and eight in p4's search; the log is
+    # the golden one
+    built.clear()
     res = realize(parse_isystem(DEEP_SYSTEM))
-    assert res.log[2] == "regular p4: vertices p4.1, p4.2, p4.3, attempt 417"
-    assert len(built) > 1
+    assert res.log[1:3] == ["regular p3: vertices p3.1, p3.2, p3.3, attempt 5",
+                            "regular p4: vertices p4.1, p4.2, p4.3, attempt 417"]
+    assert len(built) == 9
+
+
+def test_every_candidate_row_lies_in_the_kernel_lattice(monkeypatch):
+    # the completion test is exact only on rows of target, so every row the
+    # search inserts or hands to a completion test must lie in it; target
+    # is the last _row_hnf a regular prime builds before its search
+    real_insert, real_test = _hnf_insert, _completion_test
+    last = []
+    checked = {"inserted": 0, "tested": 0}
+
+    def row_hnf(rows):
+        # _row_hnf folds the module's _hnf_insert, so fold the real one here
+        last[:] = [reduce(real_insert, rows, ())]
+        return last[0]
+
+    def insert(span, row):
+        assert real_insert(last[0], row) == last[0], row
+        checked["inserted"] += 1
+        return real_insert(span, row)
+
+    def completion_test(target, span):
+        assert target == last[0]
+        completes = real_test(target, span)
+
+        def spy(row):
+            assert real_insert(target, row) == target, row
+            checked["tested"] += 1
+            return completes(row)
+        return spy
+
+    monkeypatch.setattr(realize_mod, "_row_hnf", row_hnf)
+    monkeypatch.setattr(realize_mod, "_hnf_insert", insert)
+    monkeypatch.setattr(realize_mod, "_completion_test", completion_test)
+    # the stress corpus, the deep system and the two-torsion family below
+    groups = [f"Z/{a} + Z/{b}" for b in range(2, 65) for a in range(2, b + 1) if b % a == 0]
+    groups += [" + ".join(["Z/16"] * k) for k in (3, 4)]
+    systems = _stress_corpus(1) + [parse_isystem(DEEP_SYSTEM)]
+    systems += [parse_isystem(f"prime p reg\ngroup p : {group}\n") for group in groups]
+    for s in systems:
+        try:
+            realize(s)
+        except (ConstructionFailed, ConstructionInfeasible):
+            pass
+    assert min(checked.values()) > 400, checked
 
 
 def test_an_accepted_first_descent_builds_no_kernel_lattice(monkeypatch):
