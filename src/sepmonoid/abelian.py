@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, neg, sub
 
 
 class AbelianError(ValueError):
@@ -116,10 +116,11 @@ def smith_normal_form(a):
     return _smith(a, True)
 
 
-def _smith(a, left):
+def _smith(a, left, right=True):
     """The one Smith elimination: (u, s, v) as in smith_normal_form when
     left is true.  With left false, u is None, the row helpers skip it, and
-    s and v are the same.
+    s and v are the same.  With right false, v is [], which the column
+    helpers skip, and s is the same.
 
     At step t of the main loop the rows above t are zero in every column
     from t on, so its column operations update s from row t down only; the
@@ -131,7 +132,7 @@ def _smith(a, left):
             raise AbelianError("ragged matrix")
     s = [list(row) for row in a]
     u = identity(m) if left else None
-    v = identity(n)
+    v = identity(n) if right else []
     t = 0
     while t < m and t < n:
         piv, best = None, 0
@@ -195,7 +196,9 @@ def _smith(a, left):
 
 
 def snf_diagonal(a):
-    _, s, _ = _smith(a, False)
+    """The Smith diagonal of a, zeros included: s alone, with neither
+    transform tracked."""
+    _, s, _ = _smith(a, False, False)
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
@@ -385,13 +388,22 @@ class FGAbelianGroup:
         return self.element([1 if j == i else 0 for j in range(self.ngens)])
 
     def generated_by(self, rows) -> bool:
-        """Do these coefficient rows generate the group?  Exactly when,
-        stacked on the relations, their Smith form is all ones."""
+        """Do these coefficient rows generate the group?  A trivial group:
+        always.  A cyclic one, Z or Z/m with its one canonical coordinate:
+        exactly when gcd(m, the rows' coordinates) == 1 (m = 0 for Z).
+        Otherwise exactly when, stacked on the relations, their Smith form
+        is all ones."""
+        cols = self._frame.columns
+        if not cols:
+            return True
+        if len(cols) == 1:
+            (col, m), = cols
+            return gcd(m, *(sum(map(mul, r, col)) for r in rows)) == 1
         diag = snf_diagonal([list(r) for r in rows] + self.relations)
         return len(diag) == self.ngens and all(d == 1 for d in diag)
 
     def same_presentation(self, other) -> bool:
-        return self.ngens == other.ngens and self.relations == other.relations
+        return self is other or (self.ngens == other.ngens and self.relations == other.relations)
 
     def __repr__(self):
         return f"FGAbelianGroup({self.canonical_name()}, ngens={self.ngens})"
@@ -406,22 +418,24 @@ class GroupElement:
         self.group = group
         self.coeffs = tuple(map(int, coeffs))
 
+    # sums, differences and negatives of int tuples of one length are int
+    # tuples of that length, so these wrap them without __init__'s checks
     def __add__(self, other):
         self._check(other)
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _wrap(self.group, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return GroupElement(self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _wrap(self.group, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return GroupElement(self.group, tuple(-a for a in self.coeffs))
+        return _wrap(self.group, tuple(map(neg, self.coeffs)))
 
     def __rmul__(self, n):
         return GroupElement(self.group, tuple(n * a for a in self.coeffs))
 
     def _check(self, other):
-        if self.group is not other.group and not self.group.same_presentation(other.group):
+        if not self.group.same_presentation(other.group):
             raise AbelianError("elements of different groups")
 
     def is_zero(self) -> bool:
@@ -433,7 +447,7 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if self.group is not other.group and not self.group.same_presentation(other.group):
+        if not self.group.same_presentation(other.group):
             return False
         return self.canonical() == other.canonical()
 
@@ -444,6 +458,13 @@ class GroupElement:
         return f"GroupElement({list(self.coeffs)!r})"
 
 
+def _wrap(group, coeffs):
+    """The element of group with these int coefficients, unchecked."""
+    x = object.__new__(GroupElement)
+    x.group, x.coeffs = group, coeffs
+    return x
+
+
 def vanishes(v, columns) -> bool:
     """Is v zero in the group with these `coordinate_columns()`?  Each
     column's dot product with v is one canonical coordinate of v."""
@@ -452,6 +473,40 @@ def vanishes(v, columns) -> bool:
         if c and (not m or c % m):
             return False
     return True
+
+
+def images_agree(x, a, y, b, group) -> bool:
+    """Is x @ a == y @ b in group, whose elements are the rows of a and b?
+
+    One `vanishes` of the difference, the row (x, -y) times a stacked on b,
+    which keeps the width when one of a and b has no rows (and when both
+    have none, both sides are zero).  Callers check the presentations.
+    """
+    return vanishes(vec_mat([*x, *map(neg, y)], [*a, *b]), group._frame.columns)
+
+
+def isomorphism_test(diag, relations, images, codomain) -> bool:
+    """Is the map sending generator i of the group presented by relations
+    on len(images) generators to images[i] an isomorphism onto codomain?
+
+    diag is the Smith diagonal of relations (zeros allowed), which gives
+    the domain's invariants without building it.  The test is the same
+    three checks as always: the same invariants, well defined (every
+    relation goes to zero) and onto.  Onto is enough: a finitely generated
+    abelian group is Hopfian, so an onto map between isomorphic ones is
+    injective.
+    """
+    rank = sum(1 for d in diag if d)
+    if (len(images) - rank != codomain.free_rank
+            or tuple(d for d in diag if d > 1) != codomain.invariant_factors):
+        return False
+    return well_defined(relations, images, codomain) and codomain.generated_by(images)
+
+
+def well_defined(relations, images, codomain) -> bool:
+    """Does sending generator i to images[i] kill every relation in codomain?"""
+    cols = codomain._frame.columns
+    return all(vanishes(vec_mat(rel, images), cols) for rel in relations)
 
 
 def element_order(x: GroupElement):
@@ -509,19 +564,13 @@ class GroupHom:
         return GroupHom(other.domain, self.codomain, mat)
 
     def is_well_defined(self) -> bool:
-        cols = self.codomain._frame.columns
-        return all(vanishes(vec_mat(rel, self.matrix), cols) for rel in self.domain.relations)
+        return well_defined(self.domain.relations, self.matrix, self.codomain)
 
     def is_isomorphism(self) -> bool:
-        """Same invariants, well defined and onto.
-
-        Onto is enough: a finitely generated abelian group is Hopfian, so
-        an onto map between isomorphic ones is injective.
-        """
-        dom, cod = self.domain, self.codomain
-        if dom.invariant_factors != cod.invariant_factors or dom.free_rank != cod.free_rank:
-            return False
-        return self.is_well_defined() and cod.generated_by(self.matrix)
+        """Same invariants, well defined and onto: `isomorphism_test` on
+        the domain's Smith diagonal, kept in its frame."""
+        dom = self.domain
+        return isomorphism_test(dom._frame.diag, dom.relations, self.matrix, self.codomain)
 
     def __eq__(self, other):
         if not isinstance(other, GroupHom):

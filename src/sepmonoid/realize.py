@@ -30,10 +30,11 @@ from __future__ import annotations
 from functools import reduce
 from itertools import tee
 from math import comb, gcd, prod
-from operator import add, mul
+from operator import add, mod, mul
 
 from .abelian import (
-    FGAbelianGroup, GroupHom, _xgcd, iter_isomorphisms, left_kernel, vanishes, vec_mat,
+    FGAbelianGroup, GroupHom, _xgcd, images_agree, isomorphism_test, iter_isomorphisms,
+    left_kernel, snf_diagonal, vanishes, vec_mat,
 )
 from .graph import SepGraph, check_adaptable, components_of
 from .isystem import ISystem, extract_isystem, validate_isystem
@@ -139,7 +140,11 @@ class _Builder:
             free = self.sysm.kind[self.prime_of[v]] == "free"
             for out in self.out_blocks[v]:
                 ids = []
-                for t in sorted(out, key=lambda t: (not free or t != v, t)):
+                targets = sorted(out)
+                if free and v in out:
+                    targets.remove(v)
+                    targets.insert(0, v)
+                for t in targets:
                     for _ in range(out[t]):
                         ids.append(f"e{len(edges) + 1}")
                         edges.append((ids[-1], v, t))
@@ -264,20 +269,23 @@ def _nonneg_preimage(group, target, gens):
     smallest such multiset and deterministic for a fixed gens order.  The
     walk visits each element once, in layers of growing total, and gives
     up past layer _PREIMAGE_MAX_TOTAL (16) or after _PREIMAGE_STATE_CAP
-    (40,000) elements.
+    (40,000) elements.  It runs on canonical coordinate tuples, one per
+    element: free coordinates add, and torsion coordinates add modulo
+    their factor.
     """
-    goal = target.canonical()
-    zero = group.zero()
-    if zero.canonical() == goal:
+    k, mods = group.free_rank, group.invariant_factors
+    goal = sum(target.canonical(), ())
+    zero = (0,) * (k + len(mods))
+    if zero == goal:
         return {}
-    seen = {zero.canonical()}
+    steps = [(key, sum(gv.canonical(), ())) for key, gv in gens]
+    seen = {zero}
     frontier, n = [(zero, {})], 0
     for _ in range(_PREIMAGE_MAX_TOTAL):
         nxt = []
         for x, ms in frontier:
-            for key, gv in gens:
-                y = x + gv
-                c = y.canonical()
+            for key, g in steps:
+                c = (*map(add, x[:k], g[:k]), *map(mod, map(add, x[k:], g[k:]), mods))
                 if c in seen:
                     continue
                 seen.add(c)
@@ -288,7 +296,7 @@ def _nonneg_preimage(group, target, gens):
                     return nms
                 if n >= _PREIMAGE_STATE_CAP:
                     return None
-                nxt.append((y, nms))
+                nxt.append((c, nms))
         frontier = nxt
     return None
 
@@ -312,9 +320,9 @@ def _sends_to_zero(rows, images, G):
 
 def _presents(G, rows, values):
     """Is the group presented by rows, one column per value, isomorphic to
-    G by sending each generator to its value?"""
-    return GroupHom(FGAbelianGroup(len(values), rows), G,
-                    [v.coeffs for v in values]).is_isomorphism()
+    G by sending each generator to its value?  `isomorphism_test` on the
+    rows' Smith diagonal, with no group or hom built."""
+    return isomorphism_test(snf_diagonal(rows), rows, [v.coeffs for v in values], G)
 
 
 def _reached(builder, targets):
@@ -517,7 +525,8 @@ def _realize_regular(builder: _Builder, p, budget, log):
         if any(q not in hit for q in covers):
             return None
         wset = set(W)
-        if len(components_of({w: [v for v in out_maps[w] if v in wset] for w in W})) > 1:
+        if nW > 1 and len(components_of({w: [v for v in out_maps[w] if v in wset]
+                                         for w in W})) > 1:
             return None
         if not _presents(G, R_L + list(rows), values):
             return None
@@ -677,6 +686,8 @@ def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dic
     from the extracted group at poset_map[p] onto the system's group at p
     that commutes with every connecting map on generators and sends each
     unit of the extraction to the system's.  Otherwise the first failure.
+    Each generator and each unit is one `images_agree` on coefficient rows,
+    with no element or composed hom built.
     """
     ext = extract_isystem(graph)
     psi = poset_map
@@ -698,14 +709,21 @@ def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dic
             return f"theta at {p} is no isomorphism onto its group"
     for p in primes:
         f = theta[p]
+        G = f.codomain
         for q in sorted(system.poset.strict_down(p)):
             cm_e, cm_o = ext.map_for(psi[p], psi[q]), system.map_for(p, q)
+            # per generator of the extracted G_q: f of its image in the
+            # extracted G_p minus the system's image of theta[q] of it
+            # vanishes in G_p, and both sides lie in G_p's presentation
             for e_row, t_row in zip(cm_e.hom.matrix, theta[q].matrix):
-                if f(e_row) != cm_o.hom(t_row):
+                if not (cm_o.hom.codomain.same_presentation(G)
+                        and images_agree(e_row, f.matrix, t_row, cm_o.hom.matrix, G)):
                     return f"theta does not commute with the map {p} <- {q}"
             if (cm_e.unit is None) != (cm_o.unit is None):
                 return f"the map {p} <- {q} has a unit on one side only"
-            if cm_e.unit is not None and f(cm_e.unit) != cm_o.unit:
+            if cm_e.unit is not None and not (
+                    cm_o.unit.group.same_presentation(G)
+                    and images_agree(cm_e.unit.coeffs, f.matrix, (1,), [cm_o.unit.coeffs], G)):
                 return f"theta at {p} does not send the unit of {q} to the system's"
     return None
 

@@ -525,6 +525,30 @@ def test_generated_by():
         assert grp.generated_by([e.coeffs for e in elems]) == want
 
 
+def test_generated_by_matches_the_smith_diagonal_rule():
+    # a trivial or cyclic group answers by one gcd of the rows' canonical
+    # coordinate and its modulus; every group must answer as the Smith form
+    # of the rows stacked on the relations does
+    rng = random.Random(41)
+    seen = {}
+    for _ in range(3000):
+        n = rng.randint(0, 3)
+        grp = FGAbelianGroup(n, [[rng.randint(-6, 6) for _ in range(n)]
+                                 for _ in range(rng.randint(0, 3))])
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        diag = snf_diagonal(rows + grp.relations)
+        want = len(diag) == n and all(d == 1 for d in diag)
+        assert grp.generated_by(rows) == want, (grp.relations, rows)
+        gens = len(grp.coordinate_columns())
+        kind = ("trivial", "cyclic")[gens] if gens < 2 else "non-cyclic"
+        seen[kind, want] = seen.get((kind, want), 0) + 1
+    # a trivial group is generated by anything, even no rows
+    assert ("trivial", False) not in seen
+    for key in (("trivial", True), ("cyclic", True), ("cyclic", False),
+                ("non-cyclic", True), ("non-cyclic", False)):
+        assert seen.get(key, 0) > 30, seen
+
+
 def test_canonical_generators_are_a_basis():
     g = FGAbelianGroup(3, [[2, 2, 0], [0, 4, 0]])
     gens = g.canonical_generators()

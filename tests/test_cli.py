@@ -81,6 +81,17 @@ def test_validate_huge_multiplicity_exit_2(tmp_path, capsys):
     assert "multiplicities add more than 10000 edges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tail, name", [
+    ("cover p < y\n", "cover mentions unknown prime 'y'"),
+    ("map x <- y : g1 -> g1\n", "map mentions unknown prime 'x'"),
+])
+def test_realize_unknown_prime_exit_2(tmp_path, capsys, tail, name):
+    p = tmp_path / "unknown.is"
+    p.write_text("prime p reg\ngroup p : Z/2\n" + tail)
+    assert main(["realize", str(p)]) == 2
+    assert f"line 3: {name}" in capsys.readouterr().err
+
+
 def test_realize_huge_torsion_exit_2(tmp_path, capsys):
     p = tmp_path / "huge.is"
     p.write_text("prime p reg\ngroup p : Z/10001\n")

@@ -176,6 +176,21 @@ def test_parse_errors_carry_line_numbers():
     assert "line 3" in str(exc.value)
 
 
+@pytest.mark.parametrize("tail, want", [
+    ("cover x < p\n", "line 3: cover mentions unknown prime 'x'"),
+    ("cover p < y\n", "line 3: cover mentions unknown prime 'y'"),
+    ("cover x < y\n", "line 3: cover mentions unknown prime 'x'"),
+    ("map x <- p : g1 -> g1\n", "line 3: map mentions unknown prime 'x'"),
+    ("map p <- y : g1 -> g1\n", "line 3: map mentions unknown prime 'y'"),
+    ("map x <- y : g1 -> g1\n", "line 3: map mentions unknown prime 'x'"),
+])
+def test_parse_names_the_unknown_prime(tail, want):
+    # the first unknown of the line's two names
+    with pytest.raises(ISystemParseError) as exc:
+        parse_isystem("prime p reg\ngroup p : Z/2\n" + tail)
+    assert str(exc.value) == want
+
+
 @pytest.mark.parametrize("name", ["0", "p+q", "2*p"])
 def test_parse_rejects_prime_names_the_element_syntax_cannot_address(name):
     # realize names each prime's vertices after the prime
@@ -347,6 +362,31 @@ def test_validate_flags_functoriality_break():
     rep = validate_isystem(s)
     assert rep.status == COUNTEREXAMPLE
     assert any(f.axiom == "functoriality" for f in rep.failures)
+
+
+# a triangle r < m < t of Z + Z/2 primes whose direct map t <- r (a hom, or
+# the unit of a free r) is the composite through m plus k times the torsion
+# generator
+TORSION_TRIANGLE = {
+    "regular": ("prime r reg\ngroup r : Z + Z/2\nmap m <- r : g1 -> g1 ; g2 -> g2\n"
+                "map t <- r : g1 -> g1 + {k}*g2 ; g2 -> g2\n"),
+    "free": ("prime r free\ngroup r : 0\nmap m <- r : unit -> g1\n"
+             "map t <- r : unit -> g1 + {k}*g2\n"),
+}
+
+
+@pytest.mark.parametrize("kind", ["regular", "free"])
+def test_validate_flags_functoriality_off_in_torsion_only(kind):
+    text = ("prime m reg\nprime t reg\ncover r < m\ncover m < t\n"
+            "group m : Z + Z/2\ngroup t : Z + Z/2\nmap t <- m : g1 -> g1 ; g2 -> g2\n")
+    for k in (0, 2, -4):
+        assert validate_isystem(parse_isystem(text + TORSION_TRIANGLE[kind].format(k=k))).ok, k
+    for k in (1, 3, -1):
+        rep = validate_isystem(parse_isystem(text + TORSION_TRIANGLE[kind].format(k=k)))
+        assert [(f.axiom, f.primes) for f in rep.failures] == \
+            [("functoriality", ("t", "m", "r"))], k
+        what = "hom" if kind == "regular" else "unit image of"
+        assert rep.failures[0].detail.startswith(what), k
 
 
 def test_validate_flags_nontrivial_minimal_free():

@@ -4,6 +4,7 @@ import importlib
 import random
 import re
 from functools import reduce
+from itertools import islice
 from math import comb
 
 import pytest
@@ -783,23 +784,28 @@ def test_stress_corpus_realizations_are_pinned():
 _TORSION_CHAINS = [[], [2], [3], [4], [2, 2], [2, 4], [3, 6]]
 
 
-def _free_over_trivial(position):
-    """Text of the system at `position` of a seeded family: one free prime
-    over k trivial free primes, G_p = Z^r (r from 1, 1, 2) plus a torsion
-    chain, and k = r + 1 .. r + 3 units with coefficients in [-3, 3]."""
+def _free_over_trivial_family():
+    """Texts of a seeded family, in order: one free prime over k trivial
+    free primes, G_p = Z^r (r from 1, 1, 2) plus a torsion chain, and
+    k = r + 1 .. r + 3 units with coefficients in [-3, 3]."""
     rng = random.Random(7)
-    for _ in range(position + 1):
+    while True:
         r = rng.choice([1, 1, 2])
         chain = rng.choice(_TORSION_CHAINS)
         k = rng.randint(r + 1, r + 3)
         units = [[rng.randint(-3, 3) for _ in range(r + len(chain))] for _ in range(k)]
-    group = " + ".join(["Z" if r == 1 else f"Z^{r}"] + [f"Z/{d}" for d in chain])
-    lines = ["prime p free", f"group p : {group}"]
-    for i, u in enumerate(units, 1):
-        unit = " + ".join(f"{c}*g{j}" for j, c in enumerate(u, 1) if c) or "0"
-        lines += [f"prime q{i} free", f"cover q{i} < p", f"group q{i} : 0",
-                  f"map p <- q{i} : unit -> {unit}"]
-    return "\n".join(lines) + "\n"
+        group = " + ".join(["Z" if r == 1 else f"Z^{r}"] + [f"Z/{d}" for d in chain])
+        lines = ["prime p free", f"group p : {group}"]
+        for i, u in enumerate(units, 1):
+            unit = " + ".join(f"{c}*g{j}" for j, c in enumerate(u, 1) if c) or "0"
+            lines += [f"prime q{i} free", f"cover q{i} < p", f"group q{i} : 0",
+                      f"map p <- q{i} : unit -> {unit}"]
+        yield "\n".join(lines) + "\n"
+
+
+def _free_over_trivial(position):
+    """Text of the system at `position` of the family."""
+    return next(islice(_free_over_trivial_family(), position, None))
 
 
 def _preimage_totals(monkeypatch):
@@ -836,6 +842,167 @@ def test_a_preimage_of_total_twelve_realizes(monkeypatch):
     monkeypatch.setattr(realize_mod, "_PREIMAGE_STATE_CAP", 300)
     with pytest.raises(ConstructionFailed, match="^free prime p: no nonnegative preimage"):
         realize(s)
+
+
+def test_free_over_trivial_family_realizations_are_pinned():
+    # positions 0-1499 of the family, drawn in one pass: SHA-256 of each
+    # Verified system's graph and log, or its ConstructionFailed text.  The
+    # preimage walks here reach totals and state counts no other pin does
+    h = hashlib.sha256()
+    verified = failed = 0
+    for text in islice(_free_over_trivial_family(), 1500):
+        s = parse_isystem(text)
+        if validate_isystem(s).status != VERIFIED:
+            continue
+        verified += 1
+        try:
+            res = realize(s)
+            text = serialize_graph(res.graph) + "\n".join(res.log) + "\n"
+        except ConstructionFailed as exc:
+            failed += 1
+            text = f"ConstructionFailed: {exc}\n"
+        h.update(text.encode())
+    assert (verified, failed) == (480, 105)
+    assert h.hexdigest() == "6f935f383d428606c27dc785ac0943e91e0e987cbb0c4c791ca359cb58ac70a2"
+
+
+def _element_walk_preimage(group, target, gens):
+    """_nonneg_preimage as a walk over GroupElement sums, one canonical()
+    per step, under the module's bounds at call time."""
+    goal = target.canonical()
+    zero = group.zero()
+    if zero.canonical() == goal:
+        return {}
+    seen = {zero.canonical()}
+    frontier, n = [(zero, {})], 0
+    for _ in range(realize_mod._PREIMAGE_MAX_TOTAL):
+        nxt = []
+        for x, ms in frontier:
+            for key, gv in gens:
+                y = x + gv
+                c = y.canonical()
+                if c in seen:
+                    continue
+                seen.add(c)
+                n += 1
+                nms = dict(ms)
+                nms[key] = nms.get(key, 0) + 1
+                if c == goal:
+                    return nms
+                if n >= realize_mod._PREIMAGE_STATE_CAP:
+                    return None
+                nxt.append((y, nms))
+        frontier = nxt
+    return None
+
+
+def test_preimage_walk_on_coordinates_matches_the_element_walk(monkeypatch):
+    calls = []
+    real = realize_mod._nonneg_preimage
+
+    def spy(group, target, gens):
+        calls.append((group, target, list(gens)))
+        return real(group, target, gens)
+
+    monkeypatch.setattr(realize_mod, "_nonneg_preimage", spy)
+    # every walk realize makes on position 65 (a total-12 preimage), the
+    # deep system and the hard systems
+    systems = [parse_isystem(_free_over_trivial(65)), parse_isystem(DEEP_SYSTEM)]
+    systems += [parse_isystem(HARD_SYSTEMS[n]) for n in sorted(HARD_SYSTEMS)]
+    for s in systems:
+        realize(s)
+    monkeypatch.undo()
+    # and seeded walks on scrambled presentations, free, torsion and mixed
+    rng = random.Random(45)
+    for _ in range(150):
+        G = _scrambled_group(rng, rng.choice([0, 1, 1, 2]), rng.choice(_TORSION_CHAINS))
+        gens = [(f"u{i}", G.element([rng.randint(-3, 3) for _ in range(G.ngens)]))
+                for i in range(rng.randint(1, 4))]
+        calls.append((G, G.element([rng.randint(-4, 4) for _ in range(G.ngens)]), gens))
+    totals = []
+    for group, target, gens in calls:
+        got = real(group, target, gens)
+        assert got == _element_walk_preimage(group, target, gens), (group, target, gens)
+        totals.append(None if got is None else sum(got.values()))
+    assert 12 in totals and totals.count(None) > 20 and len(set(totals)) > 8, totals
+    # with the bounds set low, both routes give up on the total-12 walk
+    twelve = calls[totals.index(12)]
+    for name, low in (("_PREIMAGE_MAX_TOTAL", 11), ("_PREIMAGE_STATE_CAP", 300)):
+        monkeypatch.setattr(realize_mod, name, low)
+        assert real(*twelve) is None and _element_walk_preimage(*twelve) is None, name
+        monkeypatch.undo()
+    assert real(*twelve) == _element_walk_preimage(*twelve)
+
+
+def test_presents_matches_the_group_object_route():
+    # _presents reads the rows' Smith diagonal and builds no group; it must
+    # answer as the hom out of the group the rows present, and as that
+    # group's invariants, well-definedness and onto-ness state it
+    rng = random.Random(47)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1500):
+        G = _scrambled_group(rng, rng.choice([0, 0, 1, 2]), rng.choice(_TORSION_CHAINS))
+        k = rng.randint(1, 4)
+        values = [G.element([rng.randint(-2, 2) for _ in range(G.ngens)]) for _ in range(k)]
+        # the values' kernel rows present G exactly when the values generate
+        # it; half the time drop, double or add a row
+        rows = _kernel_rows(values, G)
+        edit = rng.choice(["none", "none", "none", "drop", "double", "add"])
+        if edit == "drop" and rows:
+            rows.pop(rng.randrange(len(rows)))
+        elif edit == "double" and rows:
+            rows[0] = [2 * x for x in rows[0]]
+        elif edit == "add":
+            rows.append([rng.randint(-2, 2) for _ in range(k)])
+        dom = FGAbelianGroup(k, rows)
+        hom = GroupHom(dom, G, [v.coeffs for v in values])
+        want = hom.is_isomorphism()
+        assert want == (dom.invariant_factors == G.invariant_factors
+                        and dom.free_rank == G.free_rank and hom.is_well_defined()
+                        and G.generated_by(hom.matrix))
+        assert realize_mod._presents(G, rows, values) == want, (G.relations, rows, values)
+        outcomes[want] += 1
+    assert min(outcomes.values()) > 200, outcomes
+
+
+def test_certificate_flags_a_theta_negated_above_another_prime():
+    s = parse_isystem(DEEP_SYSTEM)
+    g = realize(s).graph
+    rep = roundtrip_check(s, g)
+    assert (rep.status, rep.by) == ("Verified", "witness")
+    negated = {p: GroupHom(f.domain, f.codomain, [[-x for x in row] for row in f.matrix])
+               for p, f in rep.theta.items()}
+    # negated everywhere, theta still commutes (no free prime sends a unit
+    # here); negated at p3 (Z + Z/3) alone, it is an isomorphism there but
+    # no longer commutes with p3 <- p2 (g1 -> g1 on the Z prime p2)
+    assert check_roundtrip_certificate(s, g, rep.poset_map, negated) is None
+    assert negated["p3"].is_isomorphism()
+    assert check_roundtrip_certificate(s, g, rep.poset_map, {**rep.theta, "p3": negated["p3"]}) \
+        == "theta does not commute with the map p3 <- p2"
+
+
+# a Z + Z/2 prime over a trivial free prime, with the unit image left open
+TORSION_UNIT_SYSTEM = """\
+prime p1 free
+prime p2 reg
+cover p1 < p2
+group p1 : 0
+group p2 : Z + Z/2
+map p2 <- p1 : unit -> {}
+"""
+
+
+def test_certificate_flags_a_unit_image_that_is_off():
+    s = parse_isystem(TORSION_UNIT_SYSTEM.format("g1 + g2"))
+    g = realize(s).graph
+    rep = roundtrip_check(s, g)
+    assert (rep.status, rep.by) == ("Verified", "witness")
+    off = "theta at p2 does not send the unit of p1 to the system's"
+    # the same unit written two other ways, then off in its torsion
+    # coordinate only, then in its free one
+    for unit, want in (("g1 + 3*g2", None), ("g1 - g2", None), ("g1", off), ("-g1 + g2", off)):
+        other = parse_isystem(TORSION_UNIT_SYSTEM.format(unit))
+        assert check_roundtrip_certificate(other, g, rep.poset_map, rep.theta) == want, unit
 
 
 def test_the_search_route_needs_a_box_of_four(monkeypatch):
