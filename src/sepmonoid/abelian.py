@@ -7,9 +7,9 @@ homomorphisms act on the right (x maps to x @ M).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
 
 
@@ -111,7 +111,8 @@ def smith_normal_form(a):
     (smallest nonzero absolute value, row-major tie break) so results are
     reproducible.  Elimination uses 2x2 unimodular gcd transforms, which
     keeps intermediate entries far smaller than repeated remainder swaps.
-    It is _smith(a, True); callers that never read u call _smith(a, False).
+    It is _smith(a, True); callers that never read u call _smith(a, False),
+    and left_kernel, which never reads v, calls _smith(a, True, False).
     """
     return _smith(a, True)
 
@@ -226,12 +227,12 @@ def solve_left(a, b):
 
 
 def left_kernel(a):
-    """Rows generating {x : x @ a == 0}."""
+    """Rows generating {x : x @ a == 0}: rows of u, with v not tracked."""
     m = len(a)
     if m == 0:
         return []
     n = len(a[0])
-    u, s, _ = smith_normal_form(a)
+    u, s, _ = _smith(a, True, False)
     rank = sum(1 for i in range(min(m, n)) if s[i][i])
     return [list(u[i]) for i in range(rank, m)]
 
@@ -242,6 +243,101 @@ def unimodular_inverse(m):
     if any(s[i][i] != 1 for i in range(n)) or (m and len(m[0]) != n):
         raise AbelianError("matrix is not unimodular")
     return mat_mul(v, u)
+
+
+def _hnf_insert(span, row):
+    """The canonical HNF of the span of a canonical HNF `span` plus `row`.
+
+    The row is cleared against each pivot in turn by the 2x2 extended-gcd
+    combination, a leftover leading entry becomes a new pivot row, and the
+    entries above each pivot are reduced into [0, pivot) again.  The basis
+    is unique per lattice, so this is _row_hnf of the span's rows and row.
+    """
+    mat = list(span)
+    # leading columns: a first nonzero value occurs first at its own column
+    piv = [r.index(next(filter(None, r))) for r in mat]
+    i = 0
+    while any(row):
+        c = row.index(next(filter(None, row)))
+        while i < len(mat) and piv[i] < c:
+            i += 1
+        if i == len(mat) or piv[i] > c:
+            mat.insert(i, tuple(-x for x in row) if row[c] < 0 else row)
+            piv.insert(i, c)
+            break
+        a, b = mat[i][c], row[c]
+        if b % a:
+            g, x, y = _xgcd(a, b)
+            mat[i], row = ([x * u + y * v for u, v in zip(mat[i], row)],
+                           [a // g * v - b // g * u for u, v in zip(mat[i], row)])
+        else:
+            row = [v - b // a * u for u, v in zip(mat[i], row)]
+        i += 1
+    for j, c in enumerate(piv):
+        for k in range(j):
+            q = mat[k][c] // mat[j][c]
+            if q:
+                mat[k] = [u - q * v for u, v in zip(mat[k], mat[j])]
+    return tuple(map(tuple, mat))
+
+
+def _row_hnf(rows):
+    """Canonical Hermite-style basis of the integer row span, the fold of
+    _hnf_insert from the empty basis.
+
+    Unique per lattice (positive pivots, entries above a pivot reduced into
+    [0, pivot)), so tuples compare equal exactly when the spans agree.
+    """
+    return reduce(_hnf_insert, rows, ())
+
+
+def _completion_test(target, span):
+    """The predicate `_hnf_insert(span, row) == target` on the rows of
+    target, decided in the quotient Q = target / span instead of by one
+    insertion per row.
+
+    Both are canonical HNFs and span lies in target.  Span's rows are
+    written over target's rows by exact back-substitution on target's pivot
+    columns, and the Smith frame of those coordinate rows (`_frame_of`, with
+    no group built) gives Q's canonical coordinates.  If Q needs two or more
+    generators, no row completes; if Q is trivial, every row does; if Q is
+    cyclic, a row does when its one coordinate y in Q has gcd(y, d) == 1
+    (|y| == 1 when Q is Z).  A row outside target is not in the predicate's
+    domain.
+    """
+    piv = [r.index(next(filter(None, r))) for r in target]
+
+    def coords(row):
+        out = []
+        for t, c in zip(target, piv):
+            q = row[c] // t[c]
+            out.append(q)
+            if q:
+                row = [a - q * b for a, b in zip(row, t)]
+        return out
+
+    # a row of span that is row j of target has coordinates e_j: it kills
+    # generator j of Q, so Q is presented on the other generators alone
+    index = {t: j for j, t in enumerate(target)}
+    live = sorted(set(range(len(target))) - {index[r] for r in span if r in index})
+    rels = [[y[j] for j in live] for y in (coords(r) for r in span if r not in index)]
+    cols = _frame_of(len(live), rels).columns
+    if len(cols) > 1:
+        return lambda row: False
+    if not cols:
+        return lambda row: True
+    (live_col, d), = cols
+    col = [0] * len(target)
+    for j, x in zip(live, live_col):
+        col[j] = x
+    # y is a linear form on the rows of target: det * y == form . row, where
+    # form solves the triangular system that target's pivot columns make
+    det = prod(t[c] for t, c in zip(target, piv))
+    form = [0] * len(target[0])
+    for i in reversed(range(len(target))):
+        t, c = target[i], piv[i]
+        form[c] = (col[i] * det - sum(map(mul, t, form))) // t[c]
+    return lambda row: gcd(sum(map(mul, row, form)) // det, d) == 1
 
 
 # ------------------------------------------------------------------ groups
@@ -280,19 +376,26 @@ class _Frame:
         return self.vinv
 
 
-# frames of small presentations (FGAbelianGroup); larger ones repeat too rarely
-# to pay for an entry that keeps their frames alive for the collector
+# frames of small presentations; larger ones repeat too rarely to pay for an
+# entry that keeps their frames alive for the collector
 _frame = lru_cache(maxsize=256)(_Frame)
+
+
+def _frame_of(ngens, relations):
+    """The _Frame of a presentation: from the `_frame` cache when it has at
+    most 2 int relations on at most 2 generators, else built afresh."""
+    if len(relations) <= 2 and ngens <= 2 and all(type(x) is int for r in relations for x in r):
+        return _frame(ngens, tuple(map(tuple, relations)))
+    return _Frame(ngens, relations)
 
 
 class FGAbelianGroup:
     """Abelian group presented by ngens generators and integer relations.
 
     Relations are coefficient rows: the row (2, -1) says 2*g0 - g1 == 0.
-    The Smith data lives in a _Frame.  Groups whose presentation has at most
-    2 int relations on at most 2 generators share one frame per presentation,
-    from a 256-entry LRU cache (`_frame`); any other presentation builds its
-    own.  No result depends on the cache, and relations is each group's own list.
+    The Smith data lives in a _Frame from `_frame_of`, which small
+    presentations share through the 256-entry LRU cache `_frame`.  No result
+    depends on the cache, and relations is each group's own list.
     """
 
     def __init__(self, ngens: int, relations=()):
@@ -301,10 +404,7 @@ class FGAbelianGroup:
         for r in rels:
             if len(r) != ngens:
                 raise AbelianError(f"relation length {len(r)} != ngens {ngens}")
-        if len(rels) <= 2 and ngens <= 2 and all(type(x) is int for r in rels for x in r):
-            self._frame = f = _frame(ngens, tuple(map(tuple, rels)))
-        else:
-            self._frame = f = _Frame(ngens, rels)
+        self._frame = f = _frame_of(ngens, rels)
         self.rank = len(f.diag)
         self.free_rank = ngens - self.rank
         self.invariant_factors = f.invariant_factors

@@ -14,7 +14,7 @@ Out-edges not mentioned in any block line end up in singleton blocks.
 
 from __future__ import annotations
 
-from .posets import Poset
+from .posets import Poset, _closure, components_of
 from .records import FrozenRecord, Record
 
 
@@ -148,7 +148,7 @@ def parse_graph(text: str) -> SepGraph:
     multi = {}  # base id -> expanded ids
     expanded = 0
     seen_v = set()
-    seen_e = set()
+    source = {}  # edge id -> its source vertex
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -187,15 +187,15 @@ def parse_graph(text: str) -> SepGraph:
                 raise GraphParseError(line_no, f"unknown vertex '{src}'")
             if dst not in seen_v:
                 raise GraphParseError(line_no, f"unknown vertex '{dst}'")
-            if eid in multi or (count > 1 and eid in seen_e):
+            if eid in multi or (count > 1 and eid in source):
                 raise GraphParseError(line_no, f"duplicate edge '{eid}'")
             new_ids = [eid] if count == 1 else [f"{eid}.{i}" for i in range(1, count + 1)]
             if count > 1:
                 multi[eid] = list(new_ids)
             for nid in new_ids:
-                if nid in seen_e:
+                if nid in source:
                     raise GraphParseError(line_no, f"duplicate edge '{nid}'")
-                seen_e.add(nid)
+                source[nid] = src
                 edges.append((nid, src, dst))
         elif kind == "block":
             if not args:
@@ -204,7 +204,7 @@ def parse_graph(text: str) -> SepGraph:
             for tok in args:
                 if tok in multi:
                     ids.extend(multi[tok])
-                elif tok in seen_e:
+                elif tok in source:
                     ids.append(tok)
                 else:
                     raise GraphParseError(line_no, f"unknown edge '{tok}'")
@@ -213,9 +213,13 @@ def parse_graph(text: str) -> SepGraph:
             raise GraphParseError(line_no, f"unknown directive '{kind}'")
     placed = set()
     for line_no, ids in blocks:
+        first = source[ids[0]]
         for e in ids:
             if e in placed:
                 raise GraphParseError(line_no, f"edge '{e}' is in two blocks")
+            if source[e] != first:
+                raise GraphParseError(
+                    line_no, f"block {sorted(ids)} mixes edges from different vertices")
             placed.add(e)
     try:
         return SepGraph(vertices, edges, [ids for _, ids in blocks])
@@ -254,73 +258,11 @@ def strongly_connected_components(g: SepGraph):
     return components_of(_successors(g))
 
 
-def components_of(adj):
-    """Strongly connected components of the digraph adj (vertex -> targets,
-    all of them keys of adj), each sorted, by Tarjan's algorithm.  A component
-    comes after every component that it reaches."""
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    counter = [0]
-    comps = []
-    for root in adj:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                onstack.add(v)
-            descended = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if w not in index:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
-
-
 def condensation(g: SepGraph) -> Condensation:
     adj = _successors(g)
-    class_of = {}
-    members = {}
-    down = {}       # class -> the classes it reaches, itself included
-    for comp in components_of(adj):
-        cid = comp[0]
-        members[cid] = tuple(comp)
-        for v in comp:
-            class_of[v] = cid
-        # every class this one reaches came out before it, with its downset
-        # closed, so a class already in reach brings nothing new
-        reach = {cid}
-        for v in comp:
-            for w in adj[v]:
-                c = class_of[w]
-                if c not in reach:
-                    reach |= down[c]
-        down[cid] = reach
+    comps = components_of(adj)
+    down, class_of = _closure(adj, comps)
+    members = {comp[0]: tuple(comp) for comp in comps}
     return Condensation(class_of, members, Poset._closed(down))
 
 

@@ -510,6 +510,8 @@ def parse_isystem(text: str) -> ISystem:
         elif tokens[0] == "cover":
             if len(tokens) != 4 or tokens[2] != "<":
                 raise ISystemParseError(line_no, "cover line needs: cover <lo> < <hi>")
+            if tokens[1] == tokens[3]:
+                raise ISystemParseError(line_no, f"cover {tokens[1]} < {tokens[3]} is not strict")
             covers.append((line_no, tokens[1], tokens[3]))
         elif tokens[0] == "group":
             if len(tokens) >= 4 and tokens[2] == ":":

@@ -12,6 +12,66 @@ class PosetError(ValueError):
     pass
 
 
+def components_of(adj):
+    """Strongly connected components of the digraph adj (vertex -> targets,
+    all of them keys of adj), each sorted, by Tarjan's algorithm.  A component
+    comes after every component that it reaches."""
+    index = {}
+    low = {}
+    onstack = set()
+    stack = []
+    comps = []
+    for root in adj:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(adj[root]))]     # the DFS path, each with its unread targets
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if w in onstack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = stack[stack.index(v):]
+                    del stack[-len(comp):]
+                    onstack.difference_update(comp)
+                    comps.append(sorted(comp))
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return comps
+
+
+def _closure(adj, comps):
+    """(reach, class_of) of the digraph adj with comps = components_of(adj).
+    class_of maps each vertex to the least one of its component, and reach
+    maps that class to the classes it reaches, itself included.  Each class
+    it reaches came out before it with its reach closed, so one pass does."""
+    class_of = {}
+    reach = {}
+    for comp in comps:
+        cid = comp[0]
+        for v in comp:
+            class_of[v] = cid
+        r = {cid}
+        for v in comp:
+            for w in adj[v]:
+                c = class_of[w]
+                if c not in r:
+                    r |= reach[c]
+        reach[cid] = r
+    return reach, class_of
+
+
 def _transpose(sets, elements):
     """b -> {a : b in sets[a]}, over elements."""
     out = {p: set() for p in elements}
@@ -24,37 +84,27 @@ def _transpose(sets, elements):
 class Poset:
     """Finite poset built from a set of elements and a generating relation.
 
-    The generating pairs (a, b) are read as a <= b.  The constructor takes
-    the reflexive-transitive closure and rejects cycles through distinct
-    elements (antisymmetry would fail).
+    The generating pairs (a, b) are read as a <= b; pairs (a, a) and repeats
+    add nothing.  A strongly connected component of the pairs with two or
+    more elements breaks antisymmetry: the least such one is rejected, by
+    its two least elements.  Otherwise each element's upset is closed in
+    the order `components_of` emits them (`_closure`).
     """
 
     def __init__(self, elements, relations=()):
         self.elements = tuple(sorted(set(elements)))
-        known = set(self.elements)
-        adj = {p: set() for p in self.elements}
+        adj = {p: [] for p in self.elements}
         for a, b in relations:
-            if a not in known or b not in known:
+            if a not in adj or b not in adj:
                 raise PosetError(f"relation ({a!r}, {b!r}) mentions an unknown element")
-            adj[a].add(b)
-        reach = {}
-        for p in self.elements:
-            seen = set()
-            stack = [p]
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                stack.extend(adj[x])
-            reach[p] = seen
-        for a in self.elements:
-            for b in reach[a]:
-                if a != b and a in reach[b]:
-                    # name the least pair, whatever the set order
-                    b = min(c for c in reach[a] if c != a and a in reach[c])
-                    raise PosetError(f"antisymmetry fails: {a!r} and {b!r} lie on a cycle")
-        self._close(reach, _transpose(reach, self.elements))
+            adj[a].append(b)
+        comps = components_of(adj)
+        cycles = [comp for comp in comps if len(comp) > 1]
+        if cycles:
+            a, b = min(cycles)[:2]
+            raise PosetError(f"antisymmetry fails: {a!r} and {b!r} lie on a cycle")
+        up, _ = _closure(adj, comps)
+        self._close(up, _transpose(up, self.elements))
 
     @classmethod
     def _closed(cls, down):

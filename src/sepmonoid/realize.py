@@ -12,9 +12,10 @@ strongly connected gadget: one vertex per torsion factor, a mutually
 looped pair per free generator.  One deterministic depth-first search
 chooses the gadget rows so that, together with the lower rows, they span
 exactly the kernel of the value assignment, the HNF of its kernel rows.
-Every prime is verified on the spot by presenting the extracted group
-and checking the induced evaluation map is an isomorphism pinning the
-lower generators.
+The lattice algebra it reads (Hermite forms, the completion test, Smith
+forms and kernels) lives in `abelian`.  Every prime is verified on the
+spot by presenting the extracted group and checking the induced
+evaluation map is an isomorphism pinning the lower generators.
 
 The built graph carries the isomorphism the construction followed (a
 `RealizeWitness`), so that `roundtrip_check` can check it instead of
@@ -29,15 +30,16 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import tee
-from math import comb, gcd, prod
-from operator import add, mod, mul
+from math import comb, gcd
+from operator import add, mod
 
 from .abelian import (
-    FGAbelianGroup, GroupHom, _xgcd, images_agree, isomorphism_test, iter_isomorphisms,
-    left_kernel, snf_diagonal, vanishes, vec_mat,
+    GroupHom, _completion_test, _hnf_insert, _row_hnf, images_agree, isomorphism_test,
+    iter_isomorphisms, left_kernel, snf_diagonal, well_defined,
 )
-from .graph import SepGraph, check_adaptable, components_of
+from .graph import SepGraph, check_adaptable
 from .isystem import ISystem, extract_isystem, validate_isystem
+from .posets import components_of
 from .records import Record
 
 
@@ -109,7 +111,7 @@ class _Builder:
             q = self.prime_of[u]
             cm = sysm.map_for(p, q)
             images.append(cm.unit if sysm.kind[q] == "free" else cm.hom(self.val[u]))
-        if not _sends_to_zero(rows, images, sysm.group[p]):
+        if not well_defined(rows, [x.coeffs for x in images], sysm.group[p]):
             raise ConstructionFailed(f"{sysm.kind[p]} prime {p}: lower evaluation is not "
                                      "a homomorphism, connecting data incoherent")
         return images
@@ -153,100 +155,6 @@ class _Builder:
 
 
 # ----------------------------------------------------------- shared pieces
-
-
-def _hnf_insert(span, row):
-    """The canonical HNF of the span of a canonical HNF `span` plus `row`.
-
-    The row is cleared against each pivot in turn by the 2x2 extended-gcd
-    combination, a leftover leading entry becomes a new pivot row, and the
-    entries above each pivot are reduced into [0, pivot) again.  The basis
-    is unique per lattice, so this is _row_hnf of the span's rows and row.
-    """
-    mat = list(span)
-    # leading columns: a first nonzero value occurs first at its own column
-    piv = [r.index(next(filter(None, r))) for r in mat]
-    i = 0
-    while any(row):
-        c = row.index(next(filter(None, row)))
-        while i < len(mat) and piv[i] < c:
-            i += 1
-        if i == len(mat) or piv[i] > c:
-            mat.insert(i, tuple(-x for x in row) if row[c] < 0 else row)
-            piv.insert(i, c)
-            break
-        a, b = mat[i][c], row[c]
-        if b % a:
-            g, x, y = _xgcd(a, b)
-            mat[i], row = ([x * u + y * v for u, v in zip(mat[i], row)],
-                           [a // g * v - b // g * u for u, v in zip(mat[i], row)])
-        else:
-            row = [v - b // a * u for u, v in zip(mat[i], row)]
-        i += 1
-    for j, c in enumerate(piv):
-        for k in range(j):
-            q = mat[k][c] // mat[j][c]
-            if q:
-                mat[k] = [u - q * v for u, v in zip(mat[k], mat[j])]
-    return tuple(map(tuple, mat))
-
-
-def _row_hnf(rows):
-    """Canonical Hermite-style basis of the integer row span, the fold of
-    _hnf_insert from the empty basis.
-
-    Unique per lattice (positive pivots, entries above a pivot reduced into
-    [0, pivot)), so tuples compare equal exactly when the spans agree.
-    """
-    return reduce(_hnf_insert, rows, ())
-
-
-def _completion_test(target, span):
-    """The predicate `_hnf_insert(span, row) == target` on the rows of
-    target, decided in the quotient Q = target / span instead of by one
-    insertion per row.
-
-    Both are canonical HNFs and span lies in target.  Span's rows are
-    written over target's rows by exact back-substitution on target's pivot
-    columns, and one Smith form of those coordinate rows gives Q's
-    canonical coordinates.  If Q needs two or more generators, no row
-    completes; if Q is trivial, every row does; if Q is cyclic, a row does
-    when its one coordinate y in Q has gcd(y, d) == 1 (|y| == 1 when Q is
-    Z).  A row outside target is not in the predicate's domain.
-    """
-    piv = [r.index(next(filter(None, r))) for r in target]
-
-    def coords(row):
-        out = []
-        for t, c in zip(target, piv):
-            q = row[c] // t[c]
-            out.append(q)
-            if q:
-                row = [a - q * b for a, b in zip(row, t)]
-        return out
-
-    # a row of span that is row j of target has coordinates e_j: it kills
-    # generator j of Q, so Q is presented on the other generators alone
-    index = {t: j for j, t in enumerate(target)}
-    live = sorted(set(range(len(target))) - {index[r] for r in span if r in index})
-    rels = [[y[j] for j in live] for y in (coords(r) for r in span if r not in index)]
-    cols = FGAbelianGroup(len(live), rels).coordinate_columns()
-    if len(cols) > 1:
-        return lambda row: False
-    if not cols:
-        return lambda row: True
-    (live_col, d), = cols
-    col = [0] * len(target)
-    for j, x in zip(live, live_col):
-        col[j] = x
-    # y is a linear form on the rows of target: det * y == form . row, where
-    # form solves the triangular system that target's pivot columns make
-    det = prod(t[c] for t, c in zip(target, piv))
-    form = [0] * len(target[0])
-    for i in reversed(range(len(target))):
-        t, c = target[i], piv[i]
-        form[c] = (col[i] * det - sum(map(mul, t, form))) // t[c]
-    return lambda row: gcd(sum(map(mul, row, form)) // det, d) == 1
 
 
 def _kernel_rows(values, G):
@@ -310,12 +218,6 @@ def _block_row(index, out, source=None):
     if source is not None:
         row[index[source]] -= 1
     return row
-
-
-def _sends_to_zero(rows, images, G):
-    """Does the evaluation at images, one element of G per column, kill every row?"""
-    coeffs, cols = [x.coeffs for x in images], G.coordinate_columns()
-    return all(vanishes(vec_mat(row, coeffs), cols) for row in rows)
 
 
 def _presents(G, rows, values):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepmonoid import abelian
-from sepmonoid.abelian import (FGAbelianGroup, GroupHom, element_order,
-                               identity, iter_isomorphisms, left_kernel,
-                               mat_mul, smith_normal_form, snf_diagonal,
-                               solve_left, zero_hom)
+from sepmonoid.abelian import (FGAbelianGroup, GroupHom, _completion_test,
+                               _row_hnf, element_order, identity,
+                               iter_isomorphisms, left_kernel, mat_mul,
+                               smith_normal_form, snf_diagonal, solve_left,
+                               zero_hom)
 
 
 def group_eq(g, x, y):
@@ -143,6 +144,29 @@ def test_left_kernel():
         assert all(sum(row[i] * a[i][j] for i in range(3)) == 0 for j in range(2))
     # (2, -1, 0) lies in the kernel and must be expressible
     assert solve_left(kern, [2, -1, 0]) is not None
+
+
+def _left_kernel_with_both_transforms(a):
+    """left_kernel as it read before v was dropped: the rows of u past the
+    rank, from the full smith_normal_form."""
+    if not a:
+        return []
+    u, s, _ = smith_normal_form(a)
+    rank = sum(1 for i in range(min(len(a), len(a[0]))) if s[i][i])
+    return [list(u[i]) for i in range(rank, len(a))]
+
+
+def test_left_kernel_matches_the_two_sided_smith_form():
+    rng = random.Random(53)
+    cases = [[], [[]], [[], []]]
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append([[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
+                      for _ in range(m)])
+    for a in cases:
+        assert left_kernel(a) == _left_kernel_with_both_transforms(a), a
+    # the shapes _cone_gap and _kernel_rows pass when there is nothing to span
+    assert left_kernel([]) == [] and left_kernel([[]]) == [[1]]
 
 
 def test_group_invariants():
@@ -307,6 +331,46 @@ def test_larger_presentations_stay_out_of_the_frame_cache():
     after = abelian._frame.cache_info()
     assert after.currsize == before.currsize
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_completion_test_frames_do_not_depend_on_the_cache(monkeypatch):
+    # _completion_test reads the quotient target / span from _frame_of: a
+    # presentation of at most 2 relations on at most 2 generators shares the
+    # cached frame, a larger one builds its own, and either way the frame
+    # and the predicate are those of an uncached build
+    rng = random.Random(59)
+    real, cache = abelian._frame_of, abelian._frame
+    frames = []
+
+    def spy(ngens, relations):
+        frames.append((ngens, relations, real(ngens, relations)))
+        return frames[-1][2]
+
+    monkeypatch.setattr(abelian, "_frame_of", spy)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        target = _row_hnf([[rng.randint(-3, 3) for _ in range(n)]
+                           for _ in range(rng.randint(1, n + 1))])
+        if not target:
+            continue
+        span = _row_hnf([[sum(rng.randint(-2, 2) * t[j] for t in target) for j in range(n)]
+                         for _ in range(rng.randint(0, len(target) + 1))])
+        rows = list(target) + [tuple(sum(rng.randint(-2, 2) * t[j] for t in target)
+                                     for j in range(n)) for _ in range(6)]
+        frames.clear()
+        completes = _completion_test(target, span)
+        (ngens, rels, f), = frames
+        own = abelian._Frame(ngens, rels)
+        assert (f.diag, f.columns) == (own.diag, own.columns)
+        small = ngens <= 2 and len(rels) <= 2
+        assert (f is real(ngens, rels)) == small
+        kinds.add(small)
+        monkeypatch.setattr(abelian, "_frame", abelian._Frame)
+        uncached = _completion_test(target, span)
+        monkeypatch.setattr(abelian, "_frame", cache)
+        assert [completes(r) for r in rows] == [uncached(r) for r in rows], (target, span)
+    assert kinds == {True, False}
 
 
 def _seeded_matrix(rng, m, n, bound):

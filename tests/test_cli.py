@@ -62,6 +62,24 @@ def test_validate_parse_error_exit_2(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_validate_a_mixed_source_block_exit_2_at_its_line(tmp_path, capsys):
+    p = tmp_path / "mixed.sg"
+    p.write_text("vertex a\nvertex b\nvertex c\nedge e a b\nedge f c b\nblock e f\n")
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "line 6: block ['e', 'f'] mixes edges from different vertices" in err
+    assert "line 0" not in err
+
+
+def test_realize_a_self_cover_exit_2(tmp_path, capsys):
+    p = tmp_path / "self-cover.is"
+    p.write_text("prime p reg\ngroup p : 0\ncover p < p\n")
+    assert main(["realize", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "line 3: cover p < p is not strict" in captured.err
+    assert "Verified" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("cmd, suffix, text", [
     ("validate", ".sg", "vertex a+b\n"),
     ("validate", ".sg", "vertex u\nvertex 0\nedge e u 0\n"),

@@ -283,3 +283,11 @@ def test_out_edges_index_matches_the_edge_scan():
             v = g.vertices[0]
             g.out_edges(v).append("stray")      # each call returns a copy
             assert g.out_edges(v) == _scan_out_edges(g, v)
+
+
+def test_a_mixed_source_block_is_reported_at_its_line():
+    text = "vertex a\nvertex b\nvertex c\nedge e a b\nedge f c b\nblock e f\n"
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text)
+    assert exc.value.line_no == 6
+    assert str(exc.value) == "line 6: block ['e', 'f'] mixes edges from different vertices"

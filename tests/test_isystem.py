@@ -547,3 +547,19 @@ def test_extracted_reparsed_and_canonicalized_texts_are_pinned():
                   serialize_isystem(canonicalized(sysm))):
             h.update(t.encode())
     assert h.hexdigest() == "8b5625c8c6bb6523b148dd4b2ecb69afc53bb1606cc499585aeea1d33d3276ab"
+
+
+def test_a_cover_of_a_prime_by_itself_is_rejected_at_its_line():
+    # read as p <= p it would add nothing, and the system would realize
+    with pytest.raises(ISystemParseError, match=r"^line 3: cover p < p is not strict$"):
+        parse_isystem("prime p reg\ngroup p : 0\ncover p < p\n")
+
+
+def test_connecting_maps_compare_their_homs_on_the_codomain():
+    # Record equality reaches GroupHom.__eq__, which compares generator
+    # images as elements: 1 and 5 are one element of Z/4, 3 another
+    z4 = FGAbelianGroup(1, [[4]])
+    one, five = ConnectingMap(GroupHom(z4, z4, [[1]])), ConnectingMap(GroupHom(z4, z4, [[5]]))
+    three = ConnectingMap(GroupHom(z4, z4, [[3]]))
+    assert one == five
+    assert one != three and five != three

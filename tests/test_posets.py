@@ -107,3 +107,31 @@ def test_isomorphisms_count_on_antichain():
     p = Poset("abc")
     q = Poset("xyz")
     assert len(list(p.isomorphisms(q))) == 6
+
+
+def test_closure_and_cycle_pair_agree_with_networkx():
+    # an independent oracle on arbitrary relations: cycles, self-pairs and
+    # repeated pairs included
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(9)
+    cyclic = 0
+    for _ in range(400):
+        elems = [f"p{i}" for i in range(rng.randint(1, 8))]
+        rel = [(rng.choice(elems), rng.choice(elems)) for _ in range(rng.randint(0, 12))]
+        rel += rng.sample(rel, min(len(rel), 2))
+        d = nx.DiGraph()
+        d.add_nodes_from(elems)
+        d.add_edges_from(rel)
+        comps = sorted(sorted(c) for c in nx.strongly_connected_components(d) if len(c) > 1)
+        if comps:
+            cyclic += 1
+            a, b = comps[0][:2]
+            with pytest.raises(PosetError, match=f"'{a}' and '{b}' lie on a cycle"):
+                Poset(elems, rel)
+            continue
+        p = Poset(elems, rel)
+        closure = nx.transitive_closure(d, reflexive=True)
+        for x in elems:
+            assert p.upset(x) == set(closure.successors(x)), (rel, x)
+            assert p.downset(x) == set(closure.predecessors(x)), (rel, x)
+    assert 50 < cyclic < 350
