@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import product
 from math import gcd, lcm, prod
-from operator import add, mul, neg, sub
+from operator import add, floordiv, mul, neg, sub
 
 
 class AbelianError(ValueError):
@@ -696,30 +696,6 @@ def zero_hom(domain: FGAbelianGroup, codomain: FGAbelianGroup) -> GroupHom:
 # ------------------------------------------------------------ isomorphisms
 
 
-def _torsion_candidates(h: FGAbelianGroup, d: int):
-    """(coefficients, canonical coords) of the elements of h of order exactly d."""
-    orders = h.invariant_factors
-    zero = (0,) * h.free_rank
-    out = []
-    for tors in product(*[range(o) for o in orders]):
-        x = h.from_canonical(zero, tors)
-        if element_order(x) == d:
-            out.append((x.coeffs, zero + tors))
-    return out
-
-
-def _free_candidates(h: FGAbelianGroup, box: int):
-    """(coefficients, canonical coords) of the elements of h of infinite
-    order within the box."""
-    orders = h.invariant_factors
-    out = []
-    for free in product(*[range(-box, box + 1) for _ in range(h.free_rank)]):
-        if any(free):
-            for tors in product(*[range(o) for o in orders]):
-                out.append((h.from_canonical(free, tors).coeffs, free + tors))
-    return out
-
-
 def _holds(terms, target, vecs, mods):
     """Is sum(c * vecs[k] for k, c in terms) == target in canonical coords?"""
     for i, (t, m) in enumerate(zip(target, mods)):
@@ -732,21 +708,33 @@ def _holds(terms, target, vecs, mods):
 def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints, box):
     """Yield isos g -> h with f(a) == b for each (a, b) in constraints.
 
-    The free part of the search is restricted to canonical coordinates in
-    [-box, box]; torsion is searched exhaustively.  The images of g's
-    canonical generators are assigned depth first, in the order of
+    A candidate image is a canonical coordinate tuple of h.  Every free
+    image shares one list: each free part in [-box, box] that is not all
+    zero, times every torsion tuple.  Torsion is searched exhaustively: the
+    torsion tuples are grouped by order in one pass, and the image of a
+    torsion generator of order d lists those of order d.  The images of
+    g's canonical generators are assigned depth first, in the order of
     itertools.product over their candidate lists, and each constraint is
-    checked as soon as the last image it depends on is assigned.
+    checked on coordinates as soon as the last image it depends on is
+    assigned.  A complete assignment becomes a matrix through the
+    coefficient rows of h's canonical generators.
     """
     if g.invariant_factors != h.invariant_factors or g.free_rank != h.free_rank:
         return
-    cand = [_free_candidates(h, box)] * g.free_rank
-    cand += [_torsion_candidates(h, d) for d in g.invariant_factors]
+    orders, zero = h.invariant_factors, (0,) * h.free_rank
+    torsion = list(product(*map(range, orders)))
+    by_order = {}
+    for t in torsion:
+        d = lcm(*map(floordiv, orders, map(gcd, t, orders)))
+        by_order.setdefault(d, []).append(zero + t)
+    boxed = product(*[range(-box, box + 1)] * h.free_rank)
+    cand = [[free + t for free in boxed if any(free) for t in torsion]] * g.free_rank
+    cand += [by_order.get(d, []) for d in g.invariant_factors]
     # a candidate's matrix is these canonical coordinates of the domain
     # generators times the images of the canonical generators, so f(a) is
     # the sum of c_k * image_k with c = a @ coords
     coords = g.generator_coords()
-    mods = (0,) * h.free_rank + h.invariant_factors
+    mods = zero + orders
     checks = [[] for _ in cand]     # per image: the constraints decided there
     for a, b in constraints:
         if not (isinstance(b, GroupElement) and h.same_presentation(b.group)):
@@ -758,16 +746,17 @@ def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints, box):
             checks[terms[-1][0]].append((terms, free + tors))
         elif any(free) or any(tors):
             return                  # f(a) == 0 for every f
-    images, vecs = [None] * len(cand), [None] * len(cand)
+    gens = [x.coeffs for x in h.canonical_generators()]
+    vecs = [None] * len(cand)
 
     def walk(k):
         if k == len(cand):
-            f = GroupHom(g, h, mat_mul(coords, images)) if images else zero_hom(g, h)
+            f = GroupHom(g, h, mat_mul(coords, mat_mul(vecs, gens))) if vecs else zero_hom(g, h)
             if f.is_isomorphism():
                 yield f
             return
-        for image, vec in cand[k]:
-            images[k], vecs[k] = image, vec
+        for vec in cand[k]:
+            vecs[k] = vec
             if all(_holds(terms, target, vecs, mods) for terms, target in checks[k]):
                 yield from walk(k + 1)
 

@@ -247,6 +247,17 @@ def _merge(a, b):
 
 
 def _realize_free(builder: _Builder, p, log):
+    """One vertex for the free prime p: per kernel row of the lower
+    evaluation, one block for each sign, topped up by one nonnegative
+    preimage so that it sums to zero in G_p.
+
+    On a valid system every lower vertex lies on some kernel row (a regular
+    gadget vertex on d*e_u, e_a + e_b or e_u, a free vertex on the row the
+    cone axiom gives it at the least free prime above it), so the blocks
+    reach every lower cover.  A cover they miss means the cone axiom fails
+    (under validate=False), and raises ConstructionFailed rather than
+    leave p a sink that does not reach it.
+    """
     sysm = builder.sysm
     G = sysm.group[p]
     lows = sorted(sysm.poset.strict_down(p))
@@ -280,16 +291,10 @@ def _realize_free(builder: _Builder, p, log):
                 f"free prime {p}: no nonnegative preimage for a kernel generator within bounds")
         push(_merge(pos, z))
         push(_merge(neg, z))
-    # make sure the new vertex sees every lower cover class
+    reached = _reached(builder, [u for b in blocks for u in b])
     for q in sysm.poset.lower_covers(p):
-        if q in _reached(builder, [u for b in blocks for u in b]):
-            continue
-        u = builder.class_vertices[q][0]
-        z = _nonneg_preimage(G, -required[index[u]], cone)
-        if z is None:
-            raise ConstructionFailed(
-                f"free prime {p}: no nonnegative preimage for coverage of {q} within bounds")
-        push(_merge({u: 1}, z))
+        if q not in reached:
+            raise ConstructionFailed(f"free prime {p}: lower cover {q} is on no kernel row")
     v = builder.add_free(p, blocks, dict(cone))
     # verify: lower rows plus the block rows present exactly G
     if not _presents(G, rows + [_block_row(index, b) for b in blocks], required):
@@ -692,22 +697,21 @@ def roundtrip_check(system: ISystem, graph: SepGraph) -> RoundtripReport:
             if i == len(order):
                 return True
             p = order[i]
+            gp = ext.group[psi[p]]
             constraints = []
             for q in sorted(system.poset.strict_down(p)):
                 cm_e = ext.map_for(psi[p], psi[q])
                 cm_o = system.map_for(p, q)
-                gq = ext.group[psi[q]]
-                for gi in range(gq.ngens):
-                    lhs = ext.group[psi[p]].element(cm_e.hom.matrix[gi])
-                    rhs = cm_o.hom(theta[q](gq.gen(gi)))
-                    constraints.append((lhs, rhs))
+                # per generator of the extracted G_q: its image in the
+                # extracted G_p goes where the system sends theta[q] of it
+                for e_row, t_row in zip(cm_e.hom.matrix, theta[q].matrix):
+                    constraints.append((gp.element(e_row), cm_o.hom(t_row)))
                 if (cm_e.unit is None) != (cm_o.unit is None):
                     return False
                 if cm_e.unit is not None:
                     constraints.append((cm_e.unit, cm_o.unit))
             tried = 0
-            for fiso in iter_isomorphisms(ext.group[psi[p]], system.group[p], constraints,
-                                          ROUNDTRIP_BOX):
+            for fiso in iter_isomorphisms(gp, system.group[p], constraints, ROUNDTRIP_BOX):
                 theta[p] = fiso
                 if assign(i + 1):
                     return True

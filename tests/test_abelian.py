@@ -740,6 +740,33 @@ def _reference_isomorphisms(g, h, constraints, box):
     return out
 
 
+def test_iter_isomorphisms_lists_coordinates_not_elements(monkeypatch):
+    # the candidates are canonical coordinate tuples: the search builds no
+    # element from them and asks no element for its order, and still yields
+    # what the product-then-filter reference yields
+    G = FGAbelianGroup
+    z16 = G(2, [[16, 0], [0, 16]])
+    cases = [
+        (G(2), G(2), lambda g, h: [(g.gen(0) + g.gen(1), h.gen(0))], 2),
+        (G(2, [[0, 2]]), G(2, [[2, 2]]), lambda g, h: [], 2),
+        # f(g0) = h0 leaves the image of g1: a + b * h1 with b a unit mod 16
+        (z16, z16, lambda g, h: [(g.gen(0), h.gen(0))], 4),
+        (G(1, [[6]]), G(2, [[2, 0], [0, 3]]), lambda g, h: [], 4),
+        # (1, 2) in Z/2 + Z/6 has order 6, the lcm of its coordinates' orders
+        (G(2, [[2, 0], [0, 6]]), G(2, [[2, 2], [0, 6]]), lambda g, h: [], 4),
+    ]
+    want = [_reference_isomorphisms(g, h, c(g, h), box) for g, h, c, box in cases]
+    assert [len(x) for x in want] == [8, 4, 128, 2, 12]
+
+    def refuse(*args):
+        raise AssertionError("the search built a group element")
+
+    monkeypatch.setattr(FGAbelianGroup, "from_canonical", refuse)
+    monkeypatch.setattr(abelian, "element_order", refuse)
+    got = [[f.matrix for f in iter_isomorphisms(g, h, c(g, h), box)] for g, h, c, box in cases]
+    assert got == want
+
+
 def _presented(rng, free_rank, torsion):
     """Z^free_rank + the torsion, on a random presentation: the diagonal
     relations under a random unimodular change of generators, sometimes

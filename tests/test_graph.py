@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import sepmonoid
+from sepmonoid.cli import main
 from sepmonoid.fixtures import fixture_graph, fixture_text, graph_names
 from sepmonoid.graph import (MAX_EXPANDED_EDGES, GraphError, GraphParseError,
                              NotAdaptableError,
@@ -59,6 +60,41 @@ def test_parse_errors():
         SepGraph("aa", [])                   # duplicate vertex
     with pytest.raises(GraphError):
         SepGraph("ab", [("e", "a", "a"), ("f", "b", "b")], [("e", "f")])
+
+
+@pytest.mark.parametrize("tail, line, message", [
+    ("edge e a b * 0\n", 3, "multiplicity must be positive, got 0"),
+    ("edge e a b * 2\nedge e a b\n", 4, "duplicate edge 'e'"),
+    ("edge e a b\nedge e a b * 2\n", 4, "duplicate edge 'e'"),
+    ("edge e a b * 2\nedge e.2 b a\n", 4, "duplicate edge 'e.2'"),
+    ("edge e a b\nblock\n", 4, "block line needs at least one edge"),
+])
+def test_parse_errors_name_their_line_and_exit_2(tmp_path, capsys, tail, line, message):
+    text = "vertex a\nvertex b\n" + tail
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text)
+    assert (exc.value.line_no, str(exc.value)) == (line, f"line {line}: {message}")
+    path = tmp_path / "bad.sg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert f"line {line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertices, edges, blocks, message", [
+    ("aba", [], [], "duplicate vertex 'a'"),
+    ("ab", [("e", "a", "b"), ("e", "b", "a")], [], "duplicate edge 'e'"),
+    ("ab", [("e", "x", "b")], [], "edge 'e' has unknown source vertex 'x'"),
+    ("ab", [("e", "a", "x")], [], "edge 'e' has unknown target vertex 'x'"),
+    ("ab", [("e", "a", "b")], [()], "empty block"),
+    ("ab", [("e", "a", "b")], [("f",)], "block mentions unknown edge 'f'"),
+    ("ab", [("e", "a", "b")], [("e",), ("e",)], "edge 'e' is in two blocks"),
+    ("ab", [("e", "a", "a"), ("f", "b", "b")], [("e", "f")],
+     "block ['e', 'f'] mixes edges from different vertices"),
+])
+def test_constructor_errors_name_what_is_wrong(vertices, edges, blocks, message):
+    with pytest.raises(GraphError) as exc:
+        SepGraph(vertices, edges, blocks)
+    assert type(exc.value) is GraphError and str(exc.value) == message
 
 
 @pytest.mark.parametrize("name", ["0", "a+b", "+", "2*a", "*", "a+"])

@@ -7,6 +7,7 @@ import pytest
 
 from sepmonoid import isystem
 from sepmonoid.abelian import FGAbelianGroup, GroupHom, identity
+from sepmonoid.cli import main
 from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names
 from sepmonoid.isystem import (COUNTEREXAMPLE, VERIFIED, ConnectingMap,
                                ISystem, ISystemError, ISystemParseError,
@@ -167,6 +168,40 @@ def test_parse_group_presentation_requires_ordered_names():
         parse_group_presentation("g2 g1")
     g = parse_group_presentation("g1 g2 rels 2*g1 + g2")
     assert g.canonical_name() == "Z"
+
+
+# p over a free q and a regular r, and a regular s beside them; the map
+# line under test is line 11
+_MAP_HEAD = ("prime p reg\nprime q free\nprime r reg\nprime s reg\ncover q < p\n"
+             "cover r < p\ngroup p : Z/2\ngroup q : 0\ngroup r : Z/2\ngroup s : Z/2\n")
+
+
+@pytest.mark.parametrize("map_line, message", [
+    ("map p q : unit -> g1", "map line needs: map <hi> <- <lo> : <clauses>"),
+    ("map p <- s : g1 -> g1", "map for pair without s < p"),
+    ("map p <- r : unit -> 0 ; g1 -> g1", "unit clause for regular prime 'r'"),
+    ("map p <- q : unit -> 0 ; unit -> g1", "duplicate unit clause"),
+    ("map p <- q : unit -> g1 ; h1 -> g1", "bad clause lhs 'h1'"),
+    ("map p <- r : gx -> g1", "bad clause lhs 'gx'"),
+    ("map p <- r : g2 -> g1", "generator 'g2' out of range"),
+    ("map p <- r : g1", "bad clause 'g1'"),
+    ("map p <- r : g1 -> g1 ; g1 -> 0", "duplicate clause for 'g1'"),
+    ("map p <- q :", "free prime 'q' needs a unit clause"),
+    ("map p <- r :", "missing clause(s) for g1"),
+    ("map p <- q : unit -> x*g1", "bad coefficient 'x'"),
+    ("map p <- q : unit -> h1", "bad generator 'h1'"),
+    ("map p <- q : unit -> gx", "bad generator 'gx'"),
+    ("map p <- q : unit -> g2", "generator 'g2' out of range (group has 1)"),
+])
+def test_map_line_errors_name_their_line_and_exit_2(tmp_path, capsys, map_line, message):
+    text = _MAP_HEAD + map_line + "\n"
+    with pytest.raises(ISystemParseError) as exc:
+        parse_isystem(text)
+    assert (exc.value.line_no, str(exc.value)) == (11, f"line 11: {message}")
+    path = tmp_path / "bad.is"
+    path.write_text(text)
+    assert main(["realize", str(path)]) == 2
+    assert f"line 11: {message}" in capsys.readouterr().err
 
 
 def test_parse_errors_carry_line_numbers():
@@ -389,6 +424,25 @@ def test_validate_flags_functoriality_off_in_torsion_only(kind):
         assert rep.failures[0].detail.startswith(what), k
 
 
+def test_validate_names_each_map_shape_and_unit_failure():
+    s = fixture_system("s2")
+    assert validate_isystem(s).ok
+    z, z2 = s.group["p3"], s.group["p4"]
+    cases = [
+        (("p4", "p3"), ConnectingMap(GroupHom(z2, z2, identity(2))),
+         "map-shape", "hom domain is not the source group"),
+        (("p4", "p3"), ConnectingMap(GroupHom(z, z, [[1]])),
+         "map-shape", "hom codomain is not the target group"),
+        (("p2", "p1"), ConnectingMap(s.maps[("p2", "p1")].hom),
+         "map-unit", "free prime p1 needs a unit image under p2"),
+        (("p3", "p2"), ConnectingMap(s.maps[("p3", "p2")].hom, z.zero()),
+         "map-unit", "regular prime p2 must not carry a unit image"),
+    ]
+    for key, cm, axiom, detail in cases:
+        rep = validate_isystem(ISystem(s.poset, s.kind, s.group, {**s.maps, key: cm}))
+        assert [(f.axiom, f.primes, f.detail) for f in rep.failures] == [(axiom, key, detail)]
+
+
 def test_validate_flags_nontrivial_minimal_free():
     poset = Poset(["p"])
     s = ISystem(poset, {"p": "free"}, {"p": FGAbelianGroup(1, [[2]])}, {})
@@ -439,6 +493,7 @@ def test_serialized_form_is_canonical_names():
 # in canonical diagonal form (a group already in that form keeps its
 # generators), every map becomes the GroupHom fwd_hi . hom . back_lo, and the
 # lines are written from that copy with torsion reduced.
+
 
 def _old_canonicalized(sys):
     canon, fwd, back = {}, {}, {}

@@ -13,8 +13,9 @@ from sepmonoid.abelian import FGAbelianGroup, GroupHom, left_kernel, mat_mul
 from sepmonoid.fixtures import (fixture_graph, fixture_system, graph_names,
                                 system_names)
 from sepmonoid.graph import check_adaptable, parse_graph, serialize_graph
-from sepmonoid.isystem import (VERIFIED, canonicalized, extract_isystem,
-                               parse_isystem, serialize_isystem, validate_isystem)
+from sepmonoid.isystem import (VERIFIED, ConnectingMap, ISystem, canonicalized,
+                               extract_isystem, parse_isystem, serialize_isystem,
+                               validate_isystem)
 from sepmonoid.randgen import random_adaptable, relabel_system
 from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible,
                                _completion_test, _hnf_insert, _kernel_rows, _row_hnf,
@@ -1214,3 +1215,76 @@ def test_two_torsion_factor_realizations_are_pinned():
         h.update(text.encode())
     assert (len(groups), failed) == (218, 38)
     assert h.hexdigest() == "07309684060f2d04b0a4bf9201904849dd98fe25b1d53c36bf326601a8d026e2"
+
+
+def test_the_reparsed_z16_4_system_roundtrips_by_search():
+    # (Z/16)^4 has 61,440 elements of order 16; the search lists their
+    # coordinate tuples once, and the four units pin theta on the way down
+    s = parse_isystem(Z16_4_SYSTEM)
+    g = _reparsed(realize(s).graph)
+    rep = roundtrip_check(s, g)
+    assert (rep.status, rep.by) == ("Verified", "search")
+    assert check_roundtrip_certificate(s, g, rep.poset_map, rep.theta) is None
+
+
+# a free prime Z over a trivial free prime whose unit g1 has no negative
+# in the cone: the cone axiom fails, and the kernel of the lower
+# evaluation is zero
+UNCOVERED_SYSTEM = ("prime p free\nprime q free\ncover q < p\ngroup p : Z\ngroup q : 0\n"
+                    "map p <- q : unit -> g1\n")
+
+
+def test_a_lower_cover_on_no_kernel_row_fails_the_free_prime():
+    s = parse_isystem(UNCOVERED_SYSTEM)
+    assert [f.axiom for f in validate_isystem(s).failures] == ["cone-coverage"]
+    with pytest.raises(ValueError, match="^system fails validation: the negated unit of q"):
+        realize(s)
+    with pytest.raises(ConstructionFailed) as exc:
+        realize(s, validate=False)
+    assert str(exc.value) == "free prime p: lower cover q is on no kernel row"
+
+
+def test_certificate_names_each_failure_of_the_poset_map_and_theta():
+    s = parse_isystem(DEEP_SYSTEM)
+    g = realize(s).graph
+    rep = roundtrip_check(s, g)
+    psi, theta = rep.poset_map, rep.theta
+    assert psi == {"p1": "p1", "p2": "p2.1", "p3": "p3.1", "p4": "p4.1", "p5": "p5"}
+    cases = [
+        ({**psi, "p2": psi["p3"]}, theta,
+         "the poset map is no bijection onto the extracted classes"),
+        (psi, {p: f for p, f in theta.items() if p != "p4"},
+         "theta does not have one isomorphism per prime"),
+        ({**psi, "p1": psi["p2"], "p2": psi["p1"]}, theta,
+         "prime p1 is free, its class p2.1 is regular"),
+        ({**psi, "p3": psi["p4"], "p4": psi["p3"]}, theta,
+         "the poset map does not keep the order of p3 and p4"),
+    ]
+    for poset_map, th, want in cases:
+        assert check_roundtrip_certificate(s, g, poset_map, th) == want
+
+
+def _with_map(s, key, cm):
+    """s with its connecting map at key replaced by cm."""
+    return ISystem(s.poset, s.kind, s.group, {**s.maps, key: cm})
+
+
+def test_certificate_names_a_unit_on_one_side_only():
+    # the system's map p2 <- p1 loses its unit, which the extraction keeps
+    s = fixture_system("s2")
+    g = realize(s).graph
+    rep = roundtrip_check(s, g)
+    hom = s.maps[("p2", "p1")].hom
+    other = _with_map(s, ("p2", "p1"), ConnectingMap(hom))
+    assert check_roundtrip_certificate(other, g, rep.poset_map, rep.theta) == (
+        "the map p2 <- p1 has a unit on one side only")
+
+
+def test_realize_renames_a_vertex_whose_name_is_taken():
+    # the regular p names its one gadget vertex p.1, so the free prime p.1
+    # gets p.1_
+    s = parse_isystem("prime p reg\nprime p.1 free\ngroup p : Z/3\ngroup p.1 : 0\n")
+    res = realize(s)
+    assert res.class_map == {"p": ("p.1",), "p.1": ("p.1_",)}
+    assert res.graph.vertices == ("p.1", "p.1_")
+    assert not _roundtrip_both_routes(s, res.graph)
