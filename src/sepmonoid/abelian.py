@@ -633,8 +633,6 @@ class GroupHom:
         self.codomain = codomain
         rows = []
         for row in matrix:
-            if isinstance(row, GroupElement):
-                row = row.coeffs
             row = list(row)
             if len(row) != codomain.ngens:
                 raise AbelianError("hom image length mismatch")
@@ -708,16 +706,16 @@ def _holds(terms, target, vecs, mods):
 def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints, box):
     """Yield isos g -> h with f(a) == b for each (a, b) in constraints.
 
-    A candidate image is a canonical coordinate tuple of h.  Every free
-    image shares one list: each free part in [-box, box] that is not all
-    zero, times every torsion tuple.  Torsion is searched exhaustively: the
-    torsion tuples are grouped by order in one pass, and the image of a
-    torsion generator of order d lists those of order d.  The images of
-    g's canonical generators are assigned depth first, in the order of
-    itertools.product over their candidate lists, and each constraint is
-    checked on coordinates as soon as the last image it depends on is
-    assigned.  A complete assignment becomes a matrix through the
-    coefficient rows of h's canonical generators.
+    a and b are coefficient rows of g and h.  A candidate image is a
+    canonical coordinate tuple of h.  Every free image shares one list:
+    each free part in [-box, box] that is not all zero, times every torsion
+    tuple.  Torsion is searched exhaustively: the torsion tuples are grouped
+    by order in one pass, and the image of a torsion generator of order d
+    lists those of order d.  The images of g's canonical generators are
+    assigned depth first, in the order of itertools.product over their
+    candidate lists, and each constraint is checked on coordinates as soon
+    as the last image it depends on is assigned.  A complete assignment
+    becomes a matrix through the coefficient rows of h's canonical generators.
     """
     if g.invariant_factors != h.invariant_factors or g.free_rank != h.free_rank:
         return
@@ -737,11 +735,9 @@ def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints, box):
     mods = zero + orders
     checks = [[] for _ in cand]     # per image: the constraints decided there
     for a, b in constraints:
-        if not (isinstance(b, GroupElement) and h.same_presentation(b.group)):
-            return                  # no f(a) equals b, as in GroupElement.__eq__
-        c = vec_mat(list(a.coeffs if isinstance(a, GroupElement) else a), coords)
+        c = vec_mat(a, coords)
         terms = [(k, ck) for k, ck in enumerate(c) if ck]
-        free, tors = h.canonical_coords(b.coeffs)
+        free, tors = h.canonical_coords(b)
         if terms:
             checks[terms[-1][0]].append((terms, free + tors))
         elif any(free) or any(tors):

@@ -221,10 +221,7 @@ def parse_graph(text: str) -> SepGraph:
                 raise GraphParseError(
                     line_no, f"block {sorted(ids)} mixes edges from different vertices")
             placed.add(e)
-    try:
-        return SepGraph(vertices, edges, [ids for _, ids in blocks])
-    except GraphError as exc:
-        raise GraphParseError(0, str(exc)) from None
+    return SepGraph(vertices, edges, [ids for _, ids in blocks])
 
 
 def serialize_graph(g: SepGraph) -> str:

@@ -31,11 +31,11 @@ from __future__ import annotations
 from functools import reduce
 from itertools import tee
 from math import comb, gcd
-from operator import add, mod
+from operator import add, mod, neg
 
 from .abelian import (
     GroupHom, _completion_test, _hnf_insert, _row_hnf, images_agree, isomorphism_test,
-    iter_isomorphisms, left_kernel, snf_diagonal, well_defined,
+    iter_isomorphisms, left_kernel, snf_diagonal, vec_mat, well_defined,
 )
 from .graph import SepGraph, check_adaptable
 from .isystem import ISystem, extract_isystem, validate_isystem
@@ -52,11 +52,9 @@ class ConstructionFailed(ValueError):
 
 
 class RealizeResult(Record):
-    def __init__(self, graph: SepGraph, class_map: dict, values: dict,
-                 log: list | None = None):
+    def __init__(self, graph: SepGraph, class_map: dict, log: list | None = None):
         self.graph = graph
         self.class_map = class_map    # prime -> tuple of vertices realizing it
-        self.values = values          # vertex of a regular class -> element of its prime's group
         self.log = [] if log is None else log
 
 
@@ -66,7 +64,7 @@ class RealizeWitness(Record):
     def __init__(self, system: ISystem, poset_map: dict, images: dict):
         self.system = system          # the very object realize was given
         self.poset_map = poset_map    # prime -> class of the built graph
-        self.images = images          # prime -> {vertex of its scope: element of the prime's group}
+        self.images = images          # prime -> {vertex of its scope: row in the prime's group}
 
 
 def _witness(graph: SepGraph):
@@ -79,14 +77,16 @@ def _witness(graph: SepGraph):
 
 
 class _Builder:
+    """The graph under construction.  Each vertex value is kept once, as a
+    coefficient row in images; a free vertex's value is its prime's unit."""
+
     def __init__(self, sysm: ISystem):
         self.sysm = sysm
         self.used_names = set()
         self.class_vertices = {}
         self.prime_of = {}
         self.out_blocks = {}      # vertex -> list of {target: mult}, loops included
-        self.val = {}             # vertex in a regular class -> element of G_prime
-        self.images = {}          # prime -> {vertex of its scope: image in G_prime}
+        self.images = {}          # prime -> {vertex of its scope: coefficient row in G_prime}
 
     def name(self, base):
         cand = base
@@ -103,15 +103,16 @@ class _Builder:
         return L, [_block_row(index, out, u) for u in L for out in self.out_blocks[u]]
 
     def required(self, p, L, rows):
-        """The image in G_p that the connecting maps require of each vertex
-        of L, once checked to send every row to zero."""
+        """The image in G_p, as a coefficient row, that the connecting maps
+        require of each vertex of L, once checked to send every row to zero."""
         sysm = self.sysm
         images = []
         for u in L:
             q = self.prime_of[u]
             cm = sysm.map_for(p, q)
-            images.append(cm.unit if sysm.kind[q] == "free" else cm.hom(self.val[u]))
-        if not well_defined(rows, [x.coeffs for x in images], sysm.group[p]):
+            images.append(cm.unit.coeffs if sysm.kind[q] == "free"
+                          else _image(self.images[q][u], cm.hom))
+        if not well_defined(rows, images, sysm.group[p]):
             raise ConstructionFailed(f"{sysm.kind[p]} prime {p}: lower evaluation is not "
                                      "a homomorphism, connecting data incoherent")
         return images
@@ -121,7 +122,7 @@ class _Builder:
         self.add_class(p, {v: [_merge({v: 1}, b) for b in blocks]}, images)
         return v
 
-    def add_class(self, p, out_blocks, images, values=()):
+    def add_class(self, p, out_blocks, images):
         """Record the class of p: its vertices in order, each with its blocks,
         and the evaluation map its construction verified (the generator
         images of theta_p in the extraction, whose scope at p is the class
@@ -131,7 +132,6 @@ class _Builder:
         for v, outs in out_blocks.items():
             self.prime_of[v] = p
             self.out_blocks[v] = outs
-        self.val.update(values)
 
     def to_graph(self) -> SepGraph:
         """Edges numbered in vertex order; a free block lists its loop first."""
@@ -157,12 +157,17 @@ class _Builder:
 # ----------------------------------------------------------- shared pieces
 
 
+def _image(row, hom):
+    """The coefficient row of hom(row), also when hom has no rows."""
+    return tuple(vec_mat(row, hom.matrix)) if hom.matrix else (0,) * hom.codomain.ngens
+
+
 def _kernel_rows(values, G):
     """Nonzero integer rows r generating the lattice of sum(r[i] * values[i])
-    == 0 in G: one left kernel of the values' coefficient rows stacked on
-    G's relations, cut to the values' columns."""
+    == 0 in G, values given as coefficient rows: one left kernel of them
+    stacked on G's relations, cut to the values' columns."""
     n = len(values)
-    ker = left_kernel([list(v.coeffs) for v in values] + G.relations)
+    ker = left_kernel([list(v) for v in values] + G.relations)
     return [r[:n] for r in ker if any(r[:n])]
 
 
@@ -173,20 +178,20 @@ _PREIMAGE_STATE_CAP = 40000
 def _nonneg_preimage(group, target, gens):
     """Multiset over gen keys whose images sum to target, or None.
 
-    gens: list of (key, GroupElement); breadth-first, so the result is a
-    smallest such multiset and deterministic for a fixed gens order.  The
-    walk visits each element once, in layers of growing total, and gives
-    up past layer _PREIMAGE_MAX_TOTAL (16) or after _PREIMAGE_STATE_CAP
-    (40,000) elements.  It runs on canonical coordinate tuples, one per
-    element: free coordinates add, and torsion coordinates add modulo
-    their factor.
+    gens: list of (key, coefficient row), and target a row too;
+    breadth-first, so the result is a smallest such multiset and
+    deterministic for a fixed gens order.  The walk visits each element
+    once, in layers of growing total, and gives up past layer
+    _PREIMAGE_MAX_TOTAL (16) or after _PREIMAGE_STATE_CAP (40,000)
+    elements.  It runs on canonical coordinate tuples (`canonical_coords`):
+    free coordinates add, and torsion coordinates add modulo their factor.
     """
     k, mods = group.free_rank, group.invariant_factors
-    goal = sum(target.canonical(), ())
+    goal = sum(group.canonical_coords(target), ())
     zero = (0,) * (k + len(mods))
     if zero == goal:
         return {}
-    steps = [(key, sum(gv.canonical(), ())) for key, gv in gens]
+    steps = [(key, sum(group.canonical_coords(row), ())) for key, row in gens]
     seen = {zero}
     frontier, n = [(zero, {})], 0
     for _ in range(_PREIMAGE_MAX_TOTAL):
@@ -221,10 +226,10 @@ def _block_row(index, out, source=None):
 
 
 def _presents(G, rows, values):
-    """Is the group presented by rows, one column per value, isomorphic to
-    G by sending each generator to its value?  `isomorphism_test` on the
-    rows' Smith diagonal, with no group or hom built."""
-    return isomorphism_test(snf_diagonal(rows), rows, [v.coeffs for v in values], G)
+    """Is the group presented by rows, one column per value (a coefficient
+    row of G), isomorphic to G by sending each generator to its value?
+    `isomorphism_test` on the rows' Smith diagonal, with no group built."""
+    return isomorphism_test(snf_diagonal(rows), rows, values, G)
 
 
 def _reached(builder, targets):
@@ -284,8 +289,8 @@ def _realize_free(builder: _Builder, p, log):
     for coeffs in _kernel_rows(required, G):
         pos = {L[i]: c for i, c in enumerate(coeffs) if c > 0}
         neg = {L[i]: -c for i, c in enumerate(coeffs) if c < 0}
-        pos_val = sum((c * required[i] for i, c in enumerate(coeffs) if c > 0), G.zero())
-        z = _nonneg_preimage(G, -pos_val, cone)
+        # the top-up cancels the positive side: -sum(c * required[i], c > 0)
+        z = _nonneg_preimage(G, vec_mat([-max(c, 0) for c in coeffs], required), cone)
         if z is None:
             raise ConstructionFailed(
                 f"free prime {p}: no nonnegative preimage for a kernel generator within bounds")
@@ -395,7 +400,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
             f"regular prime {p}: the built lower part has free rank {len(L) - len(lower_span)}, "
             f"but the target group only has free rank {f}; no row set can cancel the difference")
     required = builder.required(p, L, ambient)
-    cg = G.canonical_generators()
+    cg = [x.coeffs for x in G.canonical_generators()]
     facs = G.invariant_factors
     # gadget vertices: pairs for free generators, one vertex per torsion factor,
     # a doubly looped vertex if the group is trivial
@@ -422,7 +427,8 @@ def _realize_regular(builder: _Builder, p, budget, log):
     covers = sysm.poset.lower_covers(p)
     visits = 0
     # gadget values: the canonical generators, g and -g on a free pair
-    tval = dict(zip(W, [v for gen in cg[:f] for v in (gen, -gen)] + cg[f:] or [G.zero()]))
+    tval = dict(zip(W, [v for gen in cg[:f] for v in (gen, tuple(map(neg, gen)))] + cg[f:]
+                    or [(0,) * G.ngens]))
     values = list(tval.values()) + required
 
     def accept(rows):
@@ -443,7 +449,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
     image = dict(zip(order, values))
 
     def pin_of(u):
-        m = _nonneg_preimage(G, -image[u], list(tval.items()))
+        m = _nonneg_preimage(G, tuple(map(neg, image[u])), list(tval.items()))
         return None if m is None else _merge({u: 1}, m)
 
     cover_pin = {u: pin_of(u) for u in (builder.class_vertices[q][0] for q in covers)}
@@ -459,13 +465,13 @@ def _realize_regular(builder: _Builder, p, budget, log):
 
     out_maps = accept(tuple(map(first, range(nW)))) if nW < 100 * budget else None
     if out_maps is not None:
-        builder.add_class(p, {w: [out_maps[w]] for w in W}, image, tval)
+        builder.add_class(p, {w: [out_maps[w]] for w in W}, image)
         log.append(f"regular {p}: vertices {', '.join(W)}, attempt {nW + 1}")
         return
 
     target = _row_hnf(_kernel_rows(values, G))
     pins = [cover_pin[u] if u in cover_pin else pin_of(u) for u in L]
-    coords = [[*free, *tors] for free, tors in (v.canonical() for v in values)]
+    coords = [[*free, *tors] for free, tors in map(G.canonical_coords, values)]
     # each pool is a tee object over one lazy generator: a copy of it
     # (__copy__, no dispatch through copy.copy) replays what was read so
     # far from the start, then reads on demand
@@ -521,7 +527,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
     if out_maps is None:
         raise ConstructionFailed(
             f"regular prime {p}: no row set matched the kernel lattice after {visits} visits")
-    builder.add_class(p, {w: [out_maps[w]] for w in W}, image, tval)
+    builder.add_class(p, {w: [out_maps[w]] for w in W}, image)
     log.append(f"regular {p}: vertices {', '.join(W)}, attempt {visits}")
 
 
@@ -571,7 +577,7 @@ def realize(system: ISystem, *, budget: int = 200,
                 f"prime {p} realized as {report.kinds[cid]}, wanted {system.kind[p]}")
         psi[p] = cid
     graph._derived[_witness] = RealizeWitness(system, psi, builder.images)
-    return RealizeResult(graph, dict(builder.class_vertices), dict(builder.val), log)
+    return RealizeResult(graph, dict(builder.class_vertices), log)
 
 
 class RoundtripReport(Record):
@@ -584,6 +590,28 @@ class RoundtripReport(Record):
         self.by = by                  # "witness" when realize's own isomorphism certified it
 
 
+def _constraints(system: ISystem, ext: ISystem, psi: dict, theta: dict, p):
+    """The (a, b, failure text) that theta[p] must meet, given theta below
+    p: theta[p] sends a, a row of the extracted G_p, to b, a row of the
+    system's.  Per q < p in sorted order, one per generator of the
+    extracted G_q (its image, and the system's image of theta[q] of it),
+    then the units.  b is None where no theta[p] can work: a system side
+    outside G_p's presentation, or a unit on one side only."""
+    G = system.group[p]
+    for q in sorted(system.poset.strict_down(p)):
+        cm_e, cm_o = ext.map_for(psi[p], psi[q]), system.map_for(p, q)
+        ok = cm_o.hom.codomain.same_presentation(G)
+        for a, t in zip(cm_e.hom.matrix, theta[q].matrix):
+            yield (a, _image(t, cm_o.hom) if ok else None,
+                   f"theta does not commute with the map {p} <- {q}")
+        if (cm_e.unit is None) != (cm_o.unit is None):
+            yield None, None, f"the map {p} <- {q} has a unit on one side only"
+        elif cm_e.unit is not None:
+            yield (cm_e.unit.coeffs,
+                   cm_o.unit.coeffs if cm_o.unit.group.same_presentation(G) else None,
+                   f"theta at {p} does not send the unit of {q} to the system's")
+
+
 def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dict,
                                 theta: dict) -> str | None:
     """Check a round-trip certificate without any search.
@@ -591,10 +619,9 @@ def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dic
     None when poset_map (prime -> class of the extraction of graph) is a
     kind-preserving poset isomorphism, and each theta[p] is an isomorphism
     from the extracted group at poset_map[p] onto the system's group at p
-    that commutes with every connecting map on generators and sends each
-    unit of the extraction to the system's.  Otherwise the first failure.
-    Each generator and each unit is one `images_agree` on coefficient rows,
-    with no element or composed hom built.
+    that sends a to b for every (a, b) of `_constraints`, the list the
+    search reads too, each by one `images_agree` on coefficient rows.
+    Otherwise the first failure.
     """
     ext = extract_isystem(graph)
     psi = poset_map
@@ -615,29 +642,16 @@ def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dic
                 and f.codomain.same_presentation(system.group[p]) and f.is_isomorphism()):
             return f"theta at {p} is no isomorphism onto its group"
     for p in primes:
-        f = theta[p]
-        G = f.codomain
-        for q in sorted(system.poset.strict_down(p)):
-            cm_e, cm_o = ext.map_for(psi[p], psi[q]), system.map_for(p, q)
-            # per generator of the extracted G_q: f of its image in the
-            # extracted G_p minus the system's image of theta[q] of it
-            # vanishes in G_p, and both sides lie in G_p's presentation
-            for e_row, t_row in zip(cm_e.hom.matrix, theta[q].matrix):
-                if not (cm_o.hom.codomain.same_presentation(G)
-                        and images_agree(e_row, f.matrix, t_row, cm_o.hom.matrix, G)):
-                    return f"theta does not commute with the map {p} <- {q}"
-            if (cm_e.unit is None) != (cm_o.unit is None):
-                return f"the map {p} <- {q} has a unit on one side only"
-            if cm_e.unit is not None and not (
-                    cm_o.unit.group.same_presentation(G)
-                    and images_agree(cm_e.unit.coeffs, f.matrix, (1,), [cm_o.unit.coeffs], G)):
-                return f"theta at {p} does not send the unit of {q} to the system's"
+        for a, b, failure in _constraints(system, ext, psi, theta, p):
+            if b is None or not images_agree(a, theta[p].matrix, (1,), [b], system.group[p]):
+                return failure
     return None
 
 
 def _witness_theta(system: ISystem, ext: ISystem, wit: RealizeWitness):
-    """theta from the witness's vertex images, or None where they do not
-    name the extracted generators."""
+    """theta from the witness's vertex images, whose coefficient rows are
+    its matrix rows, or None where they do not name the extracted
+    generators."""
     theta = {}
     for p, c in wit.poset_map.items():
         labels, img = ext.generator_labels[c], wit.images[p]
@@ -647,10 +661,10 @@ def _witness_theta(system: ISystem, ext: ISystem, wit: RealizeWitness):
     return theta
 
 
-def _content(x) -> int:
-    """The gcd of the free canonical coordinates of x.  Every isomorphism
+def _content(group, row) -> int:
+    """The gcd of row's free canonical coordinates in group.  Every isomorphism
     keeps it, so f(a) == b fails for all f when a and b differ in it."""
-    return gcd(*x.canonical()[0])
+    return gcd(*group.canonical_coords(row)[0])
 
 
 ROUNDTRIP_BOX = 4         # the search lists free images with coordinates in [-4, 4]
@@ -697,21 +711,12 @@ def roundtrip_check(system: ISystem, graph: SepGraph) -> RoundtripReport:
             if i == len(order):
                 return True
             p = order[i]
-            gp = ext.group[psi[p]]
-            constraints = []
-            for q in sorted(system.poset.strict_down(p)):
-                cm_e = ext.map_for(psi[p], psi[q])
-                cm_o = system.map_for(p, q)
-                # per generator of the extracted G_q: its image in the
-                # extracted G_p goes where the system sends theta[q] of it
-                for e_row, t_row in zip(cm_e.hom.matrix, theta[q].matrix):
-                    constraints.append((gp.element(e_row), cm_o.hom(t_row)))
-                if (cm_e.unit is None) != (cm_o.unit is None):
-                    return False
-                if cm_e.unit is not None:
-                    constraints.append((cm_e.unit, cm_o.unit))
+            gp, G = ext.group[psi[p]], system.group[p]
+            constraints = [(a, b) for a, b, _ in _constraints(system, ext, psi, theta, p)]
+            if any(b is None for _, b in constraints):
+                return False
             tried = 0
-            for fiso in iter_isomorphisms(gp, system.group[p], constraints, ROUNDTRIP_BOX):
+            for fiso in iter_isomorphisms(gp, G, constraints, ROUNDTRIP_BOX):
                 theta[p] = fiso
                 if assign(i + 1):
                     return True
@@ -719,8 +724,8 @@ def roundtrip_check(system: ISystem, graph: SepGraph) -> RoundtripReport:
                 if tried >= ROUNDTRIP_BRANCH:
                     break
             theta.pop(p, None)
-            if (tried == 0 and system.group[p].free_rank > 0
-                    and all(_content(a) == _content(b) for a, b in constraints)):
+            if (tried == 0 and G.free_rank > 0
+                    and all(_content(gp, a) == _content(G, b) for a, b in constraints)):
                 saw_inconclusive = True
             return False
 

@@ -327,3 +327,59 @@ def test_a_mixed_source_block_is_reported_at_its_line():
         parse_graph(text)
     assert exc.value.line_no == 6
     assert str(exc.value) == "line 6: block ['e', 'f'] mixes edges from different vertices"
+
+
+def _fuzzed_sg_texts(rng, count):
+    """Mutated serializations of random adaptable graphs, and token soup:
+    lines of directives, names, edge ids, '*', counts and comments."""
+    names = ["a", "b", "c", "e", "e.1", "e.2", "f", "u", "0", "a+b", "2*a", "*", "-1", "0", "2",
+             "3", "x", "#", "vertex", "edge", "block"]
+    for i in range(count):
+        if i % 4 == 3:
+            lines = [" ".join(rng.choice(names) for _ in range(rng.randint(1, 6)))
+                     for _ in range(rng.randint(1, 8))]
+            yield "\n".join(lines) + "\n"
+            continue
+        lines = serialize_graph(random_adaptable(rng, 3)).splitlines()
+        tokens = sorted({t for ln in lines for t in ln.split()}) + names
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randrange(len(lines))
+            op = rng.choice(["drop", "repeat", "swap", "token", "insert", "multiply"])
+            if op == "drop":
+                del lines[j]
+            elif op == "repeat":
+                lines.insert(rng.randrange(len(lines) + 1), lines[j])
+            elif op == "swap":
+                k = rng.randrange(len(lines))
+                lines[j], lines[k] = lines[k], lines[j]
+            else:
+                words = lines[j].split()
+                if op == "token":
+                    words[rng.randrange(len(words))] = rng.choice(tokens)
+                elif op == "insert":
+                    words.insert(rng.randint(0, len(words)), rng.choice(tokens))
+                else:
+                    words += ["*", rng.choice(["0", "1", "2", "3", "x"])]
+                lines[j] = " ".join(words)
+            if not lines:
+                break
+        yield "\n".join(lines) + "\n"
+
+
+def test_fuzzed_texts_fail_at_a_line_or_build():
+    # parse_graph reports every error the SepGraph constructor could raise
+    # at its own line: no error names line 0, and every accepted text builds
+    outcomes = {"error": 0, "built": 0}
+    messages = set()
+    for text in _fuzzed_sg_texts(random.Random(38), 2000):
+        try:
+            g = parse_graph(text)
+        except GraphParseError as exc:
+            assert exc.line_no >= 1, (text, str(exc))
+            outcomes["error"] += 1
+            messages.add(re.sub("'[^']*'|\\[.*\\]|-?\\d+", "_", str(exc).split(": ", 1)[1]))
+            continue
+        assert type(g) is SepGraph and parse_graph(serialize_graph(g)) == g, text
+        outcomes["built"] += 1
+    assert outcomes["error"] > 1500 and outcomes["built"] > 150, outcomes
+    assert len(messages) >= 12, sorted(messages)

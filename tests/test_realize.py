@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from sepmonoid.abelian import FGAbelianGroup, GroupHom, left_kernel, mat_mul
+from sepmonoid.abelian import FGAbelianGroup, GroupElement, GroupHom, left_kernel, mat_mul
 from sepmonoid.fixtures import (fixture_graph, fixture_system, graph_names,
                                 system_names)
 from sepmonoid.graph import check_adaptable, parse_graph, serialize_graph
@@ -467,8 +467,9 @@ def test_a_mutated_witness_falls_back_to_the_search():
     g = realize(s).graph
     wit = g.derived(_witness)
     p = next(p for p in s.poset if s.group[p].canonical_name() == "Z")
-    v = next(v for v in sorted(wit.images[p]) if not wit.images[p][v].is_zero())
-    wit.images[p][v] = 2 * wit.images[p][v]
+    G = s.group[p]
+    v = next(v for v in sorted(wit.images[p]) if not G.element(wit.images[p][v]).is_zero())
+    wit.images[p][v] = tuple(2 * x for x in wit.images[p][v])
     theta = _witness_theta(s, extract_isystem(g), wit)
     assert check_roundtrip_certificate(s, g, wit.poset_map, theta) is not None
     rep = roundtrip_check(s, g)
@@ -672,7 +673,7 @@ def test_kernel_rows_span_the_canonical_coordinate_lattice():
         values = [G.element([0 if shape == "zero values" else rng.randint(-4, 4)
                              for _ in range(G.ngens)]) for _ in range(n)]
         shapes[shape] += 1
-        rows = _kernel_rows(values, G)
+        rows = _kernel_rows([v.coeffs for v in values], G)
         for r in rows:
             assert len(r) == n and any(r)
             total = G.zero()
@@ -897,6 +898,11 @@ def _element_walk_preimage(group, target, gens):
     return None
 
 
+def _as_elements(group, target, gens):
+    """A walk's coefficient-row arguments as the element walk reads them."""
+    return group, group.element(target), [(key, group.element(row)) for key, row in gens]
+
+
 def test_preimage_walk_on_coordinates_matches_the_element_walk(monkeypatch):
     calls = []
     real = realize_mod._nonneg_preimage
@@ -917,22 +923,24 @@ def test_preimage_walk_on_coordinates_matches_the_element_walk(monkeypatch):
     rng = random.Random(45)
     for _ in range(150):
         G = _scrambled_group(rng, rng.choice([0, 1, 1, 2]), rng.choice(_TORSION_CHAINS))
-        gens = [(f"u{i}", G.element([rng.randint(-3, 3) for _ in range(G.ngens)]))
+        gens = [(f"u{i}", tuple(rng.randint(-3, 3) for _ in range(G.ngens)))
                 for i in range(rng.randint(1, 4))]
-        calls.append((G, G.element([rng.randint(-4, 4) for _ in range(G.ngens)]), gens))
+        calls.append((G, tuple(rng.randint(-4, 4) for _ in range(G.ngens)), gens))
     totals = []
     for group, target, gens in calls:
         got = real(group, target, gens)
-        assert got == _element_walk_preimage(group, target, gens), (group, target, gens)
+        assert got == _element_walk_preimage(*_as_elements(group, target, gens)), (
+            group, target, gens)
         totals.append(None if got is None else sum(got.values()))
     assert 12 in totals and totals.count(None) > 20 and len(set(totals)) > 8, totals
     # with the bounds set low, both routes give up on the total-12 walk
     twelve = calls[totals.index(12)]
     for name, low in (("_PREIMAGE_MAX_TOTAL", 11), ("_PREIMAGE_STATE_CAP", 300)):
         monkeypatch.setattr(realize_mod, name, low)
-        assert real(*twelve) is None and _element_walk_preimage(*twelve) is None, name
+        assert real(*twelve) is None, name
+        assert _element_walk_preimage(*_as_elements(*twelve)) is None, name
         monkeypatch.undo()
-    assert real(*twelve) == _element_walk_preimage(*twelve)
+    assert real(*twelve) == _element_walk_preimage(*_as_elements(*twelve))
 
 
 def test_presents_matches_the_group_object_route():
@@ -947,7 +955,7 @@ def test_presents_matches_the_group_object_route():
         values = [G.element([rng.randint(-2, 2) for _ in range(G.ngens)]) for _ in range(k)]
         # the values' kernel rows present G exactly when the values generate
         # it; half the time drop, double or add a row
-        rows = _kernel_rows(values, G)
+        rows = _kernel_rows([v.coeffs for v in values], G)
         edit = rng.choice(["none", "none", "none", "drop", "double", "add"])
         if edit == "drop" and rows:
             rows.pop(rng.randrange(len(rows)))
@@ -961,7 +969,7 @@ def test_presents_matches_the_group_object_route():
         assert want == (dom.invariant_factors == G.invariant_factors
                         and dom.free_rank == G.free_rank and hom.is_well_defined()
                         and G.generated_by(hom.matrix))
-        assert realize_mod._presents(G, rows, values) == want, (G.relations, rows, values)
+        assert realize_mod._presents(G, rows, hom.matrix) == want, (G.relations, rows, values)
         outcomes[want] += 1
     assert min(outcomes.values()) > 200, outcomes
 
@@ -1288,3 +1296,81 @@ def test_realize_renames_a_vertex_whose_name_is_taken():
     assert res.class_map == {"p": ("p.1",), "p.1": ("p.1_",)}
     assert res.graph.vertices == ("p.1", "p.1_")
     assert not _roundtrip_both_routes(s, res.graph)
+
+
+FOREIGN_CASES = [
+    # Z over Z, the map p <- q into Z presented on two generators (g2 = 0)
+    ("prime q reg\nprime p reg\ncover q < p\ngroup q : Z\ngroup p : Z\nmap p <- q : g1 -> g1\n",
+     "q", lambda s: ConnectingMap(GroupHom(s.group["q"], FGAbelianGroup(2, [[0, 1]]), [[1, 0]])),
+     "theta does not commute with the map p <- q"),
+    # Z/4 over Z/4, the map into Z + Z/4, which is no presentation of Z/4 at all
+    ("prime q reg\nprime p reg\ncover q < p\ngroup q : Z/4\ngroup p : Z/4\n"
+     "map p <- q : g1 -> g1\n",
+     "q", lambda s: ConnectingMap(GroupHom(s.group["q"], FGAbelianGroup(2, [[4, 0]]), [[1, 0]])),
+     "theta does not commute with the map p <- q"),
+    # Z over two trivial free primes, the unit of q1 in Z presented on two generators
+    ("prime q1 free\nprime q2 free\nprime p free\ncover q1 < p\ncover q2 < p\n"
+     "group q1 : 0\ngroup q2 : 0\ngroup p : Z\nmap p <- q1 : unit -> g1\n"
+     "map p <- q2 : unit -> -g1\n",
+     "q1", lambda s: ConnectingMap(s.maps[("p", "q1")].hom,
+                                   FGAbelianGroup(2, [[0, 1]]).element([1, 0])),
+     "theta at p does not send the unit of q1 to the system's"),
+]
+
+
+@pytest.mark.parametrize("text, q, foreign, failure", FOREIGN_CASES)
+def test_a_map_into_another_presentation_fails_both_routes(text, q, foreign, failure):
+    # the system side of p <- q lies outside G_p's presentation, so no theta
+    # commutes with it: the certificate names the map, and the search, which
+    # reads the same constraint list, fails at p instead of reporting its
+    # bound exhausted
+    s = parse_isystem(text)
+    g = realize(s).graph
+    assert not _roundtrip_both_routes(s, g)
+    rep = roundtrip_check(s, g)
+    other = _with_map(s, ("p", q), foreign(s))
+    assert check_roundtrip_certificate(other, g, rep.poset_map, rep.theta) == failure
+    rep = roundtrip_check(other, _reparsed(g))
+    assert (rep.status, rep.detail) == ("FailedAt", "no compatible family of group isomorphisms")
+
+
+def test_vertex_values_and_constraints_are_coefficient_rows(monkeypatch):
+    # realize keeps each vertex value once, as a row, and both round-trip
+    # routes read one constraint list of rows: with element zeros, sums,
+    # negatives, multiples and canonical coordinates refused, the graphs,
+    # logs and reports are the same
+    systems = [fixture_system(n) for n in system_names()]
+    systems += [extract_isystem(fixture_graph(n)) for n in graph_names()]
+    systems += [parse_isystem(HARD_SYSTEMS[n]) for n in sorted(HARD_SYSTEMS)]
+    systems.append(parse_isystem(DEEP_SYSTEM))
+
+    def outputs():
+        out = []
+        for s in systems:
+            res = realize(s)
+            out.append((serialize_graph(res.graph), res.log))
+            for graph in (res.graph, _reparsed(res.graph)):
+                rep = roundtrip_check(s, graph)
+                out.append((rep.status, rep.by, rep.detail, rep.poset_map,
+                            {p: f.matrix for p, f in rep.theta.items()}))
+        return out
+
+    want = outputs()
+    assert {o[1] for o in want if len(o) == 5} == {"witness", "search"}
+    seen = []
+    real = realize_mod.iter_isomorphisms
+
+    def spy(g, h, constraints, box):
+        seen.extend(constraints)
+        return real(g, h, constraints, box)
+
+    def refuse(*args):
+        raise AssertionError("realize or the round trip used a group element")
+
+    monkeypatch.setattr(FGAbelianGroup, "zero", refuse)
+    for name in ("__add__", "__neg__", "__rmul__", "canonical"):
+        monkeypatch.setattr(GroupElement, name, refuse)
+    monkeypatch.setattr(realize_mod, "iter_isomorphisms", spy)
+    assert outputs() == want
+    assert seen and all(type(row) in (list, tuple) and all(type(x) is int for x in row)
+                        for pair in seen for row in pair)

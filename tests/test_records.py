@@ -42,7 +42,7 @@ RECORDS = [
     (ConnectingMap, "hom unit", (None,), {"unit": None}),
     (ValidationFailure, "axiom primes detail", ("cone-coverage", ("p",), "why"), {}),
     (ValidationReport, "status failures", ("Verified",), {"failures": []}),
-    (RealizeResult, "graph class_map values log", (None, {}, {}), {"log": []}),
+    (RealizeResult, "graph class_map log", (None, {}), {"log": []}),
     (RealizeWitness, "system poset_map images", (None, {}, {}), {}),
     (RoundtripReport, "status poset_map detail theta by", ("FailedAt",),
      {"poset_map": None, "detail": "", "theta": None, "by": "search"}),
