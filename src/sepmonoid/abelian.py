@@ -32,9 +32,17 @@ def mat_mul(a, b):
 
 
 def vec_mat(x, a):
+    """x @ a, the sum of c * a[i] over the nonzero entries c = x[i]; an
+    all-zero x gives the zero row of a's width, and [] gives []."""
     if len(x) != len(a):
         raise AbelianError("vector/matrix shape mismatch")
-    return [sum(map(mul, x, col)) for col in zip(*a)]
+    out = None
+    for c, row in zip(x, a):
+        if c:
+            out = [c * r for r in row] if out is None else [o + c * r for o, r in zip(out, row)]
+    if out is None:
+        return [0] * len(a[0]) if a else []
+    return out
 
 
 def _swap_rows(s, u, i, j):
@@ -125,7 +133,9 @@ def _smith(a, left, right=True):
 
     At step t of the main loop the rows above t are zero in every column
     from t on, so its column operations update s from row t down only; the
-    divisibility fix works on all rows."""
+    divisibility fix works on all rows.  Clearing column t and row t ends
+    at the first sweep whose column step does not refill column t: its row
+    step zeroed that column below the pivot, so no rescan is needed."""
     m = len(a)
     n = len(a[0]) if m else 0
     for row in a:
@@ -178,7 +188,7 @@ def _smith(a, left, right=True):
                     g, x, y = _xgcd(a0, b0)
                     _col_combine(s, v, t, j, x, y, -(b0 // g), a0 // g, t)
                     refill = True
-            if not refill and all(s[i][t] == 0 for i in range(t + 1, m)):
+            if not refill:
                 break
         if s[t][t] < 0:
             _negate_row(s, u, t)
@@ -451,9 +461,13 @@ class FGAbelianGroup:
 
     def canonical_generators(self):
         """Elements mapping to the canonical basis: free gens, then torsion gens."""
+        return [self.element(row) for row in self._canonical_rows()]
+
+    def _canonical_rows(self):
+        """The coefficient rows of canonical_generators, as int tuples."""
         f = self._frame
         # a group with no canonical generators (the trivial group) needs no inverse
-        return [self.element(f.inverse()[i]) for i in f.free_idx + f.tors_idx]
+        return [f.inverse()[i] for i in f.free_idx + f.tors_idx]
 
     def canonical_frame(self):
         """(relations, coords) of the canonical diagonal form: its diagonal
@@ -604,9 +618,18 @@ def isomorphism_test(diag, relations, images, codomain) -> bool:
 
 
 def well_defined(relations, images, codomain) -> bool:
-    """Does sending generator i to images[i] kill every relation in codomain?"""
-    cols = codomain._frame.columns
-    return all(vanishes(vec_mat(rel, images), cols) for rel in relations)
+    """Does sending generator i to images[i] kill every relation in codomain?
+    Each coordinate column (col, m) is composed with the images once, into
+    w = (img . col for img in images); a relation r (of len(images) entries,
+    else AbelianError) vanishes when each r . w is 0, or 0 mod a nonzero m."""
+    forms = [([sum(map(mul, img, col)) for img in images], m)
+             for col, m in codomain._frame.columns]
+    for rel in relations:
+        if len(rel) != len(images):
+            raise AbelianError("vector/matrix shape mismatch")
+        if not vanishes(rel, forms):
+            return False
+    return True
 
 
 def element_order(x: GroupElement):
@@ -742,7 +765,7 @@ def iter_isomorphisms(g: FGAbelianGroup, h: FGAbelianGroup, constraints, box):
             checks[terms[-1][0]].append((terms, free + tors))
         elif any(free) or any(tors):
             return                  # f(a) == 0 for every f
-    gens = [x.coeffs for x in h.canonical_generators()]
+    gens = h._canonical_rows()
     vecs = [None] * len(cand)
 
     def walk(k):

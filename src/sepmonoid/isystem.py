@@ -120,8 +120,8 @@ def _cone_gap(p, quotient: FGAbelianGroup, units) -> str | None:
     """
     rest = FGAbelianGroup(quotient.ngens, quotient.relations + [list(u) for _, u in units])
     if not rest.is_trivial():
-        missing = quotient.element(rest.canonical_generators()[0].coeffs)
-        return f"element {missing.canonical()} of G_{p} is not reachable from below"
+        missing = quotient.canonical_coords(rest._canonical_rows()[0])
+        return f"element {missing} of G_{p} is not reachable from below"
     r = quotient.free_rank
     if not r:
         return None
@@ -436,7 +436,7 @@ def _source_images(matrix, g: FGAbelianGroup):
     """Rows of matrix, a hom out of g, taken at g's canonical generators."""
     if g.canonical_frame()[1] is None:
         return matrix
-    return [vec_mat(e.coeffs, matrix) for e in g.canonical_generators()]
+    return [vec_mat(row, matrix) for row in g._canonical_rows()]
 
 
 def _target_coords(row, g: FGAbelianGroup):

@@ -41,7 +41,10 @@ def components_of(adj):
                     low[v] = index[w]
             else:
                 work.pop()
-                if low[v] == index[v]:
+                if low[v] == index[v] and stack[-1] == v:     # a singleton: no slice or sort
+                    onstack.discard(stack.pop())
+                    comps.append([v])
+                elif low[v] == index[v]:
                     comp = stack[stack.index(v):]
                     del stack[-len(comp):]
                     onstack.difference_update(comp)

@@ -228,7 +228,9 @@ def _block_row(index, out, source=None):
 def _presents(G, rows, values):
     """Is the group presented by rows, one column per value (a coefficient
     row of G), isomorphic to G by sending each generator to its value?
-    `isomorphism_test` on the rows' Smith diagonal, with no group built."""
+    `isomorphism_test` on the rows' Smith diagonal, with no group built.
+    The answer depends only on the rows' span, so a regular prime passes
+    the HNF of its lower block rows."""
     return isomorphism_test(snf_diagonal(rows), rows, values, G)
 
 
@@ -389,6 +391,8 @@ def _realize_regular(builder: _Builder, p, budget, log):
     completes target and no level is pruned (a row raises the rank by at
     most 1): the search returns the same.  The check before level j's row
     sees j + 1 visits, so both finish that descent when nW < 100 * budget.
+    `accept` presents the lower part by lower_span, the HNF of its block
+    rows: one lattice, so `_presents` answers the same on fewer rows.
     """
     sysm = builder.sysm
     G = sysm.group[p]
@@ -400,7 +404,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
             f"regular prime {p}: the built lower part has free rank {len(L) - len(lower_span)}, "
             f"but the target group only has free rank {f}; no row set can cancel the difference")
     required = builder.required(p, L, ambient)
-    cg = [x.coeffs for x in G.canonical_generators()]
+    cg = G._canonical_rows()
     facs = G.invariant_factors
     # gadget vertices: pairs for free generators, one vertex per torsion factor,
     # a doubly looped vertex if the group is trivial
@@ -422,7 +426,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
     order = W + L
     nW = len(W)
 
-    R_L = [[0] * nW + row for row in ambient]
+    R_L = [(0,) * nW + row for row in lower_span]
     mods = [0] * f + list(facs)
     covers = sysm.poset.lower_covers(p)
     visits = 0
@@ -520,7 +524,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
                 return got
         return None
 
-    out_maps = rec((), tuple((0,) * nW + tuple(r) for r in lower_span))
+    out_maps = rec((), tuple(R_L))
     # rec reaches itself through its closure: unbind it, so that reference
     # counting frees the search's closures, generators and tee buffers
     del rec

@@ -558,6 +558,76 @@ def test_well_defined_matches_the_full_product():
     assert min(outcomes.values()) > 100
 
 
+def test_vec_mat_adds_the_selected_rows_as_the_full_product():
+    # vec_mat sums c * a[i] over the nonzero c = x[i]; it must equal the
+    # full product on sparse, dense and all-zero vectors, 0-row and
+    # 0-width matrices, and raise on a length mismatch
+    rng = random.Random(31)
+    kinds = {"sparse": 0, "dense": 0, "zero": 0}
+    for _ in range(1500):
+        m, n = rng.randint(0, 7), rng.randint(0, 6)
+        a = _seeded_matrix(rng, m, n, rng.choice((1, 4, 30)))
+        kind = rng.choice(sorted(kinds))
+        if kind == "zero":
+            x = [0] * m
+        else:
+            share = 0.3 if kind == "sparse" else 1.0
+            x = [rng.randint(-9, 9) if rng.random() < share else 0 for _ in range(m)]
+        kinds[kind] += 1
+        assert abelian.vec_mat(x, a) == _vec_mat_scan(x, a), (x, a)
+        assert abelian.vec_mat(tuple(x), tuple(map(tuple, a))) == _vec_mat_scan(x, a)
+    assert min(kinds.values()) > 400, kinds
+    assert abelian.vec_mat([], []) == []
+    assert abelian.vec_mat([0, 0], [[1, 2, 3], [4, 5, 6]]) == [0, 0, 0]
+    assert abelian.vec_mat([3, 0], [[], []]) == []
+    assert abelian.vec_mat([0, 1, 2], [[1, 0], [2, 5], [-1, 7]]) == [0, 19]
+    for x, a in (([1], []), ([], [[1]]), ([1, 2], [[1, 2]]), ([1], [[1], [2]])):
+        with pytest.raises(abelian.AbelianError):
+            abelian.vec_mat(x, a)
+
+
+def test_well_defined_reads_column_forms_as_the_full_product():
+    # well_defined composes the images with the codomain's columns once;
+    # it must answer as the full product, on homs out of 0-generator
+    # domains, with no relations, and into torsion whose relations map to
+    # nonzero multiples of a modulus, and raise on a relation of the wrong
+    # length
+    rng = random.Random(37)
+    outcomes = {True: 0, False: 0}
+    multiples = 0
+    for _ in range(800):
+        h = _seeded_group(rng)
+        n = rng.choice((0, 0, 1, 2, 3))
+        mat = [[rng.randint(-4, 4) for _ in range(h.ngens)] for _ in range(n)]
+        shape = rng.choice(("none", "kernel", "kernel", "random"))
+        if shape == "none" or n == 0:
+            rels = [[0] * n for _ in range(rng.randint(0, 2))] if shape == "random" else []
+        elif shape == "kernel":
+            # kernel rows: each maps to a sum of h's relations, zero in h
+            ker = [r[:n] for r in left_kernel(mat + h.relations) if any(r[:n])]
+            rels = [[rng.randint(-2, 2) * x for x in r] for r in ker]
+        else:
+            rels = _seeded_matrix(rng, rng.randint(1, 3), n, 4)
+        f = GroupHom(FGAbelianGroup(n, rels), h, mat)
+        want = _full_product_well_defined(f)
+        assert abelian.well_defined(rels, mat, h) == want, (rels, mat, h.relations)
+        assert f.is_well_defined() == want
+        outcomes[want] += 1
+        if want and h.invariant_factors:
+            multiples += any(any(abelian.vec_mat(r, mat)) for r in rels)
+    assert min(outcomes.values()) > 100, outcomes
+    assert multiples > 25, multiples
+    z6 = FGAbelianGroup(1, [[6]])
+    assert abelian.well_defined([[3]], [[2]], z6)
+    assert not abelian.well_defined([[3]], [[1]], z6)
+    assert abelian.well_defined([], [], z6)
+    assert abelian.well_defined([[]], [], FGAbelianGroup(0))
+    assert not abelian.well_defined([[1]], [[1]], FGAbelianGroup(1))
+    for rels, images in (([[1, 2]], [[1]]), ([[0]], []), ([[0], [1, 0]], [[6]])):
+        with pytest.raises(abelian.AbelianError):
+            abelian.well_defined(rels, images, z6)
+
+
 def test_generated_by():
     z = FGAbelianGroup(1)
     assert z.generated_by([[1]])

@@ -1374,3 +1374,74 @@ def test_vertex_values_and_constraints_are_coefficient_rows(monkeypatch):
     assert outputs() == want
     assert seen and all(type(row) in (list, tuple) and all(type(x) is int for x in row)
                         for pair in seen for row in pair)
+
+
+def test_presents_on_the_lower_hnf_matches_every_lower_block_row(monkeypatch):
+    # accept hands _presents the HNF of the lower block rows, which spans
+    # the same lattice as the rows themselves; on every regular prime, for
+    # the first descent and each row the search accepts, both answer alike
+    real_lower, real_presents = realize_mod._Builder.lower, realize_mod._presents
+    last = {}
+    answers = {}
+
+    def lower(self, p):
+        L, rows = real_lower(self, p)
+        last.update(kind=self.sysm.kind[p], L=L, rows=rows, calls=0)
+        return L, rows
+
+    def presents(G, rows, values):
+        got = real_presents(G, rows, values)
+        if last["kind"] == "regular":
+            nW = len(values) - len(last["L"])
+            gadget = rows[len(rows) - nW:]
+            assert list(rows[:len(rows) - nW]) == [(0,) * nW + r for r in _row_hnf(last["rows"])]
+            every = [[0] * nW + r for r in last["rows"]] + list(gadget)
+            assert real_presents(G, every, values) == got
+            key = ("search" if last["calls"] else "first descent", got)
+            answers[key] = answers.get(key, 0) + 1
+            last["calls"] += 1
+        return got
+
+    monkeypatch.setattr(realize_mod._Builder, "lower", lower)
+    monkeypatch.setattr(realize_mod, "_presents", presents)
+    for s in _stress_corpus(1) + [parse_isystem(DEEP_SYSTEM)]:
+        try:
+            realize(s)
+        except (ConstructionFailed, ConstructionInfeasible):
+            pass
+    # the search hands accept only rows that complete target, which present
+    # G_p, so its calls all answer True
+    assert sorted(answers) == [("first descent", False), ("first descent", True),
+                               ("search", True)], answers
+    assert min(answers.values()) > 50, answers
+
+
+def test_realize_and_the_round_trip_build_no_canonical_generator_elements(monkeypatch):
+    # every reader of the canonical generators in src/ takes their rows:
+    # with canonical_generators refused, realize, both round-trip routes,
+    # serialize_isystem and validate_isystem give the same outputs
+    systems = [fixture_system(n) for n in system_names()]
+    systems += [extract_isystem(fixture_graph(n)) for n in graph_names()]
+    systems += [parse_isystem(HARD_SYSTEMS[n]) for n in sorted(HARD_SYSTEMS)]
+    systems.append(parse_isystem(DEEP_SYSTEM))
+
+    def outputs():
+        out = []
+        for s in systems:
+            rep = validate_isystem(s)
+            out.append((serialize_isystem(s), rep.ok, [fl.detail for fl in rep.failures]))
+            res = realize(s)
+            out.append((serialize_graph(res.graph), res.log))
+            for graph in (res.graph, _reparsed(res.graph)):
+                rep = roundtrip_check(s, graph)
+                out.append((rep.status, rep.by, rep.detail, rep.poset_map,
+                            {p: f.matrix for p, f in rep.theta.items()}))
+        return out
+
+    want = outputs()
+    assert {o[1] for o in want if len(o) == 5} == {"witness", "search"}
+    calls = []
+    monkeypatch.setattr(FGAbelianGroup, "canonical_generators",
+                        lambda self: calls.append(self) or [][0])
+    assert outputs() == want
+    assert calls == []
