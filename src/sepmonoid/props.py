@@ -13,7 +13,7 @@ from .graph import SepGraph
 from .isystem import COUNTEREXAMPLE, extract_isystem, validate_isystem
 from .randgen import random_element, random_trace, random_walk
 from .records import Record
-from .rewrite import (FreeElement, RewriteError, antisym_le, confluence_equal,
+from .rewrite import (FreeElement, RewriteError, _wrap, antisym_le, confluence_equal,
                       eq_exact, refinement_witness,
                       serialize_element, split_trace)
 
@@ -50,7 +50,7 @@ def split_random(rng: random.Random, x: FreeElement):
             da[v] = k
         if n - k:
             db[v] = n - k
-    return FreeElement._of(da), FreeElement._of(db)
+    return _wrap(da), _wrap(db)
 
 
 def refinement_suite(g: SepGraph, rng: random.Random, instances: int = 200,

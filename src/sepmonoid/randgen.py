@@ -14,7 +14,7 @@ import random
 from .graph import SepGraph, check_adaptable
 from .isystem import ISystem, extract_isystem, canonicalized, serialize_isystem
 from .posets import Poset
-from .rewrite import FreeElement, RewriteError, _fire
+from .rewrite import FreeElement, RewriteError, _fire, _wrap
 
 
 DEFAULT_GROUPS = ("0", "Z", "Z/2", "Z/3", "Z/4", "Z/2 + Z/2", "Z + Z/3")
@@ -118,7 +118,7 @@ def random_trace(rng: random.Random, g: SepGraph, x: FreeElement, steps: int):
             k -= len(blocks_of[v])
         trace.append((v, k))
         _fire(g, d, v, k)
-    return (FreeElement._of(d) if trace else x), tuple(trace)
+    return (_wrap(d) if trace else x), tuple(trace)
 
 
 def random_walk(rng: random.Random, g: SepGraph, x: FreeElement,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cache, cached_property
-from operator import lshift, sub
+from operator import index, lshift, sub
 
 from .abelian import FGAbelianGroup, vanishes
 from .graph import SepGraph, check_adaptable, require_adaptable
@@ -39,7 +39,9 @@ class FreeElement:
 
     counts maps each vertex of the support to its positive multiplicity.
     The sorted items() are built on first read, and the hash, which is
-    that of items(), on first use; equality compares counts.
+    that of items(), on first use; equality compares counts.  Elements are
+    immutable values, so a result may be an operand: a sum with zero
+    returns the other operand.
     """
 
     __slots__ = ("counts", "_items", "_hash")
@@ -47,21 +49,16 @@ class FreeElement:
     def __init__(self, counts=None):
         d = {}
         for v, n in dict(counts or {}).items():
-            n = int(n)
+            try:
+                n = index(n)
+            except TypeError:
+                raise RewriteError(f"multiplicity for '{v}' is not an integer: {n!r}") from None
             if n < 0:
                 raise RewriteError(f"negative multiplicity for '{v}'")
             if n:
                 d[v] = n
         self.counts = d
         self._items = self._hash = None
-
-    @classmethod
-    def _of(cls, d):
-        """Wrap d, a dict of positive multiplicities, without copying it."""
-        x = cls.__new__(cls)
-        x.counts = d
-        x._items = x._hash = None
-        return x
 
     def __reduce__(self):
         # the cached hash of str items is only valid in this process
@@ -72,7 +69,7 @@ class FreeElement:
         d = {}
         for v in seq:
             d[v] = d.get(v, 0) + 1
-        return cls._of(d)
+        return _wrap(d)
 
     def items(self):
         if self._items is None:
@@ -92,10 +89,14 @@ class FreeElement:
         return not self.counts
 
     def __add__(self, other):
-        d = dict(self.counts)
+        if not other.counts:
+            return self
+        if not self.counts:
+            return other
+        d = self.counts.copy()
         for v, n in other.counts.items():
             d[v] = d.get(v, 0) + n
-        return FreeElement._of(d)
+        return _wrap(d)
 
     def scale(self, n: int) -> "FreeElement":
         if n < 0:
@@ -108,7 +109,7 @@ class FreeElement:
     def minus(self, other) -> "FreeElement":
         if not self.contains(other):
             raise RewriteError("multiset difference would be negative")
-        return FreeElement({v: self.get(v) - other.get(v) for v in self.counts})
+        return _wrap(_minus(self.counts, other.counts))
 
     def __eq__(self, other):
         if not isinstance(other, FreeElement):
@@ -122,6 +123,14 @@ class FreeElement:
 
     def __repr__(self):
         return f"FreeElement({serialize_element(self)!r})"
+
+
+def _wrap(d) -> FreeElement:
+    """Wrap d, a dict of positive multiplicities, without copying it."""
+    x = object.__new__(FreeElement)
+    x.counts = d
+    x._items = x._hash = None
+    return x
 
 
 def parse_element(text: str, g: SepGraph | None = None) -> FreeElement:
@@ -145,7 +154,7 @@ def parse_element(text: str, g: SepGraph | None = None) -> FreeElement:
         if g is not None and v not in g.blocks_of:
             raise RewriteError(f"unknown vertex '{v}'")
         d[v] = d.get(v, 0) + c
-    return FreeElement._of(d)       # every count is a positive int
+    return _wrap(d)                 # every count is a positive int
 
 
 def serialize_element(x: FreeElement) -> str:
@@ -177,7 +186,7 @@ def apply_trace(g: SepGraph, x: FreeElement, trace) -> FreeElement:
         if d.get(v, 0) < 1:
             raise RewriteError(f"no occurrence of '{v}' to rewrite")
         _fire(g, d, v, bi)
-    return FreeElement._of(d)
+    return _wrap(d)
 
 
 def _fire(g: SepGraph, d: dict, v: str, bi: int):
@@ -280,7 +289,7 @@ class _Kernel:
 
     def decode(self, e) -> FreeElement:
         mask = self.mask
-        return FreeElement._of({v: n for v, s in self.shift.items() if (n := e >> s & mask)})
+        return _wrap({v: n for v, s in self.shift.items() if (n := e >> s & mask)})
 
     def sort_key(self, e):
         """(total, serialize_element) of the node e, read off its fields."""
@@ -572,7 +581,7 @@ def split_trace(g: SepGraph, part_a: FreeElement, part_b: FreeElement, trace):
     cg = g.derived(_CompiledGraph)
     cg.check(part_a, part_b)
     a, b, _, _ = _split(g, part_a.counts, part_b.counts, trace)
-    return FreeElement._of(a), FreeElement._of(b)
+    return _wrap(a), _wrap(b)
 
 
 def _split(g: SepGraph, a: dict, b: dict, trace):
@@ -591,8 +600,16 @@ def _split(g: SepGraph, a: dict, b: dict, trace):
 
 
 def _minus(p: dict, q: dict) -> dict:
-    """p - q on counts dicts, without zeros; negative where q exceeds p."""
-    return {v: n for v in {**p, **q} if (n := p.get(v, 0) - q.get(v, 0))}
+    """p - q on counts dicts, without zeros; negative where q exceeds p.
+    p's keys keep their order, and q's keys new to p follow in q's order."""
+    d = p.copy()
+    for v, n in q.items():
+        n = d.get(v, 0) - n
+        if n:
+            d[v] = n
+        else:
+            del d[v]
+    return d
 
 
 class RefinementWitness(Record):
@@ -628,7 +645,7 @@ def refinement_witness(g: SepGraph, a, b, c, d,
     # x11 + x12 == ga and x11 + x21 == gc by construction
     if min(x22.values(), default=0) < 0 or _minus(gd, x22) != x12:
         raise RewriteError("refinement grid rows and columns do not add up")
-    e11, e12, e21, e22 = map(FreeElement._of, (x11, x12, x21, x22))
+    e11, e12, e21, e22 = map(_wrap, (x11, x12, x21, x22))
     # replayed on FreeElement, independently of the compiled graph
     for part, trace, want in ((a, ta, e11 + e12), (b, tb, e21 + e22),
                               (c, tc, e11 + e21), (d, td, e12 + e22)):
@@ -871,7 +888,10 @@ def eq_exact(g: SepGraph, x: FreeElement, y: FreeElement) -> bool:
     if top != nf.cert.top_classes(cy):
         return False
     layout = nf.layout(top)
-    return layout.is_zero(list(map(sub, layout.fold(cx), layout.fold(cy))))
+    delta, slot = layout.fold(cx), layout.slot
+    for w, c in cy.items():
+        delta[slot[w]] -= c
+    return layout.is_zero(delta)
 
 
 # ----------------------------------------------------------- order relation
@@ -903,8 +923,9 @@ def le_semidecide(g: SepGraph, x: FreeElement, y: FreeElement,
         if (not bit & (support_y | lower_y)
                 or bit & cert.free and not bit & lower_y and n > y.get(v)):
             return LeResult("no")
-    if y.contains(x):
-        return LeResult("yes", y.minus(x))
+    rest = _minus(y.counts, x.counts)
+    if min(rest.values(), default=0) >= 0:
+        return LeResult("yes", _wrap(rest))
 
     kern = cg.kernel(depth, x.total(), y.total())
     key, ge = cache(kern.sort_key), kern.ge     # key: once per node of this search

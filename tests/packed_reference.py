@@ -26,7 +26,7 @@ def pack(cg, x):
 
 
 def unpack(cg, t):
-    return FreeElement._of({v: n for v, n in zip(cg.vertices, t) if n})
+    return FreeElement({v: n for v, n in zip(cg.vertices, t) if n})
 
 
 def steps(cg, t):

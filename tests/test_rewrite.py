@@ -1,10 +1,12 @@
+import hashlib
 import pickle
 import random
 import zlib
+from collections import Counter
 from operator import ge, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepmonoid import graph as graph_mod
@@ -21,6 +23,7 @@ from sepmonoid.realize import realize, roundtrip_check
 from sepmonoid.randgen import (random_adaptable, random_element, random_trace,
                                random_walk)
 from sepmonoid.props import antisym_le as props_antisym_le
+from sepmonoid.props import split_random
 from sepmonoid.rewrite import (FreeElement, MonoidNF, NFEntry, RewriteError,
                                antisym_le, antisym_nf, apply_step, apply_trace,
                                confluence_equal, confluence_search, eq_exact,
@@ -61,6 +64,17 @@ def test_parse_element_rejects_negative():
     g = fixture_graph("g1")
     with pytest.raises(RewriteError):
         fe(g, "-1*a")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FreeElement({"a": 1.5}),
+    lambda: FreeElement({"a": 2}).scale(1.5),
+    lambda: FreeElement({"a": "2"}),
+], ids=["float", "scaled", "str"])
+def test_free_element_rejects_non_integral_multiplicities(build):
+    with pytest.raises(RewriteError, match="multiplicity for 'a' is not an integer"):
+        build()
+    assert FreeElement({"a": 2}).scale(3).counts == {"a": 6}
 
 
 def test_step_targets_follow_blocks():
@@ -1547,7 +1561,7 @@ def test_counts_routines_match_the_packed_reference():
             errors.add(want[1].split("'")[0])
         else:
             ga, gb, sa, sb = got
-            assert (pack(cg, FreeElement._of(ga)), pack(cg, FreeElement._of(gb)), sa, sb) == want
+            assert (pack(cg, FreeElement(ga)), pack(cg, FreeElement(gb)), sa, sb) == want
             assert ga == apply_trace(g, a, sa).counts and gb == apply_trace(g, b, sb).counts
         checked.add(name)
     assert len(checked) == 25
@@ -1609,3 +1623,120 @@ def test_refinement_grid_rejects_parts_that_do_not_add_up(fault, monkeypatch):
     with pytest.raises(RewriteError, match="do not add up"):
         refinement_witness(g, *abcd, depth=12)
     assert len(splits) == 2
+
+
+# element arithmetic makes one result per operation, and a sum with zero is
+# the other operand: against collections.Counter and the comprehensions it
+# replaced
+
+
+def _old_minus(p, q):
+    """_minus as the merged-key comprehension it replaced."""
+    return {v: n for v in {**p, **q} if (n := p.get(v, 0) - q.get(v, 0))}
+
+
+def _corpus_pair(rng, g):
+    """x, and either a walk from x or an unrelated element; either side can
+    be zero."""
+    x = random_element(rng, g, 5, nonzero=rng.random() < 0.7)
+    if rng.random() < 0.5:
+        y = random_walk(rng, g, x, rng.randint(0, 4))
+    else:
+        y = random_element(rng, g, 5, nonzero=rng.random() < 0.7)
+    return x, y
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(CORPUS), st.integers(0, 2**32))
+def test_element_arithmetic_matches_a_counter(named, seed):
+    _, g = named
+    x, y = _corpus_pair(random.Random(seed), g)
+    before = list(x.counts.items()), list(y.counts.items())
+    zero = FreeElement()
+    for a in (x, y):
+        assert (a + zero) is a
+        assert (zero + a) is (a if a.counts else zero)     # 0 + 0 is the left one
+        assert Counter((a + zero).counts) == Counter(a.counts)
+    s = x + y
+    assert Counter(s.counts) == Counter(x.counts) + Counter(y.counts)
+    assert s == y + x and hash(s) == hash(y + x)
+    assert s.minus(y) == x and s.minus(x) == y
+    assert Counter(s.minus(x).counts) == Counter(s.counts) - Counter(x.counts)
+    # minus keeps the minuend's order, as the comprehension it replaced did
+    assert list(s.minus(y).counts) == [v for v in s.counts if s.get(v) - y.get(v)]
+    assert (list(x.counts.items()), list(y.counts.items())) == before
+    if not x.is_zero() and not y.is_zero():
+        assert s is not x and s is not y
+        assert s.counts is not x.counts and s.counts is not y.counts
+
+
+_DELTAS = st.dictionaries(st.sampled_from("abcdef"), st.integers(-3, 3).filter(bool),
+                          max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DELTAS, _DELTAS)
+@example({"a": 1, "b": -2}, {"c": 3, "d": -1})             # disjoint
+@example({"a": 2, "b": 1, "c": 3}, {"c": 3, "a": 2})       # cancelling
+@example({"a": -1, "b": 2}, {"b": 5, "a": -1, "e": -2})    # negative
+@example({}, {"b": 1, "a": 2})
+def test_minus_matches_the_merged_key_comprehension(p, q):
+    before = list(p.items()), list(q.items())
+    got = rewrite_mod._minus(p, q)
+    assert list(got.items()) == list(_old_minus(p, q).items())
+    assert (list(p.items()), list(q.items())) == before and got is not p
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(CORPUS), st.integers(0, 2**32))
+def test_eq_exact_matches_nf_equal_of_the_normal_forms(named, seed):
+    _, g = named
+    x, y = _corpus_pair(random.Random(seed), g)
+    assert eq_exact(g, x, y) is nf_equal(g, monoid_nf(g, x), monoid_nf(g, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CORPUS), st.integers(0, 2**32))
+def test_entry_points_leave_their_inputs_unchanged(named, seed):
+    _, g = named
+    rng = random.Random(seed)
+    x, y = _corpus_pair(rng, g)
+    a, b = split_random(rng, x)
+    c, d = split_random(rng, y)
+    _, trace = random_trace(rng, g, a + b, rng.randint(0, 4))
+    elems = (x, y, a, b, c, d)
+    before = [list(e.counts.items()) for e in elems]
+    refinement_witness(g, a, b, c, d, depth=6, node_budget=2000)
+    confluence_equal(g, x, y, depth=6, node_budget=2000)
+    le_semidecide(g, x, y, depth=4, node_budget=2000)
+    le_semidecide(g, a, x, depth=4, node_budget=2000)
+    eq_exact(g, x, y)
+    split_trace(g, a, b, trace)
+    assert [list(e.counts.items()) for e in elems] == before
+
+
+def test_refinement_witness_results_are_pinned():
+    # every criterion-2 instance of the acceptance corpus, drawn as
+    # props.refinement_suite draws them (zero parts included): status,
+    # corners, gamma and traces; the digest was taken before sums with zero
+    # returned the other operand
+    h = hashlib.sha256()
+    zero_parts = zero_corners = 0
+    for name, g in CORPUS:
+        rng = random.Random(20260819 ^ zlib.crc32(name.encode()))
+        for _ in range(200):
+            seed = random_element(rng, g, 5)
+            x = random_walk(rng, g, seed, rng.randint(0, 4))
+            y = random_walk(rng, g, seed, rng.randint(0, 4))
+            abcd = split_random(rng, x) + split_random(rng, y)
+            zero_parts += any(e.is_zero() for e in abcd)
+            w = refinement_witness(g, *abcd, depth=12)
+            parts = [w.status]
+            if w.status == "ok":
+                corners = [e for row in w.pieces for e in row]
+                zero_corners += sum(e.is_zero() for e in corners)
+                parts += [serialize_element(e) for e in corners + [w.gamma]]
+                parts += [" ".join(f"{v}:{bi}" for v, bi in t) for t in w.traces]
+            h.update(("|".join(parts) + "\n").encode())
+    assert zero_parts and zero_corners
+    assert h.hexdigest() == "9f42d395ecae7566e7c62b95d027b4959fdf9164af53fc234c87eb903c60297e"
