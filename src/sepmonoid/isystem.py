@@ -109,8 +109,9 @@ def _cone_gap(p, quotient: FGAbelianGroup, units) -> str | None:
     and the monoid is the group.  Conversely a form as in (b) that is
     nonzero on some u_q leaves -u_q outside even the real cone.
 
-    (a) is one Smith form of the relations plus the unit rows: a nonzero
-    group rest names a canonical generator that no unit sum reaches.
+    (a) is `quotient.generated_by` the unit rows.  When it fails, the
+    group rest, quotient modulo the units, is nonzero, and its first
+    canonical generator names an element that no unit sum reaches.
     For (b), once (a) holds the units span R^r, so if their real cone is
     not all of R^r it has a facet, spanned by r - 1 independent units;
     its normal is the one row of the left kernel of their r x (r - 1)
@@ -118,8 +119,9 @@ def _cone_gap(p, quotient: FGAbelianGroup, units) -> str | None:
     C(n, r - 1) kernels of r x (r - 1) matrices for n units; the corpora
     have r <= 2 and n <= 5.
     """
-    rest = FGAbelianGroup(quotient.ngens, quotient.relations + [list(u) for _, u in units])
-    if not rest.is_trivial():
+    rows = [list(u) for _, u in units]
+    if not quotient.generated_by(rows):
+        rest = FGAbelianGroup(quotient.ngens, quotient.relations + rows)
         missing = quotient.canonical_coords(rest._canonical_rows()[0])
         return f"element {missing} of G_{p} is not reachable from below"
     r = quotient.free_rank

@@ -28,7 +28,7 @@ ConstructionFailed.  Both carry the offending prime in the message.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import tee
 from math import comb, gcd
 from operator import add, mod, neg
@@ -185,6 +185,8 @@ def _nonneg_preimage(group, target, gens):
     _PREIMAGE_MAX_TOTAL (16) or after _PREIMAGE_STATE_CAP (40,000)
     elements.  It runs on canonical coordinate tuples (`canonical_coords`):
     free coordinates add, and torsion coordinates add modulo their factor.
+    Its callers: a free prime's top-ups, and the regular pins that
+    `_gadget_pin` cannot read off their coordinates.
     """
     k, mods = group.free_rank, group.invariant_factors
     goal = sum(group.canonical_coords(target), ())
@@ -212,6 +214,64 @@ def _nonneg_preimage(group, target, gens):
                 nxt.append((c, nms))
         frontier = nxt
     return None
+
+
+@lru_cache(maxsize=1024)
+def _states_within(free_rank, mods, total):
+    """How many elements of Z^free_rank + sum(Z/d, d in mods) are sums of
+    at most `total` gadget steps (±e_i, and +e_k on torsion), zero
+    included.  Per torsion part t (0 <= t_k < d_k) of total s <= total,
+    the free parts of l1-norm r <= total - s, sum(2^i C(f, i) C(r, i)).
+    Cached: every pin of one gadget asks with the same group, and totals
+    stop at _PREIMAGE_MAX_TOTAL."""
+    ways = [1] + [0] * total         # ways[s]: torsion parts of total s
+    for d in mods:
+        # one factor: multiply by 1 + x + ... + x^(d - 1), as running sums
+        run, nxt = 0, []
+        for s in range(total + 1):
+            run += ways[s] - (ways[s - d] if s >= d else 0)
+            nxt.append(run)
+        ways = nxt
+    return sum(w * sum(2 ** i * comb(free_rank, i) * comb(total - s, i)
+                       for i in range(free_rank + 1))
+               for s, w in enumerate(ways) if w)
+
+
+def _gadget_pin(group, u, value, gens):
+    """The pinning vector of u: u once plus `_nonneg_preimage(group, -value,
+    gens)`, or None when that is None.
+
+    gens are a regular gadget's vertices with their values: g_i and then
+    -g_i per free canonical generator, then one per torsion generator (or
+    one vertex of value 0 on a trivial group).  With c the canonical
+    coordinates of -value, the cancelling multiset of least total
+    D = sum(|c_free|) + sum(c_tors) is unique: |c_i| copies of the pair
+    vertex of c_i's sign and c_k copies of torsion vertex k.  The walk
+    returns exactly that when D <= _PREIMAGE_MAX_TOTAL and the states
+    within D steps, zero aside, number at most _PREIMAGE_STATE_CAP
+    (`_states_within`), and None when D > _PREIMAGE_MAX_TOTAL, since it
+    stops at that layer.  Only the pins between, within the layer bound
+    but over the state bound, run the walk.  Both bounds are read at each
+    call.
+    """
+    f, mods = group.free_rank, group.invariant_factors
+    free, tors = group.canonical_coords(value)
+    tors = [-t % d for t, d in zip(tors, mods)]
+    total = sum(map(abs, free)) + sum(tors)
+    if total > _PREIMAGE_MAX_TOTAL:
+        return None
+    if _states_within(f, mods, total) - 1 > _PREIMAGE_STATE_CAP:
+        m = _nonneg_preimage(group, tuple(map(neg, value)), gens)
+        return None if m is None else _merge({u: 1}, m)
+    pin = {u: 1}
+    for i, c in enumerate(free):
+        if c:
+            # -value has coordinate -c: vertex g_i when c < 0, -g_i when c > 0
+            pin[gens[2 * i + (c > 0)][0]] = abs(c)
+    for k, t in enumerate(tors, 2 * f):
+        if t:
+            pin[gens[k][0]] = t
+    return pin
 
 
 def _block_row(index, out, source=None):
@@ -368,7 +428,10 @@ def _realize_regular(builder: _Builder, p, budget, log):
 
     The gadget vertices carry the canonical generators of G_p (g and -g on
     the pair of a free generator), so together they generate G_p whatever
-    arrives from below.  Each vertex draws its row from one ordered pool:
+    arrives from below.  A pinning vector (a lower vertex plus gadget
+    vertices cancelling its value) is read off the value's canonical
+    coordinates by `_gadget_pin`, which walks only where the walk's bounds
+    could change the answer.  Each vertex draws its row from one ordered pool:
       1. core plus ring, with the coverage pinning vectors on the first row;
       2. that row plus one or two pinning vectors;
       3. small nonnegative kernel rows, enumerated lazily, only as far as
@@ -451,10 +514,10 @@ def _realize_regular(builder: _Builder, p, budget, log):
 
     # pinning vectors: a lower vertex plus gadget vertices cancelling its value
     image = dict(zip(order, values))
+    gens = list(tval.items())
 
     def pin_of(u):
-        m = _nonneg_preimage(G, tuple(map(neg, image[u])), list(tval.items()))
-        return None if m is None else _merge({u: 1}, m)
+        return _gadget_pin(G, u, image[u], gens)
 
     cover_pin = {u: pin_of(u) for u in (builder.class_vertices[q][0] for q in covers)}
     cover_pins = [z for z in cover_pin.values() if z is not None]
@@ -637,9 +700,12 @@ def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dic
     for p in primes:
         if system.kind[p] != ext.kind[psi[p]]:
             return f"prime {p} is {system.kind[p]}, its class {psi[p]} is {ext.kind[psi[p]]}"
-        for q in primes:
-            if system.poset.le(p, q) != ext.poset.le(psi[p], psi[q]):
-                return f"the poset map does not keep the order of {p} and {q}"
+        # psi is a bijection: it keeps the order at p when it maps p's upset
+        # onto psi[p]'s, and the pairwise loop only names the first q it fails
+        if {psi[q] for q in system.poset.upset(p)} != ext.poset.upset(psi[p]):
+            for q in primes:
+                if system.poset.le(p, q) != ext.poset.le(psi[p], psi[q]):
+                    return f"the poset map does not keep the order of {p} and {q}"
     for p in primes:
         f = theta[p]
         if not (f.domain.same_presentation(ext.group[psi[p]])

@@ -99,9 +99,15 @@ class FreeElement:
         return _wrap(d)
 
     def scale(self, n: int) -> "FreeElement":
+        try:
+            n = index(n)
+        except TypeError:
+            raise RewriteError(f"scale is not an integer: {n!r}") from None
         if n < 0:
             raise RewriteError("negative scale")
-        return FreeElement({v: c * n for v, c in self.counts.items()})
+        if not n:
+            return _wrap({})
+        return _wrap({v: c * n for v, c in self.counts.items()})
 
     def contains(self, other) -> bool:
         return all(self.get(v) >= n for v, n in other.counts.items())

@@ -943,6 +943,106 @@ def test_preimage_walk_on_coordinates_matches_the_element_walk(monkeypatch):
     assert real(*twelve) == _element_walk_preimage(*_as_elements(*twelve))
 
 
+_PIN_CHAINS = [[], [2], [3], [64], [2, 2], [2, 4], [3, 6], [4, 16], [2, 64]]
+
+
+def _gadget_gens(G):
+    """A regular gadget's (vertex, value) list over G, as realize builds it:
+    g and -g per free canonical generator, then the torsion generators."""
+    cg, f = G._canonical_rows(), G.free_rank
+    values = [v for g in cg[:f] for v in (g, tuple(-x for x in g))] + cg[f:]
+    return [(f"w{i}", v) for i, v in enumerate(values or [(0,) * G.ngens])]
+
+
+def _value_of_total(rng, G, total):
+    """A coefficient row whose negation has canonical coordinates of
+    least gadget total `total`, or None when G has none that large."""
+    f, mods = G.free_rank, G.invariant_factors
+    if not f and total > sum(d - 1 for d in mods):
+        return None
+    while True:
+        tors = [rng.randint(0, d - 1) for d in mods]
+        rest = total - sum(tors)
+        if rest >= 0 and (f or not rest):
+            break
+    free = [0] * f
+    for _ in range(rest):
+        free[rng.randrange(f)] += 1
+    free = [c * rng.choice([-1, 1]) for c in free]
+    return tuple(-x for x in G.from_canonical(free, tors).coeffs)
+
+
+def _walk_pin(G, value, gens):
+    m = realize_mod._nonneg_preimage(G, tuple(-x for x in value), gens)
+    return None if m is None else realize_mod._merge({"u": 1}, m)
+
+
+def test_gadget_pins_match_the_walk(monkeypatch):
+    # the closed form and the walk it falls back on, against the walk
+    # alone: seeded targets of total 0-17 on canonical groups of free rank
+    # 0-3 with torsion up to Z/2 + Z/64, and one on Z^3 + Z/2 + Z/64, whose
+    # 50,049 states within 16 steps pass the state cap, placed where the
+    # walk finds it; with the cap at 300 the walk runs more often, and
+    # finds and misses
+    walked = []
+    real = realize_mod._nonneg_preimage
+
+    def spy(group, target, gens):
+        found = real(group, target, gens)
+        walked.append(found is not None)
+        return found
+
+    rng = random.Random(42)
+    cases = []
+    while len(cases) < 100:
+        f = rng.choice([0, 1, 2, 3])
+        chain = rng.choice(_PIN_CHAINS) if f < 3 else []
+        n = f + len(chain)
+        G = FGAbelianGroup(n, [[d if j == f + k else 0 for j in range(n)]
+                               for k, d in enumerate(chain)])
+        total = rng.choice([0, 1, 2, 5, 9, 12, 15, 16, 16, 17])
+        value = _value_of_total(rng, G, total)
+        if value is not None:
+            cases.append((G, value, total))
+    # first in their layers: 6 * g1 in Z^3 (231 states within 5 steps) and
+    # 16 * g1 in Z^3 + Z/2 + Z/64 (39,041 within 15)
+    for G, total in ((FGAbelianGroup(3, []), 6),
+                     (FGAbelianGroup(5, [[0, 0, 0, 2, 0], [0, 0, 0, 0, 64]]), 16)):
+        target = G.from_canonical((total, 0, 0), (0,) * len(G.invariant_factors)).coeffs
+        cases.append((G, tuple(-x for x in target), total))
+    for cap in (40000, 300):
+        monkeypatch.setattr(realize_mod, "_PREIMAGE_STATE_CAP", cap)
+        monkeypatch.setattr(realize_mod, "_nonneg_preimage", spy)
+        del walked[:]
+        pins = [realize_mod._gadget_pin(G, "u", value, _gadget_gens(G))
+                for G, value, _ in cases]
+        monkeypatch.setattr(realize_mod, "_nonneg_preimage", real)
+        for (G, value, total), pin in zip(cases, pins):
+            assert pin == _walk_pin(G, value, _gadget_gens(G)), (cap, G, value, total)
+            if pin is not None:
+                assert sum(pin.values()) == total + 1
+        # both sides of the selection: some pins walk, most are read off;
+        # at cap 300 the walk both finds and misses
+        beyond = sum(t > realize_mod._PREIMAGE_MAX_TOTAL for *_, t in cases)
+        assert True in walked and len(walked) < len(cases) - beyond
+        assert cap > 300 or False in walked, walked
+    assert {t for *_, t in cases} >= {15, 16, 17}
+
+
+def test_states_within_counts_the_walks_states():
+    # _states_within against a breadth-first count over the gadget's steps
+    for f, mods in [(0, ()), (1, ()), (3, ()), (0, (2, 64)), (2, (3, 6)), (1, (2, 2, 4))]:
+        n = f + len(mods)
+        steps = [tuple(s if j == i else 0 for j in range(n)) for i in range(f) for s in (1, -1)]
+        steps += [tuple(int(j == f + k) for j in range(n)) for k in range(len(mods))]
+        seen = frontier = {(0,) * n}
+        for total in range(9):
+            assert realize_mod._states_within(f, mods, total) == len(seen), (f, mods, total)
+            frontier = {tuple(x[j] + s[j] if j < f else (x[j] + s[j]) % mods[j - f]
+                              for j in range(n)) for x in frontier for s in steps} - seen
+            seen = seen | frontier
+
+
 def test_presents_matches_the_group_object_route():
     # _presents reads the rows' Smith diagonal and builds no group; it must
     # answer as the hom out of the group the rows present, and as that

@@ -66,15 +66,18 @@ def test_parse_element_rejects_negative():
         fe(g, "-1*a")
 
 
-@pytest.mark.parametrize("build", [
-    lambda: FreeElement({"a": 1.5}),
-    lambda: FreeElement({"a": 2}).scale(1.5),
-    lambda: FreeElement({"a": "2"}),
-], ids=["float", "scaled", "str"])
-def test_free_element_rejects_non_integral_multiplicities(build):
-    with pytest.raises(RewriteError, match="multiplicity for 'a' is not an integer"):
+@pytest.mark.parametrize("build, message", [
+    (lambda: FreeElement({"a": 1.5}), "multiplicity for 'a' is not an integer"),
+    (lambda: FreeElement({"a": 2}).scale(1.5), "scale is not an integer: 1.5"),
+    (lambda: FreeElement({"a": "2"}), "multiplicity for 'a' is not an integer"),
+    (lambda: FreeElement().scale(1.5), "scale is not an integer: 1.5"),
+], ids=["float", "scaled", "str", "zero-scaled"])
+def test_free_element_rejects_non_integral_multiplicities(build, message):
+    # scale reads its factor before any count, so zero rejects it too
+    with pytest.raises(RewriteError, match=message):
         build()
     assert FreeElement({"a": 2}).scale(3).counts == {"a": 6}
+    assert FreeElement({"a": 2}).scale(0) == FreeElement()
 
 
 def test_step_targets_follow_blocks():
