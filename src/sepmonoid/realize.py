@@ -28,7 +28,7 @@ ConstructionFailed.  Both carry the offending prime in the message.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import tee
 from math import comb, gcd
 from operator import add, mod, neg
@@ -185,8 +185,8 @@ def _nonneg_preimage(group, target, gens):
     _PREIMAGE_MAX_TOTAL (16) or after _PREIMAGE_STATE_CAP (40,000)
     elements.  It runs on canonical coordinate tuples (`canonical_coords`):
     free coordinates add, and torsion coordinates add modulo their factor.
-    Its callers: a free prime's top-ups, and the regular pins that
-    `_gadget_pin` cannot read off their coordinates.
+    Its one caller is a free prime's top-ups; a regular pin is read off
+    canonical coordinates (`_gadget_pin`).
     """
     k, mods = group.free_rank, group.invariant_factors
     goal = sum(group.canonical_coords(target), ())
@@ -216,43 +216,19 @@ def _nonneg_preimage(group, target, gens):
     return None
 
 
-@lru_cache(maxsize=1024)
-def _states_within(free_rank, mods, total):
-    """How many elements of Z^free_rank + sum(Z/d, d in mods) are sums of
-    at most `total` gadget steps (±e_i, and +e_k on torsion), zero
-    included.  Per torsion part t (0 <= t_k < d_k) of total s <= total,
-    the free parts of l1-norm r <= total - s, sum(2^i C(f, i) C(r, i)).
-    Cached: every pin of one gadget asks with the same group, and totals
-    stop at _PREIMAGE_MAX_TOTAL."""
-    ways = [1] + [0] * total         # ways[s]: torsion parts of total s
-    for d in mods:
-        # one factor: multiply by 1 + x + ... + x^(d - 1), as running sums
-        run, nxt = 0, []
-        for s in range(total + 1):
-            run += ways[s] - (ways[s - d] if s >= d else 0)
-            nxt.append(run)
-        ways = nxt
-    return sum(w * sum(2 ** i * comb(free_rank, i) * comb(total - s, i)
-                       for i in range(free_rank + 1))
-               for s, w in enumerate(ways) if w)
-
-
 def _gadget_pin(group, u, value, gens):
-    """The pinning vector of u: u once plus `_nonneg_preimage(group, -value,
-    gens)`, or None when that is None.
+    """The pinning vector of u: u once plus the gadget vertices of least
+    total cancelling value, or None when that total passes the walk's
+    layer bound.
 
     gens are a regular gadget's vertices with their values: g_i and then
     -g_i per free canonical generator, then one per torsion generator (or
     one vertex of value 0 on a trivial group).  With c the canonical
     coordinates of -value, the cancelling multiset of least total
     D = sum(|c_free|) + sum(c_tors) is unique: |c_i| copies of the pair
-    vertex of c_i's sign and c_k copies of torsion vertex k.  The walk
-    returns exactly that when D <= _PREIMAGE_MAX_TOTAL and the states
-    within D steps, zero aside, number at most _PREIMAGE_STATE_CAP
-    (`_states_within`), and None when D > _PREIMAGE_MAX_TOTAL, since it
-    stops at that layer.  Only the pins between, within the layer bound
-    but over the state bound, run the walk.  Both bounds are read at each
-    call.
+    vertex of c_i's sign and c_k copies of torsion vertex k.  Past
+    D = _PREIMAGE_MAX_TOTAL (read at each call) there is no pin, as the
+    walk stops at that layer.
     """
     f, mods = group.free_rank, group.invariant_factors
     free, tors = group.canonical_coords(value)
@@ -260,9 +236,6 @@ def _gadget_pin(group, u, value, gens):
     total = sum(map(abs, free)) + sum(tors)
     if total > _PREIMAGE_MAX_TOTAL:
         return None
-    if _states_within(f, mods, total) - 1 > _PREIMAGE_STATE_CAP:
-        m = _nonneg_preimage(group, tuple(map(neg, value)), gens)
-        return None if m is None else _merge({u: 1}, m)
     pin = {u: 1}
     for i, c in enumerate(free):
         if c:
@@ -430,8 +403,8 @@ def _realize_regular(builder: _Builder, p, budget, log):
     the pair of a free generator), so together they generate G_p whatever
     arrives from below.  A pinning vector (a lower vertex plus gadget
     vertices cancelling its value) is read off the value's canonical
-    coordinates by `_gadget_pin`, which walks only where the walk's bounds
-    could change the answer.  Each vertex draws its row from one ordered pool:
+    coordinates by `_gadget_pin`, with no search.  Each vertex draws its row
+    from one ordered pool:
       1. core plus ring, with the coverage pinning vectors on the first row;
       2. that row plus one or two pinning vectors;
       3. small nonnegative kernel rows, enumerated lazily, only as far as

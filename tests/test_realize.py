@@ -977,21 +977,13 @@ def _walk_pin(G, value, gens):
     return None if m is None else realize_mod._merge({"u": 1}, m)
 
 
-def test_gadget_pins_match_the_walk(monkeypatch):
-    # the closed form and the walk it falls back on, against the walk
-    # alone: seeded targets of total 0-17 on canonical groups of free rank
-    # 0-3 with torsion up to Z/2 + Z/64, and one on Z^3 + Z/2 + Z/64, whose
-    # 50,049 states within 16 steps pass the state cap, placed where the
-    # walk finds it; with the cap at 300 the walk runs more often, and
-    # finds and misses
-    walked = []
-    real = realize_mod._nonneg_preimage
-
-    def spy(group, target, gens):
-        found = real(group, target, gens)
-        walked.append(found is not None)
-        return found
-
+def test_gadget_pins_match_the_walk():
+    # the closed form against the walk: seeded targets of total 0-17, D = 15,
+    # 16 and 17 included, on canonical groups of free rank 0-3 with torsion
+    # up to Z/2 + Z/64, each within the walk's state cap, and two targets
+    # first in their layer: 6 * g1 in Z^3 (231 states within 5 steps) and
+    # 16 * g1 in Z^3 + Z/2 + Z/64 (39,041 within 15); past 16 layers both
+    # give None
     rng = random.Random(42)
     cases = []
     while len(cases) < 100:
@@ -1004,43 +996,17 @@ def test_gadget_pins_match_the_walk(monkeypatch):
         value = _value_of_total(rng, G, total)
         if value is not None:
             cases.append((G, value, total))
-    # first in their layers: 6 * g1 in Z^3 (231 states within 5 steps) and
-    # 16 * g1 in Z^3 + Z/2 + Z/64 (39,041 within 15)
     for G, total in ((FGAbelianGroup(3, []), 6),
                      (FGAbelianGroup(5, [[0, 0, 0, 2, 0], [0, 0, 0, 0, 64]]), 16)):
         target = G.from_canonical((total, 0, 0), (0,) * len(G.invariant_factors)).coeffs
         cases.append((G, tuple(-x for x in target), total))
-    for cap in (40000, 300):
-        monkeypatch.setattr(realize_mod, "_PREIMAGE_STATE_CAP", cap)
-        monkeypatch.setattr(realize_mod, "_nonneg_preimage", spy)
-        del walked[:]
-        pins = [realize_mod._gadget_pin(G, "u", value, _gadget_gens(G))
-                for G, value, _ in cases]
-        monkeypatch.setattr(realize_mod, "_nonneg_preimage", real)
-        for (G, value, total), pin in zip(cases, pins):
-            assert pin == _walk_pin(G, value, _gadget_gens(G)), (cap, G, value, total)
-            if pin is not None:
-                assert sum(pin.values()) == total + 1
-        # both sides of the selection: some pins walk, most are read off;
-        # at cap 300 the walk both finds and misses
-        beyond = sum(t > realize_mod._PREIMAGE_MAX_TOTAL for *_, t in cases)
-        assert True in walked and len(walked) < len(cases) - beyond
-        assert cap > 300 or False in walked, walked
+    for G, value, total in cases:
+        pin = realize_mod._gadget_pin(G, "u", value, _gadget_gens(G))
+        assert pin == _walk_pin(G, value, _gadget_gens(G)), (G, value, total)
+        assert (pin is None) == (total > realize_mod._PREIMAGE_MAX_TOTAL)
+        if pin is not None:
+            assert sum(pin.values()) == total + 1
     assert {t for *_, t in cases} >= {15, 16, 17}
-
-
-def test_states_within_counts_the_walks_states():
-    # _states_within against a breadth-first count over the gadget's steps
-    for f, mods in [(0, ()), (1, ()), (3, ()), (0, (2, 64)), (2, (3, 6)), (1, (2, 2, 4))]:
-        n = f + len(mods)
-        steps = [tuple(s if j == i else 0 for j in range(n)) for i in range(f) for s in (1, -1)]
-        steps += [tuple(int(j == f + k) for j in range(n)) for k in range(len(mods))]
-        seen = frontier = {(0,) * n}
-        for total in range(9):
-            assert realize_mod._states_within(f, mods, total) == len(seen), (f, mods, total)
-            frontier = {tuple(x[j] + s[j] if j < f else (x[j] + s[j]) % mods[j - f]
-                              for j in range(n)) for x in frontier for s in steps} - seen
-            seen = seen | frontier
 
 
 def test_presents_matches_the_group_object_route():
