@@ -17,7 +17,7 @@ from .isystem import (COUNTEREXAMPLE, VERIFIED, ConnectingMap, ISystem,
 from .posets import Poset, PosetError
 from .randgen import corpus_systems, random_adaptable
 from .realize import (ConstructionFailed, ConstructionInfeasible,
-                      RealizeResult, RoundtripReport,
+                      InvalidSystem, RealizeResult, RoundtripReport,
                       check_roundtrip_certificate, realize, roundtrip_check)
 from .rewrite import (FreeElement, RewriteError, antisym_nf, confluence_equal,
                       eq_exact, grothendieck_of_restriction, le_semidecide,
@@ -31,7 +31,7 @@ __all__ = [
     "ConnectingMap", "ConstructionFailed", "ConstructionInfeasible",
     "FGAbelianGroup", "FreeElement", "GraphError", "GraphParseError",
     "GroupElement", "GroupHom", "ISystem", "ISystemError", "ISystemParseError",
-    "NotAdaptableError", "Poset", "PosetError", "RealizeResult",
+    "InvalidSystem", "NotAdaptableError", "Poset", "PosetError", "RealizeResult",
     "RewriteError", "RoundtripReport", "SepGraph",
     "antisym_nf", "canonicalized", "check_adaptable",
     "check_roundtrip_certificate", "condensation",

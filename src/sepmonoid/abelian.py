@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import product
 from math import gcd, lcm, prod
-from operator import add, floordiv, mul, neg, sub
+from operator import add, floordiv, index, mul, neg, sub
 
 
 class AbelianError(ValueError):
@@ -400,8 +400,8 @@ _frame = lru_cache(maxsize=256)(_Frame)
 
 def _frame_of(ngens, relations):
     """The _Frame of a presentation: from the `_frame` cache when it has at
-    most 2 int relations on at most 2 generators, else built afresh."""
-    if len(relations) <= 2 and ngens <= 2 and all(type(x) is int for r in relations for x in r):
+    most 2 relations on at most 2 generators, else built afresh."""
+    if len(relations) <= 2 and ngens <= 2:
         return _frame(ngens, tuple(map(tuple, relations)))
     return _Frame(ngens, relations)
 
@@ -417,7 +417,7 @@ class FGAbelianGroup:
 
     def __init__(self, ngens: int, relations=()):
         self.ngens = ngens
-        self.relations = rels = [list(r) for r in relations]
+        self.relations = rels = [list(map(index, r)) for r in relations]
         for r in rels:
             if len(r) != ngens:
                 raise AbelianError(f"relation length {len(r)} != ngens {ngens}")
@@ -536,8 +536,7 @@ class GroupElement:
     def __init__(self, group, coeffs):
         if len(coeffs) != group.ngens:
             raise AbelianError("coefficient length mismatch")
-        self.group = group
-        self.coeffs = tuple(map(int, coeffs))
+        self.group, self.coeffs = group, tuple(map(index, coeffs))
 
     # sums, differences and negatives of int tuples of one length are int
     # tuples of that length, so these wrap them without __init__'s checks
@@ -663,7 +662,7 @@ class GroupHom:
         self.codomain = codomain
         rows = []
         for row in matrix:
-            row = list(row)
+            row = list(map(index, row))
             if len(row) != codomain.ngens:
                 raise AbelianError("hom image length mismatch")
             rows.append(row)

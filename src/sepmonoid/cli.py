@@ -16,13 +16,12 @@ from .fixtures import fixture_graph, graph_names
 from .graph import (GraphError, GraphParseError, NotAdaptableError,
                     check_adaptable, export_dot, parse_graph, serialize_graph)
 from .isystem import (ISystemError, ISystemParseError, extract_isystem,
-                      parse_isystem, serialize_coords, serialize_isystem,
-                      validate_isystem)
+                      parse_isystem, serialize_coords, serialize_isystem)
 from .posets import PosetError
 from .props import run_suites
 from .randgen import random_adaptable
-from .realize import (ConstructionFailed, ConstructionInfeasible, realize,
-                      roundtrip_check)
+from .realize import (ConstructionFailed, ConstructionInfeasible, InvalidSystem,
+                      realize, roundtrip_check)
 from .rewrite import (RewriteError, antisym_nf, confluence_equal, eq_exact,
                       le_semidecide, monoid_nf, parse_element,
                       refinement_witness, serialize_element)
@@ -99,13 +98,12 @@ def cmd_extract(args):
 
 def cmd_realize(args):
     sysm = parse_isystem(_read(args.path))
-    vrep = validate_isystem(sysm)
-    if not vrep.ok:
-        for f in vrep.failures:
+    try:
+        result = realize(sysm, budget=args.budget)
+    except InvalidSystem as exc:
+        for f in exc.report.failures:
             print(f"axiom {f.axiom} fails at {f.primes}: {f.detail}", file=sys.stderr)
         return 1
-    try:
-        result = realize(sysm, budget=args.budget, validate=False)
     except ConstructionInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1

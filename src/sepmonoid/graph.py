@@ -414,8 +414,8 @@ def remove_edge(g: SepGraph, eid: str) -> SepGraph:
 
 def split_block(g: SepGraph, vertex: str, index: int = 0) -> SepGraph:
     """Copy of g with one block of `vertex` split: first edge vs the rest."""
-    blks = g.blocks_of[vertex]
-    if index >= len(blks) or len(blks[index]) < 2:
+    blks = g.blocks_of.get(vertex, ())
+    if not 0 <= index < len(blks) or len(blks[index]) < 2:
         raise GraphError(f"block {index} of '{vertex}' cannot be split")
     blocks = []
     for v in g.vertices:

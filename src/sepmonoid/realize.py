@@ -35,12 +35,21 @@ from operator import add, mod, neg
 
 from .abelian import (
     GroupHom, _completion_test, _hnf_insert, _row_hnf, images_agree, isomorphism_test,
-    iter_isomorphisms, left_kernel, snf_diagonal, vec_mat, well_defined,
+    iter_isomorphisms, left_kernel, snf_diagonal, vec_mat,
 )
 from .graph import SepGraph, check_adaptable
 from .isystem import ISystem, extract_isystem, validate_isystem
 from .posets import components_of
 from .records import Record
+
+
+class InvalidSystem(ValueError):
+    """The system fails validation; `report` is its ValidationReport."""
+
+    def __init__(self, report):
+        super().__init__("system fails validation: "
+                         + "; ".join(fl.detail for fl in report.failures[:3]))
+        self.report = report
 
 
 class ConstructionInfeasible(ValueError):
@@ -102,9 +111,9 @@ class _Builder:
         index = {u: i for i, u in enumerate(L)}
         return L, [_block_row(index, out, u) for u in L for out in self.out_blocks[u]]
 
-    def required(self, p, L, rows):
+    def required(self, p, L):
         """The image in G_p, as a coefficient row, that the connecting maps
-        require of each vertex of L, once checked to send every row to zero."""
+        require of each vertex of L; on a valid system they kill every block row."""
         sysm = self.sysm
         images = []
         for u in L:
@@ -112,9 +121,6 @@ class _Builder:
             cm = sysm.map_for(p, q)
             images.append(cm.unit.coeffs if sysm.kind[q] == "free"
                           else _image(self.images[q][u], cm.hom))
-        if not well_defined(rows, images, sysm.group[p]):
-            raise ConstructionFailed(f"{sysm.kind[p]} prime {p}: lower evaluation is not "
-                                     "a homomorphism, connecting data incoherent")
         return images
 
     def add_free(self, p, blocks, images):
@@ -291,12 +297,12 @@ def _realize_free(builder: _Builder, p, log):
     evaluation, one block for each sign, topped up by one nonnegative
     preimage so that it sums to zero in G_p.
 
-    On a valid system every lower vertex lies on some kernel row (a regular
-    gadget vertex on d*e_u, e_a + e_b or e_u, a free vertex on the row the
-    cone axiom gives it at the least free prime above it), so the blocks
-    reach every lower cover.  A cover they miss means the cone axiom fails
-    (under validate=False), and raises ConstructionFailed rather than
-    leave p a sink that does not reach it.
+    On a valid system, the only kind `realize` builds, every lower vertex
+    lies on some kernel row (a regular gadget vertex on d*e_u, e_a + e_b or
+    e_u, a free vertex on the row the cone axiom gives it at the least free
+    prime above it), so the blocks reach every lower cover.  A cover they
+    miss is a fault of the construction, and raises ConstructionFailed
+    rather than leave p a sink that does not reach it.
     """
     sysm = builder.sysm
     G = sysm.group[p]
@@ -306,7 +312,7 @@ def _realize_free(builder: _Builder, p, log):
         builder.add_free(p, [], {})
         return
     L, rows = builder.lower(p)
-    required = builder.required(p, L, rows)
+    required = builder.required(p, L)
     index = {u: i for i, u in enumerate(L)}
     cone = list(zip(L, required))
     blocks = []
@@ -439,7 +445,7 @@ def _realize_regular(builder: _Builder, p, budget, log):
         raise ConstructionInfeasible(
             f"regular prime {p}: the built lower part has free rank {len(L) - len(lower_span)}, "
             f"but the target group only has free rank {f}; no row set can cancel the difference")
-    required = builder.required(p, L, ambient)
+    required = builder.required(p, L)
     cg = G._canonical_rows()
     facs = G.invariant_factors
     # gadget vertices: pairs for free generators, one vertex per torsion factor,
@@ -574,25 +580,22 @@ def _realize_regular(builder: _Builder, p, budget, log):
 # --------------------------------------------------------------------- api
 
 
-def realize(system: ISystem, *, budget: int = 200,
-            validate: bool = True) -> RealizeResult:
+def realize(system: ISystem, *, budget: int = 200) -> RealizeResult:
     """Construct a graph whose extracted system is isomorphic to `system`.
 
-    The search is deterministic.  Each regular prime's search makes at most
-    100 * budget visits, and budget must be at least 1 (ValueError
-    otherwise).  The graph carries the isomorphism of
-    the construction: each prime's class, and the image of every vertex of
-    the prime's scope in its group.  `roundtrip_check(system, graph)`
-    checks it in place of a search.
+    `validate_isystem` runs first: a failing system raises InvalidSystem,
+    carrying the report.  The search is deterministic: each regular prime
+    makes at most 100 * budget visits, and budget must be at least 1
+    (ValueError otherwise).  The graph carries the construction's
+    isomorphism (each prime's class, each scope vertex's image in the
+    prime's group), which `roundtrip_check(system, graph)` checks with no search.
     """
     if budget < 1:
         raise ValueError(f"realize: budget must be at least 1, got {budget}")
+    rep = validate_isystem(system)
+    if not rep.ok:
+        raise InvalidSystem(rep)
     log = []
-    if validate:
-        rep = validate_isystem(system)
-        if not rep.ok:
-            msgs = "; ".join(fl.detail for fl in rep.failures[:3])
-            raise ValueError(f"system fails validation: {msgs}")
     builder = _Builder(system)
     for p in system.poset.linear_extension():
         if system.kind[p] == "free":

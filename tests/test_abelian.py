@@ -281,9 +281,33 @@ def test_groups_do_not_depend_on_the_frame_cache():
         assert _group_answers(again, elements) == expect
         assert cold.relations == again.relations == [list(r) for r in rels]
         assert cold.relations is not again.relations
-    # 2.0 == 2 hash alike; a float presentation must not lend its frame
-    FGAbelianGroup(1, [[2.0]])
+    # 2.0 == 2 hash alike: a float presentation is refused before it could
+    # lend its frame to the int one
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        FGAbelianGroup(1, [[2.0]])
     assert FGAbelianGroup(1, [[2]]).canonical_name() == "Z/2"
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: FGAbelianGroup(1, [[2.5]]),
+    lambda g: GroupHom(g, g, [[1.5]]),
+    lambda g: g.element([2.5]),
+    lambda g: 0.5 * g.gen(0),
+], ids=["relation", "hom", "element", "scaled"])
+def test_non_integral_entries_are_refused(build):
+    # each entry is read once with operator.index: Z/2.5 is no group, and
+    # an element is not truncated to (2,)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        build(FGAbelianGroup(1))
+
+
+def test_true_reads_as_one():
+    g = FGAbelianGroup(2, [[True, 0], [0, 4]])
+    f = GroupHom(g, g, [[True, False], [0, 1]])
+    x = g.element([True, True])
+    assert g.canonical_name() == "Z/4" and f.matrix == [[1, 0], [0, 1]] and x.coeffs == (1, 1)
+    for entries in (*g.relations, *f.matrix, x.coeffs):
+        assert all(type(c) is int for c in entries)
 
 
 def test_small_presentations_share_one_frame():

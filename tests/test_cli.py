@@ -412,6 +412,43 @@ def test_realize_negative_free_rank_exit_2(tmp_path, capsys):
     assert "free rank must be nonnegative" in capsys.readouterr().err
 
 
+def test_realize_out_of_budget_exit_3(tmp_path, capsys):
+    # Z^50 has 100 gadget vertices, so its first descent alone takes 101
+    # visits, past 100 * budget = 100: the search stops at exactly 100
+    p = tmp_path / "z50.is"
+    p.write_text("prime p reg\ngroup p : Z^50\n")
+    assert main(["realize", str(p), "--budget", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("construction failed: regular prime p: no row set matched "
+                            "the kernel lattice after 100 visits\n")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["w", "0", "2*w", "0"], 1, "unequal\n"),
+    (["w", "w", "2*w", "2*w", "--depth", "0"], 3, "unknown\n"),
+], ids=["unequal", "out-of-depth"])
+def test_refine_without_a_grid_exits_nonzero(g2, capsys, argv, code, out):
+    assert main(["refine", g2, *argv]) == code
+    assert capsys.readouterr().out == out
+
+
+def test_props_random_needs_a_seed(capsys):
+    assert main(["props", "--random", "1"]) == 2
+    assert capsys.readouterr().err == "--seed is required with --random\n"
+
+
+def test_props_random_runs_the_suites_on_seeded_graphs(capsys):
+    argv = ["props", "--random", "2", "--seed", "3", "--samples", "2", "--format", "lines"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+    names = [line.split()[1] for line in out.splitlines()]
+    assert names[0] == "random-1" and names[-1] == "random-2"
+    assert all(line.startswith("props random-") for line in out.splitlines())
+
+
 def test_props_small_run(g2, capsys):
     assert main(["props", g2, "--samples", "20", "--pairs", "20",
                  "--seed", "1"]) == 0

@@ -154,6 +154,23 @@ def test_fixtures_adaptable_with_expected_kinds():
         assert got == expected[name], name
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda g: restrict_lower(g, "zz"), "unknown vertex or class 'zz'"),
+    (lambda g: remove_edge(g, "zz"), "unknown edge 'zz'"),
+    (lambda g: split_block(g, "zz"), "block 0 of 'zz' cannot be split"),
+    (lambda g: split_block(g, "a", 1), "block 1 of 'a' cannot be split"),
+    (lambda g: split_block(g, "a", -1), "block -1 of 'a' cannot be split"),
+    (lambda g: split_block(g, "b"), "block 0 of 'b' cannot be split"),
+    (lambda g: split_block(remove_edge(g, "c"), "a"), "block 0 of 'a' cannot be split"),
+], ids=["restrict-unknown", "remove-unknown", "split-unknown", "split-no-such-block",
+        "split-negative-index", "split-a-sink", "split-one-edge"])
+def test_graph_edits_name_what_they_cannot_find(edit, message):
+    # g1: vertex a with one block {l, c}, over the sink b
+    with pytest.raises(GraphError) as exc:
+        edit(fixture_graph("g1"))
+    assert str(exc.value) == message
+
+
 def test_require_adaptable_raises():
     g = remove_edge(fixture_graph("g1"), "l")
     with pytest.raises(NotAdaptableError):

@@ -375,6 +375,43 @@ def test_validate_flags_missing_map():
     assert any(f.axiom == "map-presence" for f in rep.failures)
 
 
+def test_isystem_needs_a_kind_and_a_group_per_prime():
+    poset = Poset(["p"])
+    triv = FGAbelianGroup(0, [])
+    for kind in ({}, {"p": "reg"}):
+        with pytest.raises(ISystemError, match="^prime 'p' needs kind free or regular$"):
+            ISystem(poset, kind, {"p": triv}, {})
+    with pytest.raises(ISystemError, match="^prime 'p' has no group$"):
+        ISystem(poset, {"p": "regular"}, {}, {})
+
+
+def test_map_for_names_a_missing_map():
+    poset = Poset(["p", "q"], [("q", "p")])
+    s = ISystem(poset, {"p": "free", "q": "free"},
+                {"p": FGAbelianGroup(1, [[2]]), "q": FGAbelianGroup(0, [])}, {})
+    with pytest.raises(ISystemError, match="^no connecting map for q < p$"):
+        s.map_for("p", "q")
+
+
+def test_a_cover_without_its_map_line_exits_2(tmp_path, capsys):
+    text = "prime p reg\nprime q reg\ncover q < p\ngroup p : Z/2\ngroup q : Z/2\n"
+    with pytest.raises(ISystemError, match="^missing map line for q < p$"):
+        parse_isystem(text)
+    path = tmp_path / "no-map.is"
+    path.write_text(text)
+    assert main(["realize", str(path)]) == 2
+    assert capsys.readouterr().err == "error: missing map line for q < p\n"
+
+
+def test_a_bad_free_rank_term_exits_2(tmp_path, capsys):
+    with pytest.raises(ISystemError, match=r"^bad group term 'Z\^x'$"):
+        parse_group_name("Z^x")
+    path = tmp_path / "bad-rank.is"
+    path.write_text("prime p reg\ngroup p : Z^x\n")
+    assert main(["realize", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: line 2: bad group term 'Z^x'\n"
+
+
 def test_validate_flags_ill_defined_hom():
     poset = Poset(["p", "q"], [("q", "p")])
     z2 = FGAbelianGroup(1, [[2]])

@@ -13,11 +13,11 @@ from sepmonoid.abelian import FGAbelianGroup, GroupElement, GroupHom, left_kerne
 from sepmonoid.fixtures import (fixture_graph, fixture_system, graph_names,
                                 system_names)
 from sepmonoid.graph import check_adaptable, parse_graph, serialize_graph
-from sepmonoid.isystem import (VERIFIED, ConnectingMap, ISystem, canonicalized,
-                               extract_isystem, parse_isystem, serialize_isystem,
-                               validate_isystem)
+from sepmonoid.isystem import (VERIFIED, ConnectingMap, ISystem, ValidationReport,
+                               canonicalized, extract_isystem, parse_isystem,
+                               serialize_isystem, validate_isystem)
 from sepmonoid.randgen import random_adaptable, relabel_system
-from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible,
+from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible, InvalidSystem,
                                _completion_test, _hnf_insert, _kernel_rows, _row_hnf,
                                _small_kernel_rows, _witness,
                                _witness_theta, check_roundtrip_certificate, realize,
@@ -125,21 +125,23 @@ def test_rank_obstruction_is_infeasible():
 @pytest.mark.parametrize("kind", ["reg", "free"])
 def test_incoherent_lower_evaluation_fails_at_its_prime(kind):
     # Z/2 below maps g1 to g1 in Z/3: twice the generator is 0 below but
-    # not above, so no homomorphism exists
+    # not above, so no homomorphism exists, and validation says so first
     s = parse_isystem(f"prime p1 reg\nprime p2 {kind}\ncover p1 < p2\n"
                       "group p1 : Z/2\ngroup p2 : Z/3\nmap p2 <- p1 : g1 -> g1\n")
-    prime = "regular" if kind == "reg" else "free"
-    with pytest.raises(ConstructionFailed, match=f"^{prime} prime p2: lower evaluation is "
-                       "not a homomorphism, connecting data incoherent$"):
-        realize(s, validate=False)
+    with pytest.raises(InvalidSystem) as exc:
+        realize(s)
+    assert [(f.axiom, f.primes) for f in exc.value.report.failures] == [("map-hom", ("p2", "p1"))]
+    assert str(exc.value) == ("system fails validation: "
+                              "generator images do not respect the source relations")
 
 
 def test_rank_obstruction_names_the_lower_free_rank():
     s = parse_isystem("prime p1 reg\nprime p2 reg\ncover p1 < p2\n"
                       "group p1 : Z\ngroup p2 : Z/3\nmap p2 <- p1 : g1 -> g1\n")
+    assert validate_isystem(s).ok
     with pytest.raises(ConstructionInfeasible, match="^regular prime p2: the built lower "
                        "part has free rank 1, but the target group only has free rank 0"):
-        realize(s, validate=False)
+        realize(s)
 
 
 def test_generator_arriving_from_below():
@@ -160,8 +162,23 @@ def test_realize_rejects_invalid_system():
            "group p : Z/2\ngroup q : 0\nmap p <- q : unit -> 0\n")
     s = parse_isystem(txt)
     assert validate_isystem(s).status == "CounterexampleFound"
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSystem) as exc:
         realize(s)
+    assert isinstance(exc.value, ValueError)
+    assert [f.axiom for f in exc.value.report.failures] == ["cone-coverage"]
+
+
+def test_invalid_system_message_names_three_failures_and_the_report_all():
+    # four Z/2 primes under one Z/3 prime, each map g1 -> g1 ill defined
+    s = parse_isystem("prime t reg\ngroup t : Z/3\n" + "".join(
+        f"prime {q} reg\ngroup {q} : Z/2\ncover {q} < t\nmap t <- {q} : g1 -> g1\n"
+        for q in "abcd"))
+    with pytest.raises(InvalidSystem) as exc:
+        realize(s)
+    report = exc.value.report
+    assert [f.primes for f in report.failures] == [("t", q) for q in "abcd"]
+    assert str(exc.value) == "system fails validation: " + "; ".join(
+        ["generator images do not respect the source relations"] * 3)
 
 
 def test_roundtrip_rejects_mismatched_pair():
@@ -477,6 +494,20 @@ def test_a_mutated_witness_falls_back_to_the_search():
     assert check_roundtrip_certificate(s, g, rep.poset_map, rep.theta) is None
 
 
+def test_witness_images_that_miss_a_generator_give_no_theta():
+    # the images of a prime must name exactly the extracted generators of
+    # its class; one vertex fewer gives no theta, and the search answers
+    s = fixture_system("s2")
+    g = realize(s).graph
+    wit, ext = g.derived(_witness), extract_isystem(g)
+    assert _witness_theta(s, ext, wit) is not None
+    p = next(p for p in sorted(wit.images) if wit.images[p])
+    wit.images[p].pop(min(wit.images[p]))
+    assert _witness_theta(s, ext, wit) is None
+    rep = roundtrip_check(s, g)
+    assert (rep.status, rep.by) == ("Verified", "search")
+
+
 def test_a_witness_for_another_system_object_is_ignored():
     s = parse_isystem(UNIT_SYSTEM.format("-g1"))
     g = realize(s).graph
@@ -653,8 +684,12 @@ def _scrambled_group(rng, free_rank, factors):
             for r in rels:
                 r[j] += c * r[i]
     if rels and rng.random() < 0.5:
-        rels.append([sum(rng.randint(-2, 2) * r[j] for r in rels) for j in range(n)])
-    return FGAbelianGroup(n, rels)
+        # one coefficient per relation row keeps the combination in their span
+        cs = [rng.randint(-2, 2) for _ in rels]
+        rels.append([sum(c * r[j] for c, r in zip(cs, rels)) for j in range(n)])
+    G = FGAbelianGroup(n, rels)
+    assert (G.free_rank, G.invariant_factors) == (free_rank, tuple(d for d in factors if d > 1))
+    return G
 
 
 def test_kernel_rows_span_the_canonical_coordinate_lattice():
@@ -1093,6 +1128,21 @@ def test_the_search_route_needs_a_box_of_four(monkeypatch):
     assert roundtrip_check(s, g).status == "InconclusiveWithinBound"
 
 
+def test_the_search_route_stops_at_its_branch_bound(monkeypatch):
+    # stress system 30 (Z^2 at p4, under two Z primes): on a reparsed copy
+    # of its graph, the search needs 6 isomorphisms at some prime before one
+    # extends; with ROUNDTRIP_BRANCH below 6 it tries no more and fails
+    s = _stress_corpus(1)[30]
+    g = _reparsed(realize(s).graph)
+    assert roundtrip_check(s, g).status == "Verified"
+    for branch, want in ((1, "FailedAt"), (5, "FailedAt"), (6, "Verified")):
+        monkeypatch.setattr(realize_mod, "ROUNDTRIP_BRANCH", branch)
+        rep = roundtrip_check(s, g)
+        assert (rep.status, rep.by) == (want, "search"), branch
+    monkeypatch.setattr(realize_mod, "ROUNDTRIP_BRANCH", 1)
+    assert roundtrip_check(s, g).detail == "no compatible family of group isomorphisms"
+
+
 def _lattice_pair(rng, shape):
     """(target, span, kind of Q): target a random lattice, span the rows of
     M times target's rows, so that Q = target / span = Z^k / rows of M."""
@@ -1308,13 +1358,16 @@ UNCOVERED_SYSTEM = ("prime p free\nprime q free\ncover q < p\ngroup p : Z\ngroup
                     "map p <- q : unit -> g1\n")
 
 
-def test_a_lower_cover_on_no_kernel_row_fails_the_free_prime():
+def test_a_lower_cover_on_no_kernel_row_fails_the_free_prime(monkeypatch):
     s = parse_isystem(UNCOVERED_SYSTEM)
     assert [f.axiom for f in validate_isystem(s).failures] == ["cone-coverage"]
-    with pytest.raises(ValueError, match="^system fails validation: the negated unit of q"):
+    with pytest.raises(InvalidSystem, match="^system fails validation: the negated unit of q"):
         realize(s)
+    # the guard checks the construction itself: with validation made to
+    # pass, the free prime's blocks still must reach every lower cover
+    monkeypatch.setattr(realize_mod, "validate_isystem", lambda system: ValidationReport(VERIFIED))
     with pytest.raises(ConstructionFailed) as exc:
-        realize(s, validate=False)
+        realize(s)
     assert str(exc.value) == "free prime p: lower cover q is on no kernel row"
 
 
