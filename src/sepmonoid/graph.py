@@ -45,6 +45,13 @@ def _unaddressable(name: str) -> str | None:
     return None
 
 
+def _decimal(text: str) -> int:
+    """int(text) for ASCII -?[0-9]+ only: int() also reads '1_0', ' 1', '+1' and other digits."""
+    if not (digits := text.removeprefix("-")).isascii() or not digits.isdigit():
+        raise ValueError(text)
+    return int(text)
+
+
 def _checked(vertices, edges, blocks):
     """The constructor's arguments as `SepGraph._build` reads them, or a
     GraphError that names what is wrong with them."""
@@ -190,7 +197,7 @@ def parse_graph(text: str) -> SepGraph:
             if len(args) == 5 and args[3] == "*":
                 eid, src, dst = args[0], args[1], args[2]
                 try:
-                    count = int(args[4])
+                    count = _decimal(args[4])
                 except ValueError:
                     raise GraphParseError(line_no, f"bad multiplicity '{args[4]}'") from None
                 if count < 1:

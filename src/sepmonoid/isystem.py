@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .abelian import (FGAbelianGroup, GroupElement, GroupHom, images_agree,
                       left_kernel, vec_mat, zero_hom)
-from .graph import (MAX_EXPANDED_EDGES, SepGraph, _unaddressable,
+from .graph import (MAX_EXPANDED_EDGES, SepGraph, _decimal, _unaddressable,
                     require_adaptable)
 from .posets import Poset
 from .records import FrozenRecord, Record
@@ -42,24 +42,49 @@ class ConnectingMap(Record):
 
 
 class ISystem:
+    """Primes in a poset, each with a kind ("free" or "regular") and a
+    group, and per strict pair q < p a `ConnectingMap` keyed (p, q): a hom
+    from G_q's presentation to G_p's, with a unit in G_p's exactly when q
+    is free (a trivial regular q without one gets the zero map).  The
+    constructor checks this, p in poset order and q sorted, and raises
+    ISystemError at the first failure; `validate_isystem` checks the axioms."""
+
     def __init__(self, poset: Poset, kind: dict, group: dict, maps: dict,
                  generator_labels: dict | None = None):
         self.poset = poset
         self.kind = dict(kind)
         self.group = dict(group)
-        self.maps = dict(maps)
         self.generator_labels = dict(generator_labels or {})
         for p in poset:
             if self.kind.get(p) not in ("free", "regular"):
                 raise ISystemError(f"prime '{p}' needs kind free or regular")
             if p not in self.group:
                 raise ISystemError(f"prime '{p}' has no group")
-        # the only map out of a trivial regular source is the zero map
+        kind, group, given = self.kind, self.group, dict(maps)
+        self.maps = {}
         for hi in poset:
-            for lo in poset.strict_down(hi):
-                if ((hi, lo) not in self.maps and self.kind[lo] == "regular"
-                        and self.group[lo].is_trivial()):
-                    self.maps[(hi, lo)] = ConnectingMap(zero_hom(self.group[lo], self.group[hi]))
+            for lo in sorted(poset.strict_down(hi)):
+                cm = given.pop((hi, lo), None)
+                if cm is None and kind[lo] == "regular" and group[lo].is_trivial():
+                    cm = ConnectingMap(zero_hom(group[lo], group[hi]))
+                if cm is None:
+                    raise ISystemError(f"no connecting map for {lo} < {hi}")
+                if not cm.hom.domain.same_presentation(group[lo]):
+                    raise ISystemError(f"map {hi} <- {lo}: hom domain is not the source group")
+                if not cm.hom.codomain.same_presentation(group[hi]):
+                    raise ISystemError(f"map {hi} <- {lo}: hom codomain is not the target group")
+                if kind[lo] == "regular":
+                    if cm.unit is not None:
+                        raise ISystemError(
+                            f"regular prime {lo} must not carry a unit image under {hi}")
+                elif cm.unit is None:
+                    raise ISystemError(f"free prime {lo} needs a unit image under {hi}")
+                elif not cm.unit.group.same_presentation(group[hi]):
+                    raise ISystemError(
+                        f"map {hi} <- {lo}: unit is not an element of the target group")
+                self.maps[(hi, lo)] = cm
+        if given:
+            raise ISystemError(f"no strict pair q < p for the map keyed {next(iter(given))!r}")
 
     def primes(self):
         return list(self.poset.elements)
@@ -146,57 +171,38 @@ def _cone_gap(p, quotient: FGAbelianGroup, units) -> str | None:
 
 
 def validate_isystem(sys: ISystem) -> ValidationReport:
+    """Check the axioms: the maps are homs (`map-hom`; its failures are the
+    whole report), they compose (`functoriality`) and cover free primes (`cone-coverage`)."""
     failures = []
     poset = sys.poset
-    # map presence and shape
     for hi in poset:
         for lo in sorted(poset.strict_down(hi)):
-            if (hi, lo) not in sys.maps:
-                failures.append(ValidationFailure(
-                    "map-presence", (hi, lo), f"no connecting map for {lo} < {hi}"))
-                continue
-            cm = sys.maps[(hi, lo)]
-            if not cm.hom.domain.same_presentation(sys.group[lo]):
-                failures.append(ValidationFailure(
-                    "map-shape", (hi, lo), "hom domain is not the source group"))
-                continue
-            if not cm.hom.codomain.same_presentation(sys.group[hi]):
-                failures.append(ValidationFailure(
-                    "map-shape", (hi, lo), "hom codomain is not the target group"))
-                continue
-            if not cm.hom.is_well_defined():
+            if not sys.maps[(hi, lo)].hom.is_well_defined():
                 failures.append(ValidationFailure(
                     "map-hom", (hi, lo), "generator images do not respect the source relations"))
-            if sys.kind[lo] == "free" and cm.unit is None:
-                failures.append(ValidationFailure(
-                    "map-unit", (hi, lo), f"free prime {lo} needs a unit image under {hi}"))
-            if sys.kind[lo] == "regular" and cm.unit is not None:
-                failures.append(ValidationFailure(
-                    "map-unit", (hi, lo), f"regular prime {lo} must not carry a unit image"))
     if failures:
         return ValidationReport(COUNTEREXAMPLE, failures)
     # functoriality over chains lo < mid < hi
     for hi in poset:
         for mid in sorted(poset.strict_down(hi)):
             for lo in sorted(poset.strict_down(mid)):
-                a = sys.map_for(hi, lo)
-                b = sys.map_for(hi, mid)
-                c = sys.map_for(mid, lo)
+                a = sys.maps[(hi, lo)]
+                b = sys.maps[(hi, mid)]
+                c = sys.maps[(mid, lo)]
                 # on each generator of lo (and its unit): the image through
                 # mid minus the direct one vanishes in G_hi, whose
-                # presentation both homs' codomains have (map-shape)
+                # presentation both homs' codomains have (the constructor checks it)
                 g = b.hom.codomain
                 if not all(images_agree(c_row, b.hom.matrix, (1,), [a_row], g)
                            for c_row, a_row in zip(c.hom.matrix, a.hom.matrix)):
                     failures.append(ValidationFailure(
                         "functoriality", (hi, mid, lo),
                         f"hom {lo}<{hi} differs from the composite through {mid}"))
-                if sys.kind[lo] == "free":
-                    if not (a.unit.group.same_presentation(g) and images_agree(
-                            c.unit.coeffs, b.hom.matrix, (1,), [a.unit.coeffs], g)):
-                        failures.append(ValidationFailure(
-                            "functoriality", (hi, mid, lo),
-                            f"unit image of {lo} under {hi} differs from the composite through {mid}"))
+                if a.unit is not None and not images_agree(
+                        c.unit.coeffs, b.hom.matrix, (1,), [a.unit.coeffs], g):
+                    failures.append(ValidationFailure(
+                        "functoriality", (hi, mid, lo),
+                        f"unit image of {lo} under {hi} differs from the composite through {mid}"))
     # free primes: minimality and cone coverage
     for p in poset:
         if sys.kind[p] != "free":
@@ -212,11 +218,10 @@ def validate_isystem(sys: ISystem) -> ValidationReport:
         units = []
         hom_rows = []
         for q in sorted(lowers):
-            cm = sys.map_for(p, q)
-            if sys.kind[q] == "free" and cm.unit is not None:
+            cm = sys.maps[(p, q)]
+            if cm.unit is not None:
                 units.append((q, cm.unit.coeffs))
-            for i in range(sys.group[q].ngens):
-                hom_rows.append(list(cm.hom.matrix[i]))
+            hom_rows += map(list, cm.hom.matrix)
         quotient = FGAbelianGroup(g_p.ngens, list(g_p.relations) + hom_rows)
         gap = _cone_gap(p, quotient, units)
         if gap is not None:
@@ -326,7 +331,7 @@ def parse_group_name(s: str) -> FGAbelianGroup:
             free += 1
         elif part.startswith("Z^"):
             try:
-                n = int(part[2:])
+                n = _decimal(part[2:])
             except ValueError:
                 raise ISystemError(f"bad group term '{part}'") from None
             if n < 0:
@@ -334,7 +339,7 @@ def parse_group_name(s: str) -> FGAbelianGroup:
             free += n
         elif part.startswith("Z/"):
             try:
-                d = int(part[2:])
+                d = _decimal(part[2:])
             except ValueError:
                 raise ISystemError(f"bad group term '{part}'") from None
             if d < 2:
@@ -402,7 +407,7 @@ def parse_element_expr(s: str, group: FGAbelianGroup) -> GroupElement:
         if "*" in term:
             cq, gname = (x.strip() for x in term.split("*", 1))
             try:
-                c = int(cq)
+                c = _decimal(cq)
             except ValueError:
                 raise ISystemError(f"bad coefficient '{cq}'") from None
         else:
@@ -410,7 +415,7 @@ def parse_element_expr(s: str, group: FGAbelianGroup) -> GroupElement:
         if not gname.startswith("g"):
             raise ISystemError(f"bad generator '{gname}'")
         try:
-            idx = int(gname[1:]) - 1
+            idx = _decimal(gname[1:]) - 1
         except ValueError:
             raise ISystemError(f"bad generator '{gname}'") from None
         if not 0 <= idx < group.ngens:
@@ -591,7 +596,7 @@ def parse_isystem(text: str) -> ISystem:
                 unit = img
             elif lhs.startswith("g"):
                 try:
-                    idx = int(lhs[1:]) - 1
+                    idx = _decimal(lhs[1:]) - 1
                 except ValueError:
                     raise ISystemParseError(line_no, f"bad clause lhs '{lhs}'") from None
                 if not 0 <= idx < group[lo].ngens:
@@ -607,8 +612,4 @@ def parse_isystem(text: str) -> ISystem:
         if missing:
             raise ISystemParseError(line_no, f"missing clause(s) for {', '.join(missing)}")
         maps[(hi, lo)] = ConnectingMap(GroupHom(group[lo], group[hi], rows), unit)
-    for hi in poset:
-        for lo in sorted(poset.strict_down(hi)):
-            if (hi, lo) not in maps and not (kind[lo] == "regular" and group[lo].is_trivial()):
-                raise ISystemError(f"missing map line for {lo} < {hi}")
     return ISystem(poset, kind, group, maps)

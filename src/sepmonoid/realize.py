@@ -638,20 +638,13 @@ def _constraints(system: ISystem, ext: ISystem, psi: dict, theta: dict, p):
     p: theta[p] sends a, a row of the extracted G_p, to b, a row of the
     system's.  Per q < p in sorted order, one per generator of the
     extracted G_q (its image, and the system's image of theta[q] of it),
-    then the units.  b is None where no theta[p] can work: a system side
-    outside G_p's presentation, or a unit on one side only."""
-    G = system.group[p]
+    then the units when q is free: both routes match kinds first."""
     for q in sorted(system.poset.strict_down(p)):
-        cm_e, cm_o = ext.map_for(psi[p], psi[q]), system.map_for(p, q)
-        ok = cm_o.hom.codomain.same_presentation(G)
+        cm_e, cm_o = ext.maps[(psi[p], psi[q])], system.maps[(p, q)]
         for a, t in zip(cm_e.hom.matrix, theta[q].matrix):
-            yield (a, _image(t, cm_o.hom) if ok else None,
-                   f"theta does not commute with the map {p} <- {q}")
-        if (cm_e.unit is None) != (cm_o.unit is None):
-            yield None, None, f"the map {p} <- {q} has a unit on one side only"
-        elif cm_e.unit is not None:
-            yield (cm_e.unit.coeffs,
-                   cm_o.unit.coeffs if cm_o.unit.group.same_presentation(G) else None,
+            yield a, _image(t, cm_o.hom), f"theta does not commute with the map {p} <- {q}"
+        if cm_e.unit is not None:
+            yield (cm_e.unit.coeffs, cm_o.unit.coeffs,
                    f"theta at {p} does not send the unit of {q} to the system's")
 
 
@@ -689,7 +682,7 @@ def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dic
             return f"theta at {p} is no isomorphism onto its group"
     for p in primes:
         for a, b, failure in _constraints(system, ext, psi, theta, p):
-            if b is None or not images_agree(a, theta[p].matrix, (1,), [b], system.group[p]):
+            if not images_agree(a, theta[p].matrix, (1,), [b], system.group[p]):
                 return failure
     return None
 
@@ -759,8 +752,6 @@ def roundtrip_check(system: ISystem, graph: SepGraph) -> RoundtripReport:
             p = order[i]
             gp, G = ext.group[psi[p]], system.group[p]
             constraints = [(a, b) for a, b, _ in _constraints(system, ext, psi, theta, p)]
-            if any(b is None for _, b in constraints):
-                return False
             tried = 0
             for fiso in iter_isomorphisms(gp, G, constraints, ROUNDTRIP_BOX):
                 theta[p] = fiso

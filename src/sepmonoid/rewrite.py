@@ -22,7 +22,7 @@ from functools import cache, cached_property
 from operator import index, lshift, sub
 
 from .abelian import FGAbelianGroup, vanishes
-from .graph import SepGraph, check_adaptable, require_adaptable
+from .graph import SepGraph, _decimal, check_adaptable, require_adaptable
 from .isystem import extract_isystem
 from .records import FrozenRecord, Record
 
@@ -150,7 +150,7 @@ def parse_element(text: str, g: SepGraph | None = None) -> FreeElement:
         if "*" in term:
             cq, v = (x.strip() for x in term.split("*", 1))
             try:
-                c = int(cq)
+                c = _decimal(cq)
             except ValueError:
                 raise RewriteError(f"bad multiplicity '{cq}'") from None
             if c < 1:
@@ -820,12 +820,12 @@ def antisym_nf(g: SepGraph, x: FreeElement) -> AntisymNF:
 def antisym_le(g: SepGraph, x: FreeElement, y: FreeElement) -> bool:
     """Order of the antisymmetrized monoid, decided on archimedean classes:
     is every class of x's support at or below a class of y's?"""
+    g.derived(_CompiledGraph).check(x, y)
     if x.is_zero():
         return True
     if y.is_zero():
         return False
     require_adaptable(g)
-    g.derived(_CompiledGraph).check(x, y)
     return g.derived(_Certificates).dominated(x.counts, y.counts)
 
 

@@ -357,7 +357,7 @@ THREE_COVERS_NO_MAPS = "".join(
 @pytest.mark.parametrize("text, first", [
     (TWO_BROKEN_TRIANGLES, "axiom functoriality fails at ('t', 'b', 'a'): "
                            "hom a<t differs from the composite through b"),
-    (THREE_COVERS_NO_MAPS, "error: missing map line for a < t"),
+    (THREE_COVERS_NO_MAPS, "error: no connecting map for a < t"),
 ], ids=["two-broken-triangles", "three-covers-no-maps"])
 def test_realize_errors_do_not_hang_on_the_hash_seed(tmp_path, text, first):
     # the primes below a prime form a frozenset, whose order follows

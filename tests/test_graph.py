@@ -65,6 +65,7 @@ def test_parse_errors():
 
 @pytest.mark.parametrize("tail, line, message", [
     ("edge e a b * 0\n", 3, "multiplicity must be positive, got 0"),
+    ("edge e a b * 1_0\n", 3, "bad multiplicity '1_0'"),
     ("edge e a b * 2\nedge e a b\n", 4, "duplicate edge 'e'"),
     ("edge e a b\nedge e a b * 2\n", 4, "duplicate edge 'e'"),
     ("edge e a b * 2\nedge e.2 b a\n", 4, "duplicate edge 'e.2'"),

@@ -8,7 +8,7 @@ import pytest
 from sepmonoid import isystem
 from sepmonoid.abelian import FGAbelianGroup, GroupHom, identity
 from sepmonoid.cli import main
-from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names
+from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names, system_names
 from sepmonoid.graph import (check_adaptable, condensation, remove_edge,
                              restrict_lower)
 from sepmonoid.isystem import (COUNTEREXAMPLE, VERIFIED, ConnectingMap,
@@ -20,6 +20,7 @@ from sepmonoid.posets import Poset
 from sepmonoid.randgen import corpus_systems, random_adaptable
 from sepmonoid.rewrite import grothendieck_of_restriction
 from test_graph import MUTATIONS
+from test_realize import _stress_corpus
 
 
 def test_extract_groups_match_hand_calc():
@@ -167,6 +168,12 @@ def test_parse_group_name_rejects_negative_free_rank():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("term", ["Z/1_0", "Z/\u0663", "Z^ 2"])
+def test_group_terms_read_ascii_decimal_integers(term):
+    with pytest.raises(ISystemError, match=f"^bad group term '{re.escape(term)}'$"):
+        parse_group_name(term)
+
+
 def test_parse_group_presentation_requires_ordered_names():
     with pytest.raises(ISystemError):
         parse_group_presentation("g2 g1")
@@ -196,6 +203,9 @@ _MAP_HEAD = ("prime p reg\nprime q free\nprime r reg\nprime s reg\ncover q < p\n
     ("map p <- q : unit -> h1", "bad generator 'h1'"),
     ("map p <- q : unit -> gx", "bad generator 'gx'"),
     ("map p <- q : unit -> g2", "generator 'g2' out of range (group has 1)"),
+    ("map p <- q : unit -> 1_0*g1", "bad coefficient '1_0'"),
+    ("map p <- q : unit -> g\u0661", "bad generator 'g\u0661'"),
+    ("map p <- r : g 1 -> g1", "bad clause lhs 'g 1'"),
 ])
 def test_map_line_errors_name_their_line_and_exit_2(tmp_path, capsys, map_line, message):
     text = _MAP_HEAD + map_line + "\n"
@@ -366,13 +376,12 @@ def test_validate_cone_agrees_with_smith_and_lp_oracles():
 
 
 def test_validate_flags_missing_map():
+    # the constructor refuses the system before validation could see it
     poset = Poset(["p", "q"], [("q", "p")])
     z2 = FGAbelianGroup(1, [[2]])
     triv = FGAbelianGroup(0, [])
-    s = ISystem(poset, {"p": "free", "q": "free"}, {"p": z2, "q": triv}, {})
-    rep = validate_isystem(s)
-    assert rep.status == COUNTEREXAMPLE
-    assert any(f.axiom == "map-presence" for f in rep.failures)
+    with pytest.raises(ISystemError, match="^no connecting map for q < p$"):
+        ISystem(poset, {"p": "free", "q": "free"}, {"p": z2, "q": triv}, {})
 
 
 def test_isystem_needs_a_kind_and_a_group_per_prime():
@@ -386,21 +395,22 @@ def test_isystem_needs_a_kind_and_a_group_per_prime():
 
 
 def test_map_for_names_a_missing_map():
+    # every strict pair has its map, so only a pair that is not strict misses one
     poset = Poset(["p", "q"], [("q", "p")])
-    s = ISystem(poset, {"p": "free", "q": "free"},
+    s = ISystem(poset, {"p": "regular", "q": "regular"},
                 {"p": FGAbelianGroup(1, [[2]]), "q": FGAbelianGroup(0, [])}, {})
-    with pytest.raises(ISystemError, match="^no connecting map for q < p$"):
-        s.map_for("p", "q")
+    with pytest.raises(ISystemError, match="^no connecting map for p < q$"):
+        s.map_for("q", "p")
 
 
 def test_a_cover_without_its_map_line_exits_2(tmp_path, capsys):
     text = "prime p reg\nprime q reg\ncover q < p\ngroup p : Z/2\ngroup q : Z/2\n"
-    with pytest.raises(ISystemError, match="^missing map line for q < p$"):
+    with pytest.raises(ISystemError, match="^no connecting map for q < p$"):
         parse_isystem(text)
     path = tmp_path / "no-map.is"
     path.write_text(text)
     assert main(["realize", str(path)]) == 2
-    assert capsys.readouterr().err == "error: missing map line for q < p\n"
+    assert capsys.readouterr().err == "error: no connecting map for q < p\n"
 
 
 def test_a_bad_free_rank_term_exits_2(tmp_path, capsys):
@@ -466,22 +476,90 @@ def test_validate_flags_functoriality_off_in_torsion_only(kind):
 
 
 def test_validate_names_each_map_shape_and_unit_failure():
+    # the constructor refuses each shape and unit failure, naming its pair
     s = fixture_system("s2")
     assert validate_isystem(s).ok
     z, z2 = s.group["p3"], s.group["p4"]
     cases = [
         (("p4", "p3"), ConnectingMap(GroupHom(z2, z2, identity(2))),
-         "map-shape", "hom domain is not the source group"),
+         "map p4 <- p3: hom domain is not the source group"),
         (("p4", "p3"), ConnectingMap(GroupHom(z, z, [[1]])),
-         "map-shape", "hom codomain is not the target group"),
+         "map p4 <- p3: hom codomain is not the target group"),
         (("p2", "p1"), ConnectingMap(s.maps[("p2", "p1")].hom),
-         "map-unit", "free prime p1 needs a unit image under p2"),
+         "free prime p1 needs a unit image under p2"),
         (("p3", "p2"), ConnectingMap(s.maps[("p3", "p2")].hom, z.zero()),
-         "map-unit", "regular prime p2 must not carry a unit image"),
+         "regular prime p2 must not carry a unit image under p3"),
     ]
-    for key, cm, axiom, detail in cases:
-        rep = validate_isystem(ISystem(s.poset, s.kind, s.group, {**s.maps, key: cm}))
-        assert [(f.axiom, f.primes, f.detail) for f in rep.failures] == [(axiom, key, detail)]
+    for key, cm, detail in cases:
+        with pytest.raises(ISystemError, match=f"^{re.escape(detail)}$"):
+            ISystem(s.poset, s.kind, s.group, {**s.maps, key: cm})
+
+
+def _other_presentation(g):
+    """g presented on one more generator, which a relation kills."""
+    return FGAbelianGroup(g.ngens + 1, [r + [0] for r in g.relations] + [[0] * g.ngens + [1]])
+
+
+def _broken_maps(s, hi, lo):
+    """(change, maps, message) for each way the map hi <- lo of s can break
+    the structure the constructor checks."""
+    cm, g_lo, g_hi = s.maps[(hi, lo)], s.group[lo], s.group[hi]
+    other_lo, other_hi = _other_presentation(g_lo), _other_presentation(g_hi)
+    pad = [0] * g_hi.ngens
+    cases = [
+        ("domain", ConnectingMap(GroupHom(other_lo, g_hi, cm.hom.matrix + [pad]), cm.unit),
+         f"map {hi} <- {lo}: hom domain is not the source group"),
+        ("codomain", ConnectingMap(GroupHom(g_lo, other_hi, [r + [0] for r in cm.hom.matrix]),
+                                   cm.unit),
+         f"map {hi} <- {lo}: hom codomain is not the target group"),
+    ]
+    if s.kind[lo] == "regular":
+        cases.append(("unit added", ConnectingMap(cm.hom, g_hi.zero()),
+                      f"regular prime {lo} must not carry a unit image under {hi}"))
+    else:
+        cases.append(("unit removed", ConnectingMap(cm.hom),
+                      f"free prime {lo} needs a unit image under {hi}"))
+        cases.append(("unit moved",
+                      ConnectingMap(cm.hom, other_hi.element(list(cm.unit.coeffs) + [0])),
+                      f"map {hi} <- {lo}: unit is not an element of the target group"))
+    out = [(change, {**s.maps, (hi, lo): bad}, message) for change, bad, message in cases]
+    if s.kind[lo] == "free" or not g_lo.is_trivial():
+        # a trivial regular lo gets the zero map in place of a missing one
+        out.append(("dropped", {k: v for k, v in s.maps.items() if k != (hi, lo)},
+                    f"no connecting map for {lo} < {hi}"))
+    return out
+
+
+def test_the_constructor_refuses_each_broken_map():
+    # each of the six ways a map can break, at every strict pair of the
+    # stress corpus and the fixtures, raises at its pair; the system
+    # unchanged still builds and serializes to the same text
+    systems = _stress_corpus(1) + [fixture_system(n) for n in system_names()]
+    systems += [extract_isystem(fixture_graph(n)) for n in graph_names()]
+    broken = set()
+    for s in systems:
+        again = ISystem(s.poset, s.kind, s.group, s.maps, s.generator_labels)
+        assert serialize_isystem(again) == serialize_isystem(s)
+        for hi in s.poset:
+            for lo in sorted(s.poset.strict_down(hi)):
+                for change, maps, message in _broken_maps(s, hi, lo):
+                    with pytest.raises(ISystemError, match=f"^{re.escape(message)}$"):
+                        ISystem(s.poset, s.kind, s.group, maps)
+                    broken.add(change)
+    assert len(broken) == 6, broken
+
+
+@pytest.mark.parametrize("key", [("q", "p"), ("p", "p"), ("p", "x"), "p"],
+                         ids=["reversed", "reflexive", "unknown-prime", "no-pair"])
+def test_the_constructor_refuses_a_map_at_no_strict_pair(key):
+    poset = Poset(["p", "q"], [("q", "p")])
+    z2 = FGAbelianGroup(1, [[2]])
+    kind, group = {"p": "regular", "q": "regular"}, {"p": z2, "q": z2}
+    maps = {("p", "q"): ConnectingMap(GroupHom(z2, z2, [[1]]))}
+    assert ISystem(poset, kind, group, maps).maps == maps
+    with pytest.raises(ISystemError,
+                       match=f"^no strict pair q < p for the map keyed {re.escape(repr(key))}$"):
+        ISystem(poset, kind, group, {**maps, key: maps[("p", "q")]})
 
 
 def test_validate_flags_nontrivial_minimal_free():

@@ -13,8 +13,8 @@ from sepmonoid.abelian import FGAbelianGroup, GroupElement, GroupHom, left_kerne
 from sepmonoid.fixtures import (fixture_graph, fixture_system, graph_names,
                                 system_names)
 from sepmonoid.graph import check_adaptable, parse_graph, serialize_graph
-from sepmonoid.isystem import (VERIFIED, ConnectingMap, ISystem, ValidationReport,
-                               canonicalized, extract_isystem, parse_isystem,
+from sepmonoid.isystem import (VERIFIED, ConnectingMap, ISystem, ISystemError,
+                               ValidationReport, canonicalized, extract_isystem, parse_isystem,
                                serialize_isystem, validate_isystem)
 from sepmonoid.randgen import random_adaptable, relabel_system
 from sepmonoid.realize import (ConstructionFailed, ConstructionInfeasible, InvalidSystem,
@@ -1397,14 +1397,15 @@ def _with_map(s, key, cm):
 
 
 def test_certificate_names_a_unit_on_one_side_only():
-    # the system's map p2 <- p1 loses its unit, which the extraction keeps
+    # the system's map p2 <- p1 loses its unit, which the extraction keeps:
+    # the constructor refuses that system, so no certificate meets it
     s = fixture_system("s2")
     g = realize(s).graph
     rep = roundtrip_check(s, g)
+    assert check_roundtrip_certificate(s, g, rep.poset_map, rep.theta) is None
     hom = s.maps[("p2", "p1")].hom
-    other = _with_map(s, ("p2", "p1"), ConnectingMap(hom))
-    assert check_roundtrip_certificate(other, g, rep.poset_map, rep.theta) == (
-        "the map p2 <- p1 has a unit on one side only")
+    with pytest.raises(ISystemError, match="^free prime p1 needs a unit image under p2$"):
+        _with_map(s, ("p2", "p1"), ConnectingMap(hom))
 
 
 def test_realize_renames_a_vertex_whose_name_is_taken():
@@ -1421,36 +1422,33 @@ FOREIGN_CASES = [
     # Z over Z, the map p <- q into Z presented on two generators (g2 = 0)
     ("prime q reg\nprime p reg\ncover q < p\ngroup q : Z\ngroup p : Z\nmap p <- q : g1 -> g1\n",
      "q", lambda s: ConnectingMap(GroupHom(s.group["q"], FGAbelianGroup(2, [[0, 1]]), [[1, 0]])),
-     "theta does not commute with the map p <- q"),
+     "map p <- q: hom codomain is not the target group"),
     # Z/4 over Z/4, the map into Z + Z/4, which is no presentation of Z/4 at all
     ("prime q reg\nprime p reg\ncover q < p\ngroup q : Z/4\ngroup p : Z/4\n"
      "map p <- q : g1 -> g1\n",
      "q", lambda s: ConnectingMap(GroupHom(s.group["q"], FGAbelianGroup(2, [[4, 0]]), [[1, 0]])),
-     "theta does not commute with the map p <- q"),
+     "map p <- q: hom codomain is not the target group"),
     # Z over two trivial free primes, the unit of q1 in Z presented on two generators
     ("prime q1 free\nprime q2 free\nprime p free\ncover q1 < p\ncover q2 < p\n"
      "group q1 : 0\ngroup q2 : 0\ngroup p : Z\nmap p <- q1 : unit -> g1\n"
      "map p <- q2 : unit -> -g1\n",
      "q1", lambda s: ConnectingMap(s.maps[("p", "q1")].hom,
                                    FGAbelianGroup(2, [[0, 1]]).element([1, 0])),
-     "theta at p does not send the unit of q1 to the system's"),
+     "map p <- q1: unit is not an element of the target group"),
 ]
 
 
 @pytest.mark.parametrize("text, q, foreign, failure", FOREIGN_CASES)
 def test_a_map_into_another_presentation_fails_both_routes(text, q, foreign, failure):
-    # the system side of p <- q lies outside G_p's presentation, so no theta
-    # commutes with it: the certificate names the map, and the search, which
-    # reads the same constraint list, fails at p instead of reporting its
-    # bound exhausted
+    # the system side of p <- q lies outside G_p's presentation: the
+    # constructor refuses it, so neither round-trip route meets such a map
     s = parse_isystem(text)
     g = realize(s).graph
     assert not _roundtrip_both_routes(s, g)
     rep = roundtrip_check(s, g)
-    other = _with_map(s, ("p", q), foreign(s))
-    assert check_roundtrip_certificate(other, g, rep.poset_map, rep.theta) == failure
-    rep = roundtrip_check(other, _reparsed(g))
-    assert (rep.status, rep.detail) == ("FailedAt", "no compatible family of group isomorphisms")
+    assert check_roundtrip_certificate(s, g, rep.poset_map, rep.theta) is None
+    with pytest.raises(ISystemError, match=f"^{re.escape(failure)}$"):
+        _with_map(s, ("p", q), foreign(s))
 
 
 def test_vertex_values_and_constraints_are_coefficient_rows(monkeypatch):

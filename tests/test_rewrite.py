@@ -71,7 +71,8 @@ def test_parse_element_rejects_negative():
     (lambda: FreeElement({"a": 2}).scale(1.5), "scale is not an integer: 1.5"),
     (lambda: FreeElement({"a": "2"}), "multiplicity for 'a' is not an integer"),
     (lambda: FreeElement().scale(1.5), "scale is not an integer: 1.5"),
-], ids=["float", "scaled", "str", "zero-scaled"])
+    (lambda: parse_element("1_0*a"), "bad multiplicity '1_0'"),
+], ids=["float", "scaled", "str", "zero-scaled", "parsed"])
 def test_free_element_rejects_non_integral_multiplicities(build, message):
     # scale reads its factor before any count, so zero rejects it too
     with pytest.raises(RewriteError, match=message):
@@ -840,7 +841,8 @@ def test_normal_forms_reject_unknown_vertices():
     calls = [lambda: eq_exact(g, bad, good), lambda: eq_exact(g, good, bad),
              lambda: monoid_nf(g, bad), lambda: antisym_nf(g, bad),
              lambda: confluence_equal(g, bad, good),
-             lambda: le_semidecide(g, bad, good)]
+             lambda: le_semidecide(g, bad, good),
+             lambda: antisym_le(g, FreeElement(), bad), lambda: antisym_le(g, bad, FreeElement())]
     for call in calls:
         with pytest.raises(RewriteError, match="unknown vertex 'zz'"):
             call()
