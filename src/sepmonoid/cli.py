@@ -13,7 +13,7 @@ import random as _random
 import sys
 
 from .fixtures import fixture_graph, graph_names
-from .graph import (GraphError, GraphParseError, NotAdaptableError,
+from .graph import (GraphError, GraphParseError, NotAdaptableError, _decimal,
                     check_adaptable, export_dot, parse_graph, serialize_graph)
 from .isystem import (ISystemError, ISystemParseError, extract_isystem,
                       parse_isystem, serialize_coords, serialize_isystem)
@@ -243,10 +243,10 @@ def cmd_random(args):
 
 
 def _int_at_least(lo):
-    """argparse type: an integer >= lo; anything else is a usage error (exit 2)."""
+    """argparse type: an ASCII decimal integer >= lo; anything else exits 2."""
     def parse(text):
         try:
-            n = int(text)
+            n = _decimal(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if n < lo:
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=_COUNT, default=100000,
                            help="search node budget (default 100000)")
         if seed:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_int_at_least(float("-inf")), default=None,
                            help="seed for randomized behaviour")
         if fmt:
             p.add_argument("--format", choices=("human", "lines"),

@@ -36,13 +36,31 @@ class NotAdaptableError(GraphError):
     pass
 
 
-def _unaddressable(name: str) -> str | None:
-    """Why the element syntax (`2*a+b`, `0`) cannot name `name`, or None."""
-    if name == "0":
+def _reserved(name, addressed=True) -> str | None:
+    """Why no .sg or .is token can carry `name`, or, if it is `addressed`,
+    why the element syntax (`2*a+b`, `0`) cannot name it; None if neither."""
+    if not isinstance(name, str) or name.split() != [name]:
+        return "a name is one token: a nonempty str without whitespace"
+    if "#" in name:
+        return "'#' starts a comment"
+    if addressed and name == "0":
         return "'0' is the zero element"
-    if "+" in name or "*" in name:
+    if addressed and ("+" in name or "*" in name):
         return "'+' and '*' separate the terms of an element"
-    return None
+
+
+def _refuse_reserved(names: list, what: str, error=GraphError, addressed=True):
+    """Raise `error` for the first of `names` that `_reserved` rejects; the
+    names are looked at one by one only if their join shows such a name."""
+    try:
+        joined = " ".join(names)
+    except TypeError:   # a name that is not a str: look at each one
+        joined = "#"
+    if joined.split() != names or "#" in joined or addressed and (
+            "+" in joined or "*" in joined or "0" in names):
+        for name in names:
+            if why := _reserved(name, addressed):
+                raise error(f"{what} '{name}' is reserved: {why}")
 
 
 def _decimal(text: str) -> int:
@@ -52,45 +70,56 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-def _checked(vertices, edges, blocks):
-    """The constructor's arguments as `SepGraph._build` reads them, or a
-    GraphError that names what is wrong with them."""
-    vs = list(vertices)
-    vset = set(vs)
-    if len(vset) != len(vs):
-        dup = sorted(v for v in vset if vs.count(v) > 1)[0]
-        raise GraphError(f"duplicate vertex '{dup}'")
-    ends = {}
-    for x in [(e, *t) for e, t in edges.items()] if hasattr(edges, "items") else edges:
-        try:
-            e, s, d = x
-        except ValueError:
-            raise GraphError(f"edge entry {x!r} is not (id, source, target)") from None
-        if e in ends:
-            raise GraphError(f"duplicate edge '{e}'")
-        if s not in vset:
-            raise GraphError(f"edge '{e}' has unknown source vertex '{s}'")
-        if d not in vset:
-            raise GraphError(f"edge '{e}' has unknown target vertex '{d}'")
-        ends[e] = (s, d)
-    placed = set()
-    out = []
-    for blk in blocks:
-        ids = tuple(blk)
-        if not ids:
-            raise GraphError("empty block")
-        srcs = set()
-        for e in ids:
-            if e not in ends:
-                raise GraphError(f"block mentions unknown edge '{e}'")
-            if e in placed:
-                raise GraphError(f"edge '{e}' is in two blocks")
-            placed.add(e)
-            srcs.add(ends[e][0])
-        if len(srcs) != 1:
-            raise GraphError(f"block {sorted(ids)} mixes edges from different vertices")
-        out.append(ids)
-    return vs, ends, out
+class _Gate:
+    """The one check of a graph's structure: fed vertex names, then edges,
+    then blocks, in any number of calls, it checks and records each item
+    for `SepGraph._build`, and raises a GraphError that names a fault."""
+
+    def __init__(self):
+        self.vertices, self.vset, self.ends, self.blocks, self.placed = [], set(), {}, [], set()
+
+    def add_vertices(self, names: list):
+        vs, vset = self.vertices, self.vset
+        vs += names
+        vset.update(names)
+        if len(vset) != len(vs):
+            dup = sorted(v for v in vset if vs.count(v) > 1)[0]
+            raise GraphError(f"duplicate vertex '{dup}'")
+        if "0" in vset or "+" in (joined := "".join(names)) or "*" in joined:
+            _refuse_reserved(names, "vertex name")
+
+    def add_edges(self, entries):
+        vset, ends = self.vset, self.ends
+        for x in entries:
+            try:
+                e, s, d = x
+            except ValueError:
+                raise GraphError(f"edge entry {x!r} is not (id, source, target)") from None
+            if e in ends:
+                raise GraphError(f"duplicate edge '{e}'")
+            if s not in vset:
+                raise GraphError(f"edge '{e}' has unknown source vertex '{s}'")
+            if d not in vset:
+                raise GraphError(f"edge '{e}' has unknown target vertex '{d}'")
+            ends[e] = (s, d)
+
+    def add_blocks(self, blocks):
+        ends, placed = self.ends, self.placed
+        for blk in blocks:
+            ids = tuple(blk)
+            if not ids:
+                raise GraphError("empty block")
+            srcs = set()
+            for e in ids:
+                if e not in ends:
+                    raise GraphError(f"block mentions unknown edge '{e}'")
+                if e in placed:
+                    raise GraphError(f"edge '{e}' is in two blocks")
+                placed.add(e)
+                srcs.add(ends[e][0])
+            if len(srcs) != 1:
+                raise GraphError(f"block {sorted(ids)} mixes edges from different vertices")
+            self.blocks.append(ids)
 
 
 class SepGraph:
@@ -99,37 +128,37 @@ class SepGraph:
     vertices: iterable of names.
     edges: mapping id -> (src, dst) or iterable of (id, src, dst).
     blocks: iterable of edge-id collections; unlisted edges become singletons.
+    Every name must be one that .sg text can carry (`_reserved`); the
+    other checks are `_Gate`'s, which `parse_graph` feeds too.
     """
 
     def __init__(self, vertices, edges, blocks=()):
-        self._build(*_checked(vertices, edges, blocks))
+        gate = _Gate()
+        vs = list(vertices)
+        _refuse_reserved(vs, "vertex name", addressed=False)
+        gate.add_vertices(vs)
+        gate.add_edges([(e, *t) for e, t in edges.items()] if hasattr(edges, "items") else edges)
+        _refuse_reserved(list(gate.ends), "edge id", addressed=False)
+        gate.add_blocks(blocks)
+        self._build(gate)
 
-    @classmethod
-    def _of(cls, vertices, ends, blocks):
-        """The graph of input that passed `_checked`'s checks, unchecked."""
-        g = cls.__new__(cls)
-        g._build(vertices, ends, blocks)
-        return g
-
-    def _build(self, vertices, ends, blocks):
-        """Fill in a graph from checked input: vertex names, a dict
-        id -> (src, dst) and blocks as tuples of edge ids."""
-        self.vertices = tuple(sorted(vertices))
-        self.edges = emap = dict(sorted(ends.items()))
-        placed = set()
+    def _build(self, gate: _Gate):
+        """Fill in this graph from the input that `gate` checked; returns it."""
+        self.vertices = tuple(sorted(gate.vertices))
+        self.edges = emap = dict(sorted(gate.ends.items()))
         declared = {}
-        for ids in blocks:
-            placed.update(ids)
+        for ids in gate.blocks:
             declared.setdefault(emap[ids[0]][0], []).append(tuple(sorted(ids)))
         # out-edge index: self.edges is sorted by id, so each list is too
         self._out = out = {v: [] for v in self.vertices}
         for e, (s, _) in emap.items():
             out[s].append(e)
-            if e not in placed:
+            if e not in gate.placed:
                 declared.setdefault(s, []).append((e,))
         self.blocks_of = {v: tuple(sorted(declared.get(v, ()))) for v in self.vertices}
         self._key = None                # built on the first __eq__ or __hash__
         self._derived = {}
+        return self
 
     def derived(self, build):
         """build(self), built once per graph object and shared: do not mutate it."""
@@ -172,83 +201,58 @@ class SepGraph:
 
 
 def parse_graph(text: str) -> SepGraph:
-    vertices = []
-    blocks = []
+    """The graph of a .sg text.  The parser reads only syntax and feeds each
+    line to the `_Gate` that `SepGraph(...)` feeds, so every fault is a
+    GraphParseError at its line, in the constructor's words."""
+    gate = _Gate()
     multi = {}  # base id -> expanded ids
     expanded = 0
-    seen_v = set()
-    ends = {}  # edge id -> (source, target)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        kind, args = tokens[0], tokens[1:]
-        if kind == "vertex":
-            if len(args) != 1:
-                raise GraphParseError(line_no, "vertex line needs exactly one name")
-            if args[0] in seen_v:
-                raise GraphParseError(line_no, f"duplicate vertex '{args[0]}'")
-            why = _unaddressable(args[0])
-            if why:
-                raise GraphParseError(line_no, f"vertex name '{args[0]}' is reserved: {why}")
-            seen_v.add(args[0])
-            vertices.append(args[0])
-        elif kind == "edge":
-            if len(args) == 5 and args[3] == "*":
-                eid, src, dst = args[0], args[1], args[2]
-                try:
-                    count = _decimal(args[4])
-                except ValueError:
-                    raise GraphParseError(line_no, f"bad multiplicity '{args[4]}'") from None
-                if count < 1:
-                    raise GraphParseError(line_no, f"multiplicity must be positive, got {count}")
-                expanded += count
-                if expanded > MAX_EXPANDED_EDGES:
-                    raise GraphParseError(
-                        line_no, f"multiplicities add more than {MAX_EXPANDED_EDGES} edges")
-            elif len(args) == 3:
-                eid, src, dst = args
-                count = 1
-            else:
-                raise GraphParseError(line_no, "edge line needs: edge <id> <src> <dst> [* <n>]")
-            if src not in seen_v:
-                raise GraphParseError(line_no, f"unknown vertex '{src}'")
-            if dst not in seen_v:
-                raise GraphParseError(line_no, f"unknown vertex '{dst}'")
-            if eid in multi or (count > 1 and eid in ends):
-                raise GraphParseError(line_no, f"duplicate edge '{eid}'")
-            new_ids = [eid] if count == 1 else [f"{eid}.{i}" for i in range(1, count + 1)]
-            if count > 1:
-                multi[eid] = list(new_ids)
-            for nid in new_ids:
-                if nid in ends:
-                    raise GraphParseError(line_no, f"duplicate edge '{nid}'")
-                ends[nid] = (src, dst)
-        elif kind == "block":
-            if not args:
-                raise GraphParseError(line_no, "block line needs at least one edge")
-            ids = []
-            for tok in args:
-                if tok in multi:
-                    ids.extend(multi[tok])
-                elif tok in ends:
-                    ids.append(tok)
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            kind, args = tokens[0], tokens[1:]
+            if kind == "vertex":
+                if len(args) != 1:
+                    raise GraphError("vertex line needs exactly one name")
+                gate.add_vertices(args)
+            elif kind == "edge":
+                if len(args) == 5 and args[3] == "*":
+                    try:
+                        count = _decimal(args[4])
+                    except ValueError:
+                        raise GraphError(f"bad multiplicity '{args[4]}'") from None
+                    if count < 1:
+                        raise GraphError(f"multiplicity must be positive, got {count}")
+                    expanded += count
+                    if expanded > MAX_EXPANDED_EDGES:
+                        raise GraphError(
+                            f"multiplicities add more than {MAX_EXPANDED_EDGES} edges")
+                elif len(args) == 3:
+                    count = 1
                 else:
-                    raise GraphParseError(line_no, f"unknown edge '{tok}'")
-            blocks.append((line_no, tuple(ids)))
-        else:
-            raise GraphParseError(line_no, f"unknown directive '{kind}'")
-    placed = set()
-    for line_no, ids in blocks:
-        first = ends[ids[0]][0]
-        for e in ids:
-            if e in placed:
-                raise GraphParseError(line_no, f"edge '{e}' is in two blocks")
-            if ends[e][0] != first:
-                raise GraphParseError(
-                    line_no, f"block {sorted(ids)} mixes edges from different vertices")
-            placed.add(e)
-    return SepGraph._of(vertices, ends, [ids for _, ids in blocks])
+                    raise GraphError("edge line needs: edge <id> <src> <dst> [* <n>]")
+                eid, src, dst = edge = args[:3]
+                if eid in multi or (count > 1 and eid in gate.ends):
+                    raise GraphError(f"duplicate edge '{eid}'")
+                if count > 1:
+                    multi[eid] = ids = [f"{eid}.{i}" for i in range(1, count + 1)]
+                gate.add_edges([(nid, src, dst) for nid in ids] if count > 1 else (edge,))
+            elif kind == "block":
+                if not args:
+                    raise GraphError("block line needs at least one edge")
+                ids = []
+                for tok in args:
+                    if tok not in multi and tok not in gate.ends:
+                        raise GraphError(f"unknown edge '{tok}'")
+                    ids += multi.get(tok, (tok,))
+                gate.add_blocks((ids,))
+            else:
+                raise GraphError(f"unknown directive '{kind}'")
+    except GraphError as exc:
+        raise GraphParseError(line_no, str(exc)) from None
+    return SepGraph.__new__(SepGraph)._build(gate)
 
 
 def serialize_graph(g: SepGraph) -> str:
@@ -442,27 +446,22 @@ _PALETTE = (
 
 
 def export_dot(g: SepGraph) -> str:
+    def quoted(name):   # a DOT quoted string: backslash and double quote escaped
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     report = check_adaptable(g)
     cond = report.condensation
-    fill = {}
-    for v in g.vertices:
-        kind = report.kinds.get(cond.class_of[v])
-        fill[v] = {"free": "lightblue", "regular": "lightsalmon"}.get(kind, "lightgray")
-    all_blocks = []
-    for v in g.vertices:
-        for blk in g.blocks_of[v]:
-            all_blocks.append((v, blk))
-    color_of_block = {}
-    for i, (v, blk) in enumerate(sorted(all_blocks)):
-        color_of_block[blk] = _PALETTE[i % len(_PALETTE)]
     lines = ["digraph sepgraph {", "  rankdir=LR;"]
     for v in g.vertices:
-        lines.append(f'  "{v}" [style=filled, fillcolor="{fill[v]}"];')
-    for v in g.vertices:
-        for blk in g.blocks_of[v]:
-            col = color_of_block[blk]
-            for e in blk:
-                s, d = g.edges[e]
-                lines.append(f'  "{s}" -> "{d}" [color="{col}", label="{e}"];')
+        kind = report.kinds.get(cond.class_of[v])
+        fill = {"free": "lightblue", "regular": "lightsalmon"}.get(kind, "lightgray")
+        lines.append(f'  {quoted(v)} [style=filled, fillcolor="{fill}"];')
+    # colours go by sorted (vertex, block) pairs, the order of this list
+    blocks = [blk for v in g.vertices for blk in g.blocks_of[v]]
+    for i, blk in enumerate(blocks):
+        col = _PALETTE[i % len(_PALETTE)]
+        for e in blk:
+            s, d = g.edges[e]
+            lines.append(f'  {quoted(s)} -> {quoted(d)} [color="{col}", label={quoted(e)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

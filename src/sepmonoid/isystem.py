@@ -15,8 +15,8 @@ from itertools import combinations
 
 from .abelian import (FGAbelianGroup, GroupElement, GroupHom, images_agree,
                       left_kernel, vec_mat, zero_hom)
-from .graph import (MAX_EXPANDED_EDGES, SepGraph, _decimal, _unaddressable,
-                    require_adaptable)
+from .graph import (MAX_EXPANDED_EDGES, SepGraph, _decimal, _refuse_reserved,
+                    _reserved, require_adaptable)
 from .posets import Poset
 from .records import FrozenRecord, Record
 
@@ -42,10 +42,11 @@ class ConnectingMap(Record):
 
 
 class ISystem:
-    """Primes in a poset, each with a kind ("free" or "regular") and a
-    group, and per strict pair q < p a `ConnectingMap` keyed (p, q): a hom
-    from G_q's presentation to G_p's, with a unit in G_p's exactly when q
-    is free (a trivial regular q without one gets the zero map).  The
+    """Primes in a poset, named as `graph._reserved` allows since `realize`
+    names vertices after them, each with a kind ("free" or "regular") and
+    a group, and per strict pair q < p a `ConnectingMap` keyed (p, q): a
+    hom from G_q's presentation to G_p's, with a unit in G_p's exactly when
+    q is free (a trivial regular q without one gets the zero map).  The
     constructor checks this, p in poset order and q sorted, and raises
     ISystemError at the first failure; `validate_isystem` checks the axioms."""
 
@@ -55,6 +56,7 @@ class ISystem:
         self.kind = dict(kind)
         self.group = dict(group)
         self.generator_labels = dict(generator_labels or {})
+        _refuse_reserved(list(poset), "prime name", ISystemError)
         for p in poset:
             if self.kind.get(p) not in ("free", "regular"):
                 raise ISystemError(f"prime '{p}' needs kind free or regular")
@@ -516,9 +518,7 @@ def parse_isystem(text: str) -> ISystem:
                 raise ISystemParseError(line_no, "prime line needs: prime <name> free|reg")
             if tokens[1] in kind:
                 raise ISystemParseError(line_no, f"duplicate prime '{tokens[1]}'")
-            why = _unaddressable(tokens[1])
-            if why:
-                # realize names vertices after their primes
+            if why := _reserved(tokens[1]):
                 raise ISystemParseError(line_no, f"prime name '{tokens[1]}' is reserved: {why}")
             kind[tokens[1]] = "free" if tokens[2] == "free" else "regular"
         elif tokens[0] == "cover":

@@ -500,6 +500,22 @@ def test_out_of_range_counts_exit_2(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["realize", "s.is", "--budget", "1_0"],
+    ["realize", "s.is", "--budget", "+3"],
+    ["props", "--seed", " \u0663 "],
+    ["random", "--seed", "1_0"],
+    ["eq", "g.sg", "a", "a", "--depth", "+3"],
+    ["le", "g.sg", "a", "a", "--budget", "\u0663"],
+])
+def test_counts_and_seeds_are_ascii_decimal_or_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid int value: {argv[-1]!r}" in err and "Traceback" not in err
+
+
 def test_realize_budget_goes_to_the_library(s1, tmp_path, monkeypatch):
     import sepmonoid.cli as cli
     seen = []

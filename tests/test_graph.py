@@ -21,6 +21,7 @@ from sepmonoid.graph import (MAX_EXPANDED_EDGES, GraphError, GraphParseError,
 from sepmonoid.posets import _closure, components_of
 from sepmonoid.randgen import corpus_systems, random_adaptable
 from sepmonoid.realize import realize
+from test_realize import _stress_corpus
 
 
 def clause_set(g):
@@ -82,6 +83,9 @@ def test_parse_errors_name_their_line_and_exit_2(tmp_path, capsys, tail, line, m
     assert f"line {line}: {message}" in capsys.readouterr().err
 
 
+_ONE_TOKEN = "a name is one token: a nonempty str without whitespace"
+
+
 @pytest.mark.parametrize("vertices, edges, blocks, message", [
     ("aba", [], [], "duplicate vertex 'a'"),
     ("ab", [("e", "a", "b"), ("e", "b", "a")], [], "duplicate edge 'e'"),
@@ -96,11 +100,40 @@ def test_parse_errors_name_their_line_and_exit_2(tmp_path, capsys, tail, line, m
     ("a", [("e", "a", "a", "x")], [],
      "edge entry ('e', 'a', 'a', 'x') is not (id, source, target)"),
     ("a", {"e": ("a",)}, [], "edge entry ('e', 'a') is not (id, source, target)"),
+    # names that would serialize to .sg text parse_graph refuses or misreads
+    (["u", "a b"], [], [], f"vertex name 'a b' is reserved: {_ONE_TOKEN}"),
+    (["u", "x#y"], [], [], "vertex name 'x#y' is reserved: '#' starts a comment"),
+    (["u", ""], [], [], f"vertex name '' is reserved: {_ONE_TOKEN}"),
+    (["u", 3], [], [], f"vertex name '3' is reserved: {_ONE_TOKEN}"),
+    (["u", "a+b"], [], [],
+     "vertex name 'a+b' is reserved: '+' and '*' separate the terms of an element"),
+    (["u", "0"], [], [], "vertex name '0' is reserved: '0' is the zero element"),
+    ("u", [("e 1", "u", "u")], [], f"edge id 'e 1' is reserved: {_ONE_TOKEN}"),
+    ("u", [("e#2", "u", "u")], [], "edge id 'e#2' is reserved: '#' starts a comment"),
 ])
 def test_constructor_errors_name_what_is_wrong(vertices, edges, blocks, message):
     with pytest.raises(GraphError) as exc:
         SepGraph(vertices, edges, blocks)
     assert type(exc.value) is GraphError and str(exc.value) == message
+
+
+def _edited(g):
+    """Copies of g cut down by restrict_lower and remove_edge, or split by split_block."""
+    out = [restrict_lower(g, v) for v in g.vertices[:2]]
+    out += [remove_edge(g, e) for e in list(g.edges)[:2]]
+    return out + [split_block(g, v) for v in g.vertices
+                  if g.blocks_of[v] and len(g.blocks_of[v][0]) > 1]
+
+
+def test_every_built_graph_writes_text_that_parses_back():
+    rng = random.Random(45)
+    graphs = [fixture_graph(name) for name in graph_names()]
+    graphs += [random_adaptable(rng, k) for k in range(6, 65)]
+    graphs += [realize(s).graph for s in _stress_corpus(1)]
+    graphs += [h for g in graphs for h in _edited(g)]
+    assert len(graphs) > 1500, len(graphs)
+    for g in graphs:
+        assert parse_graph(serialize_graph(g)) == g, serialize_graph(g)
 
 
 @pytest.mark.parametrize("name", ["0", "a+b", "+", "2*a", "*", "a+"])
@@ -249,6 +282,27 @@ def test_export_dot_mentions_blocks():
     assert "digraph" in dot
     for e in g.edges:
         assert e in dot
+
+
+_DOT_QUOTED = r'"(?:[^"\\]|\\.)*"'
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    # parse_graph takes any token as a name; in DOT each is one quoted id
+    g = parse_graph('vertex a"b\nvertex c\\\nedge e" a"b c\\\nedge \\"f c\\ c\\\n')
+    vertex_line = re.compile(rf'  ({_DOT_QUOTED}) \[style=filled, fillcolor="\w+"\];')
+    edge_line = re.compile(rf'  ({_DOT_QUOTED}) -> ({_DOT_QUOTED}) '
+                           rf'\[color="#[0-9a-f]{{6}}", label=({_DOT_QUOTED})\];')
+    lines = export_dot(g).splitlines()
+    assert lines[:2] == ["digraph sepgraph {", "  rankdir=LR;"] and lines[-1] == "}"
+    vertices, edges = [], []
+    for line in lines[2:-1]:
+        m = vertex_line.fullmatch(line) or edge_line.fullmatch(line)
+        assert m, line
+        names = [re.sub(r"\\(.)", r"\1", q[1:-1]) for q in m.groups()]
+        (vertices if len(names) == 1 else edges).append(names)
+    assert vertices == [[v] for v in g.vertices] == [['a"b'], ["c\\"]]
+    assert sorted(edges) == sorted([s, d, e] for e, (s, d) in g.edges.items())
 
 
 def test_graph_unpickles_with_this_process_hash():
@@ -442,25 +496,19 @@ def _parsed_texts():
     return texts + list(_fuzzed_sg_texts(random.Random(38), 2000))
 
 
-def test_parsed_graphs_equal_the_checked_constructors_graphs(monkeypatch):
-    # parse_graph builds from its checked input with no second round of
-    # checks; the checked constructor and the reference build agree on it
-    lists = []
-    build = SepGraph._of.__func__
-
-    def spy(cls, *args):
-        lists.append(args)
-        return build(cls, *args)
-
-    monkeypatch.setattr(SepGraph, "_of", classmethod(spy))
+def test_parsed_graphs_equal_the_checked_constructors_graphs():
+    # parse_graph and the constructor feed one gate and build with one
+    # routine: on every accepted text the parsed graph is the constructor's
+    # graph on its own parts, and what the reference build computes
     built = 0
     for text in _parsed_texts():
         try:
             g = parse_graph(text)
         except GraphParseError:
             continue
-        checked = SepGraph(*lists[-1])
-        want = _reference_build(*lists[-1])
+        blocks = [blk for v in g.vertices for blk in g.blocks_of[v]]
+        checked = SepGraph(g.vertices, g.edges, blocks)
+        want = _reference_build(g.vertices, g.edges, blocks)
         for h in (g, checked):
             assert (h.vertices, list(h.edges.items()), h.blocks_of, h._out) == want, text
         assert g._equality_key() == checked._equality_key() and g == checked

@@ -74,8 +74,10 @@ def test_s1_fixture_validates():
 
 
 def test_serialize_parse_roundtrip():
-    for name in graph_names():
-        sysm = extract_isystem(fixture_graph(name))
+    systems = [extract_isystem(fixture_graph(n)) for n in graph_names()] + _stress_corpus(1)
+    systems += [fixture_system(n) for n in system_names()]
+    systems += [s for s, _ in corpus_systems(4, count=20)]
+    for sysm in systems:
         text = serialize_isystem(sysm)
         back = parse_isystem(text)
         assert serialize_isystem(back) == text
@@ -246,6 +248,15 @@ def test_parse_rejects_prime_names_the_element_syntax_cannot_address(name):
     text = f"prime q free\nprime {name} reg\ngroup q : 0\n"
     with pytest.raises(ISystemParseError, match=r"line 2: prime name '.*' is reserved"):
         parse_isystem(text)
+
+
+@pytest.mark.parametrize("name", ["a b", "x#y", "a+b", "0", "", 3])
+def test_the_constructor_refuses_prime_names_no_text_can_carry(name):
+    # neither .is text nor the vertex names realize takes from primes carry these
+    triv = FGAbelianGroup(0, [])
+    with pytest.raises(ISystemError) as exc:
+        ISystem(Poset([name]), {name: "regular"}, {name: triv}, {})
+    assert str(exc.value).startswith(f"prime name '{name}' is reserved: ")
 
 
 def test_parse_requires_unit_exactly_for_free_sources():
