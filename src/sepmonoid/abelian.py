@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import product
 from math import gcd, lcm, prod
-from operator import add, floordiv, index, mul, neg, sub
+from operator import add, floordiv, index, mul, neg
 
 
 class AbelianError(ValueError):
@@ -356,7 +356,8 @@ def _completion_test(target, span):
 class _Frame:
     """One presentation's Smith data as int tuples: v, the nonzero diagonal,
     the invariant factors, and the free and torsion indices.  The
-    coordinate columns, vinv (the inverse of v) and canon
+    coordinate columns, vinv (the inverse of v, whose rows
+    FGAbelianGroup._canonical_rows reads) and canon
     (FGAbelianGroup.canonical_frame) are filled on first use."""
     __slots__ = ("v", "diag", "invariant_factors", "free_idx", "tors_idx", "columns",
                  "vinv", "canon")
@@ -387,7 +388,7 @@ class _Frame:
         return columns
 
     def inverse(self):
-        # built on first use by from_canonical or canonical_generators
+        # built on first use by _canonical_rows
         if self.vinv is None:
             self.vinv = tuple(map(tuple, unimodular_inverse(self.v)))
         return self.vinv
@@ -457,21 +458,9 @@ class FGAbelianGroup:
         """
         return list(self._frame.columns)
 
-    def from_canonical(self, free, tors) -> "GroupElement":
-        f = self._frame
-        c = [0] * self.ngens
-        for k, i in enumerate(f.free_idx):
-            c[i] = free[k]
-        for k, i in enumerate(f.tors_idx):
-            c[i] = tors[k]
-        return self.element(vec_mat(c, f.inverse()))
-
-    def canonical_generators(self):
-        """Elements mapping to the canonical basis: free gens, then torsion gens."""
-        return [self.element(row) for row in self._canonical_rows()]
-
     def _canonical_rows(self):
-        """The coefficient rows of canonical_generators, as int tuples."""
+        """The coefficient rows mapping to the canonical basis, free
+        generators then torsion generators, as int tuples."""
         f = self._frame
         # a group with no canonical generators (the trivial group) needs no inverse
         return [f.inverse()[i] for i in f.free_idx + f.tors_idx]
@@ -501,12 +490,6 @@ class FGAbelianGroup:
 
     def element(self, coeffs) -> "GroupElement":
         return GroupElement(self, tuple(coeffs))
-
-    def zero(self) -> "GroupElement":
-        return self.element([0] * self.ngens)
-
-    def gen(self, i) -> "GroupElement":
-        return self.element([1 if j == i else 0 for j in range(self.ngens)])
 
     def generated_by(self, rows) -> bool:
         """Do these coefficient rows generate the group?  A trivial group:
@@ -538,25 +521,14 @@ class GroupElement:
             raise AbelianError("coefficient length mismatch")
         self.group, self.coeffs = group, tuple(map(index, coeffs))
 
-    # sums, differences and negatives of int tuples of one length are int
-    # tuples of that length, so these wrap them without __init__'s checks
     def __add__(self, other):
-        self._check(other)
-        return _wrap(self.group, tuple(map(add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return _wrap(self.group, tuple(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return _wrap(self.group, tuple(map(neg, self.coeffs)))
-
-    def __rmul__(self, n):
-        return GroupElement(self.group, tuple(n * a for a in self.coeffs))
-
-    def _check(self, other):
         if not self.group.same_presentation(other.group):
             raise AbelianError("elements of different groups")
+        # a sum of int tuples of one length is an int tuple of that length,
+        # so it is wrapped without __init__'s checks
+        x = object.__new__(GroupElement)
+        x.group, x.coeffs = self.group, tuple(map(add, self.coeffs, other.coeffs))
+        return x
 
     def is_zero(self) -> bool:
         return vanishes(self.coeffs, self.group._frame.columns)
@@ -576,13 +548,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({list(self.coeffs)!r})"
-
-
-def _wrap(group, coeffs):
-    """The element of group with these int coefficients, unchecked."""
-    x = object.__new__(GroupElement)
-    x.group, x.coeffs = group, coeffs
-    return x
 
 
 def vanishes(v, columns) -> bool:
@@ -638,19 +603,6 @@ def well_defined(relations, images, codomain) -> bool:
     return True
 
 
-def element_order(x: GroupElement):
-    """Order of x, or None if infinite."""
-    free, tors = x.canonical()
-    if any(free):
-        return None
-    n = 1
-    orders = x.group.invariant_factors
-    for t, d in zip(tors, orders):
-        if t:
-            n = lcm(n, d // gcd(t, d))
-    return n
-
-
 # -------------------------------------------------------------------- homs
 
 
@@ -670,26 +622,6 @@ class GroupHom:
             raise AbelianError("hom needs one image per domain generator")
         self.matrix = rows
 
-    def __call__(self, x) -> GroupElement:
-        coeffs = x.coeffs if isinstance(x, GroupElement) else list(x)
-        if len(coeffs) != self.domain.ngens:
-            raise AbelianError("element does not fit hom domain")
-        if not self.matrix:
-            # vec_mat cannot infer the codomain width from zero rows
-            return self.codomain.zero()
-        return self.codomain.element(vec_mat(list(coeffs), self.matrix))
-
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self after other: (self.compose(other))(x) == self(other(x))."""
-        if other.codomain.ngens != self.domain.ngens:
-            raise AbelianError("hom composition mismatch")
-        if self.domain.ngens == 0:
-            # mat_mul cannot recover the codomain width through a 0-gen middle
-            mat = [[0] * self.codomain.ngens for _ in range(other.domain.ngens)]
-        else:
-            mat = mat_mul(other.matrix, self.matrix)
-        return GroupHom(other.domain, self.codomain, mat)
-
     def is_well_defined(self) -> bool:
         return well_defined(self.domain.relations, self.matrix, self.codomain)
 
@@ -700,17 +632,20 @@ class GroupHom:
         return isomorphism_test(dom._frame.diag, dom.relations, self.matrix, self.codomain)
 
     def __eq__(self, other):
+        """Equal when both presentations agree and every generator image
+        has the same canonical coordinates in the codomain."""
         if not isinstance(other, GroupHom):
             return NotImplemented
-        if self.domain.ngens != other.domain.ngens:
+        cod = self.codomain
+        if not (self.domain.same_presentation(other.domain)
+                and cod.same_presentation(other.codomain)):
             return False
-        for i in range(self.domain.ngens):
-            if self.codomain.element(self.matrix[i]) != other.codomain.element(other.matrix[i]):
-                return False
-        return True
+        return all(cod.canonical_coords(a) == cod.canonical_coords(b)
+                   for a, b in zip(self.matrix, other.matrix))
 
     def __hash__(self):
-        return hash((self.domain.ngens, self.codomain.ngens))
+        return hash((self.domain.ngens, self.domain.invariant_factors,
+                     self.codomain.ngens, self.codomain.invariant_factors))
 
     def __repr__(self):
         return f"GroupHom({self.domain.canonical_name()} -> {self.codomain.canonical_name()})"

@@ -168,9 +168,6 @@ class SepGraph:
             value = self._derived[build] = build(self)
             return value
 
-    def out_edges(self, v):
-        return list(self._out.get(v, ()))
-
     def is_sink(self, v) -> bool:
         return not self.blocks_of[v]
 
@@ -277,17 +274,9 @@ class Condensation(Record):
         self.poset = poset          # class ids; le(a, b) means b reaches a
 
 
-def _successors(g: SepGraph):
-    edges = g.edges
-    return {v: sorted({edges[e][1] for e in out}) for v, out in g._out.items()}
-
-
-def strongly_connected_components(g: SepGraph):
-    return components_of(_successors(g))
-
-
 def condensation(g: SepGraph) -> Condensation:
-    adj = _successors(g)
+    edges = g.edges
+    adj = {v: sorted({edges[e][1] for e in out}) for v, out in g._out.items()}
     comps = components_of(adj)
     down, class_of = _closure(adj, comps)
     members = {comp[0]: tuple(comp) for comp in comps}

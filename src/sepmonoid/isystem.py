@@ -88,9 +88,6 @@ class ISystem:
         if given:
             raise ISystemError(f"no strict pair q < p for the map keyed {next(iter(given))!r}")
 
-    def primes(self):
-        return list(self.poset.elements)
-
     def map_for(self, hi, lo) -> ConnectingMap:
         try:
             return self.maps[(hi, lo)]
@@ -380,12 +377,11 @@ def parse_group_presentation(s: str) -> FGAbelianGroup:
         raise ISystemError(f"more than {MAX_GROUP_GENERATORS} generators in the group")
     if gen_names != [f"g{i + 1}" for i in range(len(gen_names))]:
         raise ISystemError(f"generators must be named g1, g2, ... in order, got {gen_names}")
-    free = FGAbelianGroup(len(gen_names), [])
     rows = []
     for chunk in (c.strip() for c in rel_text.split(";")):
         if not chunk:
             continue
-        rows.append(list(parse_element_expr(chunk, free).coeffs))
+        rows.append(parse_element_expr(chunk, len(gen_names)))
     group = FGAbelianGroup(len(gen_names), rows)
     top = max(group.invariant_factors, default=0)
     if top > MAX_EXPANDED_EDGES:
@@ -393,37 +389,41 @@ def parse_group_presentation(s: str) -> FGAbelianGroup:
     return group
 
 
-def parse_element_expr(s: str, group: FGAbelianGroup) -> GroupElement:
+def parse_element_expr(s: str, ngens: int) -> list:
+    """The coefficient row over ngens generators of `.is` element text: 0,
+    or terms such as g1 or 2*g3 joined by + and -, where a - may also stand
+    first or after a +.  As in `.sg` element text, an empty term is an error."""
     s = s.strip()
-    coeffs = [0] * group.ngens
+    coeffs = [0] * ngens
     if s == "0":
-        return group.element(coeffs)
-    text = s.replace("-", "+-")
-    for term in (t.strip() for t in text.split("+")):
-        if not term:
-            continue
-        sign = 1
-        if term.startswith("-"):
-            sign = -1
-            term = term[1:].strip()
-        if "*" in term:
-            cq, gname = (x.strip() for x in term.split("*", 1))
+        return coeffs
+    for plus in s.split("+"):
+        minus = plus.split("-")
+        for k, term in enumerate(minus):
+            term = term.strip()
+            if not term:
+                if k == 0 and len(minus) > 1:
+                    continue            # a leading -, which negates the next term
+                raise ISystemError(f"empty term in '{s}'")
+            sign = -1 if k else 1
+            if "*" in term:
+                cq, gname = (x.strip() for x in term.split("*", 1))
+                try:
+                    c = _decimal(cq)
+                except ValueError:
+                    raise ISystemError(f"bad coefficient '{cq}'") from None
+            else:
+                c, gname = 1, term
+            if not gname.startswith("g"):
+                raise ISystemError(f"bad generator '{gname}'")
             try:
-                c = _decimal(cq)
+                idx = _decimal(gname[1:]) - 1
             except ValueError:
-                raise ISystemError(f"bad coefficient '{cq}'") from None
-        else:
-            c, gname = 1, term
-        if not gname.startswith("g"):
-            raise ISystemError(f"bad generator '{gname}'")
-        try:
-            idx = _decimal(gname[1:]) - 1
-        except ValueError:
-            raise ISystemError(f"bad generator '{gname}'") from None
-        if not 0 <= idx < group.ngens:
-            raise ISystemError(f"generator '{gname}' out of range (group has {group.ngens})")
-        coeffs[idx] += sign * c
-    return group.element(coeffs)
+                raise ISystemError(f"bad generator '{gname}'") from None
+            if not 0 <= idx < ngens:
+                raise ISystemError(f"generator '{gname}' out of range (group has {ngens})")
+            coeffs[idx] += sign * c
+    return coeffs
 
 
 def serialize_coords(coords) -> str:
@@ -585,7 +585,7 @@ def parse_isystem(text: str) -> ISystem:
             if not rhs:
                 raise ISystemParseError(line_no, f"bad clause '{clause}'")
             try:
-                img = parse_element_expr(rhs, group[hi])
+                img = parse_element_expr(rhs, group[hi].ngens)
             except ISystemError as exc:
                 raise ISystemParseError(line_no, str(exc)) from None
             if lhs == "unit":
@@ -593,7 +593,7 @@ def parse_isystem(text: str) -> ISystem:
                     raise ISystemParseError(line_no, f"unit clause for regular prime '{lo}'")
                 if unit is not None:
                     raise ISystemParseError(line_no, "duplicate unit clause")
-                unit = img
+                unit = group[hi].element(img)
             elif lhs.startswith("g"):
                 try:
                     idx = _decimal(lhs[1:]) - 1
@@ -603,7 +603,7 @@ def parse_isystem(text: str) -> ISystem:
                     raise ISystemParseError(line_no, f"generator '{lhs}' out of range")
                 if rows[idx] is not None:
                     raise ISystemParseError(line_no, f"duplicate clause for '{lhs}'")
-                rows[idx] = list(img.coeffs)
+                rows[idx] = img
             else:
                 raise ISystemParseError(line_no, f"bad clause lhs '{lhs}'")
         if kind[lo] == "free" and unit is None:

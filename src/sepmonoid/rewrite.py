@@ -76,9 +76,6 @@ class FreeElement:
             self._items = tuple(sorted(self.counts.items()))
         return self._items
 
-    def support(self):
-        return [v for v, _ in self.items()]
-
     def get(self, v) -> int:
         return self.counts.get(v, 0)
 
@@ -108,14 +105,6 @@ class FreeElement:
         if not n:
             return _wrap({})
         return _wrap({v: c * n for v, c in self.counts.items()})
-
-    def contains(self, other) -> bool:
-        return all(self.get(v) >= n for v, n in other.counts.items())
-
-    def minus(self, other) -> "FreeElement":
-        if not self.contains(other):
-            raise RewriteError("multiset difference would be negative")
-        return _wrap(_minus(self.counts, other.counts))
 
     def __eq__(self, other):
         if not isinstance(other, FreeElement):
@@ -173,11 +162,6 @@ def serialize_element(x: FreeElement) -> str:
 
 
 # ------------------------------------------------------------- rewriting
-
-
-def apply_step(g: SepGraph, x: FreeElement, v: str, bi: int) -> FreeElement:
-    """One rewrite step: apply_trace along the one-step trace ((v, bi),)."""
-    return apply_trace(g, x, ((v, bi),))
 
 
 def apply_trace(g: SepGraph, x: FreeElement, trace) -> FreeElement:

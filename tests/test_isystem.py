@@ -6,7 +6,8 @@ import re
 import pytest
 
 from sepmonoid import isystem
-from sepmonoid.abelian import FGAbelianGroup, GroupHom, identity
+from sepmonoid.abelian import (FGAbelianGroup, GroupHom, identity, mat_mul,
+                               vec_mat, zero_hom)
 from sepmonoid.cli import main
 from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names, system_names
 from sepmonoid.graph import (check_adaptable, condensation, remove_edge,
@@ -33,7 +34,7 @@ def test_extract_groups_match_hand_calc():
     }
     for name in graph_names():
         sysm = extract_isystem(fixture_graph(name))
-        got = {p: sysm.group[p].canonical_name() for p in sysm.primes()}
+        got = {p: sysm.group[p].canonical_name() for p in sysm.poset}
         assert got == expected[name], name
 
 
@@ -46,8 +47,7 @@ def test_extract_g4_unit_is_negative_generator():
     assert gw.canonical_name() == "Z"
     assert abs(fr[0]) == 1
     # and w itself maps to the other sign
-    wv = gw.gen([i for i, lbl in enumerate(sysm.generator_labels["w"])
-                 if lbl == "w"][0])
+    wv = gw.element([int(lbl == "w") for lbl in sysm.generator_labels["w"]])
     assert abs(wv.canonical()[0][0]) == 1
     assert wv.canonical()[0][0] == -fr[0]
 
@@ -59,7 +59,7 @@ def test_extract_g5_units():
     assert (cm_a.unit + cm_a.unit).is_zero()
     cm_a2 = sysm.map_for("a'", "b")
     assert not (cm_a2.unit + cm_a2.unit).is_zero()
-    assert (3 * cm_a2.unit).is_zero()
+    assert (cm_a2.unit + cm_a2.unit + cm_a2.unit).is_zero()
 
 
 def test_extracted_systems_validate():
@@ -136,9 +136,13 @@ def test_parse_group_name_at_the_caps():
     ("g1 rels 10001*g1", "invariant factor 10001 above 10000"),
     ("g1 g2 rels 2*g1 ; 5001*g2", "invariant factor 10002 above 10000"),
     (" ".join(f"g{i + 1}" for i in range(257)), "more than 256 generators"),
+    # relations are element text, which refuses an empty term
+    ("g1 g2 rels + ; 2*g1 ++ g2", "empty term in '+'"),
+    ("g1 g2 rels 2*g1 ++ g2", "empty term in '2*g1 ++ g2'"),
+    ("g1 g2 rels 2*g1 ; g2 -", "empty term in 'g2 -'"),
 ])
 def test_parse_group_presentation_caps(pres, why):
-    with pytest.raises(ISystemError, match=why):
+    with pytest.raises(ISystemError, match=re.escape(why)):
         parse_group_presentation(pres)
     with pytest.raises(ISystemParseError, match="line 2"):
         parse_isystem(f"prime p reg\ngroup p gens {pres}\n")
@@ -208,6 +212,14 @@ _MAP_HEAD = ("prime p reg\nprime q free\nprime r reg\nprime s reg\ncover q < p\n
     ("map p <- q : unit -> 1_0*g1", "bad coefficient '1_0'"),
     ("map p <- q : unit -> g\u0661", "bad generator 'g\u0661'"),
     ("map p <- r : g 1 -> g1", "bad clause lhs 'g 1'"),
+    # an empty term is refused, as .sg element text refuses it
+    ("map p <- r : g1 -> +", "empty term in '+'"),
+    ("map p <- r : g1 -> g1 ++ g1", "empty term in 'g1 ++ g1'"),
+    ("map p <- r : g1 -> g1 +", "empty term in 'g1 +'"),
+    ("map p <- r : g1 -> +g1", "empty term in '+g1'"),
+    ("map p <- r : g1 -> g1 -", "empty term in 'g1 -'"),
+    ("map p <- r : g1 -> -", "empty term in '-'"),
+    ("map p <- r : g1 -> - -g1", "empty term in '- -g1'"),
 ])
 def test_map_line_errors_name_their_line_and_exit_2(tmp_path, capsys, map_line, message):
     text = _MAP_HEAD + map_line + "\n"
@@ -218,6 +230,19 @@ def test_map_line_errors_name_their_line_and_exit_2(tmp_path, capsys, map_line, 
     path.write_text(text)
     assert main(["realize", str(path)]) == 2
     assert f"line 11: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, row", [
+    ("0", [0, 0, 0]),
+    ("-g1", [-1, 0, 0]),
+    ("- g1", [-1, 0, 0]),
+    ("g1 - g2", [1, -1, 0]),
+    ("g1 + -2*g3", [1, 0, -2]),
+    ("-g1 - 2*g2 + g1 + g3", [0, -2, 1]),
+    (" 3*g2 ", [0, 3, 0]),
+])
+def test_element_text_reads_signed_terms(text, row):
+    assert isystem.parse_element_expr(text, 3) == row
 
 
 def test_parse_errors_carry_line_numbers():
@@ -274,7 +299,7 @@ def test_trivial_regular_source_gets_zero_map():
     s = parse_isystem(txt)
     cm = s.map_for("p", "q")
     assert cm.unit is None
-    assert cm.hom(s.group["q"].zero()).is_zero()
+    assert cm.hom == zero_hom(s.group["q"], s.group["p"])
     # built directly, the system gets the same map
     direct = ISystem(s.poset, s.kind, s.group, {})
     assert direct.map_for("p", "q").hom.matrix == []
@@ -498,7 +523,7 @@ def test_validate_names_each_map_shape_and_unit_failure():
          "map p4 <- p3: hom codomain is not the target group"),
         (("p2", "p1"), ConnectingMap(s.maps[("p2", "p1")].hom),
          "free prime p1 needs a unit image under p2"),
-        (("p3", "p2"), ConnectingMap(s.maps[("p3", "p2")].hom, z.zero()),
+        (("p3", "p2"), ConnectingMap(s.maps[("p3", "p2")].hom, z.element([0])),
          "regular prime p2 must not carry a unit image under p3"),
     ]
     for key, cm, detail in cases:
@@ -525,7 +550,7 @@ def _broken_maps(s, hi, lo):
          f"map {hi} <- {lo}: hom codomain is not the target group"),
     ]
     if s.kind[lo] == "regular":
-        cases.append(("unit added", ConnectingMap(cm.hom, g_hi.zero()),
+        cases.append(("unit added", ConnectingMap(cm.hom, g_hi.element(pad)),
                       f"regular prime {lo} must not carry a unit image under {hi}"))
     else:
         cases.append(("unit removed", ConnectingMap(cm.hom),
@@ -593,7 +618,7 @@ def test_validate_flags_unreachable_cone():
 def test_canonicalized_uses_canonical_groups():
     sysm = extract_isystem(fixture_graph("g5"))
     canon = canonicalized(sysm)
-    for p in canon.primes():
+    for p in canon.poset:
         grp = canon.group[p]
         assert grp.ngens == grp.free_rank + len(grp.invariant_factors)
     # maps still coherent
@@ -621,8 +646,9 @@ def test_serialized_form_is_canonical_names():
 
 # reference for serialize_isystem and canonicalized: each group is rebuilt
 # in canonical diagonal form (a group already in that form keeps its
-# generators), every map becomes the GroupHom fwd_hi . hom . back_lo, and the
-# lines are written from that copy with torsion reduced.
+# generators), every map's matrix becomes back_lo @ hom @ fwd_hi, where back
+# holds the canonical generators' rows and fwd each generator's canonical
+# coordinates, and the lines are written from that copy with torsion reduced.
 
 
 def _old_canonicalized(sys):
@@ -633,16 +659,18 @@ def _old_canonicalized(sys):
         c = FGAbelianGroup(n, [[d if j == g.free_rank + k else 0 for j in range(n)]
                                for k, d in enumerate(g.invariant_factors)])
         if g.same_presentation(c):
-            fwd[p], back[p] = GroupHom(g, c, identity(n)), GroupHom(c, g, identity(n))
+            fwd[p] = back[p] = identity(n)
         else:
-            coords = [list(fr + tc) for fr, tc in map(g.canonical_coords, identity(g.ngens))]
-            fwd[p] = GroupHom(g, c, coords)
-            back[p] = GroupHom(c, g, [e.coeffs for e in g.canonical_generators()])
+            fwd[p] = [list(fr + tc) for fr, tc in map(g.canonical_coords, identity(g.ngens))]
+            back[p] = [list(r) for r in g._canonical_rows()]
         canon[p] = c
     maps = {}
     for (hi, lo), cm in sys.maps.items():
-        hom = fwd[hi].compose(cm.hom.compose(back[lo]))
-        maps[(hi, lo)] = ConnectingMap(hom, None if cm.unit is None else fwd[hi](cm.unit))
+        # n <= ngens, so a product whose inner size is 0 has no rows or
+        # rows of width 0, which mat_mul gets right
+        hom = GroupHom(canon[lo], canon[hi], mat_mul(mat_mul(back[lo], cm.hom.matrix), fwd[hi]))
+        unit = None if cm.unit is None else canon[hi].element(vec_mat(list(cm.unit.coeffs), fwd[hi]))
+        maps[(hi, lo)] = ConnectingMap(hom, unit)
     return ISystem(sys.poset, sys.kind, canon, maps)
 
 
@@ -748,6 +776,18 @@ def test_connecting_maps_compare_their_homs_on_the_codomain():
     three = ConnectingMap(GroupHom(z4, z4, [[3]]))
     assert one == five
     assert one != three and five != three
+    # the presentations count too: neither the domain nor the codomain may
+    # differ, even where the images' rows agree
+    trivial, z2, z3 = FGAbelianGroup(0), FGAbelianGroup(1, [[2]]), FGAbelianGroup(1, [[3]])
+    assert GroupHom(trivial, z2, []) != GroupHom(trivial, z3, [])
+    assert GroupHom(z2, z2, [[1]]) != GroupHom(z4, z2, [[1]])
+    assert ConnectingMap(GroupHom(z2, z2, [[1]])) != ConnectingMap(GroupHom(z4, z2, [[1]]))
+    assert hash(GroupHom(trivial, z2, [])) != hash(GroupHom(trivial, z3, []))
+    assert hash(GroupHom(z2, z2, [[1]])) != hash(GroupHom(z4, z2, [[1]]))
+    # equal homs hash alike, and a copy of a presentation is the same one
+    again = FGAbelianGroup(1, [[4]])
+    assert GroupHom(again, z4, [[5]]) == GroupHom(z4, again, [[1]])
+    assert hash(GroupHom(again, z4, [[5]])) == hash(GroupHom(z4, again, [[1]]))
 
 
 def _reference_rows(g, kinds_of, verts, extra_free=()):

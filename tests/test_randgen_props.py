@@ -72,7 +72,7 @@ def test_corpus_systems_profile():
         assert text not in seen
         seen.add(text)
         assert len(s.poset) <= 4
-        for p in s.primes():
+        for p in s.poset:
             assert s.group[p].canonical_name() in DEFAULT_GROUPS
             assert s.group[p].free_rank <= 1
         assert validate_isystem(s).status == "Verified"

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from sepmonoid import graph as graph_mod
 from sepmonoid import isystem as isystem_mod
 from sepmonoid import rewrite as rewrite_mod
-from sepmonoid.abelian import (FGAbelianGroup, GroupHom, element_order,
-                               solve_left)
+from sepmonoid.abelian import FGAbelianGroup, solve_left
 from sepmonoid.fixtures import fixture_graph, fixture_text, graph_names
 from sepmonoid.graph import (NotAdaptableError, check_adaptable, condensation,
                              parse_graph, require_adaptable)
@@ -25,7 +24,7 @@ from sepmonoid.randgen import (random_adaptable, random_element, random_trace,
 from sepmonoid.props import antisym_le as props_antisym_le
 from sepmonoid.props import split_random
 from sepmonoid.rewrite import (FreeElement, MonoidNF, NFEntry, RewriteError,
-                               antisym_le, antisym_nf, apply_step, apply_trace,
+                               antisym_le, antisym_nf, apply_trace,
                                confluence_equal, confluence_search, eq_exact,
                                grothendieck_of_restriction,
                                le_semidecide, monoid_nf, nf_add, nf_equal,
@@ -50,9 +49,9 @@ def test_element_algebra():
     x = fe(g, "a + 2*b")
     y = fe(g, "b")
     assert (x + y).get("b") == 3
-    assert x.contains(y)
-    assert not y.contains(x)
-    assert x.minus(y).get("b") == 1
+    assert Counter(y.counts) <= Counter(x.counts)
+    assert not Counter(x.counts) <= Counter(y.counts)
+    assert rewrite_mod._minus(x.counts, y.counts) == {"a": 1, "b": 1}
     assert meet(x, y).get("b") == 1
     assert x.scale(2).total() == 6
     assert parse_element(serialize_element(x), g) == x
@@ -89,17 +88,17 @@ def test_step_targets_follow_blocks():
     assert (v, bi) == ("a", 0)
     # firing a's block replaces a by loop target + connector target = a + b
     assert res == fe(g, "a + b")
-    assert apply_step(g, fe(g, "a"), "a", 0) == fe(g, "a + b")
+    assert apply_trace(g, fe(g, "a"), (("a", 0),)) == fe(g, "a + b")
 
 
 def test_apply_step_needs_support():
     g = fixture_graph("g1")
     with pytest.raises(RewriteError):
-        apply_step(g, fe(g, "b"), "a", 0)
+        apply_trace(g, fe(g, "b"), (("a", 0),))
     # a block index counts from 0: -1 is no alias of the last block
     for bi in (-1, -2, 1):
         with pytest.raises(RewriteError, match=f"has no block {bi}"):
-            apply_step(g, fe(g, "a"), "a", bi)
+            apply_trace(g, fe(g, "a"), (("a", bi),))
         with pytest.raises(RewriteError, match=f"has no block {bi}"):
             split_trace(g, fe(g, "a"), fe(g, "b"), [("a", bi)])
 
@@ -314,7 +313,7 @@ def test_refinement_traces_replay_to_the_grid(case, monkeypatch):
 def _altered(g, part, trace):
     """trace with its first step moved to another vertex of part."""
     (v, _), rest = trace[0], trace[1:]
-    u = next(u for u in part.support() if u != v and g.blocks_of[u])
+    u = next(u for u in sorted(part.counts) if u != v and g.blocks_of[u])
     return ((u, 0),) + rest
 
 
@@ -352,14 +351,15 @@ def test_refinement_replay_rejects_a_mutated_sub_trace(mutation, monkeypatch):
 
 
 def _reference_apply_step(g, x, v, bi):
-    # the FreeElement route that apply_step took before it updated one dict
+    # the FreeElement route that a one-step rewrite took before it updated
+    # one dict
     if x.get(v) < 1:
         raise RewriteError(f"no occurrence of '{v}' to rewrite")
     blocks = g.blocks_of[v]
     if bi >= len(blocks):
         raise RewriteError(f"vertex '{v}' has no block {bi}")
     targets = FreeElement.from_vertices(g.edges[e][1] for e in blocks[bi])
-    return x.minus(FreeElement({v: 1})) + targets
+    return FreeElement(Counter(x.counts) - Counter({v: 1})) + targets
 
 
 def _reference_split_trace(g, part_a, part_b, trace):
@@ -418,7 +418,7 @@ def test_apply_step_matches_the_free_element_route():
             v = rng.choice(sorted(g.vertices))
             bi = rng.randrange(len(g.blocks_of[v]) + 1)
             want = _outcome(_reference_apply_step, g, x, v, bi)
-            got = _outcome(apply_step, g, x, v, bi)
+            got = _outcome(apply_trace, g, x, ((v, bi),))
             assert got == want
             if isinstance(got, FreeElement):
                 assert got.counts == want.counts and got.items() == want.items()
@@ -796,7 +796,7 @@ def test_le_meet_finds_the_pair_of_the_full_scan():
                                 rng.randint(0, 4))
             else:
                 y = random_element(rng, g, 5)
-            if x == y or y.contains(x):
+            if x == y or Counter(x.counts) <= Counter(y.counts):
                 continue
             depth = rng.randint(1, 6)
             kern = cg.kernel(depth, x.total(), y.total())
@@ -882,12 +882,12 @@ def test_steps_keep_support_classes_on_adaptable_graphs(seed, nsteps):
     class_of = condensation(g).class_of
     cur = random_element(rng, g, 4)
     for _ in range(nsteps):
-        before = {class_of[v] for v in cur.support()}
+        before = {class_of[v] for v in cur.counts}
         steps = step_targets(g, cur)
         if not steps:
             break
         for _, _, r in steps:
-            assert before <= {class_of[v] for v in r.support()}
+            assert before <= {class_of[v] for v in r.counts}
         cur = steps[rng.randrange(len(steps))][2]
 
 
@@ -935,16 +935,17 @@ def _maximals(poset, subset):
     return sorted(p for p in pool if not any(poset.lt(p, q) for q in pool))
 
 
-def subgroup_membership(gens, x):
-    """Is x in the subgroup generated by gens (all in x's group)?"""
-    rows = [list(e.coeffs) for e in gens] + [list(r) for r in x.group.relations]
+def subgroup_membership(group, gens, x):
+    """Is the row x in the subgroup of group that the rows gens generate?"""
+    rows = [list(r) for r in gens] + [list(r) for r in group.relations]
     if not rows:
-        return x.is_zero()
-    return solve_left(rows, list(x.coeffs)) is not None
+        return group.element(x).is_zero()
+    return solve_left(rows, list(x)) is not None
 
 
 def direct_sum(groups):
-    """Direct sum with embeddings: (sum group, [embedding homs])."""
+    """Direct sum: (sum group, the offset of each summand's generators in
+    it).  A summand's row embeds as that row placed at its offset."""
     ngens = sum(g.ngens for g in groups)
     relations, offsets, offset = [], [], 0
     for g in groups:
@@ -954,27 +955,25 @@ def direct_sum(groups):
             row[offset:offset + g.ngens] = list(r)
             relations.append(row)
         offset += g.ngens
-    total = FGAbelianGroup(ngens, relations)
-    embeds = [GroupHom(g, total, [[int(j == off + i) for j in range(ngens)]
-                                  for i in range(g.ngens)])
-              for g, off in zip(groups, offsets)]
-    return total, embeds
+    return FGAbelianGroup(ngens, relations), offsets
 
 
 def test_direct_sum():
     z2 = FGAbelianGroup(1, [[2]])
     z = FGAbelianGroup(1, [])
-    g, incs = direct_sum([z2, z])
-    assert g.canonical_name() == "Z + Z/2"
-    x = incs[0](z2.gen(0))
-    assert element_order(x) == 2
+    g, offsets = direct_sum([z2, z])
+    assert g.canonical_name() == "Z + Z/2" and offsets == [0, 1]
+    # Z/2's generator keeps order 2, Z's stays of infinite order
+    x = g.element([1, 0])
+    assert not x.is_zero() and (x + x).is_zero()
+    assert g.canonical_coords([0, 1])[0] in ((1,), (-1,))
 
 
 def _reference_monoid_nf(g, x):
     report = require_adaptable(g)
     cond, kinds = report.condensation, report.kinds
     sysm = extract_isystem(g)
-    classes = sorted({cond.class_of[v] for v in x.support()})
+    classes = sorted({cond.class_of[v] for v in x.counts})
     top = _maximals(cond.poset, classes)
     entries = []
     for p in top:
@@ -1005,27 +1004,26 @@ def _reference_nf_equal(g, nf1, nf2):
     for e1, e2 in zip(nf1.entries, nf2.entries):
         if e1.kind != e2.kind or e1.n != e2.n:
             return False, "multiplicity"
-        grp = sysm.group[e1.cls]
-        deltas.append(grp.element(e1.gcoeffs) - grp.element(e2.gcoeffs))
+        deltas.append(sysm.group[e1.cls].element(list(map(sub, e1.gcoeffs, e2.gcoeffs))))
     if all(d.is_zero() for d in deltas):
         return True, "zero"
     antichain = nf1.antichain()
-    total, embeds = direct_sum([sysm.group[p] for p in antichain])
-    delta = total.zero()
-    for emb, d in zip(embeds, deltas):
-        delta = delta + emb(d)
+    total, offsets = direct_sum([sysm.group[p] for p in antichain])
+    delta = [c for d in deltas for c in d.coeffs]
     cond = require_adaptable(g).condensation
     gens = []
     for q in sorted(cond.members):
         above = [i for i, p in enumerate(antichain) if sysm.poset.lt(q, p)]
         for i1 in above[1:]:
             for w in cond.members[q]:
-                x0, x1 = (sysm.group[antichain[i]].gen(
-                    sysm.generator_labels[antichain[i]].index(w)) for i in (above[0], i1))
-                gens.append(embeds[above[0]](x0) - embeds[i1](x1))
+                # w's generator in the summand of above[0] minus the one in i1's
+                row = [0] * total.ngens
+                for i, sign in ((above[0], 1), (i1, -1)):
+                    row[offsets[i] + sysm.generator_labels[antichain[i]].index(w)] += sign
+                gens.append(row)
     if not gens:
-        return delta.is_zero(), "no generators"
-    return subgroup_membership(gens, delta), "membership"
+        return total.element(delta).is_zero(), "no generators"
+    return subgroup_membership(total, gens, delta), "membership"
 
 
 CORPUS = [(name, fixture_graph(name)) for name in graph_names()]
@@ -1095,8 +1093,8 @@ def _reference_antisym_le(g, x, y):
 def _reference_le_no(g, x, y):
     report = require_adaptable(g)
     class_of, poset = report.condensation.class_of, report.condensation.poset
-    ycls = {class_of[v] for v in y.support()}
-    for v in x.support():
+    ycls = {class_of[v] for v in y.counts}
+    for v in x.counts:
         q = class_of[v]
         if not any(poset.le(q, p) for p in ycls):
             return True
@@ -1504,8 +1502,6 @@ def test_apply_trace_matches_the_stepwise_replay():
             assert got.items() == want.items()
         else:
             errors.add(want[1].split("'")[0])
-        if len(trace) == 1:
-            assert _outcome(apply_step, g, x, *trace[0]) == want
     assert errors == {"no occurrence of ", "vertex "}
     g = fixture_graph("g5")
     x = fe(g, "a + 2*b")
@@ -1665,10 +1661,11 @@ def test_element_arithmetic_matches_a_counter(named, seed):
     s = x + y
     assert Counter(s.counts) == Counter(x.counts) + Counter(y.counts)
     assert s == y + x and hash(s) == hash(y + x)
-    assert s.minus(y) == x and s.minus(x) == y
-    assert Counter(s.minus(x).counts) == Counter(s.counts) - Counter(x.counts)
-    # minus keeps the minuend's order, as the comprehension it replaced did
-    assert list(s.minus(y).counts) == [v for v in s.counts if s.get(v) - y.get(v)]
+    minus = rewrite_mod._minus
+    assert minus(s.counts, y.counts) == x.counts and minus(s.counts, x.counts) == y.counts
+    assert Counter(minus(s.counts, x.counts)) == Counter(s.counts) - Counter(x.counts)
+    # _minus keeps the minuend's order, as the comprehension it replaced did
+    assert list(minus(s.counts, y.counts)) == [v for v in s.counts if s.get(v) - y.get(v)]
     assert (list(x.counts.items()), list(y.counts.items())) == before
     if not x.is_zero() and not y.is_zero():
         assert s is not x and s is not y
