@@ -356,22 +356,32 @@ def _completion_test(target, span):
 class _Frame:
     """One presentation's Smith data as int tuples: v, the nonzero diagonal,
     the invariant factors, and the free and torsion indices.  The
-    coordinate columns, vinv (the inverse of v, whose rows
-    FGAbelianGroup._canonical_rows reads) and canon
-    (FGAbelianGroup.canonical_frame) are filled on first use."""
-    __slots__ = ("v", "diag", "invariant_factors", "free_idx", "tors_idx", "columns",
-                 "vinv", "canon")
+    coordinate columns and vinv (the inverse of v, whose rows
+    FGAbelianGroup._canonical_rows reads) are filled on first use.
+
+    A presentation already in canonical diagonal form is its own frame:
+    f free generators, then relation k is d_k at column f + k, every
+    d_k > 1 and d_1 | d_2 | ... (no relations is the case k = 0).  Its v
+    only moves the torsion columns first, as the Smith diagonal comes
+    first, and v's inverse is its transpose, so the group's canonical
+    generators are its own and no Smith form is built."""
+    __slots__ = ("v", "diag", "invariant_factors", "free_idx", "tors_idx", "columns", "vinv")
 
     def __init__(self, ngens, relations):
-        self.vinv = self.canon = None
-        if relations:
+        self.vinv = None
+        f = ngens - len(relations)
+        diag = tuple(r[f + k] for k, r in enumerate(relations)) if f >= 0 else ()
+        # a row whose absolute values sum to its diagonal entry d > 1 is zero elsewhere
+        if f >= 0 and all(d > 1 and not d % c and sum(map(abs, r)) == d
+                          for c, d, r in zip((1,) + diag, diag, relations)):
+            unit = identity(ngens)
+            self.vinv = vinv = tuple(map(tuple, unit[f:] + unit[:f]))
+            self.v = tuple(zip(*vinv))
+        else:
             _, s, v = _smith(relations, False)
             self.v = tuple(map(tuple, v))
-            self.diag = diag = tuple(s[i][i] for i in range(min(len(s), ngens)) if s[i][i])
-        else:
-            # no relations: the identity is its own inverse, no Smith form needed
-            self.v = self.vinv = tuple(map(tuple, identity(ngens)))
-            self.diag = diag = ()
+            diag = tuple(s[i][i] for i in range(min(len(s), ngens)) if s[i][i])
+        self.diag = diag
         self.invariant_factors = tuple(d for d in diag if d > 1)
         self.free_idx = tuple(range(len(diag), ngens))
         self.tors_idx = tuple(i for i, d in enumerate(diag) if d > 1)
@@ -464,22 +474,6 @@ class FGAbelianGroup:
         f = self._frame
         # a group with no canonical generators (the trivial group) needs no inverse
         return [f.inverse()[i] for i in f.free_idx + f.tors_idx]
-
-    def canonical_frame(self):
-        """(relations, coords) of the canonical diagonal form: its diagonal
-        relation rows, free coordinates first, and the matrix taking
-        coefficient rows to canonical coordinates (torsion not yet reduced),
-        or None when the group is already in that form and keeps its
-        generators.  Built once per frame, so groups of one small
-        presentation share it."""
-        f = self._frame
-        if f.canon is None:
-            n = self.free_rank + len(self.invariant_factors)
-            rels = tuple(tuple(d if j == k else 0 for j in range(n))
-                         for k, d in enumerate(self.invariant_factors, self.free_rank))
-            same = self.ngens == n and tuple(map(tuple, self.relations)) == rels
-            f.canon = rels, None if same else self.generator_coords()
-        return f.canon
 
     def generator_coords(self):
         """Canonical coordinates of each generator, free then torsion, as rows."""

@@ -355,18 +355,21 @@ def parse_group_name(s: str) -> FGAbelianGroup:
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise ISystemError(f"torsion orders must divide in sequence: {a}, {b}")
-    ngens = free + len(factors)
-    rows = []
-    for k, d in enumerate(factors):
-        row = [0] * ngens
-        row[free + k] = d
-        rows.append(row)
-    return FGAbelianGroup(ngens, rows)
+    return _diagonal_group(free, factors)
+
+
+def _diagonal_group(free, factors):
+    """Z^free + Z/d for each d of factors in canonical diagonal form: the
+    free generators, then one relation d * g at each torsion generator g."""
+    n = free + len(factors)
+    return FGAbelianGroup(n, [[d if j == free + k else 0 for j in range(n)]
+                              for k, d in enumerate(factors)])
 
 
 def parse_group_presentation(s: str) -> FGAbelianGroup:
     """Parse 'g1 g2 ... [rels <expr> ; <expr> ...]' into a presented group
-    under the caps of parse_group_name, its invariant factors as torsion orders."""
+    under the caps of parse_group_name, its invariant factors as torsion orders.
+    No relation text is no relation; an empty relation between `;`s is an error."""
     parts = s.split()
     if "rels" in parts:
         cut = parts.index("rels")
@@ -378,9 +381,9 @@ def parse_group_presentation(s: str) -> FGAbelianGroup:
     if gen_names != [f"g{i + 1}" for i in range(len(gen_names))]:
         raise ISystemError(f"generators must be named g1, g2, ... in order, got {gen_names}")
     rows = []
-    for chunk in (c.strip() for c in rel_text.split(";")):
-        if not chunk:
-            continue
+    for chunk in rel_text.split(";") if rel_text else ():
+        if not chunk.strip():
+            raise ISystemError(f"empty relation in '{rel_text}'")
         rows.append(parse_element_expr(chunk, len(gen_names)))
     group = FGAbelianGroup(len(gen_names), rows)
     top = max(group.invariant_factors, default=0)
@@ -440,47 +443,31 @@ def serialize_coords(coords) -> str:
     return out or "0"
 
 
-def _torsion_reduced(row, g: FGAbelianGroup):
-    """row with each entry at a torsion position of g's canonical form reduced."""
-    out = list(row)
-    for k, d in enumerate(g.invariant_factors, g.free_rank):
-        out[k] %= d
-    return out
-
-
-def _source_images(matrix, g: FGAbelianGroup):
-    """Rows of matrix, a hom out of g, taken at g's canonical generators."""
-    if g.canonical_frame()[1] is None:
-        return matrix
-    return [vec_mat(row, matrix) for row in g._canonical_rows()]
-
-
-def _target_coords(row, g: FGAbelianGroup):
-    """row, coefficients in g, in g's canonical coordinates (row itself
-    when g is in canonical form)."""
-    coords = g.canonical_frame()[1]
-    return row if coords is None else vec_mat(row, coords)
-
-
 def canonicalized(sys: ISystem) -> ISystem:
-    """Equivalent system whose groups are in canonical diagonal form."""
-    canon = {}
+    """Equivalent system whose groups are in canonical diagonal form: each
+    map's images of G_lo's canonical generators, and each unit, written in
+    G_hi's canonical coordinates by `generator_coords()` (torsion not
+    reduced).  A group already in that form is its own frame, so it and
+    its rows come back as they were."""
+    canon, coords = {}, {}
     for p in sys.poset:
         g = sys.group[p]
-        canon[p] = FGAbelianGroup(g.free_rank + len(g.invariant_factors), g.canonical_frame()[0])
+        canon[p] = _diagonal_group(g.free_rank, g.invariant_factors)
+        coords[p] = g.generator_coords()
     maps = {}
     for (hi, lo), cm in sys.maps.items():
-        g = sys.group[hi]
-        rows = [_target_coords(row, g) for row in _source_images(cm.hom.matrix, sys.group[lo])]
-        unit = None if cm.unit is None else canon[hi].element(_target_coords(cm.unit.coeffs, g))
+        c = coords[hi]
+        rows = [vec_mat(vec_mat(r, cm.hom.matrix), c) for r in sys.group[lo]._canonical_rows()]
+        unit = None if cm.unit is None else canon[hi].element(vec_mat(cm.unit.coeffs, c))
         maps[(hi, lo)] = ConnectingMap(GroupHom(canon[lo], canon[hi], rows), unit)
     return ISystem(sys.poset, sys.kind, canon, maps)
 
 
 def serialize_isystem(sys: ISystem) -> str:
     """`.is` text of sys in canonical form: each map clause gives the
-    canonical coordinates in G_hi of the unit image or of the image of one
-    of G_lo's canonical generators, with torsion reduced."""
+    `canonical_coords` in G_hi of the unit image or of the image of one of
+    G_lo's canonical generators.  A group already in canonical form is its
+    own frame, so a parsed system writes back its own clauses."""
     lines = []
     for p in sys.poset:
         lines.append(f"prime {p} {'reg' if sys.kind[p] == 'regular' else 'free'}")
@@ -495,10 +482,10 @@ def serialize_isystem(sys: ISystem) -> str:
             if sys.kind[lo] == "regular" and sys.group[lo].is_trivial():
                 continue
             images = [] if cm.unit is None else [("unit", cm.unit.coeffs)]
-            images += [(f"g{i}", row) for i, row in
-                       enumerate(_source_images(cm.hom.matrix, sys.group[lo]), 1)]
-            clauses = (f"{lhs} -> " + serialize_coords(
-                _torsion_reduced(_target_coords(row, g), g)) for lhs, row in images)
+            images += [(f"g{i}", vec_mat(r, cm.hom.matrix))
+                       for i, r in enumerate(sys.group[lo]._canonical_rows(), 1)]
+            clauses = (f"{lhs} -> " + serialize_coords(sum(g.canonical_coords(row), ()))
+                       for lhs, row in images)
             lines.append(f"map {hi} <- {lo} : " + " ; ".join(clauses))
     return "\n".join(lines) + "\n"
 
@@ -547,6 +534,9 @@ def parse_isystem(text: str) -> ISystem:
         if lo not in kind or hi not in kind:
             raise ISystemParseError(
                 line_no, f"cover mentions unknown prime '{lo if lo not in kind else hi}'")
+    for p, (line_no, _) in group_names.items():
+        if p not in kind:
+            raise ISystemParseError(line_no, f"group mentions unknown prime '{p}'")
     try:
         poset = Poset(kind.keys(), [(lo, hi) for _, lo, hi in covers])
     except ValueError as exc:
@@ -577,9 +567,10 @@ def parse_isystem(text: str) -> ISystem:
             raise ISystemParseError(line_no, f"duplicate map for {lo} < {hi}")
         unit = None
         rows = [None] * group[lo].ngens
-        for clause in (c.strip() for c in body.split(";")):
+        body = body.strip()
+        for clause in (c.strip() for c in body.split(";")) if body else ():
             if not clause:
-                continue
+                raise ISystemParseError(line_no, f"empty clause in '{body}'")
             lhs, _, rhs = clause.partition("->")
             lhs = lhs.strip()
             if not rhs:

@@ -13,6 +13,7 @@ from sepmonoid.abelian import (FGAbelianGroup, GroupElement, GroupHom,
                                images_agree, iter_isomorphisms, left_kernel,
                                mat_mul, smith_normal_form, snf_diagonal,
                                solve_left, vec_mat, zero_hom)
+from sepmonoid.isystem import parse_group_name
 
 
 def group_eq(g, x, y):
@@ -342,14 +343,46 @@ def test_small_presentations_share_one_frame():
 
 
 def test_canonical_frame_keeps_a_canonical_group_and_is_shared():
-    # Z + Z/2, presented in canonical form and with the factors swapped
-    assert FGAbelianGroup(2, [[0, 2]]).canonical_frame() == (((0, 2),), None)
-    g = FGAbelianGroup(2, [[2, 0]])
-    rels, coords = g.canonical_frame()
-    assert rels == ((0, 2),) and coords == g.generator_coords() == [[0, 1], [1, 0]]
-    assert FGAbelianGroup(2, [[2, 0]]).canonical_frame() is g.canonical_frame()
-    big = FGAbelianGroup(3, [[2, 0, 0]])
-    assert big.canonical_frame() is not FGAbelianGroup(3, [[2, 0, 0]]).canonical_frame()
+    # Z + Z/2, presented in canonical form and with the factors swapped: the
+    # first is its own frame, whose v puts the torsion column first
+    g = FGAbelianGroup(2, [[0, 2]])
+    assert g._frame.v == g._frame.vinv == ((0, 1), (1, 0)) and g._frame.diag == (2,)
+    assert g.generator_coords() == identity(2) and g._canonical_rows() == [(1, 0), (0, 1)]
+    swapped = FGAbelianGroup(2, [[2, 0]])
+    assert swapped.generator_coords() == [[0, 1], [1, 0]]
+    assert FGAbelianGroup(2, [[0, 2]])._frame is g._frame
+    assert FGAbelianGroup(2, [[2, 0]])._frame is swapped._frame
+    big = FGAbelianGroup(3, [[0, 0, 2]])
+    assert big._frame is not FGAbelianGroup(3, [[0, 0, 2]])._frame
+    assert big.generator_coords() == identity(3)
+
+
+_CANONICAL_NAMES = [" + ".join([f"Z^{f}"] * (f > 0) + [f"Z/{d}" for d in tors])
+                    for f in range(4)
+                    for tors in [(2,), (3,), (6,), (2, 2), (2, 4), (2, 6), (3, 6)]]
+
+
+@pytest.mark.parametrize("name", _CANONICAL_NAMES)
+def test_a_canonical_presentation_is_its_own_frame(name, monkeypatch):
+    # its canonical generators are its generators, in their order, and no
+    # Smith form is built for them
+    calls, smith = [], abelian._smith
+
+    def spy(*args):
+        calls.append(args)
+        return smith(*args)
+
+    monkeypatch.setattr(abelian, "_smith", spy)
+    abelian._frame.cache_clear()
+    g = parse_group_name(name)
+    n = g.ngens
+    assert n == g.free_rank + len(g.invariant_factors)
+    for row in identity(n):
+        free, tors = g.canonical_coords(row)
+        assert free + tors == tuple(row)
+    assert g._canonical_rows() == [tuple(r) for r in identity(n)]
+    assert g.generator_coords() == identity(n)
+    assert calls == []
 
 
 def test_frame_cache_is_bounded():

@@ -222,6 +222,7 @@ NF_GOLDEN = [
     ("g5", "a+a'+b", "antisym a:free:1 a':free:1\n"
                      "nf a free n=1 group=g1\nnf a' free n=1 group=0\n"),
     ("g5", "a'+2*b", "antisym a':free:1\nnf a' free n=1 group=2*g1\n"),
+    ("g5", "0", "antisym 0\nnf 0\n"),
 ]
 
 

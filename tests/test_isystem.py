@@ -140,6 +140,10 @@ def test_parse_group_name_at_the_caps():
     ("g1 g2 rels + ; 2*g1 ++ g2", "empty term in '+'"),
     ("g1 g2 rels 2*g1 ++ g2", "empty term in '2*g1 ++ g2'"),
     ("g1 g2 rels 2*g1 ; g2 -", "empty term in 'g2 -'"),
+    # and a relation between semicolons may not be empty either
+    ("g1 g2 rels ; 2*g1 ; ; g2 ;", "empty relation in '; 2*g1 ; ; g2 ;'"),
+    ("g1 g2 rels 2*g1 ;", "empty relation in '2*g1 ;'"),
+    ("g1 rels ;", "empty relation in ';'"),
 ])
 def test_parse_group_presentation_caps(pres, why):
     with pytest.raises(ISystemError, match=re.escape(why)):
@@ -157,6 +161,12 @@ def test_presentation_generator_cap_comes_before_any_group(monkeypatch):
     assert built == []
     parse_group_presentation("g1 rels 2*g1")
     assert built                    # the counter does see a group being built
+
+
+def test_a_presentation_without_relation_text_has_no_relations():
+    for pres in ("g1 g2", "g1 g2 rels"):
+        g = parse_group_presentation(pres)
+        assert (g.ngens, g.relations) == (2, [])
 
 
 def test_parse_group_presentation_at_the_caps():
@@ -220,6 +230,11 @@ _MAP_HEAD = ("prime p reg\nprime q free\nprime r reg\nprime s reg\ncover q < p\n
     ("map p <- r : g1 -> g1 -", "empty term in 'g1 -'"),
     ("map p <- r : g1 -> -", "empty term in '-'"),
     ("map p <- r : g1 -> - -g1", "empty term in '- -g1'"),
+    # so is an empty clause, though an empty body is no clauses
+    ("map p <- r : ; g1 -> g1 ;;", "empty clause in '; g1 -> g1 ;;'"),
+    ("map p <- r : g1 -> g1 ;", "empty clause in 'g1 -> g1 ;'"),
+    ("map p <- q : unit -> g1 ; ; ", "empty clause in 'unit -> g1 ; ;'"),
+    ("map p <- r : ;", "empty clause in ';'"),
 ])
 def test_map_line_errors_name_their_line_and_exit_2(tmp_path, capsys, map_line, message):
     text = _MAP_HEAD + map_line + "\n"
@@ -245,6 +260,18 @@ def test_element_text_reads_signed_terms(text, row):
     assert isystem.parse_element_expr(text, 3) == row
 
 
+def test_a_cover_cycle_is_refused_and_exits_2(tmp_path, capsys):
+    # the poset refuses the cycle, and the parser passes its reason on
+    text = ("prime p reg\nprime q reg\nprime r reg\ngroup p : 0\ngroup q : 0\ngroup r : 0\n"
+            "cover p < q\ncover q < r\ncover r < p\n")
+    with pytest.raises(ISystemError, match="antisymmetry fails"):
+        parse_isystem(text)
+    path = tmp_path / "cycle.is"
+    path.write_text(text)
+    assert main(["realize", str(path)]) == 2
+    assert "antisymmetry fails" in capsys.readouterr().err
+
+
 def test_parse_errors_carry_line_numbers():
     bad = "prime p free\ngroup p : Z/2\nmap p <- q : unit -> g1\n"
     with pytest.raises(ISystemParseError) as exc:
@@ -259,6 +286,8 @@ def test_parse_errors_carry_line_numbers():
     ("map x <- p : g1 -> g1\n", "line 3: map mentions unknown prime 'x'"),
     ("map p <- y : g1 -> g1\n", "line 3: map mentions unknown prime 'y'"),
     ("map x <- y : g1 -> g1\n", "line 3: map mentions unknown prime 'x'"),
+    ("group zz : Z/1\n", "line 3: group mentions unknown prime 'zz'"),
+    ("group zz gens g1\n", "line 3: group mentions unknown prime 'zz'"),
 ])
 def test_parse_names_the_unknown_prime(tail, want):
     # the first unknown of the line's two names
@@ -358,6 +387,15 @@ def test_validate_cone_half_plane():
     assert (failure.axiom, failure.primes) == ("cone-coverage", ("p",))
     q, signs = _facet_signs(s, failure.detail)
     assert q == "q2" and signs["q2"] > 0 and min(signs.values()) >= 0
+
+
+def test_validate_names_the_form_in_the_files_basis():
+    # Z^2 + Z/2 as written is its own frame, so the form reads on g1 and g2
+    # in the file's order: (0, 1), where Smith's column order gave (1, 0)
+    s = _free_over_trivial("Z^2 + Z/2", ["g1", "-g1", "g2", "g3"])
+    [failure] = validate_isystem(s).failures
+    assert failure.detail.startswith(
+        "the negated unit of q3 is not reachable from below: the form (0, 1) on the free ")
 
 
 def _positive_relation(sympy, simplex, units):
@@ -733,9 +771,9 @@ def test_serialize_isystem_matches_the_canonicalized_route():
     groups = [g for s in systems for g in s.group.values()]
     assert any(g.ngens == 0 for g in groups)
     assert any(g.is_trivial() and g.ngens > 0 for g in groups)
-    # canonical Z^k + Z/d as written, whose Smith form moves the columns
-    assert any(_diagonal(g) and g.free_rank and g.invariant_factors
-               and g.generator_coords() != identity(g.ngens) for g in groups)
+    # canonical Z^k + Z/d as written, with more free generators than torsion
+    # factors: Smith's column order would move its generators
+    assert any(_diagonal(g) and g.free_rank > len(g.invariant_factors) >= 1 for g in groups)
     assert any(g.invariant_factors and not _diagonal(g) for g in groups)
     for s in systems:
         assert serialize_isystem(s) == _old_serialize(s)

@@ -103,6 +103,17 @@ def test_isomorphisms_respect_colors():
     assert isos == []
 
 
+def test_isomorphisms_keep_each_chain_together():
+    # every bottom has one signature and every top another, so only the
+    # order check keeps a top with its own bottom
+    p = Poset("abcd", [("a", "b"), ("c", "d")])
+    q = Poset("wxyz", [("w", "x"), ("y", "z")])
+    isos = list(p.isomorphisms(q))
+    assert sorted(map(sorted, (iso.items() for iso in isos))) == [
+        [("a", "w"), ("b", "x"), ("c", "y"), ("d", "z")],
+        [("a", "y"), ("b", "z"), ("c", "w"), ("d", "x")]]
+
+
 def test_isomorphisms_count_on_antichain():
     p = Poset("abc")
     q = Poset("xyz")

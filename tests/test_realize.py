@@ -807,7 +807,9 @@ def test_budget_below_one_is_rejected():
 def test_stress_corpus_realizations_are_pinned():
     # SHA-256 of every realized graph and its log, or the exception text,
     # over the 900 stress systems: any change of bytes or visit counts
-    # shows here
+    # shows here.  Taken since a group in canonical form is its own frame,
+    # which moved the graphs of the Z^2 + Z/2 primes at seed 1 positions
+    # 72, 196, 202, 222 and seed 3 positions 59, 65, 106, 115, 172, 182
     h = hashlib.sha256()
     for seed in (1, 2, 3):
         for s in _stress_corpus(seed):
@@ -817,7 +819,7 @@ def test_stress_corpus_realizations_are_pinned():
             except (ConstructionFailed, ConstructionInfeasible) as exc:
                 text = f"{type(exc).__name__}: {exc}\n"
             h.update(text.encode())
-    assert h.hexdigest() == "84f4b6cc6a4940f145d4c3868e6a599a25917a9a4b794133b6155277a59ef93b"
+    assert h.hexdigest() == "b898f3360545301530bc8b0b5c217b0a1145ae8aebf070978978dbb635549bb4"
 
 
 _TORSION_CHAINS = [[], [2], [3], [4], [2, 2], [2, 4], [3, 6]]
