@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import product
 from math import gcd, lcm, prod
-from operator import add, floordiv, index, mul, neg
+from operator import add, floordiv, index, mod, mul, neg
 
 
 class AbelianError(ValueError):
@@ -364,16 +364,20 @@ class _Frame:
     d_k > 1 and d_1 | d_2 | ... (no relations is the case k = 0).  Its v
     only moves the torsion columns first, as the Smith diagonal comes
     first, and v's inverse is its transpose, so the group's canonical
-    generators are its own and no Smith form is built."""
-    __slots__ = ("v", "diag", "invariant_factors", "free_idx", "tors_idx", "columns", "vinv")
+    generators are its own and no Smith form is built.  Such a frame is
+    `sliced`: the canonical coordinates of x are x[:f] and x[f:] reduced
+    mod the d_k, read without a dot product."""
+    __slots__ = ("v", "diag", "invariant_factors", "free_idx", "tors_idx", "columns", "vinv",
+                 "sliced")
 
     def __init__(self, ngens, relations):
         self.vinv = None
         f = ngens - len(relations)
         diag = tuple(r[f + k] for k, r in enumerate(relations)) if f >= 0 else ()
         # a row whose absolute values sum to its diagonal entry d > 1 is zero elsewhere
-        if f >= 0 and all(d > 1 and not d % c and sum(map(abs, r)) == d
-                          for c, d, r in zip((1,) + diag, diag, relations)):
+        self.sliced = f >= 0 and all(d > 1 and not d % c and sum(map(abs, r)) == d
+                                     for c, d, r in zip((1,) + diag, diag, relations))
+        if self.sliced:
             unit = identity(ngens)
             self.vinv = vinv = tuple(map(tuple, unit[f:] + unit[:f]))
             self.v = tuple(zip(*vinv))
@@ -423,11 +427,18 @@ class FGAbelianGroup:
     Relations are coefficient rows: the row (2, -1) says 2*g0 - g1 == 0.
     The Smith data lives in a _Frame from `_frame_of`, which small
     presentations share through the 256-entry LRU cache `_frame`.  No result
-    depends on the cache, and relations is each group's own list.
+    depends on the cache, and relations is each group's own list; but the
+    groups that `isystem.parse_group_name` and `isystem._diagonal_group`
+    return are shared values, which callers must not mutate.
     """
 
     def __init__(self, ngens: int, relations=()):
-        self.ngens = ngens
+        try:
+            self.ngens = ngens = index(ngens)
+        except TypeError:
+            raise AbelianError(f"generator count must be an integer, got {ngens!r}") from None
+        if ngens < 0:
+            raise AbelianError(f"generator count must be nonnegative, got {ngens}")
         self.relations = rels = [list(map(index, r)) for r in relations]
         for r in rels:
             if len(r) != ngens:
@@ -436,6 +447,7 @@ class FGAbelianGroup:
         self.rank = len(f.diag)
         self.free_rank = ngens - self.rank
         self.invariant_factors = f.invariant_factors
+        self._name = None
 
     # -- structure
 
@@ -443,19 +455,28 @@ class FGAbelianGroup:
         return self.free_rank == 0 and not self.invariant_factors
 
     def canonical_name(self) -> str:
+        """The name, such as 'Z^2 + Z/2' or '0', built on first use."""
+        if self._name is not None:
+            return self._name
         parts = []
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.invariant_factors)
-        return " + ".join(parts) if parts else "0"
+        self._name = name = " + ".join(parts) if parts else "0"
+        return name
 
     def canonical_coords(self, coeffs):
-        """(free coords, torsion coords) of an element given by coeffs."""
+        """(free coords, torsion coords) of an element given by coeffs: dot
+        products with the frame's columns, or slices of coeffs when the
+        presentation is in canonical form (a `sliced` frame)."""
         if len(coeffs) != self.ngens:
             raise AbelianError("vector/matrix shape mismatch")
-        cols, k = self._frame.columns, self.free_rank
+        f, k = self._frame, self.free_rank
+        if f.sliced:
+            return tuple(coeffs[:k]), tuple(map(mod, coeffs[k:], f.diag))
+        cols = f.columns
         free = tuple(sum(map(mul, coeffs, col)) for col, _ in cols[:k])
         tors = tuple(sum(map(mul, coeffs, col)) % m for col, m in cols[k:])
         return free, tors

@@ -11,6 +11,7 @@ against the axioms, and round-tripped through a text format (.is).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .abelian import (FGAbelianGroup, GroupElement, GroupHom, images_agree,
@@ -48,43 +49,49 @@ class ISystem:
     hom from G_q's presentation to G_p's, with a unit in G_p's exactly when
     q is free (a trivial regular q without one gets the zero map).  The
     constructor checks this, p in poset order and q sorted, and raises
-    ISystemError at the first failure; `validate_isystem` checks the axioms."""
+    ISystemError at the first failure; `validate_isystem` checks the axioms.
+
+    Each pair is checked in one pass over its map.  The groups are held,
+    not copied: a parsed or canonical system shares its groups with every
+    other one of the same name (`parse_group_name`), so callers must not
+    mutate them."""
 
     def __init__(self, poset: Poset, kind: dict, group: dict, maps: dict,
                  generator_labels: dict | None = None):
         self.poset = poset
-        self.kind = dict(kind)
-        self.group = dict(group)
+        self.kind = kind = dict(kind)
+        self.group = group = dict(group)
         self.generator_labels = dict(generator_labels or {})
         _refuse_reserved(list(poset), "prime name", ISystemError)
         for p in poset:
-            if self.kind.get(p) not in ("free", "regular"):
+            if kind.get(p) not in ("free", "regular"):
                 raise ISystemError(f"prime '{p}' needs kind free or regular")
-            if p not in self.group:
+            if p not in group:
                 raise ISystemError(f"prime '{p}' has no group")
-        kind, group, given = self.kind, self.group, dict(maps)
-        self.maps = {}
+        given = dict(maps)
+        self.maps = checked = {}
         for hi in poset:
+            g_hi = group[hi]
             for lo in sorted(poset.strict_down(hi)):
-                cm = given.pop((hi, lo), None)
-                if cm is None and kind[lo] == "regular" and group[lo].is_trivial():
-                    cm = ConnectingMap(zero_hom(group[lo], group[hi]))
+                cm, g_lo, free = given.pop((hi, lo), None), group[lo], kind[lo] == "free"
                 if cm is None:
-                    raise ISystemError(f"no connecting map for {lo} < {hi}")
-                if not cm.hom.domain.same_presentation(group[lo]):
+                    if free or not g_lo.is_trivial():
+                        raise ISystemError(f"no connecting map for {lo} < {hi}")
+                    cm = ConnectingMap(zero_hom(g_lo, g_hi))
+                elif not cm.hom.domain.same_presentation(g_lo):
                     raise ISystemError(f"map {hi} <- {lo}: hom domain is not the source group")
-                if not cm.hom.codomain.same_presentation(group[hi]):
+                elif not cm.hom.codomain.same_presentation(g_hi):
                     raise ISystemError(f"map {hi} <- {lo}: hom codomain is not the target group")
-                if kind[lo] == "regular":
+                elif not free:
                     if cm.unit is not None:
                         raise ISystemError(
                             f"regular prime {lo} must not carry a unit image under {hi}")
                 elif cm.unit is None:
                     raise ISystemError(f"free prime {lo} needs a unit image under {hi}")
-                elif not cm.unit.group.same_presentation(group[hi]):
+                elif not cm.unit.group.same_presentation(g_hi):
                     raise ISystemError(
                         f"map {hi} <- {lo}: unit is not an element of the target group")
-                self.maps[(hi, lo)] = cm
+                checked[(hi, lo)] = cm
         if given:
             raise ISystemError(f"no strict pair q < p for the map keyed {next(iter(given))!r}")
 
@@ -316,13 +323,18 @@ def _extract(g: SepGraph) -> ISystem:
 # ------------------------------------------------------------ text format
 
 
+@lru_cache(maxsize=256)
 def parse_group_name(s: str) -> FGAbelianGroup:
     """Read a name like 'Z^2 + Z/2 + Z/4'.  A torsion order may be at most
     MAX_EXPANDED_EDGES (realize writes that many parallel edges), and the
-    group at most MAX_GROUP_GENERATORS generators."""
+    group at most MAX_GROUP_GENERATORS generators.
+
+    The group is `_diagonal_group`'s, and each name read is kept in a
+    256-entry LRU cache, so one name gives one shared group: callers must
+    not mutate it.  No result depends on the cache."""
     s = s.strip()
     if s == "0":
-        return FGAbelianGroup(0, [])
+        return _diagonal_group(0, ())
     free = 0
     factors = []
     for part in (x.strip() for x in s.split("+")):
@@ -355,12 +367,18 @@ def parse_group_name(s: str) -> FGAbelianGroup:
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise ISystemError(f"torsion orders must divide in sequence: {a}, {b}")
-    return _diagonal_group(free, factors)
+    return _diagonal_group(free, tuple(factors))
 
 
+@lru_cache(maxsize=256)
 def _diagonal_group(free, factors):
-    """Z^free + Z/d for each d of factors in canonical diagonal form: the
-    free generators, then one relation d * g at each torsion generator g."""
+    """Z^free + Z/d for each d of the tuple factors in canonical diagonal
+    form: the free generators, then one relation d * g at each torsion
+    generator g.  A presentation in this form is its own (`sliced`) frame.
+
+    Each (free, factors) is kept in a 256-entry LRU cache, so it gives one
+    shared group, which callers must not mutate; no result depends on the
+    cache."""
     n = free + len(factors)
     return FGAbelianGroup(n, [[d if j == free + k else 0 for j in range(n)]
                               for k, d in enumerate(factors)])
@@ -478,12 +496,14 @@ def serialize_isystem(sys: ISystem) -> str:
     for hi in sys.poset:
         g = sys.group[hi]
         for lo in sorted(sys.poset.strict_down(hi)):
-            cm = sys.maps[(hi, lo)]
-            if sys.kind[lo] == "regular" and sys.group[lo].is_trivial():
+            cm, g_lo = sys.maps[(hi, lo)], sys.group[lo]
+            if sys.kind[lo] == "regular" and g_lo.is_trivial():
                 continue
             images = [] if cm.unit is None else [("unit", cm.unit.coeffs)]
-            images += [(f"g{i}", vec_mat(r, cm.hom.matrix))
-                       for i, r in enumerate(sys.group[lo]._canonical_rows(), 1)]
+            # a sliced G_lo's canonical generators are its generators
+            rows = cm.hom.matrix if g_lo._frame.sliced else \
+                [vec_mat(r, cm.hom.matrix) for r in g_lo._canonical_rows()]
+            images += [(f"g{i}", row) for i, row in enumerate(rows, 1)]
             clauses = (f"{lhs} -> " + serialize_coords(sum(g.canonical_coords(row), ()))
                        for lhs, row in images)
             lines.append(f"map {hi} <- {lo} : " + " ; ".join(clauses))
@@ -498,6 +518,9 @@ def parse_isystem(text: str) -> ISystem:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        if line.split(None, 1)[0] == "map":
+            map_lines.append((line_no, line))   # split once, at its own pass
             continue
         tokens = line.split()
         if tokens[0] == "prime":
@@ -526,8 +549,6 @@ def parse_isystem(text: str) -> ISystem:
             if tokens[1] in group_names:
                 raise ISystemParseError(line_no, f"duplicate group for '{tokens[1]}'")
             group_names[tokens[1]] = (line_no, payload)
-        elif tokens[0] == "map":
-            map_lines.append((line_no, line))
         else:
             raise ISystemParseError(line_no, f"unknown directive '{tokens[0]}'")
     for line_no, lo, hi in covers:
@@ -565,8 +586,10 @@ def parse_isystem(text: str) -> ISystem:
             raise ISystemParseError(line_no, f"map for pair without {lo} < {hi}")
         if (hi, lo) in maps:
             raise ISystemParseError(line_no, f"duplicate map for {lo} < {hi}")
-        unit = None
-        rows = [None] * group[lo].ngens
+        # one pass over the clauses; the generators without a clause are
+        # listed only when the count of generator clauses falls short
+        g_lo, g_hi, free = group[lo], group[hi], kind[lo] == "free"
+        unit, rows, filled = None, [None] * g_lo.ngens, 0
         body = body.strip()
         for clause in (c.strip() for c in body.split(";")) if body else ():
             if not clause:
@@ -576,31 +599,32 @@ def parse_isystem(text: str) -> ISystem:
             if not rhs:
                 raise ISystemParseError(line_no, f"bad clause '{clause}'")
             try:
-                img = parse_element_expr(rhs, group[hi].ngens)
+                img = parse_element_expr(rhs, g_hi.ngens)
             except ISystemError as exc:
                 raise ISystemParseError(line_no, str(exc)) from None
             if lhs == "unit":
-                if kind[lo] != "free":
+                if not free:
                     raise ISystemParseError(line_no, f"unit clause for regular prime '{lo}'")
                 if unit is not None:
                     raise ISystemParseError(line_no, "duplicate unit clause")
-                unit = group[hi].element(img)
+                unit = g_hi.element(img)
             elif lhs.startswith("g"):
                 try:
                     idx = _decimal(lhs[1:]) - 1
                 except ValueError:
                     raise ISystemParseError(line_no, f"bad clause lhs '{lhs}'") from None
-                if not 0 <= idx < group[lo].ngens:
+                if not 0 <= idx < g_lo.ngens:
                     raise ISystemParseError(line_no, f"generator '{lhs}' out of range")
                 if rows[idx] is not None:
                     raise ISystemParseError(line_no, f"duplicate clause for '{lhs}'")
                 rows[idx] = img
+                filled += 1
             else:
                 raise ISystemParseError(line_no, f"bad clause lhs '{lhs}'")
-        if kind[lo] == "free" and unit is None:
+        if free and unit is None:
             raise ISystemParseError(line_no, f"free prime '{lo}' needs a unit clause")
-        missing = [f"g{i + 1}" for i, r in enumerate(rows) if r is None]
-        if missing:
+        if filled < len(rows):
+            missing = [f"g{i + 1}" for i, r in enumerate(rows) if r is None]
             raise ISystemParseError(line_no, f"missing clause(s) for {', '.join(missing)}")
-        maps[(hi, lo)] = ConnectingMap(GroupHom(group[lo], group[hi], rows), unit)
+        maps[(hi, lo)] = ConnectingMap(GroupHom(g_lo, g_hi, rows), unit)
     return ISystem(poset, kind, group, maps)

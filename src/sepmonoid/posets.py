@@ -118,16 +118,16 @@ class Poset:
         return self
 
     def _fill(self, down):
-        """The down, strict down and up sets from down, in one pass."""
-        up = {p: [] for p in self.elements}
+        """The down and strict down sets from down, one frozenset each; a
+        minimal element's strict down set is the empty frozenset, with no
+        set built to subtract it.  Up sets and covers are read off the down
+        sets on first use, so a poset that never asks for them builds none."""
         self._down, self._strict_down = downs, stricts = {}, {}
+        empty = frozenset()
         for p in self.elements:
             downs[p] = d = frozenset(down[p])
-            stricts[p] = d - {p}
-            for q in d:
-                up[q].append(p)
-        self._up = {p: frozenset(up[p]) for p in self.elements}
-        self._covers = None
+            stricts[p] = d - {p} if len(d) > 1 else empty
+        self._up = self._covers = None
 
     def __len__(self):
         return len(self.elements)
@@ -136,16 +136,22 @@ class Poset:
         return iter(self.elements)
 
     def __contains__(self, p):
-        return p in self._up
+        return p in self._down
 
     def le(self, a, b) -> bool:
-        return b in self._up[a]
+        return a in self._down[b]
 
     def lt(self, a, b) -> bool:
-        return a != b and b in self._up[a]
+        return a in self._strict_down[b]
 
     def upset(self, p) -> frozenset:
         """All q with p <= q, including p."""
+        if self._up is None:                # built once, on first use
+            up = {q: [] for q in self.elements}
+            for q, d in self._down.items():
+                for r in d:
+                    up[r].append(q)
+            self._up = {q: frozenset(u) for q, u in up.items()}
         return self._up[p]
 
     def downset(self, p) -> frozenset:
@@ -156,15 +162,20 @@ class Poset:
         return self._strict_down[p]
 
     def covers(self) -> list:
-        """All cover pairs (a, b): a < b with nothing strictly between."""
+        """All cover pairs (a, b), sorted: a < b with nothing strictly between."""
         if self._covers is None:            # built once, on first use
+            stricts = self._strict_down
             covers = []
-            for a in self.elements:
-                above = self._up[a] - {a}
-                # a < b is a cover when nothing strictly above a lies strictly below b
-                for b in sorted(above):
-                    if above.isdisjoint(self._strict_down[b]):
+            for b in self.elements:
+                # a < b is a cover when a lies below no other element below b
+                below = stricts[b]
+                for a in below:
+                    for c in below:
+                        if a in stricts[c]:
+                            break
+                    else:
                         covers.append((a, b))
+            covers.sort()
             self._covers = tuple(covers)
         return list(self._covers)
 
@@ -188,8 +199,11 @@ class Poset:
         """Yield all order isomorphisms onto `other` as dicts.
 
         color/other_color assign an arbitrary label to each element; matched
-        elements must carry equal labels.  Pass both or neither.
+        elements must carry equal labels.  Pass both or neither: one alone
+        raises PosetError.
         """
+        if (color is None) != (other_color is None):
+            raise PosetError("isomorphisms needs both colorings or neither")
         if len(self.elements) != len(other.elements):
             return
         cs = color or (lambda p: None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepmonoid import abelian
+from sepmonoid import abelian, isystem
 from sepmonoid.abelian import (FGAbelianGroup, GroupElement, GroupHom,
                                _completion_test, _row_hnf, identity,
                                images_agree, iter_isomorphisms, left_kernel,
@@ -374,6 +374,8 @@ def test_a_canonical_presentation_is_its_own_frame(name, monkeypatch):
 
     monkeypatch.setattr(abelian, "_smith", spy)
     abelian._frame.cache_clear()
+    parse_group_name.cache_clear()
+    isystem._diagonal_group.cache_clear()
     g = parse_group_name(name)
     n = g.ngens
     assert n == g.free_rank + len(g.invariant_factors)
@@ -383,6 +385,37 @@ def test_a_canonical_presentation_is_its_own_frame(name, monkeypatch):
     assert g._canonical_rows() == [tuple(r) for r in identity(n)]
     assert g.generator_coords() == identity(n)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", _CANONICAL_NAMES)
+def test_a_sliced_frame_reads_what_the_columns_give(name):
+    # a canonical presentation's coordinates are slices, x[:f] and x[f:]
+    # reduced mod the invariant factors: the dot products with its
+    # coordinate columns, on random rows with negative entries
+    g = parse_group_name(name)
+    assert g._frame.sliced
+    cols, k = g.coordinate_columns(), g.free_rank
+    rng = random.Random(name)
+    for _ in range(50):
+        x = [rng.randint(-40, 40) for _ in range(g.ngens)]
+        dots = [sum(a * b for a, b in zip(x, col)) for col, _ in cols]
+        want = (tuple(dots[:k]), tuple(c % m for c, (_, m) in zip(dots[k:], cols[k:])))
+        assert g.canonical_coords(x) == g.canonical_coords(tuple(x)) == want
+    assert not FGAbelianGroup(2, [[2, 0]])._frame.sliced
+
+
+@pytest.mark.parametrize("ngens", [-1, -3, 1.0, "2", None])
+def test_a_generator_count_is_a_nonnegative_integer(ngens):
+    # -1 once gave free rank -1, the name 0 and is_trivial() False
+    with pytest.raises(abelian.AbelianError, match="^generator count must be"):
+        FGAbelianGroup(ngens)
+
+
+def test_a_group_builds_its_name_once():
+    g = FGAbelianGroup(3, [[0, 0, 4], [0, 2, 0]])
+    assert g.canonical_name() == "Z + Z/2 + Z/4"
+    assert g.canonical_name() is g.canonical_name()
+    assert FGAbelianGroup(0).canonical_name() == "0" and FGAbelianGroup(0).is_trivial()
 
 
 def test_frame_cache_is_bounded():

@@ -9,7 +9,8 @@ from sepmonoid import isystem
 from sepmonoid.abelian import (FGAbelianGroup, GroupHom, identity, mat_mul,
                                vec_mat, zero_hom)
 from sepmonoid.cli import main
-from sepmonoid.fixtures import fixture_graph, fixture_system, graph_names, system_names
+from sepmonoid.fixtures import (fixture_graph, fixture_system, fixture_text, graph_names,
+                                system_names)
 from sepmonoid.graph import (check_adaptable, condensation, remove_edge,
                              restrict_lower)
 from sepmonoid.isystem import (COUNTEREXAMPLE, VERIFIED, ConnectingMap,
@@ -792,6 +793,34 @@ def test_extracted_reparsed_and_canonicalized_texts_are_pinned():
     # not move (digest taken before the frames were shared)
     h = hashlib.sha256()
     for seed in range(300):
+        sysm = extract_isystem(random_adaptable(random.Random(seed), 6))
+        text = serialize_isystem(sysm)
+        for t in (text, serialize_isystem(parse_isystem(text)),
+                  serialize_isystem(canonicalized(sysm))):
+            h.update(t.encode())
+    assert h.hexdigest() == "8b5625c8c6bb6523b148dd4b2ecb69afc53bb1606cc499585aeea1d33d3276ab"
+
+
+def test_parsed_and_canonical_groups_are_shared():
+    for name in ("0", "Z", "Z/2", "Z^2 + Z/2", "Z/2 + Z/4"):
+        assert parse_group_name(name) is parse_group_name(name)
+    assert parse_group_name("Z^1 + Z/2") is parse_group_name("Z + Z/2") \
+        is isystem._diagonal_group(1, (2,))
+    text = fixture_text("s1.is")
+    a, b = parse_isystem(text), parse_isystem(text)
+    assert all(a.group[p] is b.group[p] for p in a.poset)
+    canon = canonicalized(extract_isystem(fixture_graph("g5")))
+    assert all(canon.group[p] is parse_group_name(canon.group[p].canonical_name())
+               for p in canon.poset)
+
+
+def test_clearing_the_group_caches_changes_no_text():
+    # the pin of test_extracted_reparsed_and_canonicalized_texts_are_pinned,
+    # with every group built afresh for each seed
+    h = hashlib.sha256()
+    for seed in range(300):
+        parse_group_name.cache_clear()
+        isystem._diagonal_group.cache_clear()
         sysm = extract_isystem(random_adaptable(random.Random(seed), 6))
         text = serialize_isystem(sysm)
         for t in (text, serialize_isystem(parse_isystem(text)),

@@ -114,6 +114,16 @@ def test_isomorphisms_keep_each_chain_together():
         [("a", "y"), ("b", "z"), ("c", "w"), ("d", "x")]]
 
 
+@pytest.mark.parametrize("colors", [{"color": str.upper}, {"other_color": str.upper}],
+                         ids=["color", "other_color"])
+def test_isomorphisms_refuse_one_coloring(colors):
+    # two 2-chains have isomorphisms; one coloring alone once gave none
+    p = Poset("ab", [("a", "b")])
+    q = Poset("xy", [("x", "y")])
+    with pytest.raises(PosetError, match="both colorings or neither"):
+        list(p.isomorphisms(q, **colors))
+
+
 def test_isomorphisms_count_on_antichain():
     p = Poset("abc")
     q = Poset("xyz")
@@ -183,3 +193,37 @@ def test_components_come_out_in_tarjans_order():
         sinks += sum(1 for v in vs if not adj[v])
         assert components_of(adj) == _textbook_tarjan(adj), adj
     assert sinks > 1000
+
+
+def _assert_closure_sets(poset, closure, class_of=lambda v: v):
+    """The down, strict down and up sets of poset against a networkx
+    transitive closure, reflexive, on which b -> a means a <= b."""
+    for c in poset:
+        down = {class_of(w) for w in closure.successors(c)}
+        up = {class_of(w) for w in closure.predecessors(c)}
+        assert poset.downset(c) == down
+        assert poset.strict_down(c) == down - {c}
+        assert poset.upset(c) == up
+        assert all(poset.le(a, c) and poset.lt(a, c) != (a == c) for a in down)
+
+
+def test_closure_sets_agree_with_networkx_on_dags_and_condensations():
+    nx = pytest.importorskip("networkx")
+    from sepmonoid.graph import condensation
+    from sepmonoid.randgen import random_adaptable
+    rng = random.Random(12)
+    for _ in range(300):
+        elems = [f"p{i}" for i in range(rng.randint(1, 9))]
+        rel = [(a, b) for a in elems for b in elems if a < b and rng.random() < 0.3]
+        d = nx.DiGraph()
+        d.add_nodes_from(elems)
+        d.add_edges_from((b, a) for a, b in rel)
+        _assert_closure_sets(Poset(elems, rel), nx.transitive_closure(d, reflexive=True))
+    for _ in range(300):
+        g = random_adaptable(rng, rng.randint(1, 6))
+        cond = condensation(g)
+        d = nx.DiGraph()
+        d.add_nodes_from(g.vertices)
+        d.add_edges_from(g.edges[e][:2] for e in g.edges)
+        closure = nx.transitive_closure(d, reflexive=True)
+        _assert_closure_sets(cond.poset, closure, cond.class_of.__getitem__)
