@@ -177,64 +177,58 @@ def _cone_gap(p, quotient: FGAbelianGroup, units) -> str | None:
 
 
 def validate_isystem(sys: ISystem) -> ValidationReport:
-    """Check the axioms: the maps are homs (`map-hom`; its failures are the
-    whole report), they compose (`functoriality`) and cover free primes (`cone-coverage`)."""
-    failures = []
-    poset = sys.poset
-    for hi in poset:
-        for lo in sorted(poset.strict_down(hi)):
-            if not sys.maps[(hi, lo)].hom.is_well_defined():
-                failures.append(ValidationFailure(
-                    "map-hom", (hi, lo), "generator images do not respect the source relations"))
+    """Check the axioms on covers, each assuming the ones before it, and
+    report the failures of the first that fails: the cover maps are homs
+    (`map-hom`), each map into hi is its composite through each lower cover
+    of hi (`functoriality`), and a free prime's lower covers reach its group
+    as a monoid (`cone-coverage`).  That checks every pair: if f_hl = f_hm
+    f_ml for all l < m covered by h, then for l < m < m' covered by h,
+    f_hm f_ml = f_hm' f_m'm f_ml = f_hm' f_m'l = f_hl by the cover case,
+    induction on [m, m'] and the cover case.  So each map agrees on
+    generators with a composite of cover homs, and is a hom; units follow
+    alike.  A non-cover q < m covered by p has f_pq's image inside f_pm's,
+    and its unit, f_pm of m's, is zero in the cover quotient."""
+    poset, maps = sys.poset, sys.maps
+    failures = [ValidationFailure("map-hom", (hi, lo),
+                                  "generator images do not respect the source relations")
+                for lo, hi in poset.covers() if not maps[(hi, lo)].hom.is_well_defined()]
     if failures:
         return ValidationReport(COUNTEREXAMPLE, failures)
-    # functoriality over chains lo < mid < hi
     for hi in poset:
-        for mid in sorted(poset.strict_down(hi)):
+        for mid in poset.lower_covers(hi):
+            b = maps[(hi, mid)].hom
             for lo in sorted(poset.strict_down(mid)):
-                a = sys.maps[(hi, lo)]
-                b = sys.maps[(hi, mid)]
-                c = sys.maps[(mid, lo)]
-                # on each generator of lo (and its unit): the image through
-                # mid minus the direct one vanishes in G_hi, whose
-                # presentation both homs' codomains have (the constructor checks it)
-                g = b.hom.codomain
-                if not all(images_agree(c_row, b.hom.matrix, (1,), [a_row], g)
+                # on each generator of lo (and its unit): the image through mid minus
+                # the direct one vanishes in G_hi, b's codomain (the constructor checks it)
+                a, c = maps[(hi, lo)], maps[(mid, lo)]
+                if not all(images_agree(c_row, b.matrix, (1,), [a_row], b.codomain)
                            for c_row, a_row in zip(c.hom.matrix, a.hom.matrix)):
                     failures.append(ValidationFailure(
                         "functoriality", (hi, mid, lo),
                         f"hom {lo}<{hi} differs from the composite through {mid}"))
                 if a.unit is not None and not images_agree(
-                        c.unit.coeffs, b.hom.matrix, (1,), [a.unit.coeffs], g):
+                        c.unit.coeffs, b.matrix, (1,), [a.unit.coeffs], b.codomain):
                     failures.append(ValidationFailure(
                         "functoriality", (hi, mid, lo),
                         f"unit image of {lo} under {hi} differs from the composite through {mid}"))
-    # free primes: minimality and cone coverage
+    if failures:
+        return ValidationReport(COUNTEREXAMPLE, failures)
     for p in poset:
         if sys.kind[p] != "free":
             continue
-        g_p = sys.group[p]
-        lowers = poset.strict_down(p)
+        g_p, lowers = sys.group[p], poset.lower_covers(p)
         if not lowers:
             if not g_p.is_trivial():
                 failures.append(ValidationFailure(
                     "cone-coverage", (p,),
                     f"minimal free prime {p} must carry the trivial group, has {g_p.canonical_name()}"))
             continue
-        units = []
-        hom_rows = []
-        for q in sorted(lowers):
-            cm = sys.maps[(p, q)]
-            if cm.unit is not None:
-                units.append((q, cm.unit.coeffs))
-            hom_rows += map(list, cm.hom.matrix)
-        quotient = FGAbelianGroup(g_p.ngens, list(g_p.relations) + hom_rows)
-        gap = _cone_gap(p, quotient, units)
+        units = [(q, maps[(p, q)].unit.coeffs) for q in lowers if sys.kind[q] == "free"]
+        rows = list(g_p.relations) + [list(r) for q in lowers for r in maps[(p, q)].hom.matrix]
+        gap = _cone_gap(p, FGAbelianGroup(g_p.ngens, rows), units)
         if gap is not None:
             failures.append(ValidationFailure("cone-coverage", (p,), gap))
-    if failures:
-        return ValidationReport(COUNTEREXAMPLE, failures)
-    return ValidationReport(VERIFIED)
+    return ValidationReport(COUNTEREXAMPLE if failures else VERIFIED, failures)
 
 
 # -------------------------------------------------------------- extraction

@@ -120,14 +120,14 @@ class Poset:
     def _fill(self, down):
         """The down and strict down sets from down, one frozenset each; a
         minimal element's strict down set is the empty frozenset, with no
-        set built to subtract it.  Up sets and covers are read off the down
-        sets on first use, so a poset that never asks for them builds none."""
+        set built to subtract it.  Up sets, covers and lower covers are read
+        off on first use, so a poset that never asks for them builds none."""
         self._down, self._strict_down = downs, stricts = {}, {}
         empty = frozenset()
         for p in self.elements:
             downs[p] = d = frozenset(down[p])
             stricts[p] = d - {p} if len(d) > 1 else empty
-        self._up = self._covers = None
+        self._up = self._covers = self._lower = None
 
     def __len__(self):
         return len(self.elements)
@@ -180,7 +180,11 @@ class Poset:
         return list(self._covers)
 
     def lower_covers(self, p) -> list:
-        return sorted(a for a, b in self.covers() if b == p)
+        if self._lower is None:             # an index of covers(), built once
+            self._lower = lower = {b: [] for b in self.elements}
+            for a, b in self.covers():     # sorted, so each list comes out sorted
+                lower[b].append(a)
+        return list(self._lower[p])
 
     def linear_extension(self) -> list:
         """Deterministic linear extension: always emit the least ready element."""

@@ -636,10 +636,12 @@ class RoundtripReport(Record):
 def _constraints(system: ISystem, ext: ISystem, psi: dict, theta: dict, p):
     """The (a, b, failure text) that theta[p] must meet, given theta below
     p: theta[p] sends a, a row of the extracted G_p, to b, a row of the
-    system's.  Per q < p in sorted order, one per generator of the
-    extracted G_q (its image, and the system's image of theta[q] of it),
-    then the units when q is free: both routes match kinds first."""
-    for q in sorted(system.poset.strict_down(p)):
+    system's.  Per lower cover q of p in sorted order, one per generator of
+    the extracted G_q (its image, and the system's image of theta[q] of it),
+    then the units when q is free: both routes match kinds first.  Covers
+    suffice for functorial systems, an extraction and a valid system: for
+    q < m covered by p, theta f_pq = theta f_pm f_mq = f'_pm f'_mq theta = f'_pq theta."""
+    for q in system.poset.lower_covers(p):
         cm_e, cm_o = ext.maps[(psi[p], psi[q])], system.maps[(p, q)]
         for a, t in zip(cm_e.hom.matrix, theta[q].matrix):
             yield a, _image(t, cm_o.hom), f"theta does not commute with the map {p} <- {q}"
@@ -648,19 +650,29 @@ def _constraints(system: ISystem, ext: ISystem, psi: dict, theta: dict, p):
                    f"theta at {p} does not send the unit of {q} to the system's")
 
 
+def _invalid(system: ISystem) -> str | None:
+    """The first `validate_isystem` failure of system, or None."""
+    for f in validate_isystem(system).failures:
+        return f"the system is invalid: axiom {f.axiom} fails at {f.primes}: {f.detail}"
+
+
 def check_roundtrip_certificate(system: ISystem, graph: SepGraph, poset_map: dict,
                                 theta: dict) -> str | None:
     """Check a round-trip certificate without any search.
 
-    None when poset_map (prime -> class of the extraction of graph) is a
+    None when system is valid (otherwise its first `validate_isystem`
+    failure), poset_map (prime -> class of the extraction of graph) is a
     kind-preserving poset isomorphism, and each theta[p] is an isomorphism
     from the extracted group at poset_map[p] onto the system's group at p
     that sends a to b for every (a, b) of `_constraints`, the list the
     search reads too, each by one `images_agree` on coefficient rows.
     Otherwise the first failure.
     """
-    ext = extract_isystem(graph)
-    psi = poset_map
+    return _invalid(system) or _certificate_gap(system, extract_isystem(graph), poset_map, theta)
+
+
+def _certificate_gap(system: ISystem, ext: ISystem, psi: dict, theta: dict) -> str | None:
+    """`check_roundtrip_certificate` on the extraction ext, for a valid system."""
     primes = list(system.poset)
     if sorted(psi) != sorted(primes) or sorted(psi.values()) != sorted(ext.poset):
         return "the poset map is no bijection onto the extracted classes"
@@ -717,31 +729,30 @@ def roundtrip_check(system: ISystem, graph: SepGraph) -> RoundtripReport:
     extraction) and `theta` (prime p -> GroupHom from the extracted group
     at poset_map[p] onto the system's group at p), and `by` says where
     they came from.  When `realize` built the graph from this very system
-    object, its witness gives both, and `check_roundtrip_certificate`
-    checks them (`by="witness"`).  Otherwise, or if that check fails, a
-    bounded search looks for a kind-preserving poset isomorphism together
-    with a family of group isomorphisms commuting with all connecting maps
-    (`by="search"`).  Only that search is bounded, by ROUNDTRIP_BOX and
-    ROUNDTRIP_BRANCH, read at each call.
+    object, which it validated, its witness gives both, checked as by
+    `check_roundtrip_certificate` with no second validation (`by="witness"`).
+    Otherwise, or if that check fails, an invalid system is FailedAt its
+    first `validate_isystem` failure, and a valid one goes to a bounded
+    search for a kind-preserving poset isomorphism together with a family
+    of group isomorphisms commuting with all connecting maps (`by="search"`).
+    Only that search is bounded, by ROUNDTRIP_BOX and ROUNDTRIP_BRANCH, read at each call.
     """
     ext = extract_isystem(graph)
     wit = graph.derived(_witness)
     if wit is not None and wit.system is system:
         theta = _witness_theta(system, ext, wit)
-        if (theta is not None
-                and check_roundtrip_certificate(system, graph, wit.poset_map, theta) is None):
+        if theta is not None and _certificate_gap(system, ext, wit.poset_map, theta) is None:
             return RoundtripReport("Verified", dict(wit.poset_map), theta=theta, by="witness")
+    if (failure := _invalid(system)) is not None:
+        return RoundtripReport("FailedAt", None, failure)
 
-    def sig_o(p):
-        return (system.kind[p], system.group[p].invariant_factors, system.group[p].free_rank)
-
-    def sig_e(c):
-        return (ext.kind[c], ext.group[c].invariant_factors, ext.group[c].free_rank)
+    def sig(s):
+        return lambda p: (s.kind[p], s.group[p].invariant_factors, s.group[p].free_rank)
 
     saw_any_psi = False
     saw_inconclusive = False
     order = system.poset.linear_extension()
-    for psi in system.poset.isomorphisms(ext.poset, sig_o, sig_e):
+    for psi in system.poset.isomorphisms(ext.poset, sig(system), sig(ext)):
         saw_any_psi = True
         theta = {}
 

@@ -2,9 +2,11 @@ import ast
 import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
+import allpairs_reference
 from sepmonoid import isystem
 from sepmonoid.abelian import (FGAbelianGroup, GroupHom, identity, mat_mul,
                                vec_mat, zero_hom)
@@ -523,6 +525,84 @@ def test_validate_flags_functoriality_break():
     rep = validate_isystem(s)
     assert rep.status == COUNTEREXAMPLE
     assert any(f.axiom == "functoriality" for f in rep.failures)
+
+
+
+def test_a_non_hom_at_a_non_cover_pair_fails_functoriality():
+    # t <- r sends the Z/2 generator to a generator of Z/4: no hom, and not
+    # the composite 2*g1 through m.  map-hom reads covers only, so the
+    # report names the chain where the all-pairs check named the pair
+    s = parse_isystem("prime r reg\nprime m reg\nprime t reg\ncover r < m\ncover m < t\n"
+                      "group r : Z/2\ngroup m : Z/2\ngroup t : Z/4\nmap m <- r : g1 -> g1\n"
+                      "map t <- m : g1 -> 2*g1\nmap t <- r : g1 -> g1\n")
+    old = allpairs_reference.validate_isystem(s)
+    assert [(f.axiom, f.primes) for f in old.failures] == [("map-hom", ("t", "r"))]
+    assert [(f.axiom, f.primes, f.detail) for f in validate_isystem(s).failures] == \
+        [("functoriality", ("t", "m", "r"), "hom r<t differs from the composite through m")]
+
+
+def test_functoriality_failures_are_the_whole_report():
+    # the torsion triangle off by g2, beside a minimal free prime a with
+    # a nontrivial group: the cone check assumes functoriality, so it no
+    # longer runs, where the all-pairs check reported both
+    s = parse_isystem("prime m reg\nprime t reg\ncover r < m\ncover m < t\n"
+                      "group m : Z + Z/2\ngroup t : Z + Z/2\nmap t <- m : g1 -> g1 ; g2 -> g2\n"
+                      + TORSION_TRIANGLE["regular"].format(k=1)
+                      + "prime a free\ngroup a : Z/2\n")
+    old = allpairs_reference.validate_isystem(s)
+    assert [(f.axiom, f.primes) for f in old.failures] == \
+        [("functoriality", ("t", "m", "r")), ("cone-coverage", ("a",))]
+    assert [(f.axiom, f.primes) for f in validate_isystem(s).failures] == \
+        [("functoriality", ("t", "m", "r"))]
+
+
+def _one_entry_mutants(s):
+    """(whether (lo, hi) is a cover, s with one entry of its map hi <- lo
+    off by 1) per strict pair: the first hom entry, then the last unit
+    entry, each where the map has one."""
+    covers = set(s.poset.covers())
+    for hi in s.poset:
+        for lo in sorted(s.poset.strict_down(hi)):
+            cm = s.maps[(hi, lo)]
+            bad = []
+            if cm.hom.matrix and cm.hom.matrix[0]:
+                rows = [list(r) for r in cm.hom.matrix]
+                rows[0][0] += 1
+                bad.append(ConnectingMap(GroupHom(cm.hom.domain, cm.hom.codomain, rows), cm.unit))
+            if cm.unit is not None and cm.unit.coeffs:
+                unit = list(cm.unit.coeffs)
+                unit[-1] += 1
+                bad.append(ConnectingMap(cm.hom, s.group[hi].element(unit)))
+            for b in bad:
+                yield (lo, hi) in covers, ISystem(s.poset, s.kind, s.group, {**s.maps, (hi, lo): b})
+
+
+def _axioms(report):
+    return tuple(sorted({f.axiom for f in report.failures}))
+
+
+def test_cover_checks_agree_with_the_all_pairs_reference():
+    # the same verdict as the all-pairs validation on the stress systems and
+    # on each of their one-entry mutants.  Reports of invalid systems may
+    # change only as declared: a failure moves to a chain through a lower
+    # cover, a non-cover non-hom becomes a functoriality failure, and
+    # cone-coverage no longer runs after a functoriality failure; no
+    # cone-coverage message changes its basis here
+    counts, moved = Counter(), Counter()
+    for s in _stress_corpus(1, 150) + _stress_corpus(2, 150):
+        assert validate_isystem(s).ok and allpairs_reference.validate_isystem(s).ok
+        for cover, t in _one_entry_mutants(s):
+            old, new = allpairs_reference.validate_isystem(t), validate_isystem(t)
+            assert old.status == new.status
+            counts["mutants"] += 1
+            counts["invalid"] += not new.ok
+            counts["non-cover"] += not cover
+            if old.failures != new.failures:
+                moved[_axioms(old), _axioms(new)] += 1
+    assert counts == {"mutants": 608, "invalid": 402, "non-cover": 181}
+    assert moved == {(("functoriality",), ("functoriality",)): 48,
+                     (("cone-coverage", "functoriality"), ("functoriality",)): 29,
+                     (("map-hom",), ("functoriality",)): 18}
 
 
 # a triangle r < m < t of Z + Z/2 primes whose direct map t <- r (a hom, or

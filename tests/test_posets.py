@@ -55,6 +55,20 @@ def test_covers_are_built_once(monkeypatch):
     assert p.covers() == first
 
 
+
+def test_lower_covers_are_read_off_one_index():
+    rng = random.Random(7)
+    for _ in range(100):
+        elems = [f"p{i}" for i in range(rng.randint(1, 8))]
+        p = Poset(elems, [(a, b) for a in elems for b in elems if a < b and rng.random() < 0.3])
+        for q in reversed(elems):
+            got = p.lower_covers(q)
+            assert got == sorted(a for a, b in p.covers() if b == q)
+            # each call returns a fresh list, so the index cannot be changed
+            got.append("x")
+            assert "x" not in p.lower_covers(q)
+
+
 def test_up_down_sets():
     p = Poset(["bot", "x", "y", "top"],
               [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")])

@@ -1570,3 +1570,62 @@ def test_realize_and_the_round_trip_build_no_canonical_generator_elements(monkey
     monkeypatch.setattr(FGAbelianGroup, "element", element)
     assert outputs() == want
     assert callers == {"_extract"}
+
+
+# a Z prime q presented on g1, g2 with the relation g2, under a Z prime p:
+# the map g2 -> g1 sends that relation to g1, so it is no hom, and its twin
+# with g2 -> 0 is valid
+NON_HOM_SYSTEM = ("prime q reg\nprime p reg\ncover q < p\ngroup q gens g1 g2 rels g2\n"
+                  "group p : Z\nmap p <- q : g1 -> g1 ; g2 -> {}\n")
+# a chain r < m < t of Z/4 primes whose direct map t <- r is not the
+# composite g1 -> g1 through m when it sends g1 to 3*g1
+OFF_CHAIN_SYSTEM = ("prime r reg\nprime m reg\nprime t reg\ncover r < m\ncover m < t\n"
+                    "group r : Z/4\ngroup m : Z/4\ngroup t : Z/4\n"
+                    "map m <- r : g1 -> g1\nmap t <- m : g1 -> g1\nmap t <- r : g1 -> {}\n")
+
+
+@pytest.mark.parametrize("text, bad, twin, failure", [
+    (NON_HOM_SYSTEM, "g1", "0",
+     "axiom map-hom fails at ('p', 'q'): generator images do not respect the source relations"),
+    (OFF_CHAIN_SYSTEM, "3*g1", "g1",
+     "axiom functoriality fails at ('t', 'm', 'r'): hom r<t differs from the composite through m"),
+], ids=["non-hom", "non-functorial"])
+def test_the_round_trip_refuses_an_invalid_system(text, bad, twin, failure):
+    # compared with the graph of its valid twin, an invalid system fails at
+    # its first validation failure, on the search route and in the
+    # certificate check of the twin's own certificate: the constraints read
+    # covers only, which is exact for valid systems alone
+    s, t = parse_isystem(text.format(bad)), parse_isystem(text.format(twin))
+    assert not validate_isystem(s).ok and validate_isystem(t).ok
+    g = realize(t).graph
+    rep = roundtrip_check(t, _reparsed(g))
+    assert (rep.status, rep.by) == ("Verified", "search")
+    want = "the system is invalid: " + failure
+    for graph in (g, _reparsed(g)):
+        failed = roundtrip_check(s, graph)
+        assert (failed.status, failed.detail, failed.theta, failed.by) == \
+            ("FailedAt", want, None, "search")
+        assert check_roundtrip_certificate(s, graph, rep.poset_map, rep.theta) == want
+
+
+def test_realize_and_the_witness_route_validate_once(monkeypatch):
+    # realize validates its system, so the witness route, which serves that
+    # very object, validates no second time; the search route and the
+    # certificate check validate once each
+    calls = []
+
+    def spy(system):
+        calls.append(system)
+        return validate_isystem(system)
+
+    monkeypatch.setattr(realize_mod, "validate_isystem", spy)
+    for s in [parse_isystem(DEEP_SYSTEM)] + [fixture_system(n) for n in system_names()]:
+        calls.clear()
+        g = realize(s).graph
+        rep = roundtrip_check(s, g)
+        assert (rep.status, rep.by) == ("Verified", "witness")
+        assert len(calls) == 1 and calls[0] is s
+        rep = roundtrip_check(s, _reparsed(g))
+        assert (rep.status, rep.by) == ("Verified", "search")
+        assert check_roundtrip_certificate(s, g, rep.poset_map, rep.theta) is None
+        assert len(calls) == 3 and all(c is s for c in calls)
